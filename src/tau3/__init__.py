@@ -3,14 +3,15 @@ invariant certificates for factors given by spectral measures."""
 
 __version__ = "0.1.0"
 
-from .errors import (BudgetExceeded, NotPointwiseEvaluable, RangeError,
-                     SnapError, SpecFormatError, StepMismatch,
-                     SymmetryViolation, Tau3Error, TailNotCertified,
-                     UndeterminedError, UnsupportedArgument)
+from .errors import (BudgetExceeded, NotPointwiseEvaluable,
+                     PrecisionSettingError, RangeError, SnapError,
+                     SpecFormatError, StepMismatch, SymmetryViolation,
+                     Tau3Error, TailNotCertified, UndeterminedError,
+                     UnsupportedArgument)
 from .intervals import IntervalValue, cos2pi, precision_bits
-from .measures import (AtomList, CoefficientSequence, MeasureExpr,
-                       bernoulli_partial, load_measure_spec, normalize,
-                       parse_measure_spec, scale_measure)
+from .measures import (CoefficientSequence, MeasureExpr, bernoulli_partial,
+                       load_measure_spec, normalize, parse_measure_spec,
+                       scale_measure)
 from .fourier import (ArgumentSpec, ExactRational, ScaledPower, arg_reduce,
                       ft_point, tail_bound)
 from .topology import (CompletionClass, CompletionKind, Conclusion,

@@ -27,8 +27,8 @@ from typing import Optional, Union
 from .errors import SpecFormatError
 from .measures import (DEFAULT_ATOM_BUDGET, EXPLICIT, GEOMETRIC,
                        CoefficientSequence, MeasureExpr, bernoulli_partial,
-                       format_rational, normalize, parse_rational)
-from .topology import _rational_gcd
+                       format_rational, normalize, parse_rational,
+                       rational_gcd)
 
 # ---------------------------------------------------------------------------
 # Countable supports: finite sets and rational lattices with offsets
@@ -65,7 +65,7 @@ class Support:
         pts = [Fraction(p) for p in points if p != 0]
         if not pts:
             return Support.finite([Fraction(0)])
-        return Support.lattice(_rational_gcd(pts))
+        return Support.lattice(rational_gcd(pts))
 
     def is_finite(self) -> bool:
         return self.kind == "finite"
@@ -91,7 +91,7 @@ class Support:
             return any(other.members_include(p) for p in self.points)
         if other.is_finite():
             return other.intersects(self)
-        g = _rational_gcd([self.generator, other.generator])
+        g = rational_gcd([self.generator, other.generator])
         return any((ra - rb) % g == 0
                    for ra in self.residues for rb in other.residues)
 
@@ -105,7 +105,7 @@ class Support:
             return Support.lattice(self.generator,
                                    [r + p for r in self.residues
                                     for p in other.points])
-        g = _rational_gcd([self.generator, other.generator])
+        g = rational_gcd([self.generator, other.generator])
         return Support.lattice(g, [ra + rb for ra in self.residues
                                    for rb in other.residues])
 
@@ -312,9 +312,6 @@ class ClassExpr:
         parts.extend(t.describe() for t in self.tags)
         return " + ".join(parts) if parts else "null"
 
-    def is_null(self) -> bool:
-        return self.atoms is None and not self.ac_lebesgue and not self.tags
-
 
 LEBESGUE_CLASS = ClassExpr(ac_lebesgue=True,
                            provenance=("class of the Lebesgue measure",))
@@ -354,7 +351,7 @@ def _atom_union(a: Support, b: Support) -> Support:
     if b.subset_of(a):
         return a
     if not a.is_finite() and not b.is_finite():
-        g = _rational_gcd([a.generator, b.generator])
+        g = rational_gcd([a.generator, b.generator])
         return Support.lattice(g, a.residues + b.residues)
     fin, lat = (a, b) if a.is_finite() else (b, a)
     return Support.lattice(lat.generator,
@@ -408,8 +405,8 @@ def convolve(a: Union[MeasureExpr, ClassExpr], b: Union[MeasureExpr, ClassExpr],
     for ta in ca.tags:
         for tb in cb.tags:
             tags.append(_convolve_tag_pair(ta, tb))
-            trace.append("rule:TagPower" if tags[-1].opaque is None
-                         else "rule:TagOpaque")
+            trace.append("rule:TagOpaque" if tags[-1].is_opaque()
+                         else "rule:TagPower")
     return ClassExpr(atoms=atoms, ac_lebesgue=leb, tags=tuple(tags),
                      provenance=ca.provenance + cb.provenance + tuple(trace)
                      ).canonical()

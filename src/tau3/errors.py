@@ -5,6 +5,10 @@ class Tau3Error(Exception):
     """Base class for all library errors."""
 
 
+class PrecisionSettingError(Tau3Error):
+    """TAU3_PRECISION names neither a profile nor a supported bit count."""
+
+
 class SpecFormatError(Tau3Error):
     """A measure specification document failed to parse or validate."""
 

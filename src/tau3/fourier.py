@@ -24,8 +24,8 @@ from typing import Optional, Union
 
 from .errors import (NotPointwiseEvaluable, SymmetryViolation,
                      TailNotCertified, UnsupportedArgument)
-from .intervals import (IntervalValue, cos2pi, exp_neg, log1m, precision_bits,
-                        quadratic_cos_threshold)
+from .intervals import (QUADRATIC_COS_COEFF, IntervalValue, cos2pi, exp_neg,
+                        log1m, precision_bits, quadratic_cos_threshold)
 from .measures import (EXPLICIT, FACTORIAL, GEOMETRIC, CoeffTerm,
                        CoefficientSequence, MeasureExpr, normalize)
 
@@ -126,12 +126,6 @@ class ReducedSmall:
         e = self.log2_upper()
         e_int = e.numerator // e.denominator + 1
         return Fraction(2) ** e_int
-
-    def bound_below(self, threshold: Fraction) -> bool:
-        """True if the value is certainly <= threshold (cheap, conservative)."""
-        if threshold <= 0:
-            return False
-        return self.dyadic_upper() <= threshold
 
 
 Reduced = Union[ReducedExact, ReducedSmall]
@@ -285,7 +279,6 @@ def tail_bound(seq: CoefficientSequence, cutoff: int, t,
             "tail decay is only certified for the structured families")
 
     omega = quadratic_cos_threshold()
-    coeff = 49
     base = seq.base
     log_lo = Fraction(0)
     ulp = Fraction(1, 1 << bits)
@@ -313,7 +306,7 @@ def tail_bound(seq: CoefficientSequence, cutoff: int, t,
             raise TailNotCertified(
                 f"factor {k} reduces to {d}, above threshold {omega}")
         if d != 0:
-            y = coeff * d * d
+            y = QUADRATIC_COS_COEFF * d * d
             if is_value and d <= omega / 2 and y <= y_close:
                 # close: values beyond k shrink by >= 1/base per step, so
                 # the remaining quadratic deficits sum below y * geom
@@ -375,7 +368,12 @@ def choose_cutoff(seq: CoefficientSequence, t,
 # Pointwise transform
 # ---------------------------------------------------------------------------
 
-def _atom_part(expr: MeasureExpr, t: ArgumentSpec, bits: int) -> IntervalValue:
+def atom_part(expr: MeasureExpr, t: ArgumentSpec, bits: int) -> IntervalValue:
+    """Enclosure of sum_a w_a * cos(2*pi*a*t) over the atoms of ``expr``.
+
+    Raises SymmetryViolation unless the weights are symmetric, which the
+    real-valued transform needs.
+    """
     table = dict(expr.atoms)
     for p, w in expr.atoms:
         if table.get(-p) != w:
@@ -435,7 +433,7 @@ def ft_point(expr: MeasureExpr, t, tail_cutoff: Optional[int] = None,
             if not out.exact:
                 out = out.round_out(bits)
         return out
-    out = _atom_part(expr, t, bits)
+    out = atom_part(expr, t, bits)
     if expr.bernoulli is not None:
         out = out + _bernoulli_part(expr.bernoulli, t, tail_cutoff, bits)
     mass = expr.mass()

@@ -21,7 +21,9 @@ exactly the fractions with denominator 1, 2, 3, 4 or 6.
 
 The working precision (bits of fixed-point scale) comes from the
 ``TAU3_PRECISION`` environment variable: one of the profile names ``fast``,
-``default``, ``high``, or an explicit bit count.
+``default``, ``high``, or an explicit bit count in [64, 4096]; any other
+value raises PrecisionSettingError.  2*pi is bracketed at any precision by
+Machin's formula in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -31,28 +33,33 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from .errors import PrecisionSettingError
+
 Rational = Union[Fraction, int]
 
 PRECISION_PROFILES = {"fast": 128, "default": 256, "high": 512}
-
-# 2*pi to 125 decimal digits; enough for 384-bit enclosures.
-_TWO_PI_DIGITS = (
-    "6."
-    "2831853071795864769252867665590057683943387987502116419498891846"
-    "156328125724179972560696506842341359642961730265646132941877"
-)
+MIN_BITS, MAX_BITS = 64, 4096
 
 
 def precision_bits() -> int:
-    """Working precision in bits, from TAU3_PRECISION (profile name or int)."""
+    """Working precision in bits, from TAU3_PRECISION (profile name or int).
+
+    Raises PrecisionSettingError for anything but a profile name or a bit
+    count in [MIN_BITS, MAX_BITS].
+    """
     raw = os.environ.get("TAU3_PRECISION", "default").strip().lower()
     if raw in PRECISION_PROFILES:
         return PRECISION_PROFILES[raw]
     try:
         bits = int(raw)
     except ValueError:
-        return PRECISION_PROFILES["default"]
-    return max(64, min(bits, 4096))
+        bits = None
+    if bits is None or not MIN_BITS <= bits <= MAX_BITS:
+        raise PrecisionSettingError(
+            f"TAU3_PRECISION={raw!r}: expected one of "
+            f"{', '.join(PRECISION_PROFILES)} or a bit count in "
+            f"[{MIN_BITS}, {MAX_BITS}]")
+    return bits
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -67,12 +74,44 @@ def _ceil_scaled(x: Fraction, s: int) -> int:
     return _ceil_div(x.numerator << s, x.denominator)
 
 
+def _arctan_inv_bounds(x: int, s: int) -> tuple[int, int]:
+    """Integers bracketing 2**s * arctan(1/x) for an integer x >= 5."""
+    xx = x * x
+    p = (1 << s) // x          # 2**s / x**(2k+1), floored: off by < 2
+    total, k = 0, 0
+    while p:
+        term = p // (2 * k + 1)
+        total += -term if k & 1 else term
+        p //= xx
+        k += 1
+    # each term is off by < 3; the omitted alternating tail is below 2
+    err = 3 * k + 2
+    return total - err, total + err
+
+
+_TWO_PI_CACHE: dict[int, tuple[int, int]] = {}
+
+
 def _two_pi_bounds(s: int) -> tuple[int, int]:
-    ip, fp = _TWO_PI_DIGITS.split(".")
-    num = int(ip + fp)
-    den = 10 ** len(fp)
-    lo = (num << s) // den
-    return lo, _ceil_div((num + 1) << s, den)
+    """(floor(2*pi*2**s), floor(2*pi*2**s) + 1), by Machin's formula.
+
+    pi/4 = 4*arctan(1/5) - arctan(1/239), bracketed with g guard bits;
+    2*pi is irrational, so once both brackets share their top bits the
+    floor is decided.
+    """
+    cached = _TWO_PI_CACHE.get(s)
+    if cached is not None:
+        return cached
+    g = s.bit_length() + 8
+    while True:
+        a_lo, a_hi = _arctan_inv_bounds(5, s + g)
+        b_lo, b_hi = _arctan_inv_bounds(239, s + g)
+        lo, hi = 8 * (4 * a_lo - b_hi) >> g, 8 * (4 * a_hi - b_lo) >> g
+        if lo == hi:
+            break
+        g += 16
+    _TWO_PI_CACHE[s] = lo, lo + 1
+    return lo, lo + 1
 
 
 @dataclass(frozen=True)
@@ -350,12 +389,10 @@ def exp_neg(s: Rational, bits: int | None = None) -> IntervalValue:
 # Quadratic lower bound for the cosine near zero.
 #
 # The tail estimates rely on cos(2*pi*x) >= 1 - 49*x**2 holding on [0, omega].
-# We certify it on [0, 1/8] once per process and cache the result.  Two
-# complementary arguments cover the range:
-#   (a) 1 - cos(u) <= u**2 / 2 for all u (alternating series), hence
-#       cos(2*pi*x) >= 1 - 2*pi^2*x^2, and 2*pi^2 < 49 by rational comparison
-#       of the embedded 2*pi upper bound; this covers a neighbourhood of 0.
-#   (b) direct interval comparison on each subdivision piece away from 0.
+# Since 1 - cos(u) <= u**2 / 2 for all u (alternating series),
+# cos(2*pi*x) >= 1 - 2*pi^2*x^2 everywhere, and 2*pi^2 < 49 is one rational
+# comparison against the certified upper bound of 2*pi.  The check runs
+# once per process.
 # ---------------------------------------------------------------------------
 
 QUADRATIC_COS_COEFF = 49
@@ -363,32 +400,13 @@ _OMEGA = Fraction(1, 8)
 _omega_certified = False
 
 
-def _two_pi_sq_half_hi(bits: int) -> Fraction:
-    _, tp_hi = _two_pi_bounds(bits)
-    tp = Fraction(tp_hi, 1 << bits)
-    return tp * tp / 2
-
-
-def certify_quadratic_cos_bound(omega: Fraction = _OMEGA, pieces: int = 64,
-                                bits: int = 128) -> bool:
-    """Verify cos(2*pi*x) >= 1 - 49*x**2 on [0, omega] by subdivision.
-
-    Raises ValueError if certification fails (it does not, for omega <= 1/8).
-    """
+def certify_quadratic_cos_bound(omega: Fraction = _OMEGA) -> bool:
+    """Verify cos(2*pi*x) >= 1 - 49*x**2 on [0, omega] via 2*pi^2 < 49."""
     if not 0 < omega <= Fraction(1, 4):
         raise ValueError("omega must lie in (0, 1/4]")
-    dominated = _two_pi_sq_half_hi(bits) <= QUADRATIC_COS_COEFF
-    for i in range(pieces):
-        a = omega * i / pieces
-        b = omega * (i + 1) / pieces
-        enclosure = cos2pi_interval(a, b, bits)
-        if enclosure.lo >= 1 - QUADRATIC_COS_COEFF * a * a:
-            continue
-        # pieces touching 0 need the series argument: on [a, b],
-        # 1 - cos(2*pi*x) <= (2*pi*x)^2/2 <= 2*pi^2*x^2 <= 49*x^2.
-        if not dominated:
-            raise ValueError(
-                f"cannot certify quadratic cosine bound on [{a}, {b}]")
+    _, tp_hi = _two_pi_bounds(64)
+    if Fraction(tp_hi * tp_hi, 2 << 128) > QUADRATIC_COS_COEFF:
+        raise ValueError("cannot certify 2*pi^2 < 49")
     return True
 
 

@@ -174,13 +174,13 @@ def s_bounds(spec: FactorSpec,
 # ---------------------------------------------------------------------------
 
 def _atomic_progression_witness(gen_conv: Fraction, other: MeasureExpr
-                                ) -> Optional[tuple[SequenceSpec, Fraction]]:
+                                ) -> Optional[SequenceSpec]:
     """Sequence converging in the topology of an atomic measure with group
     generator ``gen_conv`` while staying bounded away under ``other``.
 
     Picks an atom b of ``other`` outside the first group and an arithmetic
     progression t = (c + j*q)/g on which b*t keeps a fixed non-integer
-    fractional part.  Returns the sequence and the fractional part.
+    fractional part.
     """
     if gen_conv == 0:
         return None
@@ -192,8 +192,7 @@ def _atomic_progression_witness(gen_conv: Fraction, other: MeasureExpr
             continue
         q = r.denominator
         values = [Fraction(1 + j * q, 1) / gen_conv for j in range(4)]
-        frac = (r * 1) % 1
-        return (SequenceSpec(EXPLICIT, values=tuple(values)), frac)
+        return SequenceSpec(EXPLICIT, values=tuple(values))
     return None
 
 
@@ -316,12 +315,9 @@ def _tau_separation(a: FactorSpec, b: FactorSpec, tau_a: TauDescriptor,
         return None, tests
     ca, cb = tau_a.completion, tau_b.completion
 
-    def witness_of(c: CompletionClass):
-        return c.witness, c.witness_verdict
-
     # a non-usual certificate on one side against usual on the other:
     # the witness converges in its own topology and diverges in the usual
-    for (x, cx, other_kind) in ((ca, cb, "B"), (cb, ca, "A")):
+    for x, cx in ((ca, cb), (cb, ca)):
         if (x.kind is CompletionKind.NON_LOCALLY_COMPACT
                 and cx.kind is CompletionKind.USUAL_TOPOLOGY_REAL):
             return ("witness sequence converges in the non-locally-compact "
@@ -346,11 +342,10 @@ def _tau_separation(a: FactorSpec, b: FactorSpec, tau_a: TauDescriptor,
     if ca.kind in atomic_kinds and cb.kind in atomic_kinds:
         # generators differ (keys differ); build a progression witness
         for (x, spec_x, y, spec_y) in ((ca, a, cb, b), (cb, b, ca, a)):
-            built = _atomic_progression_witness(
+            seq = _atomic_progression_witness(
                 x.canonical_generator, spec_y.spectral_measure)
-            if built is None:
+            if seq is None:
                 continue
-            seq, _ = built
             vx = test_sequence(spec_x.spectral_measure, seq, bits=bits)
             vy = test_sequence(spec_y.spectral_measure, seq,
                                tol=Fraction(1, 10 ** 9), bits=bits)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 from typing import Iterable, Optional
 
 from .errors import BudgetExceeded, SpecFormatError, SymmetryViolation
@@ -47,6 +47,18 @@ def parse_rational(text) -> Fraction:
 
 def format_rational(x: Fraction) -> str:
     return str(Fraction(x))
+
+
+def rational_gcd(values) -> Fraction:
+    """gcd of rationals: the generator of the group they generate."""
+    vals = [abs(Fraction(v)) for v in values]
+    den = 1
+    for v in vals:
+        den = lcm(den, v.denominator)
+    num = 0
+    for v in vals:
+        num = gcd(num, v.numerator * (den // v.denominator))
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -150,31 +162,6 @@ class CoefficientSequence:
         return head
 
 
-@dataclass(frozen=True)
-class AtomList:
-    """Finite symmetric atomic measure as a sorted (point, weight) tuple."""
-
-    atoms: tuple[tuple[Fraction, Fraction], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "atoms", tuple(
-            (Fraction(p), Fraction(w)) for p, w in self.atoms))
-
-    @property
-    def mass(self) -> Fraction:
-        return sum((w for _, w in self.atoms), Fraction(0))
-
-    def points(self) -> tuple[Fraction, ...]:
-        return tuple(p for p, _ in self.atoms)
-
-    def is_symmetric(self) -> bool:
-        table = dict(self.atoms)
-        return all(table.get(-p) == w for p, w in self.atoms)
-
-    def to_measure(self) -> "MeasureExpr":
-        return MeasureExpr(atoms=self.atoms)
-
-
 def _merge_atoms(pairs: Iterable[tuple[Fraction, Fraction]]) -> tuple:
     acc: dict[Fraction, Fraction] = {}
     for p, w in pairs:
@@ -231,9 +218,6 @@ class MeasureExpr:
             total += Fraction(1)
         return total
 
-    def atom_weight_total(self) -> Fraction:
-        return sum((w for _, w in self.atoms), Fraction(0))
-
     def sort_key(self) -> str:
         return self.describe()
 
@@ -253,10 +237,6 @@ class MeasureExpr:
         return body
 
     # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def from_atoms(pairs) -> "MeasureExpr":
-        return MeasureExpr(atoms=tuple(pairs))
 
     @staticmethod
     def symmetric_pair(point, weight=Fraction(1, 2)) -> "MeasureExpr":
@@ -364,13 +344,16 @@ def _convolve_atom_tuples(a, b):
     return _merge_atoms(((pa + pb, wa * wb) for pa, wa in a for pb, wb in b))
 
 
-def convolve_atoms(a: AtomList, b: AtomList) -> AtomList:
-    """Exact convolution of two finite atomic measures."""
-    return AtomList(_convolve_atom_tuples(a.atoms, b.atoms))
+def convolve_atoms(a: MeasureExpr, b: MeasureExpr) -> MeasureExpr:
+    """Exact convolution of two finite atomic measures in sum form."""
+    if any(m.lebesgue or m.bernoulli or m.factors or m.scale != 1
+           for m in (a, b)):
+        raise ValueError("convolve_atoms takes unscaled purely atomic measures")
+    return MeasureExpr(atoms=_convolve_atom_tuples(a.atoms, b.atoms))
 
 
 def bernoulli_partial(seq: CoefficientSequence, n: int,
-                      atom_budget: int = DEFAULT_ATOM_BUDGET) -> AtomList:
+                      atom_budget: int = DEFAULT_ATOM_BUDGET) -> MeasureExpr:
     """Atoms of the n-fold partial convolution of the two-point factors.
 
     Expands prod_{k<=n} (delta at +c_k and -c_k, weight 1/2 each); duplicate
@@ -391,7 +374,7 @@ def bernoulli_partial(seq: CoefficientSequence, n: int,
             for q in (p + c, p - c):
                 nxt[q] = nxt.get(q, Fraction(0)) + w * half
         atoms = nxt
-    return AtomList(tuple(sorted(atoms.items())))
+    return MeasureExpr(atoms=tuple(sorted(atoms.items())))
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,13 @@
 
 Everything here is plain floating point on purpose: the grid oracle is the
 independent, low-tech counterpart that certified results are validated
-against.  Direct convolution is the reference; the transform-based variant
-is an optimization and ties are resolved in the direct one's favor.
+against.  Grid convolution is the direct O(n*m) sum.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -16,8 +16,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import NotPointwiseEvaluable, RangeError, SnapError, StepMismatch
-from .measures import (DEFAULT_ATOM_BUDGET, MeasureExpr, bernoulli_partial,
-                       normalize)
+from .fourier import ft_point
+from .measures import (DEFAULT_ATOM_BUDGET, CoefficientSequence, MeasureExpr,
+                       bernoulli_partial, convolve_atoms, normalize)
 
 #: |t| * extent cap keeping cos arguments accurate to ~1e-12
 FLOAT_SAFETY = float(1 << 20)
@@ -115,26 +116,12 @@ def discretize(expr: MeasureExpr, step, bernoulli_depth: int = 8,
     return GridMeasure(step * lo, step, weights)
 
 
-def grid_convolve(a: GridMeasure, b: GridMeasure,
-                  method: str = "direct") -> GridMeasure:
-    """Convolution of two grid measures with equal steps.
-
-    method "direct" is the reference O(n*m) sum; "fft" is the transform
-    optimization and must agree with it to rounding.
-    """
+def grid_convolve(a: GridMeasure, b: GridMeasure) -> GridMeasure:
+    """Convolution of two grid measures with equal steps (direct sum)."""
     if a.step != b.step:
         raise StepMismatch(f"steps differ: {a.step} vs {b.step}")
-    if method == "direct":
-        weights = np.convolve(a.weights, b.weights)
-    elif method == "fft":
-        n = len(a.weights) + len(b.weights) - 1
-        size = 1 << (n - 1).bit_length()
-        fa = np.fft.rfft(a.weights, size)
-        fb = np.fft.rfft(b.weights, size)
-        weights = np.fft.irfft(fa * fb, size)[:n]
-    else:
-        raise ValueError(f"unknown convolution method {method!r}")
-    return GridMeasure(a.origin + b.origin, a.step, weights)
+    return GridMeasure(a.origin + b.origin, a.step,
+                       np.convolve(a.weights, b.weights))
 
 
 def grid_ft(g: GridMeasure, t: float) -> float:
@@ -182,7 +169,6 @@ def _random_atom_measure(rng, max_atoms: int = 12,
 def _random_truncated_bernoulli(rng, max_depth: int = 12) -> MeasureExpr:
     # dyadic coefficients keep the commensurate grid step coarse enough
     # for dense arrays: the finest step is 2**-(k0+depth)
-    from .measures import CoefficientSequence
     depth = rng.randint(2, max_depth)
     k0 = rng.randint(0, 2)
     num = rng.choice((1, 3))
@@ -201,11 +187,6 @@ def oracle_suite(cases: int = 1000, seed: int = 20240, depth: int = 12,
     theorem on grids, and exact agreement of delta-atom convolution with
     the symbolic one.
     """
-    import random
-
-    from .fourier import ft_point
-    from .measures import AtomList, convolve_atoms
-
     rng = random.Random(seed)
     report = OracleReport(cases, 0, 0, 0, [])
     slack = 1e-9
@@ -253,8 +234,7 @@ def oracle_suite(cases: int = 1000, seed: int = 20240, depth: int = 12,
             if abs(lhs - rhs) > 1e-9 * max(1.0, abs(rhs)):
                 report.failures.append(
                     f"case {i}: convolution theorem off by {abs(lhs-rhs)!r}")
-            sym = convolve_atoms(AtomList(expr.atoms), AtomList(other.atoms))
-            gs = discretize(sym.to_measure(), step)
+            gs = discretize(convolve_atoms(expr, other), step)
             report.atom_exact_checked += 1
             if not np.array_equal(gs.trimmed().weights,
                                   conv.trimmed().weights):
@@ -266,8 +246,7 @@ def oracle_suite(cases: int = 1000, seed: int = 20240, depth: int = 12,
 
 
 def _finest_step(seq) -> Fraction:
-    from math import lcm
     den = 1
     for v in seq.values:
-        den = lcm(den, (Fraction(v) * seq.scale).denominator)
+        den = math.lcm(den, (Fraction(v) * seq.scale).denominator)
     return Fraction(1, den)

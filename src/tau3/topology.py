@@ -23,15 +23,16 @@ import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial
 from typing import Optional
 
 from .errors import (NotPointwiseEvaluable, TailNotCertified,
                      UndeterminedError, UnsupportedArgument)
 from .intervals import IntervalValue, cos2pi, cos2pi_interval, precision_bits
-from .fourier import ArgumentSpec, ExactRational, ScaledPower, ft_point
+from .fourier import (ArgumentSpec, ExactRational, ScaledPower, atom_part,
+                      ft_point)
 from .measures import (EXPLICIT, FACTORIAL, GEOMETRIC, MeasureExpr,
-                       normalize)
+                       bernoulli_partial, normalize, rational_gcd)
 
 DEFAULT_TOLERANCE = Fraction(1, 10 ** 6)
 DEFAULT_SCAN_SUBDIVISIONS = 1500
@@ -442,37 +443,22 @@ def _test_window_bounded(expr, seq, tol, mass, bits) -> ConvergenceVerdict:
 def _window_ft(expr, t, u_scale: Fraction, exponent: int, base: int,
                mass: Fraction, bits: int) -> IntervalValue:
     """Per-index enclosure combining exact atoms with the window bound."""
-    from .fourier import CoeffTerm, arg_reduce, ReducedExact
-    from .intervals import IntervalValue as IV
-
     # window position: j with base**j < u <= base**(j+1); the three-factor
     # bound uses factor indices j, j+1, j+2 and needs j >= 1, i.e. u > base
     j = _window_position(u_scale, base, exponent)
     if j < 1:
         return _normalized_ft(expr, t, mass, bits)
 
-    # atoms evaluated exactly
-    atom_part = IV.point(0)
-    for p, w in expr.atoms:
-        if p == 0:
-            atom_part = atom_part + IV.point(w)
-            continue
-        r = arg_reduce(CoeffTerm(abs(p)), t)
-        assert isinstance(r, ReducedExact)
-        atom_part = atom_part + cos2pi(r.frac, bits).scale(w)
-
     c = u_scale * Fraction(base) ** (exponent - j)
-    win = window_product(c, bits)
-    mag = win.mag_hi()
-    bern_part = IV(-mag, mag)
-    out = (atom_part + bern_part).scale(Fraction(1) / mass)
+    mag = window_product(c, bits).mag_hi()
+    out = (atom_part(expr, t, bits) + IntervalValue(-mag, mag)).scale(
+        Fraction(1) / mass)
     return out.clamp(-1, 1).round_out(bits)
 
 
 def _window_position(u_scale: Fraction, base: int, exponent: int) -> int:
     """j such that base**j < u_scale * base**exponent <= base**(j+1)."""
-    p, q = u_scale.numerator, u_scale.denominator
-    # find offset r with base**r < p/q <= base**(r+1), then j = exponent + r
+    # find offset r with base**r < u_scale <= base**(r+1); j = exponent + r
     r = 0
     while Fraction(base) ** (r + 1) < u_scale:
         r += 1
@@ -525,19 +511,6 @@ class CompletionClass:
         elif self.kind is CompletionKind.NON_LOCALLY_COMPACT:
             out += f"(witness {self.witness.family_describe()})"
         return out
-
-
-def _rational_gcd(values) -> Fraction:
-    """gcd of rationals: the generator of the group they generate."""
-    from math import lcm
-    vals = [abs(Fraction(v)) for v in values]
-    den = 1
-    for v in vals:
-        den = lcm(den, v.denominator)
-    num = 0
-    for v in vals:
-        num = gcd(num, v.numerator * (den // v.denominator))
-    return Fraction(num, den)
 
 
 def classify_completion(expr: MeasureExpr,
@@ -611,9 +584,8 @@ def classify_completion(expr: MeasureExpr,
     if bern is not None:
         if bern.kind == EXPLICIT:
             try:
-                from .measures import bernoulli_partial
                 atoms = bernoulli_partial(bern, len(bern.values)).atoms
-                flat = normalize(MeasureExpr(atoms=tuple(atoms) + expr.atoms))
+                flat = normalize(MeasureExpr(atoms=atoms + expr.atoms))
                 return classify_completion(flat, bits)
             except Exception as exc:
                 raise UndeterminedError(
@@ -630,7 +602,7 @@ def classify_completion(expr: MeasureExpr,
             canonical_generator=Fraction(0),
             trace=("support is {0}: every character is trivial on it, the "
                    "topology is indiscrete",))
-    g = _rational_gcd(magnitudes)
+    g = rational_gcd(magnitudes)
     if g in magnitudes:
         return CompletionClass(
             kind=CompletionKind.NOT_HAUSDORFF,

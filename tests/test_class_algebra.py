@@ -66,6 +66,16 @@ class TestConvolve:
         assert r.kind is RelationKind.DISJOINT
         assert "axiom:SingularPowers" in r.trace
 
+    def test_trace_names_the_rule_that_fired(self, geometric):
+        power = convolve(geometric, geometric)
+        assert class_to_text(power).startswith("bern[3^-k]^2")
+        assert "rule:TagPower" in power.provenance
+        assert "rule:TagOpaque" not in power.provenance
+        opaque = convolve(series_class(geometric), geometric)
+        assert opaque.tags[0].is_opaque()
+        assert "rule:TagOpaque" in opaque.provenance
+        assert "rule:TagPower" not in opaque.provenance
+
     def test_tag_translation(self, geometric, pair):
         c = convolve(geometric, pair)
         assert c.atoms is None
@@ -123,10 +133,9 @@ class TestSeriesClass:
 
     def test_series_support_matches_power_supports(self, pair):
         # the lattice closure agrees with the brute-force power supports
-        from tau3.measures import AtomList, convolve_atoms, normalize
-        acc = AtomList(normalize(pair).atoms)
+        from tau3.measures import convolve_atoms, normalize
+        acc = base = normalize(pair)
         seen = set()
-        base = AtomList(normalize(pair).atoms)
         for n in range(1, 7):
             seen.update(p for p, _ in acc.atoms)
             acc = convolve_atoms(acc, base)

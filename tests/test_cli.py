@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, determinism, diagnostics."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -20,9 +21,10 @@ EXPL = {"atoms": [], "lebesgue": False,
         "scale": "1"}
 
 
-def run_cli(*argv):
+def run_cli(*argv, env=None):
     proc = subprocess.run([sys.executable, "-m", "tau3.cli", *argv],
-                          capture_output=True, text=True, timeout=240)
+                          capture_output=True, text=True, timeout=240,
+                          env=env)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -207,6 +209,16 @@ class TestOracleCheck:
         assert code == 0
         assert "failures: 0" in out
         assert report.read_text() == out
+
+
+class TestPrecisionSetting:
+    def test_bad_precision_fails_loudly(self, specs):
+        env = dict(os.environ, TAU3_PRECISION="banana")
+        code, out, err = run_cli("eval", "--measure", specs["expl"],
+                                 "--t", "1/3", env=env)
+        assert code == 1
+        assert out == ""
+        assert "PrecisionSettingError" in err and "TAU3_PRECISION" in err
 
 
 class TestReportHeader:

@@ -13,6 +13,7 @@ import io
 import os
 import shutil
 import sys
+import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -82,8 +83,6 @@ def test_golden(name, tmp_path, monkeypatch):
 
 
 def regenerate() -> None:
-    import tempfile
-
     os.environ["TAU3_PRECISION"] = PRECISION
     EXPECTED.mkdir(exist_ok=True)
     for name, (argv, expected_code) in sorted(CASES.items()):

@@ -6,9 +6,11 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from tau3.intervals import (IntervalValue, certify_quadratic_cos_bound,
-                            cos2pi, cos2pi_interval, exp_neg, log1m,
-                            precision_bits, quadratic_cos_threshold)
+from tau3.errors import PrecisionSettingError
+from tau3.intervals import (IntervalValue, _two_pi_bounds,
+                            certify_quadratic_cos_bound, cos2pi,
+                            cos2pi_interval, exp_neg, log1m, precision_bits,
+                            quadratic_cos_threshold)
 
 mp.mp.dps = 90
 
@@ -159,6 +161,28 @@ class TestQuadraticBound:
             certify_quadratic_cos_bound(Fraction(1, 2))
 
 
+class TestTwoPi:
+    def test_bounds_are_the_floor_pair(self):
+        with mp.workprec(4200):
+            two_pi = 2 * mp.pi
+            for s in range(64, 4097):
+                f = int(mp.floor(two_pi * mp.mpf(2) ** s))
+                assert _two_pi_bounds(s) == (f, f + 1), s
+
+    def test_cos2pi_encloses_and_narrows_at_high_precision(self):
+        widths = []
+        with mp.workprec(4400):
+            truth = mp.cos(2 * mp.pi / 7)
+            for bits in (512, 1024, 4096):
+                iv = cos2pi(Fraction(1, 7), bits)
+                assert mp.mpf(iv.lo.numerator) / iv.lo.denominator <= truth
+                assert truth <= mp.mpf(iv.hi.numerator) / iv.hi.denominator
+                widths.append(iv.width)
+        assert widths[0] > widths[1] > widths[2]
+        assert widths[0] < Fraction(1, 1 << 500)
+        assert widths[2] < Fraction(1, 1 << 4000)
+
+
 def test_precision_env(monkeypatch):
     monkeypatch.setenv("TAU3_PRECISION", "fast")
     assert precision_bits() == 128
@@ -166,5 +190,12 @@ def test_precision_env(monkeypatch):
     assert precision_bits() == 312
     monkeypatch.setenv("TAU3_PRECISION", "high")
     assert precision_bits() == 512
+    for edge in ("64", "4096"):
+        monkeypatch.setenv("TAU3_PRECISION", edge)
+        assert precision_bits() == int(edge)
+    for bad in ("banana", "32", "63", "4097", "5000", "", "12.5"):
+        monkeypatch.setenv("TAU3_PRECISION", bad)
+        with pytest.raises(PrecisionSettingError, match="TAU3_PRECISION"):
+            precision_bits()
     monkeypatch.delenv("TAU3_PRECISION")
     assert precision_bits() == 256

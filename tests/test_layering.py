@@ -1,0 +1,67 @@
+"""Module layering: intra-package imports point only downward.
+
+The chain is intervals -> measures -> fourier -> topology -> class_algebra
+-> invariants -> cli; each module may import ``errors`` and the modules
+before it.  ``class_algebra`` and ``oracle`` are narrower, and the package
+``__init__`` re-exports everything.
+"""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "tau3"
+CHAIN = ("intervals", "measures", "fourier", "topology", "class_algebra",
+         "invariants", "cli")
+
+ALLOWED = {name: {"errors", *CHAIN[:i]} for i, name in enumerate(CHAIN)}
+ALLOWED["class_algebra"] = {"errors", "measures"}
+ALLOWED["oracle"] = {"errors", "measures", "fourier"}
+ALLOWED["cli"] |= {"oracle", "__init__"}
+ALLOWED["errors"] = set()
+ALLOWED["__init__"] = {*CHAIN, "errors", "oracle"}
+
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
+
+
+def relative_imports(tree):
+    """(module imported, node) for every ``from .x import`` in the tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            yield node.module or "__init__", node
+
+
+def test_every_module_has_a_rule():
+    assert set(MODULES) == set(ALLOWED)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_imports_follow_the_table(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    imported = {name for name, _ in relative_imports(tree)}
+    assert imported <= ALLOWED[module], imported - ALLOWED[module]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_function_local_relative_imports(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    local = [f"{fn.name}: from .{name}"
+             for fn in ast.walk(tree)
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for name, _ in relative_imports(fn)]
+    assert not local
+
+
+def test_traced_names_resolve():
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for layer, names in tracer.TRACED.items():
+        module = importlib.import_module(f"tau3.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{layer}.{name}"

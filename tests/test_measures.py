@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from tau3.errors import BudgetExceeded, SpecFormatError, SymmetryViolation
-from tau3.measures import (AtomList, CoefficientSequence, MeasureExpr,
+from tau3.measures import (CoefficientSequence, MeasureExpr,
                            bernoulli_partial, convolve_atoms,
                            dump_measure_spec, measure_from_dict, normalize,
                            parse_measure_spec, scale_measure)
@@ -104,8 +104,8 @@ class TestBernoulliPartial:
                            (CoefficientSequence("geometric", 5, F(2, 7)), 10)):
             al = bernoulli_partial(seq, depth)
             assert len(al.atoms) == 1 << depth
-            assert al.mass == 1
-            assert al.is_symmetric()
+            assert al.mass() == 1
+            assert dict(al.atoms) == {-p: w for p, w in al.atoms}
             assert all(w == F(1, 1 << depth) for _, w in al.atoms)
 
     def test_budget(self):
@@ -122,7 +122,7 @@ class TestBernoulliPartial:
         seq = CoefficientSequence("explicit", values=(F(1, 2), F(1, 4),
                                                       F(1, 8), F(1, 16)))
         al = bernoulli_partial(seq, 4)
-        assert al.mass == 1
+        assert al.mass() == 1
 
 
 class TestScaleMeasure:
@@ -175,11 +175,20 @@ class TestCoefficientSequence:
 
 class TestConvolveAtoms:
     def test_pair_square(self):
-        pair = AtomList(((F(-1), F(1, 2)), (F(1), F(1, 2))))
+        pair = MeasureExpr(atoms=((F(-1), F(1, 2)), (F(1), F(1, 2))))
         sq = convolve_atoms(pair, pair)
         assert sq.atoms == ((F(-2), F(1, 4)), (F(0), F(1, 2)),
                            (F(2), F(1, 4)))
-        assert sq.mass == 1
+        assert sq.mass() == 1
+
+    def test_rejects_components_it_would_drop(self):
+        pair = MeasureExpr(atoms=((F(-1), F(1, 2)), (F(1), F(1, 2))))
+        for other in (scale_measure(pair, 2), pair.plus(
+                MeasureExpr.lebesgue_measure()), bernoulli_partial(
+                CoefficientSequence("geometric", 3), 2).plus(
+                MeasureExpr.bernoulli_geometric(3))):
+            with pytest.raises(ValueError):
+                convolve_atoms(pair, other)
 
 
 class TestSpecDocuments:

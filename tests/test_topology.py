@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from tau3.errors import NotPointwiseEvaluable, UndeterminedError
-from tau3.measures import MeasureExpr, scale_measure
+from tau3.errors import (NotPointwiseEvaluable, SymmetryViolation,
+                         UndeterminedError)
+from tau3.measures import CoefficientSequence, MeasureExpr, scale_measure
 from tau3 import topology
 from tau3.topology import (CompletionKind, Conclusion, SequenceSpec,
                            cached_window_scan, classify_completion,
@@ -138,6 +139,18 @@ class TestWindowBound:
     def test_factorial_sequence_against_geometric(self, geometric):
         v = run_test_sequence(geometric, seq_factorial(1, 2, 5))
         assert v.conclusion is Conclusion.BOUNDED_AWAY_FROM_1
+
+
+class TestWeightSymmetry:
+    LOPSIDED = MeasureExpr(atoms=((F(1), F(1)), (F(-1), F(2))),
+                           bernoulli=CoefficientSequence("geometric", 3))
+
+    @pytest.mark.parametrize("base", [3, 5])
+    def test_lopsided_weights_rejected_on_every_route(self, base):
+        # base 3 takes the window route, base 5 the generic per-index one
+        seq = SequenceSpec("geometric", base=base, n_min=3, n_max=5)
+        with pytest.raises(SymmetryViolation):
+            run_test_sequence(self.LOPSIDED, seq)
 
 
 class TestGenericSequences:
