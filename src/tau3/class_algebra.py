@@ -25,10 +25,9 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import SpecFormatError
-from .measures import (DEFAULT_ATOM_BUDGET, EXPLICIT, GEOMETRIC,
-                       CoefficientSequence, MeasureExpr, bernoulli_partial,
-                       format_rational, normalize, parse_rational,
-                       rational_gcd)
+from .measures import (EXPLICIT, GEOMETRIC, CoefficientSequence,
+                       MeasureExpr, bernoulli_partial, format_rational,
+                       normalize, parse_rational, rational_gcd)
 
 # ---------------------------------------------------------------------------
 # Countable supports: finite sets and rational lattices with offsets
@@ -127,18 +126,6 @@ class Support:
 # Singular tags
 # ---------------------------------------------------------------------------
 
-def _seq_key_text(key: tuple) -> str:
-    kind, base, scale, values = key
-    if kind == EXPLICIT:
-        head = "explicit(" + ",".join(map(format_rational, values)) + ")"
-    else:
-        sym = "k!" if kind == "factorial" else "k"
-        head = f"{base}^-{sym}"
-    if scale != 1:
-        head = f"{format_rational(scale)}*{head}"
-    return head
-
-
 @dataclass(frozen=True)
 class SingularTag:
     """Named singular-continuous class, translated along a support.
@@ -178,10 +165,10 @@ class SingularTag:
         if self.is_opaque():
             return self.opaque
         if self.closed:
-            body = "*".join(f"{_seq_key_text(k)}^{p}"
+            body = "*".join(f"{CoefficientSequence(*k).describe()}^{p}"
                             for k, p in self.components)
             return (f"series({body})",)
-        return tuple(sorted(_seq_key_text(k)
+        return tuple(sorted(CoefficientSequence(*k).describe()
                             for k, p in self.components for _ in range(p)))
 
     def single_key(self) -> Optional[tuple]:
@@ -193,7 +180,7 @@ class SingularTag:
         if self.is_opaque():
             body = "opaque[" + " (*) ".join(self.opaque) + "]"
         else:
-            body = "*".join(f"bern[{_seq_key_text(k)}]^{p}"
+            body = "*".join(f"bern[{CoefficientSequence(*k).describe()}]^{p}"
                             for k, p in self.components)
             if self.closed:
                 body = f"series({body})"
@@ -317,24 +304,16 @@ LEBESGUE_CLASS = ClassExpr(ac_lebesgue=True,
                            provenance=("class of the Lebesgue measure",))
 
 
-def class_of(m: Union[MeasureExpr, ClassExpr],
-             atom_budget: int = DEFAULT_ATOM_BUDGET) -> ClassExpr:
+def class_of(m: Union[MeasureExpr, ClassExpr]) -> ClassExpr:
     """Measure class of a symbolic measure; weights are forgotten."""
     if isinstance(m, ClassExpr):
         return m.canonical()
-    m = normalize(m, atom_budget)
-    if m.is_convolution:
-        out = None
-        for f in m.factors:
-            c = class_of(f, atom_budget)
-            out = c if out is None else convolve(out, c)
-        return out
+    m = normalize(m)
     atoms = Support.finite([p for p, _ in m.atoms]) if m.atoms else None
     tags: tuple[SingularTag, ...] = ()
     if m.bernoulli is not None:
         if m.bernoulli.kind == EXPLICIT:
-            partial = bernoulli_partial(m.bernoulli, len(m.bernoulli.values),
-                                        atom_budget)
+            partial = bernoulli_partial(m.bernoulli, len(m.bernoulli.values))
             pts = Support.finite([p for p, _ in partial.atoms])
             atoms = pts if atoms is None else _atom_union(atoms, pts)
         else:
@@ -375,10 +354,10 @@ def _convolve_tag_pair(ta: SingularTag, tb: SingularTag) -> SingularTag:
     return SingularTag(opaque=names, translates=translates)
 
 
-def convolve(a: Union[MeasureExpr, ClassExpr], b: Union[MeasureExpr, ClassExpr],
-             atom_budget: int = DEFAULT_ATOM_BUDGET) -> ClassExpr:
+def convolve(a: Union[MeasureExpr, ClassExpr],
+             b: Union[MeasureExpr, ClassExpr]) -> ClassExpr:
     """Class of the convolution: componentwise with absorption rules."""
-    ca, cb = class_of(a, atom_budget), class_of(b, atom_budget)
+    ca, cb = class_of(a), class_of(b)
     trace = []
     atoms = None
     leb = False
@@ -412,8 +391,7 @@ def convolve(a: Union[MeasureExpr, ClassExpr], b: Union[MeasureExpr, ClassExpr],
                      ).canonical()
 
 
-def series_class(a: Union[MeasureExpr, ClassExpr],
-                 atom_budget: int = DEFAULT_ATOM_BUDGET) -> ClassExpr:
+def series_class(a: Union[MeasureExpr, ClassExpr]) -> ClassExpr:
     """Class of the geometrically weighted sum of all convolution powers.
 
     The result is the absolute-continuity type of sum over n >= 1 of
@@ -422,7 +400,7 @@ def series_class(a: Union[MeasureExpr, ClassExpr],
     whenever any power acquires it, and the singular families accumulate
     every power, translated along the atomic group.
     """
-    c = class_of(a, atom_budget)
+    c = class_of(a)
     trace = ["rule:SeriesClosure"]
     group = Support.group_generated(
         c.atoms.points if c.atoms is not None and c.atoms.is_finite()

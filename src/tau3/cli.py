@@ -23,10 +23,8 @@ import sys
 from math import factorial
 
 from . import __version__
-from .errors import (NotPointwiseEvaluable, RangeError, SnapError,
-                     SpecFormatError, StepMismatch, SymmetryViolation,
-                     Tau3Error, TailNotCertified, UndeterminedError,
-                     UnsupportedArgument)
+from .errors import (SpecFormatError, Tau3Error, TailNotCertified,
+                     UndeterminedError)
 from .class_algebra import AxiomTable, class_to_text, convolve, relation, \
     series_class, RelationKind
 from .fourier import ExactRational, ScaledPower, ft_point
@@ -346,10 +344,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except SpecFormatError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_ERROR
-    except (NotPointwiseEvaluable, UnsupportedArgument, SymmetryViolation,
-            SnapError, StepMismatch, RangeError) as exc:
-        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return EXIT_ERROR
     except UndeterminedError as exc:
         sys.stderr.write(f"undetermined: {exc.reason}\n")

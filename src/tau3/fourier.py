@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import (NotPointwiseEvaluable, SymmetryViolation,
-                     TailNotCertified, UnsupportedArgument)
+from .errors import (NotPointwiseEvaluable, TailNotCertified,
+                     UnsupportedArgument)
 from .intervals import (QUADRATIC_COS_COEFF, IntervalValue, cos2pi, exp_neg,
                         log1m, precision_bits, quadratic_cos_threshold)
 from .measures import (EXPLICIT, FACTORIAL, GEOMETRIC, CoeffTerm,
@@ -371,15 +371,9 @@ def choose_cutoff(seq: CoefficientSequence, t,
 def atom_part(expr: MeasureExpr, t: ArgumentSpec, bits: int) -> IntervalValue:
     """Enclosure of sum_a w_a * cos(2*pi*a*t) over the atoms of ``expr``.
 
-    Raises SymmetryViolation unless the weights are symmetric, which the
-    real-valued transform needs.
+    ``expr`` must be normalized: ``normalize`` guarantees the weight
+    symmetry that makes the transform real.
     """
-    table = dict(expr.atoms)
-    for p, w in expr.atoms:
-        if table.get(-p) != w:
-            raise SymmetryViolation(
-                f"pointwise evaluation needs weight-symmetric atoms; "
-                f"weights at {p} and {-p} differ")
     total = IntervalValue.point(0)
     for p, w in expr.atoms:
         if p == 0:
@@ -410,9 +404,7 @@ def ft_point(expr: MeasureExpr, t, tail_cutoff: Optional[int] = None,
              bits: Optional[int] = None) -> IntervalValue:
     """Certified enclosure of the Fourier transform of ``expr`` at ``t``.
 
-    The measure must have finite mass (no Lebesgue component).  For
-    convolution forms the enclosure is the product of the factor
-    enclosures, each clamped to its own mass bound.
+    The measure must have finite mass (no Lebesgue component).
     """
     bits = bits or precision_bits()
     t = as_argument(t)
@@ -422,17 +414,6 @@ def ft_point(expr: MeasureExpr, t, tail_cutoff: Optional[int] = None,
             "the Lebesgue component has no pointwise transform")
     if isinstance(t, ExactRational) and t.value == 0:
         return IntervalValue.point(expr.mass())
-    if expr.is_convolution:
-        if any(f.lebesgue for f in expr.factors):
-            raise NotPointwiseEvaluable(
-                "a convolution factor carries the Lebesgue component")
-        out = IntervalValue.point(1)
-        for f in expr.factors:
-            m = f.mass()
-            out = out * ft_point(f, t, tail_cutoff, bits).clamp(-m, m)
-            if not out.exact:
-                out = out.round_out(bits)
-        return out
     out = atom_part(expr, t, bits)
     if expr.bernoulli is not None:
         out = out + _bernoulli_part(expr.bernoulli, t, tail_cutoff, bits)

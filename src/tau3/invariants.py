@@ -57,10 +57,6 @@ class FactorSpec:
         m = normalize(self.spectral_measure)
         if m.is_zero:
             raise ValueError("spectral measure must be nontrivial")
-        if m.is_convolution:
-            raise ValueError("factor specifications take sum-form spectral "
-                             "measures (atoms + Lebesgue + one convolution "
-                             "family)")
         if not m.lebesgue and m.bernoulli is None \
                 and all(p == 0 for p, _ in m.atoms):
             raise ValueError("spectral measure supported at 0 only defines "
@@ -122,7 +118,7 @@ def _augment_with_unit(c: ClassExpr) -> ClassExpr:
 
 
 def _is_exact_lebesgue_plus_unit(m: MeasureExpr) -> bool:
-    return (not m.is_convolution and m.lebesgue and m.bernoulli is None
+    return (m.lebesgue and m.bernoulli is None
             and m.atoms == ((Fraction(0), Fraction(1)),))
 
 

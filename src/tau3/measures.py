@@ -1,11 +1,12 @@
 """Symbolic symmetric measures on the additive real line.
 
-A ``MeasureExpr`` is either a *sum form* (finite symmetric atom list, an
-optional Lebesgue component, an optional infinite two-point-convolution
-descriptor) or a *convolution form* (a lazily held multiset of factors).
-Everything lives on the additive line: multiplicative statements about the
-positive half-line are mapped through the logarithm, so the multiplicative
-unit corresponds to an atom at 0.
+A ``MeasureExpr`` is a sum of a finite symmetric atom list, an optional
+Lebesgue component and an optional infinite two-point-convolution
+descriptor.  Convolution powers are handled at the class level (see
+``class_algebra``); finite atomic measures convolve exactly with
+``convolve_atoms``.  Everything lives on the additive line: multiplicative
+statements about the positive half-line are mapped through the logarithm,
+so the multiplicative unit corresponds to an atom at 0.
 
 Points and weights are exact rationals.  All values are immutable and every
 operation is a pure function.
@@ -174,12 +175,11 @@ def _merge_atoms(pairs: Iterable[tuple[Fraction, Fraction]]) -> tuple:
 
 @dataclass(frozen=True)
 class MeasureExpr:
-    """Symbolic symmetric measure; see module docstring for the two forms."""
+    """Symbolic symmetric measure; see the module docstring."""
 
     atoms: tuple[tuple[Fraction, Fraction], ...] = ()
     lebesgue: bool = False
     bernoulli: Optional[CoefficientSequence] = None
-    factors: tuple["MeasureExpr", ...] = ()
     scale: Fraction = Fraction(1)
 
     def __post_init__(self):
@@ -188,42 +188,23 @@ class MeasureExpr:
             (Fraction(p), Fraction(w)) for p, w in self.atoms))
         if self.scale <= 0:
             raise ValueError("measure scale must be positive")
-        if self.factors and (self.atoms or self.lebesgue or self.bernoulli):
-            raise ValueError(
-                "convolution form cannot carry direct components; "
-                "wrap them as an extra factor instead")
 
     # -- structure helpers -------------------------------------------------
 
     @property
-    def is_convolution(self) -> bool:
-        return bool(self.factors)
-
-    @property
     def is_zero(self) -> bool:
-        return (not self.atoms and not self.lebesgue
-                and self.bernoulli is None and not self.factors)
+        return not self.atoms and not self.lebesgue and self.bernoulli is None
 
     def mass(self) -> Fraction:
         """Total mass; the Lebesgue component makes it infinite (raises)."""
         if self.lebesgue:
             raise ValueError("infinite-mass measure")
-        if self.factors:
-            out = Fraction(1)
-            for f in self.factors:
-                out *= f.mass()
-            return out
         total = sum((w for _, w in self.atoms), Fraction(0))
         if self.bernoulli is not None:
             total += Fraction(1)
         return total
 
-    def sort_key(self) -> str:
-        return self.describe()
-
     def describe(self) -> str:
-        if self.factors:
-            return "conv(" + " * ".join(f.describe() for f in self.factors) + ")"
         parts = []
         for p, w in self.atoms:
             parts.append(f"atom({format_rational(p)},{format_rational(w)})")
@@ -259,14 +240,8 @@ class MeasureExpr:
         return MeasureExpr(bernoulli=CoefficientSequence(GEOMETRIC, base,
                                                          Fraction(scale)))
 
-    @staticmethod
-    def convolution(factors) -> "MeasureExpr":
-        return MeasureExpr(factors=tuple(factors))
-
     def plus(self, other: "MeasureExpr") -> "MeasureExpr":
-        """Sum of two sum-form measures (componentwise)."""
-        if self.is_convolution or other.is_convolution:
-            raise ValueError("sum of convolution forms is not representable")
+        """Componentwise sum of two measures, each symmetric on its own."""
         a = normalize(self)
         b = normalize(other)
         if a.bernoulli is not None and b.bernoulli is not None:
@@ -276,50 +251,21 @@ class MeasureExpr:
                                      bernoulli=a.bernoulli or b.bernoulli))
 
 
-def normalize(expr: MeasureExpr,
-              atom_budget: int = DEFAULT_ATOM_BUDGET) -> MeasureExpr:
-    """Canonical form: duplicates merged, scale pushed inward, factors sorted.
+def normalize(expr: MeasureExpr) -> MeasureExpr:
+    """Canonical form: duplicates merged, scale pushed inward.
 
     Idempotent; class-equal expressions built from the same components in a
-    different order come out byte-identical.  Raises SymmetryViolation if
-    the atom set is not closed under negation with matching weights.
+    different order come out byte-identical.  Raises SymmetryViolation
+    unless every merged atom at p has an atom of equal weight at -p.
     """
-    if expr.is_convolution:
-        factors = []
-        for f in expr.factors:
-            g = normalize(scale_measure(f, expr.scale), atom_budget)
-            if g.is_convolution:
-                factors.extend(g.factors)     # flatten nested convolutions
-            else:
-                factors.append(g)
-        factors = [f for f in factors
-                   if not (f.atoms == ((Fraction(0), Fraction(1)),)
-                           and not f.lebesgue and f.bernoulli is None)]
-        if not factors:
-            return MeasureExpr(atoms=((Fraction(0), Fraction(1)),))
-        if len(factors) == 1:
-            return factors[0]
-        if all(f.bernoulli is None and not f.lebesgue for f in factors):
-            total = 1
-            for f in factors:
-                total *= max(len(f.atoms), 1)
-            if total <= atom_budget:
-                atoms = ((Fraction(0), Fraction(1)),)
-                for f in factors:
-                    atoms = _convolve_atom_tuples(atoms, f.atoms)
-                return normalize(MeasureExpr(atoms=atoms), atom_budget)
-        return MeasureExpr(factors=tuple(sorted(factors,
-                                                key=MeasureExpr.sort_key)))
-
     s = expr.scale
     atoms = _merge_atoms((p / s, w) for p, w in expr.atoms)
     table = dict(atoms)
-    for p, _ in atoms:
-        # the support must be closed under negation; merged weights may
-        # differ transiently (duplicate summands), which pointwise
-        # evaluation rejects separately
-        if -p not in table:
-            raise SymmetryViolation(f"atom at {p} lacks a mirror at {-p}")
+    for p, w in atoms:
+        if table.get(-p) != w:
+            raise SymmetryViolation(
+                f"atom at {p} of weight {w} lacks a mirror of equal weight "
+                f"at {-p}")
     bern = expr.bernoulli.rescaled(Fraction(1) / s) if expr.bernoulli else None
     return MeasureExpr(atoms=atoms, lebesgue=expr.lebesgue, bernoulli=bern)
 
@@ -336,20 +282,16 @@ def scale_measure(expr: MeasureExpr, s) -> MeasureExpr:
     if s == 1:
         return expr
     return MeasureExpr(atoms=expr.atoms, lebesgue=expr.lebesgue,
-                       bernoulli=expr.bernoulli, factors=expr.factors,
-                       scale=expr.scale * s)
-
-
-def _convolve_atom_tuples(a, b):
-    return _merge_atoms(((pa + pb, wa * wb) for pa, wa in a for pb, wb in b))
+                       bernoulli=expr.bernoulli, scale=expr.scale * s)
 
 
 def convolve_atoms(a: MeasureExpr, b: MeasureExpr) -> MeasureExpr:
-    """Exact convolution of two finite atomic measures in sum form."""
-    if any(m.lebesgue or m.bernoulli or m.factors or m.scale != 1
-           for m in (a, b)):
+    """Exact convolution of two unscaled finite atomic measures."""
+    if any(m.lebesgue or m.bernoulli or m.scale != 1 for m in (a, b)):
         raise ValueError("convolve_atoms takes unscaled purely atomic measures")
-    return MeasureExpr(atoms=_convolve_atom_tuples(a.atoms, b.atoms))
+    return MeasureExpr(atoms=_merge_atoms((pa + pb, wa * wb)
+                                          for pa, wa in a.atoms
+                                          for pb, wb in b.atoms))
 
 
 def bernoulli_partial(seq: CoefficientSequence, n: int,
@@ -429,8 +371,6 @@ def measure_from_dict(doc: dict) -> MeasureExpr:
 
 def measure_to_dict(expr: MeasureExpr) -> dict:
     expr = normalize(expr)
-    if expr.is_convolution:
-        raise SpecFormatError("convolution forms have no document encoding")
     doc: dict = {
         "atoms": [[format_rational(p), format_rational(w)]
                   for p, w in expr.atoms],

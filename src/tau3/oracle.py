@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import NotPointwiseEvaluable, RangeError, SnapError, StepMismatch
 from .fourier import ft_point
-from .measures import (DEFAULT_ATOM_BUDGET, CoefficientSequence, MeasureExpr,
-                       bernoulli_partial, convolve_atoms, normalize)
+from .measures import (CoefficientSequence, MeasureExpr, bernoulli_partial,
+                       convolve_atoms, normalize)
 
 #: |t| * extent cap keeping cos arguments accurate to ~1e-12
 FLOAT_SAFETY = float(1 << 20)
@@ -66,8 +66,7 @@ class GridMeasure:
 
 
 def discretize(expr: MeasureExpr, step, bernoulli_depth: int = 8,
-               strict_snap: bool = True,
-               atom_budget: int = DEFAULT_ATOM_BUDGET) -> GridMeasure:
+               strict_snap: bool = True) -> GridMeasure:
     """Sample a finite-mass symbolic measure onto a uniform grid.
 
     The two-point-convolution part is replaced by its depth-fold partial
@@ -76,23 +75,16 @@ def discretize(expr: MeasureExpr, step, bernoulli_depth: int = 8,
     to float summation (well within 1e-12).
     """
     step = Fraction(step)
-    expr = normalize(expr, atom_budget)
+    expr = normalize(expr)
     if expr.lebesgue:
         raise NotPointwiseEvaluable(
             "the Lebesgue component cannot be discretized without a window")
-    if expr.is_convolution:
-        out = None
-        for f in expr.factors:
-            g = discretize(f, step, bernoulli_depth, strict_snap, atom_budget)
-            out = g if out is None else grid_convolve(out, g)
-        return out
-
     pairs = [(Fraction(p), float(w)) for p, w in expr.atoms]
     if expr.bernoulli is not None:
         depth = bernoulli_depth
         if expr.bernoulli.length is not None:
             depth = min(depth, expr.bernoulli.length)
-        partial = bernoulli_partial(expr.bernoulli, depth, atom_budget)
+        partial = bernoulli_partial(expr.bernoulli, depth)
         base = list(pairs)
         pairs = [(Fraction(p), float(w)) for p, w in partial.atoms]
         pairs.extend(base)

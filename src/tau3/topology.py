@@ -314,12 +314,10 @@ def test_sequence(expr: MeasureExpr, seq: SequenceSpec, tol=DEFAULT_TOLERANCE,
         raise ValueError("measure has no mass")
 
     bern = expr.bernoulli
-    if (not expr.is_convolution and bern is not None
-            and bern.kind == FACTORIAL and seq.family == FACTORIAL
-            and bern.base == seq.base):
+    if (bern is not None and bern.kind == FACTORIAL
+            and seq.family == FACTORIAL and bern.base == seq.base):
         return _test_factorial_matched(expr, seq, tol, mass, bits)
-    if (not expr.is_convolution and bern is not None
-            and bern.kind == GEOMETRIC and bern.base == 3
+    if (bern is not None and bern.kind == GEOMETRIC and bern.base == 3
             and seq.family in (FACTORIAL, GEOMETRIC) and seq.base == 3):
         # the three-factor window bound positions arguments in base 3;
         # other bases go through the generic per-index route
@@ -524,10 +522,6 @@ def classify_completion(expr: MeasureExpr,
     """
     bits = bits or precision_bits()
     expr = normalize(expr)
-    if expr.is_convolution:
-        raise UndeterminedError(
-            "convolution forms outside the atomic budget are not in the "
-            "classification catalog")
     if expr.is_zero:
         raise UndeterminedError("the zero measure induces no topology")
 

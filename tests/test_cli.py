@@ -211,6 +211,31 @@ class TestOracleCheck:
         assert report.read_text() == out
 
 
+class TestErrors:
+    LOPSIDED = {"atoms": [["1", "1"], ["-1", "2"]]}
+
+    def test_lopsided_weights_rejected_by_every_command(self, specs,
+                                                        tmp_path):
+        bad = tmp_path / "lopsided.json"
+        bad.write_text(json.dumps(self.LOPSIDED))
+        for argv in (("classify", "--measure", str(bad)),
+                     ("class-op", "--op", "series", "--a", str(bad)),
+                     ("eval", "--measure", str(bad), "--t", "1/3"),
+                     ("distinguish", "--a", str(bad), "--b", specs["m2"])):
+            code, out, err = run_cli(*argv)
+            assert code == 1, argv
+            assert out == "", argv
+            assert err.startswith("error: invalid measure:"), (argv, err)
+
+    def test_library_error_names_its_type(self):
+        leb = os.path.join(os.path.dirname(__file__), "golden", "specs",
+                           "lebesgue.json")
+        code, out, err = run_cli("eval", "--measure", leb, "--t", "1/3")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: NotPointwiseEvaluable:")
+
+
 class TestPrecisionSetting:
     def test_bad_precision_fails_loudly(self, specs):
         env = dict(os.environ, TAU3_PRECISION="banana")
