@@ -315,14 +315,15 @@ def class_of(m: Union[MeasureExpr, ClassExpr]) -> ClassExpr:
         if m.bernoulli.kind == EXPLICIT:
             partial = bernoulli_partial(m.bernoulli, len(m.bernoulli.values))
             pts = Support.finite([p for p, _ in partial.atoms])
-            atoms = pts if atoms is None else _atom_union(atoms, pts)
+            atoms = pts if atoms is None else atom_union(atoms, pts)
         else:
             tags = (SingularTag.of(m.bernoulli),)
     return ClassExpr(atoms=atoms, ac_lebesgue=m.lebesgue, tags=tags,
                      provenance=(f"class of {m.describe()}",)).canonical()
 
 
-def _atom_union(a: Support, b: Support) -> Support:
+def atom_union(a: Support, b: Support) -> Support:
+    """A ``Support`` containing both a and b; a lattice if either is one."""
     if a.is_finite() and b.is_finite():
         return Support.finite(a.points + b.points)
     if a.subset_of(b):

@@ -10,6 +10,11 @@ which evaluate in fixed-point integer arithmetic with directed rounding:
     log1m(y)             enclosure of log(1 - y), 0 <= y < 1
     exp_neg(s)           enclosure of exp(-s), s >= 0
 
+There is one cosine kernel, ``cos2pi_fixed``, whose ends are integers at
+scale 2**bits; ``cos2pi`` and ``cos2pi_interval`` convert its output to
+``Fraction`` endpoints, and callers that stay on the integer grid (the
+window scan in ``topology``) use it and ``cos2pi_range_fixed`` directly.
+
 Soundness contract: the true value always lies inside the returned interval.
 The kernels use alternating Taylor series whose partial sums bracket the
 limit, plus one unit-in-the-last-place of slack per arithmetic step, so the
@@ -222,17 +227,9 @@ def _coerce(x) -> IntervalValue:
 ONE = IntervalValue.point(1)
 ZERO = IntervalValue.point(0)
 
-# cos(2*pi*q) is rational exactly at these residues of q mod 1.
-_EXACT_COS = {
-    Fraction(0): Fraction(1),
-    Fraction(1, 2): Fraction(-1),
-    Fraction(1, 4): Fraction(0),
-    Fraction(3, 4): Fraction(0),
-    Fraction(1, 3): Fraction(-1, 2),
-    Fraction(2, 3): Fraction(-1, 2),
-    Fraction(1, 6): Fraction(1, 2),
-    Fraction(5, 6): Fraction(1, 2),
-}
+# 2*cos(2*pi*k/12) for the k in 0..11 where it is an integer.  By Niven's
+# theorem these are all the rationals x at which cos(2*pi*x) is rational.
+_EXACT_COS_TWELFTHS = {0: 2, 2: 1, 3: 0, 4: -1, 6: -2, 8: -1, 9: 0, 10: 1}
 
 
 def _cos_series(u: int, s: int) -> tuple[int, int]:
@@ -251,7 +248,8 @@ def _cos_series(u: int, s: int) -> tuple[int, int]:
     j = 1
     while True:
         d = (2 * j - 1) * (2 * j) << s
-        t_lo, t_hi = (t_lo * u2_lo) // d, _ceil_div(t_hi * u2_hi, d)
+        # -(-x // d) is the ceiling, inlined: this loop is the hot spot
+        t_lo, t_hi = (t_lo * u2_lo) // d, -(-(t_hi * u2_hi) // d)
         if sign < 0:
             s_lo, s_hi = s_lo - t_hi, s_hi - t_lo
         else:
@@ -262,34 +260,55 @@ def _cos_series(u: int, s: int) -> tuple[int, int]:
         j += 1
 
 
-def _cos2pi_reduced(x: Fraction, bits: int) -> tuple[Fraction, Fraction]:
-    """Enclose cos(2*pi*x) for x in [0, 1/4]; cos is decreasing there."""
+def cos2pi_fixed(p: int, q: int, bits: int) -> tuple[int, int, bool]:
+    """Enclosure (lo, hi, exact) of 2**bits * cos(2*pi*p/q) for q > 0.
+
+    lo and hi are integers; p/q need not be in lowest terms.  ``exact``
+    marks lo == hi == the value itself, which happens exactly when the
+    reduced denominator of p/q is 1, 2, 3, 4 or 6.
+    """
+    r = p % q
+    if 12 * r % q == 0:
+        twice = _EXACT_COS_TWELFTHS.get(12 * r // q)
+        if twice is not None:
+            v = twice << (bits - 1)
+            return v, v, True
+    # fold r/q into [0, 1/4], where cos(2*pi*x) is decreasing
+    if 2 * r > q:
+        r = q - r
+    neg = 4 * r > q
+    if neg:
+        r, q = q - 2 * r, 2 * q          # 1/2 - r/q
     tp_lo, tp_hi = _two_pi_bounds(bits)
-    u_lo = (x.numerator * tp_lo) // x.denominator
-    u_hi = _ceil_div(x.numerator * tp_hi, x.denominator)
-    lo, _ = _cos_series(u_hi, bits)
-    _, hi = _cos_series(u_lo, bits)
-    den = 1 << bits
-    return Fraction(max(lo, -den), den), Fraction(min(hi, den), den)
+    one = 1 << bits
+    lo = max(_cos_series(_ceil_div(r * tp_hi, q), bits)[0], -one)
+    hi = min(_cos_series((r * tp_lo) // q, bits)[1], one)
+    return (-hi, -lo, False) if neg else (lo, hi, False)
+
+
+def cos2pi_range_fixed(a: tuple[int, int], b: tuple[int, int],
+                       va: tuple, vb: tuple, bits: int) -> tuple[int, int]:
+    """Enclosure (lo, hi) of 2**bits * cos(2*pi*x) over a <= x <= b.
+
+    a and b are rationals given as (p, q) with q > 0; va and vb are the
+    ``cos2pi_fixed`` enclosures at them.  The range reaches 1 when an
+    integer lies in [a, b] and -1 when a half-integer does.
+    """
+    # the integers k in [2a, 2b] are the half-turns x = k/2 in [a, b]
+    k_min, k_max = _ceil_div(2 * a[0], a[1]), (2 * b[0]) // b[1]
+    one = 1 << bits
+    lo = -one if (k_min | 1) <= k_max else min(va[0], vb[0])   # an odd k
+    hi = one if k_min + (k_min & 1) <= k_max else max(va[1], vb[1])  # even
+    return lo, hi
 
 
 def cos2pi(q: Rational, bits: int | None = None) -> IntervalValue:
     """Certified enclosure of cos(2*pi*q) for rational q."""
     bits = bits or precision_bits()
-    q = Fraction(q) % 1
-    exact = _EXACT_COS.get(q)
-    if exact is not None:
-        return IntervalValue.point(exact)
-    neg = False
-    if q > Fraction(1, 2):
-        q = 1 - q
-    if q > Fraction(1, 4):
-        q = Fraction(1, 2) - q
-        neg = True
-    lo, hi = _cos2pi_reduced(q, bits)
-    if neg:
-        lo, hi = -hi, -lo
-    return IntervalValue(lo, hi)
+    q = Fraction(q)
+    lo, hi, exact = cos2pi_fixed(q.numerator, q.denominator, bits)
+    den = 1 << bits
+    return IntervalValue(Fraction(lo, den), Fraction(hi, den), exact)
 
 
 def cos2pi_interval(a: Rational, b: Rational,
@@ -299,20 +318,11 @@ def cos2pi_interval(a: Rational, b: Rational,
     a, b = Fraction(a), Fraction(b)
     if a > b:
         raise ValueError("interval endpoints out of order")
-    if b - a >= 1:
-        return IntervalValue(Fraction(-1), Fraction(1))
-    shift = a - (a % 1)
-    a, b = a - shift, b - shift          # a in [0, 1), b < 2
-    va, vb = cos2pi(a, bits), cos2pi(b, bits)
-    lo, hi = min(va.lo, vb.lo), max(va.hi, vb.hi)
-    # interior extrema: cos(2*pi*x) hits +1 at integers, -1 at half-integers
-    for m in (Fraction(0), Fraction(1)):
-        if a <= m <= b:
-            hi = Fraction(1)
-    for m in (Fraction(1, 2), Fraction(3, 2)):
-        if a <= m <= b:
-            lo = Fraction(-1)
-    return IntervalValue(lo, hi)
+    ends = (a.numerator, a.denominator), (b.numerator, b.denominator)
+    lo, hi = cos2pi_range_fixed(*ends, *[cos2pi_fixed(p, q, bits)
+                                         for p, q in ends], bits)
+    den = 1 << bits
+    return IntervalValue(Fraction(lo, den), Fraction(hi, den))
 
 
 LOG1M_DOMAIN_MAX = Fraction(15, 16)

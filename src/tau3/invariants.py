@@ -29,7 +29,7 @@ from typing import Optional
 
 from .errors import SpecFormatError, UndeterminedError
 from .class_algebra import (AxiomTable, ClassExpr, LEBESGUE_CLASS, Relation,
-                            RelationKind, Support, _atom_union, class_from_text,
+                            RelationKind, Support, atom_union, class_from_text,
                             class_of, class_to_text, relation, series_class)
 from .intervals import precision_bits
 from .measures import (EXPLICIT, MeasureExpr, measure_from_dict,
@@ -113,7 +113,7 @@ def tau_descriptor(spec: FactorSpec,
 
 def _augment_with_unit(c: ClassExpr) -> ClassExpr:
     unit = Support.finite([Fraction(0)])
-    atoms = unit if c.atoms is None else _atom_union(c.atoms, unit)
+    atoms = unit if c.atoms is None else atom_union(c.atoms, unit)
     return replace(c, atoms=atoms)
 
 

@@ -9,7 +9,10 @@ topology for catalog measures.
 Sequences of the shape lam * base**(n!) against the matching factorial
 two-point convolution admit uniform single-factor bounds; the base-3
 geometric convolution admits a three-factor window bound whose supremum
-over one period is certified once by branch-and-bound and cached.
+over one period is certified once by branch-and-bound and cached.  The
+branch-and-bound evaluates each scan point once, in integer fixed point on
+the ``cos2pi_fixed`` kernel, and certifies the same bound as interval
+products over ``Fraction`` endpoints would.
 
 Verdicts are honest finite computations: a ConvergesTo1 or BoundedAwayFrom1
 conclusion records the index it starts from and whether the reasoning
@@ -28,7 +31,8 @@ from typing import Optional
 
 from .errors import (NotPointwiseEvaluable, TailNotCertified,
                      UndeterminedError, UnsupportedArgument)
-from .intervals import IntervalValue, cos2pi, cos2pi_interval, precision_bits
+from .intervals import (IntervalValue, cos2pi, cos2pi_fixed,
+                        cos2pi_range_fixed, precision_bits)
 from .fourier import (ArgumentSpec, ExactRational, ScaledPower, atom_part,
                       ft_point)
 from .measures import (EXPLICIT, FACTORIAL, GEOMETRIC, MeasureExpr,
@@ -158,19 +162,35 @@ def _power_exceeds(m: Fraction, base: int, exponent: int,
 # Three-factor window bound for the base-3 geometric family
 # ---------------------------------------------------------------------------
 
+# The window factors are cos(2*pi*c/d) for these divisors d.
+_WINDOW_DIVISORS = (1, 3, 9)
+
+
+def _window_point(c: Fraction, bits: int) -> tuple:
+    """Kernel enclosures of the three window factors at c, scale 2**bits."""
+    p, q = c.numerator, c.denominator
+    return tuple(cos2pi_fixed(p, d * q, bits) for d in _WINDOW_DIVISORS)
+
+
+def _triple_product(factors, one: int) -> tuple[int, int]:
+    """Interval product of three (lo, hi, ...) integer factors at scale
+    2**bits, as (lo, hi) at scale 2**(3*bits) = ``one``, clamped to
+    [-one, one]."""
+    (lo, hi, *_), *rest = factors
+    for f_lo, f_hi, *_ in rest:
+        cands = (lo * f_lo, lo * f_hi, hi * f_lo, hi * f_hi)
+        lo, hi = min(cands), max(cands)
+    return max(lo, -one), min(hi, one)
+
+
 def window_product(c: Fraction, bits: Optional[int] = None) -> IntervalValue:
     """Enclosure of cos(2*pi*c) * cos(2*pi*c/3) * cos(2*pi*c/9)."""
     bits = bits or precision_bits()
-    c = Fraction(c)
-    out = cos2pi(c, bits) * cos2pi(c / 3, bits) * cos2pi(c / 9, bits)
-    return out.clamp(-1, 1)
-
-
-def _window_range(lo: Fraction, hi: Fraction, bits: int) -> IntervalValue:
-    out = (cos2pi_interval(lo, hi, bits)
-           * cos2pi_interval(lo / 3, hi / 3, bits)
-           * cos2pi_interval(lo / 9, hi / 9, bits))
-    return out.clamp(-1, 1)
+    factors = _window_point(Fraction(c), bits)
+    one = 1 << 3 * bits
+    lo, hi = _triple_product(factors, one)
+    return IntervalValue(Fraction(lo, one), Fraction(hi, one),
+                         exact=all(f[2] for f in factors))
 
 
 @dataclass(frozen=True)
@@ -194,46 +214,64 @@ def f_gap_scan(subdivisions: int = DEFAULT_SCAN_SUBDIVISIONS,
     ``subdivisions`` is the split budget; doubling it never increases the
     certified bound.  Raises UndeterminedError if the bound cannot be
     placed strictly below 1 within the budget.
+
+    Each scan point is evaluated once, in integer fixed point: a box
+    carries the kernel enclosures at its ends and its midpoint, so a split
+    evaluates only the two new quarter-points.  Box ranges, midpoint
+    products and the stop test are exact integers at scale 2**(3*bits),
+    so the certified bound is the one ``IntervalValue`` arithmetic on the
+    same enclosures gives.
     """
     if subdivisions < 100:
         raise ValueError("need at least 100 subdivisions")
     init = 128
+    one = 1 << 3 * bits
     boxes = []
-    best_lo = Fraction(0)
+    best_lo = 0
 
-    def push(lo: Fraction, hi: Fraction):
+    def push(lo: Fraction, hi: Fraction, v_lo: tuple, v_hi: tuple):
         nonlocal best_lo
-        iv = _window_range(lo, hi, bits)
-        mag = max(abs(iv.lo), abs(iv.hi))
-        mid = window_product((lo + hi) / 2, bits)
-        if mid.lo > 0:
-            best_lo = max(best_lo, mid.lo)
-        elif mid.hi < 0:
-            best_lo = max(best_lo, -mid.hi)
-        heapq.heappush(boxes, (-mag, lo, hi))
+        ranges = [cos2pi_range_fixed((lo.numerator, d * lo.denominator),
+                                     (hi.numerator, d * hi.denominator),
+                                     f_lo, f_hi, bits)
+                  for d, f_lo, f_hi in zip(_WINDOW_DIVISORS, v_lo, v_hi)]
+        r_lo, r_hi = _triple_product(ranges, one)
+        mid = (lo + hi) / 2
+        v_mid = _window_point(mid, bits)
+        m_lo, m_hi = _triple_product(v_mid, one)
+        if m_lo > 0:
+            best_lo = max(best_lo, m_lo)
+        elif m_hi < 0:
+            best_lo = max(best_lo, -m_hi)
+        # (-mag, lo, hi) orders the heap; boxes are disjoint, so the
+        # kernel values after hi are never compared
+        mag = max(-r_lo, r_hi)
+        heapq.heappush(boxes, (-mag, lo, hi, v_lo, mid, v_mid, v_hi))
 
+    ends = [1 + Fraction(2 * i, init) for i in range(init + 1)]
+    values = [_window_point(x, bits) for x in ends]
     for i in range(init):
-        push(1 + Fraction(2 * i, init), 1 + Fraction(2 * (i + 1), init))
+        push(ends[i], ends[i + 1], values[i], values[i + 1])
     splits = 0
     while splits < subdivisions:
-        neg_mag, lo, hi = heapq.heappop(boxes)
-        if -neg_mag <= best_lo + Fraction(1, 1 << 48):
-            heapq.heappush(boxes, (neg_mag, lo, hi))
+        box = heapq.heappop(boxes)
+        if (-box[0] - best_lo) << 48 <= one:      # mag <= best_lo + 2**-48
+            heapq.heappush(boxes, box)
             break
-        mid = (lo + hi) / 2
-        push(lo, mid)
-        push(mid, hi)
+        _, lo, hi, v_lo, mid, v_mid, v_hi = box
+        push(lo, mid, v_lo, v_mid)
+        push(mid, hi, v_mid, v_hi)
         splits += 1
     sup_hi = max(-b[0] for b in boxes)
     peak = next((b[1], b[2]) for b in boxes if -b[0] == sup_hi)
     # outward-round the bound so that deeper scans are monotone in practice
-    sup_hi = Fraction(-((-sup_hi.numerator << 64) // sup_hi.denominator),
-                      1 << 64)
+    sup_hi = Fraction(-((-sup_hi << 64) // one), 1 << 64)
     if sup_hi >= 1:
         raise UndeterminedError(
             f"window supremum not certified below 1 after {subdivisions} "
             f"splits; retry with a deeper budget")
-    return WindowScan(IntervalValue(min(best_lo, sup_hi), sup_hi),
+    return WindowScan(IntervalValue(min(Fraction(best_lo, one), sup_hi),
+                                    sup_hi),
                       peak, subdivisions)
 
 

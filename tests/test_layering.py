@@ -56,6 +56,16 @@ def test_no_function_local_relative_imports(module):
     assert not local
 
 
+@pytest.mark.parametrize("module", MODULES)
+def test_no_private_names_across_modules(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    private = [f"from .{name} import {alias.name}"
+               for name, node in relative_imports(tree)
+               for alias in node.names
+               if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert not private
+
+
 def test_traced_names_resolve():
     spec = importlib.util.spec_from_file_location(
         "bench_tracer", ROOT / "bench" / "tracer.py")

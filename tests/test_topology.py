@@ -6,6 +6,7 @@ import pytest
 
 from tau3.errors import (NotPointwiseEvaluable, SymmetryViolation,
                          UndeterminedError)
+from tau3.intervals import cos2pi
 from tau3.measures import CoefficientSequence, MeasureExpr, scale_measure
 from tau3 import topology
 from tau3.topology import (CompletionKind, Conclusion, SequenceSpec,
@@ -106,6 +107,35 @@ class TestWindowBound:
         assert float(scan.gap) >= FROZEN_WINDOW_GAP - 1e-6
         lo, hi = scan.peak
         assert 1 <= lo < hi <= 3
+
+    @pytest.mark.parametrize("c", [F(1), F(3, 2), F(7, 5), F(193167, 131072),
+                                   F(-22, 7), F(10 ** 9 + 1, 3 ** 7)])
+    def test_window_product_is_the_interval_product(self, c):
+        ref = cos2pi(c, 96) * cos2pi(c / 3, 96) * cos2pi(c / 9, 96)
+        assert window_product(c, 96) == ref.clamp(-1, 1)
+
+    # exact scan results, recorded from the Fraction-endpoint scan that the
+    # integer fixed-point scan replaced; the two must agree bit for bit
+    PINNED_SCANS = {
+        100: (F(15790559365866958931945941876145111931982009255009815558505124105848770930782428350721, 1 << 284),  # noqa: E501
+              F(9372241520811477769, 1 << 64),
+              (F(6047, 4096), F(189, 128))),
+        1500: (F(15790559371295847078860847701298991565323331503449956681629067217847326011047313972097, 1 << 284),  # noqa: E501
+               F(4685637660733308669, 1 << 63),
+               (F(193167, 131072), F(3090673, 2097152))),
+        3000: (F(7895279685647961875512542024472681571603038542905548289460433452716934857981839098975, 1 << 283),  # noqa: E501
+               F(9371271627094437149, 1 << 64),
+               (F(12362837, 8388608), F(6181419, 4194304))),
+    }
+
+    @pytest.mark.parametrize("subdivisions", sorted(PINNED_SCANS))
+    def test_scan_result_is_pinned(self, subdivisions):
+        sup_lo, sup_hi, peak = self.PINNED_SCANS[subdivisions]
+        scan = f_gap_scan(subdivisions)
+        assert scan.sup.lo == sup_lo
+        assert scan.sup.hi == sup_hi
+        assert scan.peak == peak
+        assert not scan.sup.exact and scan.subdivisions == subdivisions
 
     def test_scan_is_monotone_under_refinement(self):
         shallow = f_gap_scan(1500)
