@@ -3,7 +3,7 @@ invariant certificates for factors given by spectral measures."""
 
 __version__ = "0.1.0"
 
-from .errors import (BudgetExceeded, NotPointwiseEvaluable,
+from .errors import (BudgetExceeded, NotPointwiseEvaluable, ParameterError,
                      PrecisionSettingError, RangeError, SnapError,
                      SpecFormatError, StepMismatch, SymmetryViolation,
                      Tau3Error, TailNotCertified, UndeterminedError,

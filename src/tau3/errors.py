@@ -9,6 +9,10 @@ class PrecisionSettingError(Tau3Error):
     """TAU3_PRECISION names neither a profile nor a supported bit count."""
 
 
+class ParameterError(Tau3Error):
+    """A numeric parameter lies outside the range the operation accepts."""
+
+
 class SpecFormatError(Tau3Error):
     """A measure specification document failed to parse or validate."""
 

@@ -163,10 +163,15 @@ class CoefficientSequence:
         return head
 
 
+def _exact(x) -> Fraction:
+    """x as a Fraction; a Fraction passes through without the abc checks."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def _merge_atoms(pairs: Iterable[tuple[Fraction, Fraction]]) -> tuple:
     acc: dict[Fraction, Fraction] = {}
     for p, w in pairs:
-        p, w = Fraction(p), Fraction(w)
+        p, w = _exact(p), _exact(w)
         if w < 0:
             raise ValueError(f"negative atom weight {w} at {p}")
         acc[p] = acc.get(p, Fraction(0)) + w
@@ -183,9 +188,9 @@ class MeasureExpr:
     scale: Fraction = Fraction(1)
 
     def __post_init__(self):
-        object.__setattr__(self, "scale", Fraction(self.scale))
+        object.__setattr__(self, "scale", _exact(self.scale))
         object.__setattr__(self, "atoms", tuple(
-            (Fraction(p), Fraction(w)) for p, w in self.atoms))
+            (_exact(p), _exact(w)) for p, w in self.atoms))
         if self.scale <= 0:
             raise ValueError("measure scale must be positive")
 
@@ -285,38 +290,82 @@ def scale_measure(expr: MeasureExpr, s) -> MeasureExpr:
                        bernoulli=expr.bernoulli, scale=expr.scale * s)
 
 
+def _on_lattice(values) -> tuple[int, list[int]]:
+    """(den, [v * den]): rationals as integers over their common denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
 def convolve_atoms(a: MeasureExpr, b: MeasureExpr) -> MeasureExpr:
-    """Exact convolution of two unscaled finite atomic measures."""
+    """Exact convolution of two unscaled finite atomic measures.
+
+    Runs on one integer lattice: points over the lcm of all point
+    denominators, weights over the product of the two weight denominators.
+    """
     if any(m.lebesgue or m.bernoulli or m.scale != 1 for m in (a, b)):
         raise ValueError("convolve_atoms takes unscaled purely atomic measures")
-    return MeasureExpr(atoms=_merge_atoms((pa + pb, wa * wb)
-                                          for pa, wa in a.atoms
-                                          for pb, wb in b.atoms))
+    den, points = _on_lattice([p for m in (a, b) for p, _ in m.atoms])
+    pa, pb = points[:len(a.atoms)], points[len(a.atoms):]
+    da, wa = _on_lattice([w for _, w in a.atoms])
+    db, wb = _on_lattice([w for _, w in b.atoms])
+    acc: dict[int, int] = {}
+    for p, v in zip(pa, wa):
+        for q, u in zip(pb, wb):
+            w = v * u
+            if w < 0:
+                raise ValueError(f"negative atom weight {Fraction(w, da * db)} "
+                                 f"at {Fraction(p + q, den)}")
+            acc[p + q] = acc.get(p + q, 0) + w
+    return MeasureExpr(atoms=tuple((Fraction(p, den), Fraction(w, da * db))
+                                   for p, w in sorted(acc.items()) if w))
+
+
+def check_atom_budget(n: int, atom_budget: int = DEFAULT_ATOM_BUDGET) -> None:
+    """Raise BudgetExceeded unless 2**n atoms fit in the budget."""
+    # bit_length keeps a huge n from building 2**n just to compare it
+    if atom_budget < 1 or n >= atom_budget.bit_length():
+        raise BudgetExceeded(f"depth {n}: 2**{n} atoms exceed budget "
+                             f"{atom_budget}")
+
+
+def bernoulli_lattice(seq: CoefficientSequence, n: int,
+                      atom_budget: int = DEFAULT_ATOM_BUDGET
+                      ) -> tuple[int, dict[int, int]]:
+    """The n-fold partial convolution of the two-point factors, in integers.
+
+    Returns (den, counts): the expansion has an atom at p/den of weight
+    counts[p] / 2**n.  den is the lcm of the denominators of c_1..c_n, so
+    each factor adds and subtracts the integer c_k * den.
+    """
+    if n < 1:
+        raise ValueError("depth must be at least 1")
+    if seq.length is not None and n > seq.length:
+        raise IndexError(f"depth {n} beyond explicit list of {seq.length}")
+    check_atom_budget(n, atom_budget)
+    den, steps = _on_lattice([seq.c(k) for k in range(1, n + 1)])
+    counts = {0: 1}
+    for c in steps:
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for p, w in counts.items():
+            nxt[p + c] = get(p + c, 0) + w
+            nxt[p - c] = get(p - c, 0) + w
+        counts = nxt
+    return den, counts
 
 
 def bernoulli_partial(seq: CoefficientSequence, n: int,
                       atom_budget: int = DEFAULT_ATOM_BUDGET) -> MeasureExpr:
     """Atoms of the n-fold partial convolution of the two-point factors.
 
-    Expands prod_{k<=n} (delta at +c_k and -c_k, weight 1/2 each); duplicate
-    sums are merged.  Total mass is exactly 1 and the support is symmetric.
+    Expands prod_{k<=n} (delta at +c_k and -c_k, weight 1/2 each) on the
+    integer lattice of ``bernoulli_lattice``; duplicate sums are merged.
+    Total mass is exactly 1 and the support is symmetric.
     """
-    if n < 1:
-        raise ValueError("depth must be at least 1")
-    if seq.length is not None and n > seq.length:
-        raise IndexError(f"depth {n} beyond explicit list of {seq.length}")
-    if 1 << n > atom_budget:
-        raise BudgetExceeded(f"2**{n} atoms exceed budget {atom_budget}")
-    half = Fraction(1, 2)
-    atoms: dict[Fraction, Fraction] = {Fraction(0): Fraction(1)}
-    for k in range(1, n + 1):
-        c = seq.c(k)
-        nxt: dict[Fraction, Fraction] = {}
-        for p, w in atoms.items():
-            for q in (p + c, p - c):
-                nxt[q] = nxt.get(q, Fraction(0)) + w * half
-        atoms = nxt
-    return MeasureExpr(atoms=tuple(sorted(atoms.items())))
+    den, counts = bernoulli_lattice(seq, n, atom_budget)
+    total = 1 << n
+    return MeasureExpr(atoms=tuple((Fraction(p, den), Fraction(w, total))
+                                   for p, w in sorted(counts.items())))
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NotPointwiseEvaluable, RangeError, SnapError, StepMismatch
+from .errors import (NotPointwiseEvaluable, ParameterError, RangeError,
+                     SnapError, StepMismatch)
 from .fourier import ft_point
-from .measures import (CoefficientSequence, MeasureExpr, bernoulli_partial,
-                       convolve_atoms, normalize)
+from .measures import (CoefficientSequence, MeasureExpr, bernoulli_lattice,
+                       check_atom_budget, convolve_atoms, normalize)
 
 #: |t| * extent cap keeping cos arguments accurate to ~1e-12
 FLOAT_SAFETY = float(1 << 20)
@@ -70,39 +71,45 @@ def discretize(expr: MeasureExpr, step, bernoulli_depth: int = 8,
     """Sample a finite-mass symbolic measure onto a uniform grid.
 
     The two-point-convolution part is replaced by its depth-fold partial
-    expansion.  Atoms must land on grid points when ``strict_snap`` is set;
-    otherwise they snap to the nearest point.  Mass is preserved exactly up
-    to float summation (well within 1e-12).
+    expansion, read as integers off ``bernoulli_lattice``.  Atoms must land
+    on grid points when ``strict_snap`` is set; otherwise they snap to the
+    nearest point, ties to even.  Mass is preserved exactly up to float
+    summation (well within 1e-12).
     """
     step = Fraction(step)
     expr = normalize(expr)
     if expr.lebesgue:
         raise NotPointwiseEvaluable(
             "the Lebesgue component cannot be discretized without a window")
-    pairs = [(Fraction(p), float(w)) for p, w in expr.atoms]
+    # (point numerator, point denominator, weight), accumulated in this
+    # order: the partial expansion by ascending point, then the atoms
+    placed = []
     if expr.bernoulli is not None:
         depth = bernoulli_depth
         if expr.bernoulli.length is not None:
             depth = min(depth, expr.bernoulli.length)
-        partial = bernoulli_partial(expr.bernoulli, depth)
-        base = list(pairs)
-        pairs = [(Fraction(p), float(w)) for p, w in partial.atoms]
-        pairs.extend(base)
-    if not pairs:
+        den, counts = bernoulli_lattice(expr.bernoulli, depth)
+        total = 1 << depth
+        placed = [(p, den, w / total) for p, w in sorted(counts.items())]
+    placed += [(p.numerator, p.denominator, float(w)) for p, w in expr.atoms]
+    if not placed:
         return GridMeasure(Fraction(0), step, np.zeros(1))
 
     idx = []
-    for p, w in pairs:
-        q = p / step
-        if q.denominator == 1:
-            idx.append((int(q), w))
-            continue
-        if strict_snap:
-            raise SnapError(f"atom at {p} is off the grid of step {step}")
-        idx.append((round(q), w))
+    for p, den, w in placed:
+        # p/den = (i + r/d) * step
+        d = den * step.numerator
+        i, r = divmod(p * step.denominator, d)
+        if r:
+            if strict_snap:
+                raise SnapError(f"atom at {Fraction(p, den)} is off the grid "
+                                f"of step {step}")
+            if 2 * r > d or (2 * r == d and i % 2):  # round half to even
+                i += 1
+        idx.append((i, w))
     lo = min(i for i, _ in idx)
     hi = max(i for i, _ in idx)
-    weights = np.zeros(hi - lo + 1)
+    weights = [0.0] * (hi - lo + 1)
     for i, w in idx:
         weights[i - lo] += w
     return GridMeasure(step * lo, step, weights)
@@ -177,8 +184,15 @@ def oracle_suite(cases: int = 1000, seed: int = 20240, depth: int = 12,
     rational argument |t| <= 100; checks the float transform lies inside
     the certified interval (inflated by float slack), the convolution
     theorem on grids, and exact agreement of delta-atom convolution with
-    the symbolic one.
+    the symbolic one.  Raises ParameterError unless cases >= 1 and
+    depth >= 2, and BudgetExceeded unless 2**depth atoms fit the default
+    atom budget.
     """
+    if cases < 1:
+        raise ParameterError(f"cases must be at least 1, got {cases}")
+    if depth < 2:
+        raise ParameterError(f"depth must be at least 2, got {depth}")
+    check_atom_budget(depth)
     rng = random.Random(seed)
     report = OracleReport(cases, 0, 0, 0, [])
     slack = 1e-9
@@ -201,8 +215,8 @@ def oracle_suite(cases: int = 1000, seed: int = 20240, depth: int = 12,
         if step is None:
             # evaluate the truncated convolution directly at full depth
             seq = expr.bernoulli
-            g = discretize(expr, _finest_step(seq), bernoulli_depth=len(seq.values),
-                           strict_snap=False)
+            g = discretize(expr, _finest_step(seq),
+                           bernoulli_depth=len(seq.values))
         else:
             g = discretize(expr, step)
         try:

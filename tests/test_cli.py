@@ -210,6 +210,20 @@ class TestOracleCheck:
         assert "failures: 0" in out
         assert report.read_text() == out
 
+    @pytest.mark.parametrize("argv, name", [
+        (("--depth", "1"), "depth"),
+        (("--depth", "0"), "depth"),
+        (("--depth", "13"), "depth 13"),
+        (("--cases", "-5"), "cases"),
+        (("--cases", "0"), "cases"),
+    ])
+    def test_bad_parameter_rejected(self, argv, name):
+        code, out, err = run_cli("oracle-check", "--cases", "3", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and name in err, err
+        assert "Traceback" not in err
+
 
 class TestErrors:
     LOPSIDED = {"atoms": [["1", "1"], ["-1", "2"]]}

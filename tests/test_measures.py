@@ -58,6 +58,15 @@ class TestNormalize:
             n1 = normalize(e)
             assert normalize(n1) == n1
 
+    def test_fields_become_fractions_without_rewrapping(self):
+        p, w = F(1, 3), F(1, 2)
+        e = MeasureExpr(atoms=((p, w), (-p, w)), scale=F(2))
+        assert e.atoms[0][1] is w and e.scale == 2
+        e = MeasureExpr(atoms=((1, "1/2"), (-1, F(1, 2))), scale="3/2")
+        assert e.atoms == ((F(1), F(1, 2)), (F(-1), F(1, 2)))
+        assert all(type(x) is Fraction for atom in e.atoms for x in atom)
+        assert type(e.scale) is Fraction and e.scale == F(3, 2)
+
     def test_scale_pushed_into_components(self):
         e = MeasureExpr(atoms=((F(2), F(1)), (F(-2), F(1))), scale=F(2))
         n = normalize(e)

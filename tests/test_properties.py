@@ -1,21 +1,26 @@
-"""Property tests: the cosine kernel, atomic convolution, the transform and
-``normalize``, checked on generated inputs against mpmath and against each
-other."""
+"""Property tests: the cosine kernel, atomic convolution, the transform,
+``normalize`` and the integer-lattice expansions behind the grid oracle,
+checked on generated inputs against mpmath, against naive ``Fraction``
+references and against each other."""
 
+import math
 import os
 from fractions import Fraction
 from unittest import mock
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tau3.errors import SymmetryViolation
+from tau3.errors import BudgetExceeded, SnapError, SymmetryViolation
 from tau3.fourier import ft_point
 from tau3.intervals import (PRECISION_PROFILES, cos2pi, cos2pi_fixed,
                             cos2pi_interval)
-from tau3.measures import MeasureExpr, convolve_atoms, normalize
+from tau3.measures import (CoefficientSequence, MeasureExpr,
+                           bernoulli_partial, convolve_atoms, normalize)
+from tau3.oracle import discretize
 
 F = Fraction
 
@@ -170,3 +175,186 @@ def test_normalize_rejects_exactly_the_lopsided(atoms):
             normalize(e)
     else:
         assert normalize(e).atoms == tuple(sorted(merged.items()))
+
+
+# -- the integer lattice against naive Fraction references ------------------
+
+def naive_partial(seq, n):
+    """prod_{k<=n} (delta at +c_k and -c_k, 1/2 each), one Fraction at a time."""
+    atoms = {F(0): F(1)}
+    for k in range(1, n + 1):
+        c = seq.c(k)
+        nxt: dict[Fraction, Fraction] = {}
+        for p, w in atoms.items():
+            for q in (p + c, p - c):
+                nxt[q] = nxt.get(q, F(0)) + w / 2
+        atoms = nxt
+    return tuple(sorted(atoms.items()))
+
+
+def naive_convolve(a, b):
+    """The double loop over atom pairs, merged through a Fraction dict."""
+    acc: dict[Fraction, Fraction] = {}
+    for pa, wa in a.atoms:
+        for pb, wb in b.atoms:
+            w = wa * wb
+            if w < 0:
+                raise ValueError(f"negative atom weight {w} at {pa + pb}")
+            acc[pa + pb] = acc.get(pa + pb, F(0)) + w
+    return tuple(sorted((p, w) for p, w in acc.items() if w != 0))
+
+
+def fraction_route(expr, step, depth, strict_snap):
+    """Grid of ``discretize`` by Fraction division p / step, per atom."""
+    expr = normalize(expr)
+    pairs = [(p, float(w)) for p, w in expr.atoms]
+    if expr.bernoulli is not None:
+        if expr.bernoulli.length is not None:
+            depth = min(depth, expr.bernoulli.length)
+        pairs = [(p, float(w)) for p, w in naive_partial(expr.bernoulli,
+                                                         depth)] + pairs
+    if not pairs:
+        return F(0), np.zeros(1)
+    idx = []
+    for p, w in pairs:
+        q = p / step
+        if q.denominator != 1 and strict_snap:
+            raise SnapError(f"atom at {p} is off the grid of step {step}")
+        idx.append((round(q), w))
+    lo = min(i for i, _ in idx)
+    weights = np.zeros(max(i for i, _ in idx) - lo + 1)
+    for i, w in idx:
+        weights[i - lo] += w
+    return step * lo, weights
+
+
+positive = st.builds(F, st.integers(1, 60), st.integers(1, 16))
+
+
+@st.composite
+def explicit_sequences(draw, max_len=10):
+    values = draw(st.lists(positive, min_size=1, max_size=max_len,
+                           unique=True))
+    return CoefficientSequence("explicit", values=sorted(values, reverse=True),
+                               scale=draw(positive))
+
+
+@st.composite
+def sequences_with_depth(draw):
+    """A factorial, geometric or explicit sequence and a depth in 1..10.
+
+    Factorial depth stops at 7: c_k = base**(-k!) has about 10**6 digits at
+    k = 10, far beyond what a naive reference expands in a test.
+    """
+    kind = draw(st.sampled_from(("factorial", "geometric", "explicit")))
+    if kind == "explicit":
+        seq = draw(explicit_sequences())
+        return seq, draw(st.integers(1, seq.length))
+    seq = CoefficientSequence(kind, draw(st.integers(2, 7)), draw(positive))
+    return seq, draw(st.integers(1, 7 if kind == "factorial" else 10))
+
+
+@PROPERTY_SETTINGS
+@given(sequences_with_depth())
+def test_bernoulli_partial_equals_the_naive_expansion(case):
+    seq, n = case
+    atoms = bernoulli_partial(seq, n).atoms
+    assert atoms == naive_partial(seq, n)
+    assert all(type(p) is Fraction and type(w) is Fraction for p, w in atoms)
+
+
+signed_weights = st.builds(F, st.integers(-2, 5), st.integers(1, 4))
+
+
+@st.composite
+def raw_atomic(draw):
+    """Unnormalized atom lists: repeated points, zero and negative weights."""
+    atoms = draw(st.lists(st.tuples(small_rationals, signed_weights),
+                          max_size=6))
+    return MeasureExpr(atoms=tuple(atoms))
+
+
+@PROPERTY_SETTINGS
+@given(raw_atomic(), raw_atomic())
+def test_convolve_atoms_equals_the_naive_double_loop(a, b):
+    try:
+        expected = naive_convolve(a, b)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            convolve_atoms(a, b)
+        assert str(got.value) == str(exc)
+    else:
+        assert convolve_atoms(a, b).atoms == expected
+
+
+def test_convolve_atoms_drops_zero_weights_and_rejects_negative_ones():
+    a = MeasureExpr(atoms=((F(-1), F(1)), (F(1), F(1))))
+    zero = MeasureExpr(atoms=((F(0), F(0)), (F(1, 2), F(1, 3))))
+    assert convolve_atoms(a, zero).atoms == (
+        (F(-1, 2), F(1, 3)), (F(3, 2), F(1, 3)))
+    negative = MeasureExpr(atoms=((F(2), F(-1, 2)),))
+    with pytest.raises(ValueError, match=r"negative atom weight -1/2 at 1"):
+        convolve_atoms(a, negative)
+
+
+@st.composite
+def grid_cases(draw):
+    """A measure, a step, a depth and a snapping mode for ``discretize``.
+
+    Some atoms sit exactly half-way between grid points, so rounding ties
+    occur whenever snapping is not strict.
+    """
+    step = draw(st.builds(F, st.integers(1, 6), st.integers(1, 24)))
+    atoms = []
+    for p, w in draw(st.lists(st.tuples(points, weights), max_size=4)):
+        atoms += [(p, w), (-p, w)]
+    for k, w in draw(st.lists(st.tuples(st.integers(0, 6), weights),
+                              max_size=3)):
+        p = (k + F(1, 2)) * step
+        atoms += [(p, w), (-p, w)]
+    bern = draw(st.one_of(
+        st.none(), explicit_sequences(max_len=8),
+        st.builds(CoefficientSequence, st.just("geometric"),
+                  st.integers(2, 4), positive)))
+    if bern is not None and draw(st.booleans()):
+        # the sequence's own finest grid: every partial atom lands on it
+        step = F(1, 1)
+        for k in range(1, (bern.length or 8) + 1):
+            step = F(1, math.lcm(step.denominator, bern.c(k).denominator))
+    expr = MeasureExpr(atoms=tuple(atoms), bernoulli=bern)
+    return expr, step, draw(st.integers(1, 8)), draw(st.booleans())
+
+
+@PROPERTY_SETTINGS
+@given(grid_cases())
+def test_discretize_equals_the_fraction_division_route(case):
+    expr, step, depth, strict_snap = case
+    try:
+        origin, weights = fraction_route(expr, step, depth, strict_snap)
+    except SnapError as exc:
+        with pytest.raises(SnapError) as got:
+            discretize(expr, step, bernoulli_depth=depth,
+                       strict_snap=strict_snap)
+        assert str(got.value) == str(exc)
+        return
+    g = discretize(expr, step, bernoulli_depth=depth, strict_snap=strict_snap)
+    assert g.origin == origin and g.step == step
+    assert np.array_equal(g.weights, weights)
+
+
+def test_discretize_rounds_half_way_atoms_to_even():
+    # 1/2 and 3/2 of a step: ties to 0 and 2, mirrored to 0 and -2
+    step = F(2, 3)
+    m = MeasureExpr(atoms=((F(1, 3), F(1)), (F(-1, 3), F(1)),
+                           (F(1), F(1)), (F(-1), F(1))))
+    g = discretize(m, step, strict_snap=False)
+    assert g.origin == -2 * step
+    assert list(g.weights) == [1.0, 0.0, 2.0, 0.0, 1.0]
+    with pytest.raises(SnapError):
+        discretize(m, step)
+
+
+def test_discretize_keeps_the_atom_budget():
+    m = MeasureExpr(bernoulli=CoefficientSequence("geometric", 3))
+    with pytest.raises(BudgetExceeded):
+        discretize(m, F(1, 3 ** 13), bernoulli_depth=13)
