@@ -208,8 +208,10 @@ def arg_reduce(c, t: ArgumentSpec) -> Reduced:
 def _cos_of_reduced(r: Reduced, bits: int) -> IntervalValue:
     if isinstance(r, ReducedExact):
         return cos2pi(r.frac, bits)
+    if r.fits():
+        return cos2pi(r.as_fraction(), bits)
     # small positive magnitude x <= v: cos(2*pi*x) lies in [cos(2*pi*v), 1]
-    v = r.as_fraction() if r.fits() else r.dyadic_upper()
+    v = r.dyadic_upper()
     if v <= Fraction(1, 2):
         return IntervalValue(cos2pi(v, bits).lo, Fraction(1))
     raise TailNotCertified(

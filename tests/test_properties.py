@@ -14,12 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tau3.errors import BudgetExceeded, SnapError, SymmetryViolation
-from tau3.fourier import ft_point
+from tau3.errors import (BudgetExceeded, SnapError, SymmetryViolation,
+                         TailNotCertified)
+from tau3.fourier import ScaledPower, ft_point
 from tau3.intervals import (PRECISION_PROFILES, cos2pi, cos2pi_fixed,
                             cos2pi_interval)
 from tau3.measures import (CoefficientSequence, MeasureExpr,
-                           bernoulli_partial, convolve_atoms, normalize)
+                           bernoulli_partial, convolve_atoms, normalize,
+                           scale_measure)
 from tau3.oracle import discretize
 
 F = Fraction
@@ -121,6 +123,31 @@ def test_ft_point_encloses_the_truth_under_each_profile(profile, m, t):
         assert encloses(iv, transform_truth(m, t), digits_for(bits))
     # the profile's precision shows in the width
     assert iv.width <= m.mass() * F(1, 1 << (bits - 16))
+
+
+def evaluate_or_refuse(m, t):
+    """ft_point(m, t), or the type of the certification failure it raised."""
+    try:
+        return ft_point(m, t)
+    except TailNotCertified:
+        return TailNotCertified
+
+
+@pytest.mark.parametrize("profile", sorted(PRECISION_PROFILES))
+@PROPERTY_SETTINGS
+@given(kind=st.sampled_from(("geometric", "factorial")),
+       lam=st.sampled_from((F(1), F(1, 2), F(3, 8), F(7, 8))),
+       s=st.builds(F, st.integers(1, 30), st.integers(1, 9)),
+       e=st.one_of(st.integers(0, 40),
+                   st.sampled_from([math.factorial(n) for n in range(3, 7)])))
+def test_scaled_power_equals_its_rational_value(profile, kind, lam, s, e):
+    # equality, not containment: a one-sided [cos(2*pi*v), 1] for a
+    # materializable unexpanded reduction contains the value too
+    m = scale_measure(MeasureExpr(bernoulli=CoefficientSequence(kind, 3)),
+                      lam)
+    with mock.patch.dict(os.environ, {"TAU3_PRECISION": profile}):
+        assert (evaluate_or_refuse(m, ScaledPower(s, 3, e))
+                == evaluate_or_refuse(m, s * 3 ** e))
 
 
 def transform_truth(m: MeasureExpr, t: Fraction):
