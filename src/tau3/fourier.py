@@ -24,10 +24,11 @@ from typing import Optional, Union
 
 from .errors import (NotPointwiseEvaluable, TailNotCertified,
                      UnsupportedArgument)
-from .intervals import (QUADRATIC_COS_COEFF, IntervalValue, cos2pi, exp_neg,
-                        log1m, precision_bits, quadratic_cos_threshold)
+from .intervals import (QUADRATIC_COS_COEFF, IntervalValue, cos2pi,
+                        cos2pi_fixed, exp_neg, log1m, precision_bits,
+                        quadratic_cos_threshold)
 from .measures import (EXPLICIT, FACTORIAL, GEOMETRIC, CoeffTerm,
-                       CoefficientSequence, MeasureExpr, normalize)
+                       CoefficientSequence, MeasureExpr, atom_plan, normalize)
 
 #: beyond this many bits, powers of the base are never expanded to integers
 MATERIALIZE_BITS = 1 << 15
@@ -115,17 +116,19 @@ class ReducedSmall:
     def as_fraction(self) -> Fraction:
         return self.mantissa / Fraction(self.base) ** self.neg_exp
 
-    def log2_upper(self) -> Fraction:
-        """Certified upper bound on log2 of the represented value."""
+    @property
+    def upper_exp(self) -> int:
+        """An integer e with 2**e certainly >= the represented value."""
         m = self.mantissa
         m_log2_hi = m.numerator.bit_length() - m.denominator.bit_length() + 1
-        return m_log2_hi - self.neg_exp * _log2_lower(self.base)
+        lg = _log2_lower(self.base)
+        return ((m_log2_hi * lg.denominator - self.neg_exp * lg.numerator)
+                // lg.denominator + 1)
 
-    def dyadic_upper(self) -> Fraction:
-        """A power of two certainly >= the represented value."""
-        e = self.log2_upper()
-        e_int = e.numerator // e.denominator + 1
-        return Fraction(2) ** e_int
+    def dyadic_upper(self, floor_exp: int) -> Fraction:
+        """2**e for e = ``upper_exp`` clamped to [floor_exp, 0]: callers' tests
+        treat all values below 2**floor_exp alike, and all values >= 1."""
+        return Fraction(2) ** max(floor_exp, min(self.upper_exp, 0))
 
 
 Reduced = Union[ReducedExact, ReducedSmall]
@@ -205,13 +208,20 @@ def arg_reduce(c, t: ArgumentSpec) -> Reduced:
         f"base {t.base} argument")
 
 
+def _log2_floor(x: Fraction) -> int:
+    """floor(log2(x)) for a rational x > 0, where 2**(k-1) < x < 2**(k+1)."""
+    k = x.numerator.bit_length() - x.denominator.bit_length()
+    return k if x >= Fraction(2) ** k else k - 1
+
+
 def _cos_of_reduced(r: Reduced, bits: int) -> IntervalValue:
     if isinstance(r, ReducedExact):
         return cos2pi(r.frac, bits)
     if r.fits():
         return cos2pi(r.as_fraction(), bits)
-    # small positive magnitude x <= v: cos(2*pi*x) lies in [cos(2*pi*v), 1]
-    v = r.dyadic_upper()
+    # x <= v: cos(2*pi*x) lies in [cos(2*pi*v), 1]; the kernel reads v only
+    # via ceil(2*pi*2**bits * v), which is 1 for all v <= 2**-(bits+3)
+    v = r.dyadic_upper(-(bits + 3))
     if v <= Fraction(1, 2):
         return IntervalValue(cos2pi(v, bits).lo, Fraction(1))
     raise TailNotCertified(
@@ -286,11 +296,14 @@ def tail_bound(seq: CoefficientSequence, cutoff: int, t,
     ulp = Fraction(1, 1 << bits)
     y_close = min(Fraction(1, 1 << (bits // 2)), TAIL_WIDTH_TARGET / 16)
     geom = Fraction(base * base, base * base - 1)
+    # every value <= 2**floor_exp closes the tail below, deficit under ulp
+    floor_exp = min(_log2_floor(omega / 2),
+                    _log2_floor(y_close / QUADRATIC_COS_COEFF) // 2,
+                    _log2_floor(ulp / (QUADRATIC_COS_COEFF * geom)) // 2)
     slack_terms = 0
-    closed = False
     k = cutoff
     guard = 64 + bits // 2
-    while not closed:
+    while True:
         k += 1
         if k - cutoff > guard:
             raise TailNotCertified(
@@ -299,7 +312,8 @@ def tail_bound(seq: CoefficientSequence, cutoff: int, t,
         d, small, is_value = _tail_term_bound(seq, k, t)
         if small is not None:
             # an unexpanded reduction bounds the value itself
-            d = small.as_fraction() if small.fits() else small.dyadic_upper()
+            d = (small.as_fraction() if small.fits()
+                 else small.dyadic_upper(floor_exp))
             is_value = True
             if d > omega / 2:
                 raise TailNotCertified(
@@ -316,7 +330,6 @@ def tail_bound(seq: CoefficientSequence, cutoff: int, t,
                 if total > ulp:
                     log_lo -= 2 * total
                 slack_terms += 2
-                closed = True
                 break
             if y <= ulp:
                 log_lo -= 2 * y        # log(1-y) >= -2y for 0 <= y <= 1/2
@@ -343,13 +356,17 @@ def choose_cutoff(seq: CoefficientSequence, t,
     if isinstance(t, ExactRational) and t.value == 0:
         return 1
     omega = quadratic_cos_threshold()
+    # every value <= 2**floor_exp passes both tests below
+    floor_exp = min(_log2_floor(omega), _log2_floor(
+        width_target * seq.base * seq.base / 200) // 2)
     first_small = None
     k = 0
     while k < cap:
         k += 1
         d, small, is_value = _tail_term_bound(seq, k, t)
         if small is not None:
-            d = small.as_fraction() if small.fits() else small.dyadic_upper()
+            d = (small.as_fraction() if small.fits()
+                 else small.dyadic_upper(floor_exp))
             is_value = True
         if d > omega:
             first_small = None
@@ -373,17 +390,24 @@ def choose_cutoff(seq: CoefficientSequence, t,
 def atom_part(expr: MeasureExpr, t: ArgumentSpec, bits: int) -> IntervalValue:
     """Enclosure of sum_a w_a * cos(2*pi*a*t) over the atoms of ``expr``.
 
-    ``expr`` must be normalized: ``normalize`` guarantees the weight
-    symmetry that makes the transform real.
+    One kernel call per atom pair +-p of the measure's ``atom_plan``; the
+    integer ends times the pair weights, over D * 2**bits, are the exact sum.
     """
-    total = IntervalValue.point(0)
-    for p, w in expr.atoms:
-        if p == 0:
-            total = total + IntervalValue.point(w)
-            continue
-        r = arg_reduce(CoeffTerm(abs(p)), t)
-        total = total + _cos_of_reduced(r, bits).scale(w)
-    return total
+    den, pairs = atom_plan(expr)
+    t = as_argument(t)
+    if isinstance(t, ExactRational):
+        (sn, sd), b, e = abs(t.value).as_integer_ratio(), 1, 0
+    else:
+        (sn, sd), b, e = t.scale.as_integer_ratio(), t.base, t.exponent
+    lo = hi = 0
+    exact = True
+    for pn, pd, v in pairs:
+        # p*t mod 1 over the denominator pd*sd, where pow reduces b**e
+        q = pd * sd
+        k_lo, k_hi, k_exact = cos2pi_fixed(pn * sn * pow(b, e, q), q, bits)
+        lo, hi, exact = lo + v * k_lo, hi + v * k_hi, exact and k_exact
+    scale = den << bits
+    return IntervalValue(Fraction(lo, scale), Fraction(hi, scale), exact)
 
 
 def _bernoulli_part(seq: CoefficientSequence, t: ArgumentSpec,

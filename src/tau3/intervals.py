@@ -225,7 +225,6 @@ def _coerce(x) -> IntervalValue:
 
 
 ONE = IntervalValue.point(1)
-ZERO = IntervalValue.point(0)
 
 # 2*cos(2*pi*k/12) for the k in 0..11 where it is an integer.  By Niven's
 # theorem these are all the rationals x at which cos(2*pi*x) is rational.

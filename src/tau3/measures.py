@@ -172,10 +172,10 @@ def _merge_atoms(pairs: Iterable[tuple[Fraction, Fraction]]) -> tuple:
     acc: dict[Fraction, Fraction] = {}
     for p, w in pairs:
         p, w = _exact(p), _exact(w)
-        if w < 0:
+        if w.numerator < 0:
             raise ValueError(f"negative atom weight {w} at {p}")
-        acc[p] = acc.get(p, Fraction(0)) + w
-    return tuple(sorted((p, w) for p, w in acc.items() if w != 0))
+        acc[p] = acc[p] + w if p in acc else w
+    return tuple(sorted((p, w) for p, w in acc.items() if w))
 
 
 @dataclass(frozen=True)
@@ -262,9 +262,14 @@ def normalize(expr: MeasureExpr) -> MeasureExpr:
     Idempotent; class-equal expressions built from the same components in a
     different order come out byte-identical.  Raises SymmetryViolation
     unless every merged atom at p has an atom of equal weight at -p.
+    The result is marked canonical and comes back unchanged; any other
+    argument keeps its canonical form, so a second call is a lookup.
     """
+    known = getattr(expr, "_normal", None)
+    if known is not None:
+        return expr if known is True else known
     s = expr.scale
-    atoms = _merge_atoms((p / s, w) for p, w in expr.atoms)
+    atoms = _merge_atoms((p / s if s != 1 else p, w) for p, w in expr.atoms)
     table = dict(atoms)
     for p, w in atoms:
         if table.get(-p) != w:
@@ -272,7 +277,35 @@ def normalize(expr: MeasureExpr) -> MeasureExpr:
                 f"atom at {p} of weight {w} lacks a mirror of equal weight "
                 f"at {-p}")
     bern = expr.bernoulli.rescaled(Fraction(1) / s) if expr.bernoulli else None
-    return MeasureExpr(atoms=atoms, lebesgue=expr.lebesgue, bernoulli=bern)
+    out = _canonical(MeasureExpr(atoms=atoms, lebesgue=expr.lebesgue,
+                                 bernoulli=bern))
+    # out is another instance, so holding it here makes no reference cycle
+    object.__setattr__(expr, "_normal", out)
+    return out
+
+
+def _canonical(expr: MeasureExpr) -> MeasureExpr:
+    """Mark ``expr``, which must be in canonical form, as canonical."""
+    object.__setattr__(expr, "_normal", True)
+    return expr
+
+
+def atom_plan(expr: MeasureExpr) -> tuple[int, tuple]:
+    """The atom sum of ``expr`` as integers, cached on its canonical form.
+
+    (D, pairs): one (p.numerator, p.denominator, v) per atom at p >= 0, the
+    atoms at +-p adding v/D * cos(2*pi*p*t); v/D is twice the weight at p,
+    or the weight itself at 0.
+    """
+    expr = normalize(expr)
+    plan = getattr(expr, "_atom_plan", None)
+    if plan is None:
+        pairs = [(p, w if p == 0 else 2 * w) for p, w in expr.atoms if p >= 0]
+        den, nums = _on_lattice([w for _, w in pairs])
+        plan = den, tuple((p.numerator, p.denominator, v)
+                          for (p, _), v in zip(pairs, nums))
+        object.__setattr__(expr, "_atom_plan", plan)
+    return plan
 
 
 def scale_measure(expr: MeasureExpr, s) -> MeasureExpr:
@@ -316,8 +349,11 @@ def convolve_atoms(a: MeasureExpr, b: MeasureExpr) -> MeasureExpr:
                 raise ValueError(f"negative atom weight {Fraction(w, da * db)} "
                                  f"at {Fraction(p + q, den)}")
             acc[p + q] = acc.get(p + q, 0) + w
-    return MeasureExpr(atoms=tuple((Fraction(p, den), Fraction(w, da * db))
-                                   for p, w in sorted(acc.items()) if w))
+    out = MeasureExpr(atoms=tuple((Fraction(p, den), Fraction(w, da * db))
+                                  for p, w in sorted(acc.items()) if w))
+    # canonical inputs have positive mirrored weights, and so has the result
+    canonical = all(getattr(m, "_normal", None) is True for m in (a, b))
+    return _canonical(out) if canonical else out
 
 
 def check_atom_budget(n: int, atom_budget: int = DEFAULT_ATOM_BUDGET) -> None:
@@ -364,8 +400,9 @@ def bernoulli_partial(seq: CoefficientSequence, n: int,
     """
     den, counts = bernoulli_lattice(seq, n, atom_budget)
     total = 1 << n
-    return MeasureExpr(atoms=tuple((Fraction(p, den), Fraction(w, total))
-                                   for p, w in sorted(counts.items())))
+    return _canonical(MeasureExpr(atoms=tuple(
+        (Fraction(p, den), Fraction(w, total))
+        for p, w in sorted(counts.items()))))
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,6 @@ from .measures import (CoefficientSequence, MeasureExpr, bernoulli_lattice,
 #: |t| * extent cap keeping cos arguments accurate to ~1e-12
 FLOAT_SAFETY = float(1 << 20)
 
-MASS_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class GridMeasure:
@@ -162,7 +160,7 @@ def _random_atom_measure(rng, max_atoms: int = 12,
         atoms[p] = atoms.get(p, 0) + w
         if p != 0:
             atoms[-p] = atoms.get(-p, 0) + w
-    return MeasureExpr(atoms=tuple(atoms.items()))
+    return normalize(MeasureExpr(atoms=tuple(atoms.items())))
 
 
 def _random_truncated_bernoulli(rng, max_depth: int = 12) -> MeasureExpr:
