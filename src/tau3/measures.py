@@ -297,7 +297,7 @@ def atom_plan(expr: MeasureExpr) -> tuple[int, tuple]:
     atoms at +-p adding v/D * cos(2*pi*p*t); v/D is twice the weight at p,
     or the weight itself at 0.
     """
-    expr = normalize(expr)
+    expr = expr if getattr(expr, "_normal", None) is True else normalize(expr)
     plan = getattr(expr, "_atom_plan", None)
     if plan is None:
         pairs = [(p, w if p == 0 else 2 * w) for p, w in expr.atoms if p >= 0]

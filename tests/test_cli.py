@@ -52,6 +52,13 @@ class TestEval:
         assert code == 0
         assert "status: evaluated" in out
 
+    def test_factorial_power_beyond_materialization(self, specs):
+        # 3**(20!) has about 3.9e18 bits; it is reduced, never built
+        code, out, _ = run_cli("eval", "--measure", specs["fact"],
+                               "--t-power", "1/3,3,20!")
+        assert code == 0
+        assert "status: evaluated" in out
+
     def test_malformed_spec_diagnostics(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"atoms": [[,]]}')

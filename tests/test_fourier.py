@@ -1,6 +1,7 @@
 """Certified transform evaluation: argument reduction, tails, enclosures."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -86,6 +87,37 @@ class TestArgReduce:
     def test_negative_arguments_fold(self):
         r = arg_reduce(F(1, 3), ExactRational(F(-3, 4)))
         assert r.frac == F(1, 4)
+
+
+class TestHugeExponents:
+    """(1/3) * 3**(n!) over the base-3 factorial measure: factor k = n is
+    cos(2*pi/3) = -1/2 and every factor beyond it is held unexpanded."""
+
+    @staticmethod
+    def evaluate(n, bits):
+        return ft_point(MeasureExpr.bernoulli_factorial(3),
+                        ScaledPower(F(1, 3), 3, factorial(n)), bits=bits)
+
+    @pytest.mark.parametrize("n", (8, 9))
+    @pytest.mark.parametrize("bits", (128, 256, 384))
+    def test_enclosures_as_recorded(self, n, bits):
+        # recorded when the tail bound still built 2**e in full
+        iv = self.evaluate(n, bits)
+        assert (iv.lo, iv.hi, iv.exact) == (
+            F(-1, 2), F(-1, 2) + F(1, 1 << (bits - 4)), False)
+
+    @pytest.mark.parametrize("n", range(10, 21))
+    def test_memory_does_not_grow_with_the_exponent(self, n):
+        for bits in (128, 256, 384):
+            tracemalloc.start()
+            try:
+                iv = self.evaluate(n, bits)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert iv.contains(F(-1, 2))
+            assert iv.width <= F(1, 1 << (bits - 4))
+            assert peak < 1 << 20
 
 
 class TestTailBound:

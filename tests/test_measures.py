@@ -1,12 +1,14 @@
 """Measure model: canonical forms, partial expansions, scaling, documents."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from tau3.errors import BudgetExceeded, SpecFormatError, SymmetryViolation
-from tau3.measures import (CoefficientSequence, MeasureExpr,
+from tau3.measures import (CoefficientSequence, MeasureExpr, atom_plan,
                            bernoulli_partial, convolve_atoms,
                            dump_measure_spec, measure_from_dict, normalize,
                            parse_measure_spec, scale_measure)
@@ -85,6 +87,77 @@ class TestNormalize:
                               (F(1), F(3, 8)), (F(3), F(1, 8)))
         delta0 = MeasureExpr(atoms=((F(0), F(1)),))
         assert convolve_atoms(delta0, cube) == cube
+
+
+class TestCanonicalMark:
+    """Canonical measures carry that fact; normalize then does no work."""
+
+    def canonical_measures(self):
+        pair = normalize(MeasureExpr.symmetric_pair(F(2, 3), F(1, 2)))
+        part = bernoulli_partial(CoefficientSequence("geometric", 3), 3)
+        doc = {"atoms": [["1", "1"], ["-1", "1"]], "scale": "2"}
+        return (pair, part, convolve_atoms(pair, part),
+                measure_from_dict(doc),
+                normalize(scale_measure(MeasureExpr.bernoulli_factorial(3),
+                                        F(3, 8))))
+
+    def test_canonical_argument_comes_back_unchanged(self):
+        for c in self.canonical_measures():
+            assert normalize(c) is c
+
+    def test_other_arguments_keep_their_canonical_form(self):
+        e = MeasureExpr(atoms=((F(2), F(1)), (F(-2), F(1))), scale=F(2))
+        n = normalize(e)
+        assert n is not e and normalize(e) is n and normalize(n) is n
+
+    def test_convolution_is_marked_only_for_canonical_inputs(self):
+        pair = normalize(MeasureExpr.symmetric_pair(1, F(1, 2)))
+        unmarked = MeasureExpr(atoms=pair.atoms)
+        out = convolve_atoms(unmarked, pair)
+        assert normalize(out) == out and normalize(out) is not out
+        lopsided = MeasureExpr(atoms=((F(1), F(1)),))
+        with pytest.raises(SymmetryViolation):
+            normalize(convolve_atoms(lopsided, pair))
+
+    def test_lopsided_measure_raises_on_every_call(self):
+        e = MeasureExpr(atoms=((F(1), F(1)), (F(-1), F(2))))
+        for _ in range(3):
+            with pytest.raises(SymmetryViolation):
+                normalize(e)
+
+    def test_marked_and_unmarked_equal_measures_compare_equal(self):
+        for c in self.canonical_measures():
+            u = MeasureExpr(atoms=c.atoms, lebesgue=c.lebesgue,
+                            bernoulli=c.bernoulli)
+            assert c == u and hash(c) == hash(u)
+            assert normalize(u) == c
+            assert c == u and hash(c) == hash(u)
+
+    def test_marks_make_no_reference_cycles(self):
+        # refcounting alone frees acyclic objects: with the collector off,
+        # a cycle through a mark or a cached plan would keep them alive
+        gc.disable()
+        try:
+            e = MeasureExpr(atoms=((F(2), F(1)), (F(-2), F(1))), scale=F(2))
+            c = normalize(e)
+            atom_plan(e)
+            refs = [weakref.ref(e), weakref.ref(c)]
+            del e, c
+            assert all(r() is None for r in refs)
+        finally:
+            gc.enable()
+
+
+class TestAtomPlan:
+    def test_pairs_carry_twice_the_weight_over_one_denominator(self):
+        e = MeasureExpr(atoms=((F(1, 2), F(1, 3)), (F(-1, 2), F(1, 3)),
+                               (F(0), F(1, 4)), (F(3), F(1, 6)),
+                               (F(-3), F(1, 6))))
+        assert atom_plan(e) == (12, ((0, 1, 3), (1, 2, 8), (3, 1, 4)))
+        assert atom_plan(e) is atom_plan(normalize(e))
+
+    def test_no_atoms(self):
+        assert atom_plan(MeasureExpr.bernoulli_geometric(3)) == (1, ())
 
 
 class TestBernoulliPartial:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from tau3.errors import (BudgetExceeded, SnapError, SymmetryViolation,
                          TailNotCertified)
-from tau3.fourier import ScaledPower, ft_point
+from tau3.fourier import ScaledPower, atom_part, ft_point
 from tau3.intervals import (PRECISION_PROFILES, cos2pi, cos2pi_fixed,
                             cos2pi_interval)
 from tau3.measures import (CoefficientSequence, MeasureExpr,
@@ -148,6 +148,59 @@ def test_scaled_power_equals_its_rational_value(profile, kind, lam, s, e):
     with mock.patch.dict(os.environ, {"TAU3_PRECISION": profile}):
         assert (evaluate_or_refuse(m, ScaledPower(s, 3, e))
                 == evaluate_or_refuse(m, s * 3 ** e))
+
+
+@st.composite
+def atoms_with_repeats(draw):
+    """Mirrored pairs, some drawn twice so they merge, and maybe an atom at
+    0, in any order and unnormalized."""
+    pairs = draw(st.lists(st.tuples(points, weights), min_size=1, max_size=6))
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=3))
+    atoms = [a for p, w in pairs for a in ((p, w), (-p, w))]
+    if draw(st.booleans()):
+        atoms.append((F(0), draw(weights)))
+    return MeasureExpr(atoms=tuple(draw(st.permutations(atoms))))
+
+
+def naive_atom_sum(m: MeasureExpr, t: Fraction, bits: int):
+    """(lo, hi, exact) of sum_a w_a * cos2pi(|a| * t mod 1), per raw atom."""
+    lo = hi = F(0)
+    exact = True
+    for p, w in m.atoms:
+        iv = cos2pi(abs(p) * t % 1, bits)
+        lo, hi, exact = lo + w * iv.lo, hi + w * iv.hi, exact and iv.exact
+    return lo, hi, exact
+
+
+scaled_powers = st.builds(
+    lambda s, b, e: (ScaledPower(s, b, e), s * b ** e),
+    st.builds(F, st.integers(1, 40), st.integers(1, 12)),
+    st.integers(2, 5), st.integers(0, 30))
+
+
+@pytest.mark.parametrize("profile", sorted(PRECISION_PROFILES))
+@PROPERTY_SETTINGS
+@given(m=atoms_with_repeats(),
+       arg=st.one_of(small_rationals.map(lambda t: (t, t)), scaled_powers))
+def test_atom_part_equals_the_naive_fraction_sum(profile, m, arg):
+    bits = PRECISION_PROFILES[profile]
+    t, value = arg
+    iv = atom_part(m, t, bits)
+    assert (iv.lo, iv.hi, iv.exact) == naive_atom_sum(m, value, bits)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.tuples(st.integers(0, 12), weights), min_size=1,
+                max_size=6),
+       st.integers(-30, 30), st.sampled_from(sorted(NIVEN_DENOMINATORS)),
+       st.sampled_from(sorted(PRECISION_PROFILES.values())))
+def test_atom_part_exact_at_niven_points(pairs, j, d, bits):
+    # integer atoms at t = j/d: every cosine is one of 0, +-1/2, +-1
+    m = MeasureExpr(atoms=tuple(a for p, w in pairs
+                                for a in ((F(p), w), (F(-p), w))))
+    iv = atom_part(m, F(j, d), bits)
+    assert iv.exact
+    assert (iv.lo, iv.hi, iv.exact) == naive_atom_sum(m, F(j, d), bits)
 
 
 def transform_truth(m: MeasureExpr, t: Fraction):
