@@ -3,6 +3,11 @@
 Everything here is plain floating point on purpose: the grid oracle is the
 independent, low-tech counterpart that certified results are validated
 against.  Grid convolution is the direct O(n*m) sum.
+
+numpy is imported inside the functions that use it, not at module level,
+so ``import tau3`` and every command but ``oracle-check`` start without
+it; the first grid built loads it once for the process.  The ``np.ndarray``
+annotations are never evaluated (``from __future__ import annotations``).
 """
 
 from __future__ import annotations
@@ -12,8 +17,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
-
-import numpy as np
 
 from .errors import (NotPointwiseEvaluable, ParameterError, RangeError,
                      SnapError, StepMismatch)
@@ -34,6 +37,7 @@ class GridMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         object.__setattr__(self, "weights",
                            np.asarray(self.weights, dtype=np.float64))
         if self.step <= 0:
@@ -44,6 +48,7 @@ class GridMeasure:
         return float(self.weights.sum())
 
     def points(self) -> np.ndarray:
+        import numpy as np
         n = len(self.weights)
         return np.float64(self.origin) + np.float64(self.step) * np.arange(n)
 
@@ -56,9 +61,9 @@ class GridMeasure:
 
     def trimmed(self) -> "GridMeasure":
         """Drop zero-weight margins (canonical form for comparisons)."""
-        nz = np.nonzero(self.weights)[0]
+        nz = self.weights.nonzero()[0]
         if len(nz) == 0:
-            return GridMeasure(Fraction(0), self.step, np.zeros(1))
+            return GridMeasure(Fraction(0), self.step, [0.0])
         lo, hi = int(nz[0]), int(nz[-1])
         return GridMeasure(self.origin + self.step * lo, self.step,
                            self.weights[lo:hi + 1].copy())
@@ -91,7 +96,7 @@ def discretize(expr: MeasureExpr, step, bernoulli_depth: int = 8,
         placed = [(p, den, w / total) for p, w in sorted(counts.items())]
     placed += [(p.numerator, p.denominator, float(w)) for p, w in expr.atoms]
     if not placed:
-        return GridMeasure(Fraction(0), step, np.zeros(1))
+        return GridMeasure(Fraction(0), step, [0.0])
 
     idx = []
     for p, den, w in placed:
@@ -115,6 +120,7 @@ def discretize(expr: MeasureExpr, step, bernoulli_depth: int = 8,
 
 def grid_convolve(a: GridMeasure, b: GridMeasure) -> GridMeasure:
     """Convolution of two grid measures with equal steps (direct sum)."""
+    import numpy as np
     if a.step != b.step:
         raise StepMismatch(f"steps differ: {a.step} vs {b.step}")
     return GridMeasure(a.origin + b.origin, a.step,
@@ -123,6 +129,7 @@ def grid_convolve(a: GridMeasure, b: GridMeasure) -> GridMeasure:
 
 def grid_ft(g: GridMeasure, t: float) -> float:
     """Direct transform value sum_j w_j * cos(2*pi*x_j*t) at a float t."""
+    import numpy as np
     t = float(t)
     if abs(t) * g.extent > FLOAT_SAFETY:
         raise RangeError(
@@ -186,6 +193,7 @@ def oracle_suite(cases: int = 1000, seed: int = 20240, depth: int = 12,
     depth >= 2, and BudgetExceeded unless 2**depth atoms fit the default
     atom budget.
     """
+    import numpy as np
     if cases < 1:
         raise ParameterError(f"cases must be at least 1, got {cases}")
     if depth < 2:
