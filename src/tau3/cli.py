@@ -78,11 +78,19 @@ def _interval_text(iv) -> str:
             + (" exact" if iv.exact else ""))
 
 
+def _parse_int(text: str, flag: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise SpecFormatError(
+            f"{flag} expects integers, got {text.strip()!r}") from None
+
+
 def _parse_exponent(text: str) -> int:
     text = text.strip()
     if text.endswith("!"):
-        return factorial(int(text[:-1]))
-    return int(text)
+        return factorial(_parse_int(text[:-1], "--t-power"))
+    return _parse_int(text, "--t-power")
 
 
 def _parse_argument(args) -> object:
@@ -94,8 +102,12 @@ def _parse_argument(args) -> object:
         parts = args.t_power.split(",")
         if len(parts) != 3:
             raise SpecFormatError("--t-power expects 'scale,base,exponent'")
-        return ScaledPower(parse_rational(parts[0]), int(parts[1]),
-                           _parse_exponent(parts[2]))
+        try:
+            return ScaledPower(parse_rational(parts[0]),
+                               _parse_int(parts[1], "--t-power"),
+                               _parse_exponent(parts[2]))
+        except ValueError as exc:  # out of range: factorial or ScaledPower
+            raise SpecFormatError(f"--t-power: {exc}") from None
     raise SpecFormatError("an argument is required: --t or --t-power")
 
 
@@ -113,6 +125,8 @@ def _cmd_eval(args) -> int:
     table = _load_axioms(args)
     expr = load_measure_spec(args.measure)
     t = _parse_argument(args)
+    if args.cutoff is not None and args.cutoff < 0:
+        raise SpecFormatError(f"--cutoff must be at least 0, got {args.cutoff}")
     lines = _report_header("eval", _flag_echo(
         args, ["measure", "t", "t-power", "cutoff", "axioms", "out"]), table)
     try:
@@ -133,14 +147,20 @@ def _cmd_eval(args) -> int:
 def _build_sequence(args) -> SequenceSpec:
     if args.points:
         values = tuple(parse_rational(p) for p in args.points.split(","))
-        return SequenceSpec("explicit", values=values)
-    if not args.family:
+        fields = {"family": "explicit", "values": values}
+    elif not args.family:
         raise SpecFormatError("either --family or --points is required")
-    if ".." not in (args.n or ""):
+    elif ".." not in (args.n or ""):
         raise SpecFormatError("--n expects a range like 3..6")
-    lo, hi = args.n.split("..", 1)
-    return SequenceSpec(args.family, lam=parse_rational(args.lam),
-                        base=args.base, n_min=int(lo), n_max=int(hi))
+    else:
+        lo, hi = args.n.split("..", 1)
+        fields = {"family": args.family, "lam": parse_rational(args.lam),
+                  "base": args.base, "n_min": _parse_int(lo, "--n"),
+                  "n_max": _parse_int(hi, "--n")}
+    try:
+        return SequenceSpec(**fields)
+    except ValueError as exc:
+        raise SpecFormatError(str(exc)) from None
 
 
 def _cmd_converge(args) -> int:

@@ -257,6 +257,52 @@ class TestErrors:
         assert err.startswith("error: NotPointwiseEvaluable:")
 
 
+class TestMalformedArguments:
+    """Bad numbers in flags are input errors: one line, exit 1."""
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--t-power", "1,x,3"),
+        ("eval", "--t-power", "1,3,abc!"),
+        ("eval", "--t-power", "1,3,-2"),
+        ("eval", "--t-power", "1,3,-2!"),
+        ("eval", "--t", "1/3", "--cutoff", "-5"),
+        ("converge", "--family", "factorial", "--n", "a..6"),
+        ("converge", "--family", "factorial", "--n", "6..3"),
+        ("converge", "--family", "geometric", "--base", "1", "--n", "2..4"),
+        ("converge", "--points", "1,1/2"),
+    ], ids=" ".join)
+    def test_exits_with_one_error_line(self, specs, argv):
+        command, *flags = argv
+        code, out, err = run_cli(command, "--measure", specs["fact"], *flags)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: "), err
+        assert "Traceback" not in err
+
+
+IMPORT_FOOTPRINT = """
+import sys
+before = set(sys.modules)
+import tau3, tau3.cli
+foreign = sorted(m for m in set(sys.modules) - before
+                 if m.partition(".")[0] not in {"tau3", *sys.stdlib_module_names})
+assert not foreign, foreign[:5]
+spec = sys.argv[1]
+assert tau3.cli.main(["eval", "--measure", spec, "--t", "1/3"]) == 0
+assert tau3.cli.main(["classify", "--measure", spec]) == 0
+assert "numpy" not in sys.modules
+assert tau3.cli.main(["oracle-check", "--cases", "3", "--depth", "4"]) == 0
+"""
+
+
+def test_only_the_grid_oracle_loads_numpy():
+    geometric = os.path.join(os.path.dirname(__file__), "golden", "specs",
+                             "geometric.json")
+    proc = subprocess.run([sys.executable, "-c", IMPORT_FOOTPRINT, geometric],
+                          capture_output=True, text=True, timeout=240)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestPrecisionSetting:
     def test_bad_precision_fails_loudly(self, specs):
         env = dict(os.environ, TAU3_PRECISION="banana")

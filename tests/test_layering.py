@@ -4,11 +4,16 @@ The chain is intervals -> measures -> fourier -> topology -> class_algebra
 -> invariants -> cli; each module may import ``errors`` and the modules
 before it.  ``class_algebra`` and ``oracle`` are narrower, and the package
 ``__init__`` re-exports everything.
+
+Outside the package only the standard library is imported at module level,
+so ``import tau3`` loads no third-party module; ``THIRD_PARTY`` names the
+few a module may import inside its functions.
 """
 
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,12 +32,32 @@ ALLOWED["__init__"] = {*CHAIN, "errors", "oracle"}
 
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
 
+#: third-party modules each module may import, inside function bodies only
+THIRD_PARTY = {"oracle": {"numpy"}}
+
 
 def relative_imports(tree):
     """(module imported, node) for every ``from .x import`` in the tree."""
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level:
             yield node.module or "__init__", node
+
+
+def absolute_imports(tree):
+    """(top-level package imported, node) for every absolute import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.partition(".")[0], node
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module.partition(".")[0], node
+
+
+def function_nodes(tree):
+    """ids of every node inside a function body."""
+    return {id(node) for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn)}
 
 
 def test_every_module_has_a_rule():
@@ -54,6 +79,17 @@ def test_no_function_local_relative_imports(module):
              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
              for name, _ in relative_imports(fn)]
     assert not local
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_third_party_imports_follow_the_table(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    local = function_nodes(tree)
+    bad = [name if id(node) in local else f"{name} at module level"
+           for name, node in absolute_imports(tree)
+           if name not in sys.stdlib_module_names
+           and not (name in THIRD_PARTY.get(module, ()) and id(node) in local)]
+    assert not bad
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -1,7 +1,7 @@
 """Property tests: the cosine kernel, atomic convolution, the transform,
-``normalize`` and the integer-lattice expansions behind the grid oracle,
-checked on generated inputs against mpmath, against naive ``Fraction``
-references and against each other."""
+``normalize``, the integer-lattice expansions behind the grid oracle and
+the laws of the measure-class algebra, checked on generated inputs against
+mpmath, against naive ``Fraction`` references and against each other."""
 
 import math
 import os
@@ -14,6 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tau3.class_algebra import (LEBESGUE_CLASS, ClassExpr, RelationKind,
+                                SingularTag, Support, convolve, relation,
+                                series_class)
 from tau3.errors import (BudgetExceeded, SnapError, SymmetryViolation,
                          TailNotCertified)
 from tau3.fourier import ScaledPower, atom_part, ft_point
@@ -438,3 +441,95 @@ def test_discretize_keeps_the_atom_budget():
     m = MeasureExpr(bernoulli=CoefficientSequence("geometric", 3))
     with pytest.raises(BudgetExceeded):
         discretize(m, F(1, 3 ** 13), bernoulli_depth=13)
+
+
+# ---------------------------------------------------------------------------
+# Measure-class algebra laws
+# ---------------------------------------------------------------------------
+
+families = st.sampled_from((
+    CoefficientSequence("geometric", 3), CoefficientSequence("geometric", 2),
+    CoefficientSequence("geometric", 3, F(1, 3)),
+    CoefficientSequence("factorial", 3)))
+supports = st.one_of(
+    st.lists(small_rationals, min_size=1, max_size=4).map(Support.finite),
+    st.builds(Support.lattice, st.builds(F, st.integers(1, 4),
+                                         st.integers(1, 3)),
+              st.lists(small_rationals, min_size=1, max_size=3)))
+
+
+@st.composite
+def singular_tags(draw):
+    """A one-family tag: open (a convolution power), closed or opaque."""
+    seq, power = draw(families), draw(st.integers(1, 3))
+    translates = draw(st.one_of(st.just(Support.finite([0])), supports))
+    form = draw(st.sampled_from(("open", "closed", "opaque")))
+    if form == "opaque":
+        names = draw(st.lists(st.sampled_from(("3^-k", "2^-k", "3^-k!")),
+                              min_size=1, max_size=3))
+        return SingularTag(opaque=tuple(sorted(names)), translates=translates)
+    return SingularTag(((seq.key(), power),), closed=form == "closed",
+                       translates=translates)
+
+
+@st.composite
+def classes(draw):
+    """Atoms, Lebesgue and singular tags in any mix, the null class
+    included; sometimes closed under series, for mixed-product tags."""
+    c = ClassExpr(atoms=draw(st.none() | supports),
+                  ac_lebesgue=draw(st.booleans()),
+                  tags=tuple(draw(st.lists(singular_tags(), max_size=2)))
+                  ).canonical()
+    return series_class(c) if draw(st.booleans()) else c
+
+
+@st.composite
+def related_pairs(draw):
+    """(a, b) with b often built from a, so relations other than Unknown
+    come up."""
+    a = draw(classes())
+    b = draw(st.one_of(classes(), st.just(a), st.just(series_class(a)),
+                       classes().map(lambda c: convolve(a, c))))
+    return a, b
+
+
+@PROPERTY_SETTINGS
+@given(classes(), classes())
+def test_class_convolution_commutes(a, b):
+    assert convolve(a, b) == convolve(b, a)
+
+
+@PROPERTY_SETTINGS
+@given(classes(), classes(), classes())
+def test_class_convolution_associates(a, b, c):
+    assert convolve(convolve(a, b), c) == convolve(a, convolve(b, c))
+
+
+@PROPERTY_SETTINGS
+@given(classes())
+def test_lebesgue_class_absorbs(c):
+    out = convolve(c, LEBESGUE_CLASS)
+    assert convolve(LEBESGUE_CLASS, c) == out
+    if c == ClassExpr():
+        # the null class is the zero measure: it absorbs Lebesgue instead
+        assert out == ClassExpr()
+    else:
+        assert out == LEBESGUE_CLASS
+        assert "axiom:LebesgueAbsorption" in out.provenance
+        assert relation(out, LEBESGUE_CLASS).kind is RelationKind.EQUIVALENT
+
+
+SWAPPED = {RelationKind.FIRST_AC_SECOND: RelationKind.SECOND_AC_FIRST,
+           RelationKind.SECOND_AC_FIRST: RelationKind.FIRST_AC_SECOND}
+
+
+@PROPERTY_SETTINGS
+@given(related_pairs())
+def test_relation_agrees_both_ways(pair):
+    a, b = pair
+    ab, ba = relation(a, b), relation(b, a)
+    if ab.kind in SWAPPED:
+        assert ba.kind is SWAPPED[ab.kind]
+    else:
+        assert ba.kind is ab.kind
+        assert set(ba.trace) == set(ab.trace)
