@@ -38,7 +38,8 @@ class Support:
     """Countable subset of the line: finite points or g*Z + offsets.
 
     kind "finite": ``points`` lists the members.
-    kind "lattice": generator g > 0 with residue offsets in [0, g).
+    kind "lattice": generator g > 0 with residue offsets in [0, g); g is the
+    smallest period of the set, so each set has one form.
     """
 
     kind: str
@@ -56,7 +57,12 @@ class Support:
         g = Fraction(generator)
         if g <= 0:
             raise ValueError("lattice generator must be positive")
-        rs = tuple(sorted(set(Fraction(r) % g for r in residues)))
+        rs = {Fraction(r) % g for r in residues}
+        # the periods are (g/m)Z for the largest m that maps rs onto itself
+        m = next((m for m in range(len(rs), 1, -1) if len(rs) % m == 0
+                  and all((r + g / m) % g in rs for r in rs)), 1)
+        g /= m
+        rs = tuple(sorted({r % g for r in rs}))
         return Support("lattice", generator=g, residues=rs)
 
     @staticmethod
@@ -79,11 +85,13 @@ class Support:
             return all(other.members_include(p) for p in self.points)
         if other.is_finite():
             return False
-        ratio = self.generator / other.generator
-        if ratio.denominator != 1:
-            return False
-        return all((r % other.generator) in other.residues
-                   for r in self.residues)
+        # r + j*g for j < steps are the distinct classes of r + gZ modulo
+        # the other generator
+        g = self.generator
+        steps = other.generator / rational_gcd([g, other.generator])
+        return steps <= len(other.residues) and all(
+            other.members_include(r + j * g)
+            for r in self.residues for j in range(int(steps)))
 
     def intersects(self, other: "Support") -> bool:
         if self.is_finite():

@@ -11,9 +11,10 @@ the huge powers: fractional parts come from modular exponentiation, and
 magnitudes of tiny products are kept in mantissa/exponent form.
 
 Infinite products are split into an exactly evaluated head and a certified
-tail.  The tail uses cos(2*pi*x) >= 1 - 49*x**2 (certified on [0, omega] by
-the intervals module) and is accumulated in log space with directed
-rounding; the upper bound of a tail is always 1.
+tail.  The head, and all of a finite product, is one integer factor loop
+on ``intervals.product_fixed``.  An infinite tail uses
+cos(2*pi*x) >= 1 - 49*x**2 (certified on [0, omega] by ``intervals``) and
+is summed in log space with directed rounding; its upper bound is 1.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from typing import Optional, Union
 
 from .errors import (NotPointwiseEvaluable, TailNotCertified,
                      UnsupportedArgument)
-from .intervals import (QUADRATIC_COS_COEFF, IntervalValue, cos2pi,
-                        cos2pi_fixed, exp_neg, log1m, precision_bits,
+from .intervals import (QUADRATIC_COS_COEFF, IntervalValue, cos2pi_fixed,
+                        exp_neg, log1m, precision_bits, product_fixed,
                         quadratic_cos_threshold)
 from .measures import (EXPLICIT, FACTORIAL, GEOMETRIC, CoeffTerm,
                        CoefficientSequence, MeasureExpr, atom_plan, normalize)
@@ -33,7 +34,7 @@ from .measures import (EXPLICIT, FACTORIAL, GEOMETRIC, CoeffTerm,
 #: beyond this many bits, powers of the base are never expanded to integers
 MATERIALIZE_BITS = 1 << 15
 
-#: default certified tail width target and head-length cap
+#: certified tail width target and head-length cap of ``choose_cutoff``
 TAIL_WIDTH_TARGET = Fraction(1, 10 ** 30)
 TAIL_CUTOFF_CAP = 80
 
@@ -109,9 +110,9 @@ class ReducedSmall:
     base: int
     neg_exp: int
 
-    def fits(self, max_bits: int = MATERIALIZE_BITS) -> bool:
+    def fits(self) -> bool:
         return (self.neg_exp * self.base.bit_length()
-                + self.mantissa.denominator.bit_length() <= max_bits)
+                + self.mantissa.denominator.bit_length() <= MATERIALIZE_BITS)
 
     def as_fraction(self) -> Fraction:
         return self.mantissa / Fraction(self.base) ** self.neg_exp
@@ -153,8 +154,8 @@ def _log2_lower(base: int) -> Fraction:
     return out
 
 
-def _materializable(base: int, exponent: int, limit: int = MATERIALIZE_BITS) -> bool:
-    return exponent * (base.bit_length()) <= limit
+def _materializable(base: int, exponent: int) -> bool:
+    return exponent * base.bit_length() <= MATERIALIZE_BITS
 
 
 def _frac_power(m: Fraction, base: int, exponent: int) -> Fraction:
@@ -214,18 +215,38 @@ def _log2_floor(x: Fraction) -> int:
     return k if x >= Fraction(2) ** k else k - 1
 
 
-def _cos_of_reduced(r: Reduced, bits: int) -> IntervalValue:
-    if isinstance(r, ReducedExact):
-        return cos2pi(r.frac, bits)
-    if r.fits():
-        return cos2pi(r.as_fraction(), bits)
-    # x <= v: cos(2*pi*x) lies in [cos(2*pi*v), 1]; the kernel reads v only
-    # via ceil(2*pi*2**bits * v), which is 1 for all v <= 2**-(bits+3)
-    v = r.dyadic_upper(-(bits + 3))
-    if v <= Fraction(1, 2):
-        return IntervalValue(cos2pi(v, bits).lo, Fraction(1))
-    raise TailNotCertified(
-        "unexpanded argument too large to bound the cosine near 1")
+def _cos_of_reduced(r: Reduced, bits: int) -> tuple[int, int, bool]:
+    """``cos2pi_fixed``'s (lo, hi, exact) at the reduced argument."""
+    if isinstance(r, ReducedSmall) and not r.fits():
+        # x <= v: cos(2*pi*x) lies in [cos(2*pi*v), 1]; the kernel reads v only
+        # via ceil(2*pi*2**bits * v), which is 1 for all v <= 2**-(bits+3)
+        v = r.dyadic_upper(-(bits + 3))
+        if v > Fraction(1, 2):
+            raise TailNotCertified(
+                "unexpanded argument too large to bound the cosine near 1")
+        return cos2pi_fixed(v.numerator, v.denominator, bits)[0], 1 << bits, False
+    v = r.frac if isinstance(r, ReducedExact) else r.as_fraction()
+    return cos2pi_fixed(v.numerator, v.denominator, bits)
+
+
+def _factor_product(seq: CoefficientSequence, k_from: int, k_to: int,
+                    t: ArgumentSpec, bits: int) -> IntervalValue:
+    """Enclosure of prod_{k_from <= k <= k_to} cos(2*pi*c_k*t).
+
+    Integer ends at scale 2**s: while every factor is exact, s grows by
+    ``bits`` per factor, so (-1/2)**j stays exact for any j; after that
+    each product is floored and ceiled back onto 2**-bits.
+    """
+    lo, hi, s, exact = 1, 1, 0, True
+    for k in range(k_from, k_to + 1):
+        f = _cos_of_reduced(arg_reduce(seq.term(k), t), bits)
+        lo, hi = product_fixed(((lo, hi), f), 1 << (s + bits))
+        exact = exact and f[2]
+        if exact:
+            s += bits
+        else:
+            lo, hi, s = lo >> s, -(-hi >> s), bits
+    return IntervalValue(Fraction(lo, 1 << s), Fraction(hi, 1 << s), exact)
 
 
 # ---------------------------------------------------------------------------
@@ -247,21 +268,23 @@ def _structural_decay(seq: CoefficientSequence, t: ArgumentSpec) -> bool:
     return t.base == seq.base or _materializable(t.base, t.exponent)
 
 
-def _tail_term_bound(seq: CoefficientSequence, k: int, t: ArgumentSpec
-                     ) -> tuple[Optional[Fraction], ReducedSmall | None, bool]:
-    """Distance-to-integer bound for factor k.
+def _tail_term_bound(seq: CoefficientSequence, k: int, t: ArgumentSpec,
+                     floor_exp: int) -> tuple[Fraction, bool, bool]:
+    """Distance-to-integer bound d for factor k.
 
-    Returns (rational bound, unexpanded bound, value_flag).  The flag marks
-    bounds on the argument *value* itself (not merely its distance to the
-    nearest integer); only those license the geometric remainder estimate,
-    because |c_{k+j} * t| = |c_k * t| / base**(...) holds for values, not
-    for fractional parts.
+    Returns (d, is_value, unexpanded).  ``is_value`` marks bounds on the
+    argument *value* itself (not merely its distance to the nearest
+    integer); only those license the geometric remainder estimate, because
+    |c_{k+j} * t| = |c_k * t| / base**(...) holds for values, not for
+    fractional parts.  An unexpanded reduction bounds the value, by a power
+    of two clamped to [2**floor_exp, 1] when it does not fit.
     """
     r = arg_reduce(seq.term(k), t)
     if isinstance(r, ReducedSmall):
-        return None, r, True
+        return (r.as_fraction() if r.fits() else r.dyadic_upper(floor_exp),
+                True, True)
     d = r.dist_to_int()
-    return d, None, r.is_value and r.frac == d
+    return d, r.is_value and r.frac == d, False
 
 
 def tail_bound(seq: CoefficientSequence, cutoff: int, t,
@@ -280,11 +303,7 @@ def tail_bound(seq: CoefficientSequence, cutoff: int, t,
 
     if seq.kind == EXPLICIT:
         # finite product: evaluate the remaining factors directly
-        out = IntervalValue.point(1)
-        for k in range(cutoff + 1, len(seq.values) + 1):
-            out = (out * _cos_of_reduced(arg_reduce(seq.term(k), t), bits))
-            out = out.clamp(-1, 1).round_out(bits)
-        return out
+        return _factor_product(seq, cutoff + 1, len(seq.values), t, bits)
 
     if not _structural_decay(seq, t):
         raise TailNotCertified(
@@ -309,16 +328,11 @@ def tail_bound(seq: CoefficientSequence, cutoff: int, t,
             raise TailNotCertified(
                 f"tail arguments after index {cutoff} do not certifiably "
                 f"decay within {guard} consecutive factors")
-        d, small, is_value = _tail_term_bound(seq, k, t)
-        if small is not None:
-            # an unexpanded reduction bounds the value itself
-            d = (small.as_fraction() if small.fits()
-                 else small.dyadic_upper(floor_exp))
-            is_value = True
-            if d > omega / 2:
-                raise TailNotCertified(
-                    f"cannot certify factor {k} below threshold {omega}/2")
-        elif d > omega:
+        d, is_value, unexpanded = _tail_term_bound(seq, k, t, floor_exp)
+        if unexpanded and d > omega / 2:
+            raise TailNotCertified(
+                f"cannot certify factor {k} below threshold {omega}/2")
+        if d > omega:
             raise TailNotCertified(
                 f"factor {k} reduces to {d}, above threshold {omega}")
         if d != 0:
@@ -341,14 +355,12 @@ def tail_bound(seq: CoefficientSequence, cutoff: int, t,
     return IntervalValue(min(lo, Fraction(1)), Fraction(1))
 
 
-def choose_cutoff(seq: CoefficientSequence, t,
-                  width_target: Fraction = TAIL_WIDTH_TARGET,
-                  cap: int = TAIL_CUTOFF_CAP) -> int:
+def choose_cutoff(seq: CoefficientSequence, t) -> int:
     """Smallest head length whose certified tail width is below the target.
 
-    Returns ``cap`` if the target is never reached within it; the result is
-    then still sound, only wider.  Raises TailNotCertified when no tail
-    start at all exists within the cap.
+    Returns ``TAIL_CUTOFF_CAP`` if the target is never reached within it;
+    the result is then still sound, only wider.  Raises TailNotCertified
+    when no tail start exists at the cap.
     """
     t = as_argument(t)
     if seq.kind == EXPLICIT:
@@ -356,31 +368,21 @@ def choose_cutoff(seq: CoefficientSequence, t,
     if isinstance(t, ExactRational) and t.value == 0:
         return 1
     omega = quadratic_cos_threshold()
+    target = TAIL_WIDTH_TARGET * seq.base * seq.base
     # every value <= 2**floor_exp passes both tests below
-    floor_exp = min(_log2_floor(omega), _log2_floor(
-        width_target * seq.base * seq.base / 200) // 2)
-    first_small = None
-    k = 0
-    while k < cap:
-        k += 1
-        d, small, is_value = _tail_term_bound(seq, k, t)
-        if small is not None:
-            d = (small.as_fraction() if small.fits()
-                 else small.dyadic_upper(floor_exp))
-            is_value = True
-        if d > omega:
-            first_small = None
-            continue
-        if first_small is None:
-            first_small = k
+    floor_exp = min(_log2_floor(omega), _log2_floor(target / 200) // 2)
+    small = False
+    for k in range(1, TAIL_CUTOFF_CAP + 1):
+        d, is_value, _ = _tail_term_bound(seq, k, t, floor_exp)
+        small = d <= omega
         # conclude only from value-form terms: those certify the decay of
         # everything beyond; estimated remaining width ~ 200 * (d/base)^2
-        if is_value and 200 * d * d <= width_target * seq.base * seq.base:
-            return max(first_small, k)
-    if first_small is None:
-        raise TailNotCertified(
-            f"no certified tail start within the first {cap} factors")
-    return cap
+        if small and is_value and 200 * d * d <= target:
+            return k
+    if not small:
+        raise TailNotCertified(f"no certified tail start within the first "
+                               f"{TAIL_CUTOFF_CAP} factors")
+    return TAIL_CUTOFF_CAP
 
 
 # ---------------------------------------------------------------------------
@@ -415,14 +417,8 @@ def _bernoulli_part(seq: CoefficientSequence, t: ArgumentSpec,
     cutoff = tail_cutoff if tail_cutoff is not None else choose_cutoff(seq, t)
     if seq.kind == EXPLICIT:
         cutoff = min(cutoff, len(seq.values))
-    out = IntervalValue.point(1)
-    for k in range(1, cutoff + 1):
-        out = (out * _cos_of_reduced(arg_reduce(seq.term(k), t), bits))
-        out = out.clamp(-1, 1)
-        if not out.exact:
-            out = out.round_out(bits)
-    tail = tail_bound(seq, cutoff, t, bits)
-    out = out * tail
+    out = (_factor_product(seq, 1, cutoff, t, bits)
+           * tail_bound(seq, cutoff, t, bits))
     return out.clamp(-1, 1) if not out.exact else out
 
 

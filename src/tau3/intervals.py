@@ -11,9 +11,11 @@ which evaluate in fixed-point integer arithmetic with directed rounding:
     exp_neg(s)           enclosure of exp(-s), s >= 0
 
 There is one cosine kernel, ``cos2pi_fixed``, whose ends are integers at
-scale 2**bits; ``cos2pi`` and ``cos2pi_interval`` convert its output to
-``Fraction`` endpoints, and callers that stay on the integer grid (the
-window scan in ``topology``) use it and ``cos2pi_range_fixed`` directly.
+scale 2**bits, and one product of such enclosures, ``product_fixed``;
+``cos2pi`` and ``cos2pi_interval`` convert the kernel's output to
+``Fraction`` endpoints.  Callers that stay on the integer grid use them
+directly: the window scan in ``topology`` and the factor products of the
+two-point part in ``fourier``.
 
 Soundness contract: the true value always lies inside the returned interval.
 The kernels use alternating Taylor series whose partial sums bracket the
@@ -142,10 +144,6 @@ class IntervalValue:
         x = Fraction(x)
         return IntervalValue(x, x, exact=True)
 
-    @staticmethod
-    def bounds(lo: Rational, hi: Rational) -> "IntervalValue":
-        return IntervalValue(Fraction(lo), Fraction(hi))
-
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
@@ -155,12 +153,6 @@ class IntervalValue:
 
     def intersects(self, other: "IntervalValue") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
-
-    def intersection(self, other: "IntervalValue") -> "IntervalValue":
-        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        if lo > hi:
-            raise ValueError("empty intersection")
-        return IntervalValue(lo, hi, exact=self.exact and other.exact)
 
     def mag_hi(self) -> Fraction:
         """Upper bound on |value|."""
@@ -299,6 +291,16 @@ def cos2pi_range_fixed(a: tuple[int, int], b: tuple[int, int],
     lo = -one if (k_min | 1) <= k_max else min(va[0], vb[0])   # an odd k
     hi = one if k_min + (k_min & 1) <= k_max else max(va[1], vb[1])  # even
     return lo, hi
+
+
+def product_fixed(factors, one: int) -> tuple[int, int]:
+    """Exact interval product of integer (lo, hi, ...) factors, clamped to
+    [-one, one]; ``one`` is 1 at the product of the factors' scales."""
+    (lo, hi, *_), *rest = factors
+    for f_lo, f_hi, *_ in rest:
+        cands = (lo * f_lo, lo * f_hi, hi * f_lo, hi * f_hi)
+        lo, hi = min(cands), max(cands)
+    return max(lo, -one), min(hi, one)
 
 
 def cos2pi(q: Rational, bits: int | None = None) -> IntervalValue:

@@ -11,8 +11,9 @@ two-point convolution admit uniform single-factor bounds; the base-3
 geometric convolution admits a three-factor window bound whose supremum
 over one period is certified once by branch-and-bound and cached.  The
 branch-and-bound evaluates each scan point once, in integer fixed point on
-the ``cos2pi_fixed`` kernel, and certifies the same bound as interval
-products over ``Fraction`` endpoints would.
+the ``cos2pi_fixed`` kernel with products by ``intervals.product_fixed``,
+and certifies the same bound as interval products over ``Fraction``
+endpoints would.
 
 Verdicts are honest finite computations: a ConvergesTo1 or BoundedAwayFrom1
 conclusion records the index it starts from and whether the reasoning
@@ -32,7 +33,7 @@ from typing import Optional
 from .errors import (NotPointwiseEvaluable, TailNotCertified,
                      UndeterminedError, UnsupportedArgument)
 from .intervals import (IntervalValue, cos2pi, cos2pi_fixed,
-                        cos2pi_range_fixed, precision_bits)
+                        cos2pi_range_fixed, precision_bits, product_fixed)
 from .fourier import (ArgumentSpec, ExactRational, ScaledPower, atom_part,
                       ft_point)
 from .measures import (EXPLICIT, FACTORIAL, GEOMETRIC, MeasureExpr,
@@ -41,6 +42,7 @@ from .measures import (EXPLICIT, FACTORIAL, GEOMETRIC, MeasureExpr,
 DEFAULT_TOLERANCE = Fraction(1, 10 ** 6)
 DEFAULT_SCAN_SUBDIVISIONS = 1500
 WINDOW_THRESHOLD = 9
+WINDOW_SCAN_BITS = 96
 
 
 @dataclass(frozen=True)
@@ -172,23 +174,12 @@ def _window_point(c: Fraction, bits: int) -> tuple:
     return tuple(cos2pi_fixed(p, d * q, bits) for d in _WINDOW_DIVISORS)
 
 
-def _triple_product(factors, one: int) -> tuple[int, int]:
-    """Interval product of three (lo, hi, ...) integer factors at scale
-    2**bits, as (lo, hi) at scale 2**(3*bits) = ``one``, clamped to
-    [-one, one]."""
-    (lo, hi, *_), *rest = factors
-    for f_lo, f_hi, *_ in rest:
-        cands = (lo * f_lo, lo * f_hi, hi * f_lo, hi * f_hi)
-        lo, hi = min(cands), max(cands)
-    return max(lo, -one), min(hi, one)
-
-
 def window_product(c: Fraction, bits: Optional[int] = None) -> IntervalValue:
     """Enclosure of cos(2*pi*c) * cos(2*pi*c/3) * cos(2*pi*c/9)."""
     bits = bits or precision_bits()
     factors = _window_point(Fraction(c), bits)
     one = 1 << 3 * bits
-    lo, hi = _triple_product(factors, one)
+    lo, hi = product_fixed(factors, one)
     return IntervalValue(Fraction(lo, one), Fraction(hi, one),
                          exact=all(f[2] for f in factors))
 
@@ -207,23 +198,24 @@ class WindowScan:
         return 1 - self.sup.hi
 
 
-def f_gap_scan(subdivisions: int = DEFAULT_SCAN_SUBDIVISIONS,
-               bits: int = 96) -> WindowScan:
+def f_gap_scan(subdivisions: int = DEFAULT_SCAN_SUBDIVISIONS) -> WindowScan:
     """Branch-and-bound upper bound for sup of |window_product| on (1, 3].
 
     ``subdivisions`` is the split budget; doubling it never increases the
     certified bound.  Raises UndeterminedError if the bound cannot be
     placed strictly below 1 within the budget.
 
-    Each scan point is evaluated once, in integer fixed point: a box
-    carries the kernel enclosures at its ends and its midpoint, so a split
-    evaluates only the two new quarter-points.  Box ranges, midpoint
-    products and the stop test are exact integers at scale 2**(3*bits),
-    so the certified bound is the one ``IntervalValue`` arithmetic on the
-    same enclosures gives.
+    Each scan point is evaluated once, in integer fixed point at
+    ``WINDOW_SCAN_BITS``: a box carries the kernel enclosures at its ends
+    and its midpoint, so a split evaluates only the two new
+    quarter-points.  Box ranges, midpoint products (``product_fixed``) and
+    the stop test are exact integers at scale 2**(3*bits), so the
+    certified bound is the one ``IntervalValue`` arithmetic on the same
+    enclosures gives.
     """
     if subdivisions < 100:
         raise ValueError("need at least 100 subdivisions")
+    bits = WINDOW_SCAN_BITS
     init = 128
     one = 1 << 3 * bits
     boxes = []
@@ -235,10 +227,10 @@ def f_gap_scan(subdivisions: int = DEFAULT_SCAN_SUBDIVISIONS,
                                      (hi.numerator, d * hi.denominator),
                                      f_lo, f_hi, bits)
                   for d, f_lo, f_hi in zip(_WINDOW_DIVISORS, v_lo, v_hi)]
-        r_lo, r_hi = _triple_product(ranges, one)
+        r_lo, r_hi = product_fixed(ranges, one)
         mid = (lo + hi) / 2
         v_mid = _window_point(mid, bits)
-        m_lo, m_hi = _triple_product(v_mid, one)
+        m_lo, m_hi = product_fixed(v_mid, one)
         if m_lo > 0:
             best_lo = max(best_lo, m_lo)
         elif m_hi < 0:

@@ -5,6 +5,8 @@ The eval-warm workload builds its measures through ``MeasureExpr``,
 full timed runs stay outside the test suite (see ``bench/README.md``).
 """
 
+import ast
+import importlib
 import json
 import subprocess
 import sys
@@ -25,3 +27,17 @@ def test_bench_smoke(workload):
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True, proc.stdout[-2000:]
+
+
+def test_traced_functions_resolve():
+    # the traced pass (--trace 1) looks each name up with getattr; the
+    # smoke runs above use --trace 0, so a renamed function shows only here
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text())
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "TRACED"
+                          for t in node.targets))
+    for layer, names in traced.items():
+        module = importlib.import_module(f"tau3.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{layer}.{name}"

@@ -44,6 +44,25 @@ class TestSupport:
         g = Support.group_generated([F(1, 2), F(1, 3)])
         assert g.generator == F(1, 6)
 
+    def test_lattice_reduces_to_its_smallest_period(self):
+        # 2Z + {0, 1} is Z, and 6Z + {0, 2, 4} is 2Z: one form per set
+        assert Support.lattice(2, [0, 1]) == Support.lattice(1)
+        assert Support.lattice(6, [0, 2, 4]) == Support.lattice(2)
+        assert Support.lattice(6, [1, 3, 5]) == Support.lattice(2, [1])
+        assert Support.lattice(6, [0, 2, 3, 4]).generator == 6
+
+    def test_same_set_in_two_forms_is_equivalent(self):
+        rel = relation(ClassExpr(atoms=Support.lattice(1)),
+                       ClassExpr(atoms=Support.lattice(2, [0, 1])))
+        assert rel.kind is RelationKind.EQUIVALENT
+
+    def test_inclusion_across_periods(self):
+        # 3Z lies in 6Z + {0, 2, 3, 4}, whose generator is no divisor of 3
+        assert Support.lattice(3).subset_of(Support.lattice(6, [0, 2, 3, 4]))
+        assert not Support.lattice(3).subset_of(Support.lattice(6, [0, 2, 4]))
+        assert not Support.lattice(F(1, 2)).subset_of(Support.lattice(1))
+        assert Support.lattice(6, [0, 3]).subset_of(Support.lattice(3))
+
 
 class TestConvolve:
     def test_atoms_convolve_pointwise(self, pair):

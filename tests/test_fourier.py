@@ -156,6 +156,20 @@ class TestTailBound:
         truth = mp.cos(2 * mp.pi / 8)
         assert contains(tb2, truth)
 
+    def test_explicit_tail_keeps_exact_products_exact(self):
+        # c_k * t = 200 - k + 1/3 reduces to 1/3 for all 90 factors,
+        # so the product is (-1/2)**90; the tail holds 85 of them, more
+        # than the 64 bits of the grid, and stays exact
+        seq = CoefficientSequence("explicit", values=[
+            F(3 * (200 - k) + 1, 3000) for k in range(90)])
+        tb = tail_bound(seq, 5, ExactRational(F(1000)), bits=64)
+        assert tb.exact and tb.lo == -F(1, 2 ** 85)
+        iv = ft_point(MeasureExpr(bernoulli=seq), 1000, tail_cutoff=5,
+                      bits=64)
+        assert iv.exact and iv.lo == F(1, 2 ** 90)
+        # rounding each exact product onto 2**-64 gave [0, 2**-64]
+        assert 0 < iv.lo < F(1, 2 ** 64)
+
 
 class TestChooseCutoff:
     def test_geometric_moderate(self):

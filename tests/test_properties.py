@@ -19,9 +19,10 @@ from tau3.class_algebra import (LEBESGUE_CLASS, ClassExpr, RelationKind,
                                 series_class)
 from tau3.errors import (BudgetExceeded, SnapError, SymmetryViolation,
                          TailNotCertified)
-from tau3.fourier import ScaledPower, atom_part, ft_point
-from tau3.intervals import (PRECISION_PROFILES, cos2pi, cos2pi_fixed,
-                            cos2pi_interval)
+from tau3.fourier import (ReducedExact, ScaledPower, _factor_product,
+                          arg_reduce, atom_part, ft_point)
+from tau3.intervals import (PRECISION_PROFILES, IntervalValue, cos2pi,
+                            cos2pi_fixed, cos2pi_interval)
 from tau3.measures import (CoefficientSequence, MeasureExpr,
                            bernoulli_partial, convolve_atoms, normalize,
                            scale_measure)
@@ -344,6 +345,68 @@ def test_bernoulli_partial_equals_the_naive_expansion(case):
     atoms = bernoulli_partial(seq, n).atoms
     assert atoms == naive_partial(seq, n)
     assert all(type(p) is Fraction and type(w) is Fraction for p, w in atoms)
+
+
+def fraction_head(seq, n, t, bits):
+    """The head product as ``Fraction`` intervals: each product clamped to
+    [-1, 1] and rounded onto 2**-bits unless exact."""
+    out = IntervalValue.point(1)
+    for k in range(1, n + 1):
+        r = arg_reduce(seq.term(k), t)
+        if isinstance(r, ReducedExact):
+            factor = cos2pi(r.frac, bits)
+        elif r.fits():
+            factor = cos2pi(r.as_fraction(), bits)
+        else:
+            v = r.dyadic_upper(-(bits + 3))
+            assert v <= F(1, 2)
+            factor = IntervalValue(cos2pi(v, bits).lo, F(1))
+        out = (out * factor).clamp(-1, 1)
+        if not out.exact:
+            out = out.round_out(bits)
+    return out
+
+
+# denominators 3, 4 and 6 put factors on exact cosines
+head_arguments = st.one_of(
+    st.builds(F, st.integers(1, 10 ** 6),
+              st.sampled_from((1, 2, 3, 4, 6, 7, 12, 1000))),
+    st.builds(ScaledPower, st.builds(F, st.integers(1, 30),
+                                     st.integers(1, 9)),
+              st.integers(2, 5), st.integers(0, 80)))
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(explicit_sequences(max_len=16).map(lambda s: (s, s.length)),
+                 sequences_with_depth()),
+       head_arguments, st.integers(64, 256), st.data())
+def test_head_product_equals_the_fraction_loop(case, t, bits, data):
+    seq, depth = case
+    n = data.draw(st.integers(1, depth))
+    assert _factor_product(seq, 1, n, t, bits) == fraction_head(seq, n, t,
+                                                                  bits)
+
+
+@pytest.mark.parametrize("n", [64, 69, 71, 75])
+def test_head_product_keeps_long_exact_runs(n):
+    # c_k * t = 2**(70-k)/3 reduces to 1/3 or 2/3 for k <= 70 and to 1/6
+    # at k = 71, so the first 71 factors are exact: (-1/2)**70 * 1/2
+    seq, t = CoefficientSequence("geometric", 2), F(2 ** 70, 3)
+    iv = _factor_product(seq, 1, n, t, 64)
+    assert iv == fraction_head(seq, n, t, 64)
+    if n <= 71:
+        assert iv.exact and iv.lo == F((-1) ** min(n, 70), 2 ** n)
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+def test_head_product_with_an_unexpanded_factor(bits):
+    # factor 8 of 3**-k! against (1/3) * 3**(7!) does not fit, so its
+    # cosine is the one-sided [cos(2*pi*v), 1]
+    seq = CoefficientSequence("factorial", 3)
+    t = ScaledPower(F(1, 3), 3, math.factorial(7))
+    assert not arg_reduce(seq.term(8), t).fits()
+    assert _factor_product(seq, 1, 8, t, bits) == fraction_head(seq, 8, t,
+                                                                  bits)
 
 
 signed_weights = st.builds(F, st.integers(-2, 5), st.integers(1, 4))
