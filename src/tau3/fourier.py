@@ -12,7 +12,8 @@ magnitudes of tiny products are kept in mantissa/exponent form.
 
 Infinite products are split into an exactly evaluated head and a certified
 tail.  The head, and all of a finite product, is one integer factor loop
-on ``intervals.product_fixed``.  An infinite tail uses
+on ``intervals.product_fixed``, fed the reductions of ``choose_cutoff``'s
+pass, so each c_k * t is reduced once per call.  An infinite tail uses
 cos(2*pi*x) >= 1 - 49*x**2 (certified on [0, omega] by ``intervals``) and
 is summed in log space with directed rounding; its upper bound is 1.
 """
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .errors import (NotPointwiseEvaluable, TailNotCertified,
                      UnsupportedArgument)
@@ -29,7 +30,8 @@ from .intervals import (QUADRATIC_COS_COEFF, IntervalValue, cos2pi_fixed,
                         exp_neg, log1m, precision_bits, product_fixed,
                         quadratic_cos_threshold)
 from .measures import (EXPLICIT, FACTORIAL, GEOMETRIC, CoeffTerm,
-                       CoefficientSequence, MeasureExpr, atom_plan, normalize)
+                       CoefficientSequence, MeasureExpr, atom_plan, normalize,
+                       plan_mass)
 
 #: beyond this many bits, powers of the base are never expanded to integers
 MATERIALIZE_BITS = 1 << 15
@@ -93,9 +95,6 @@ class ReducedExact:
 
     frac: Fraction
     is_value: bool = False
-
-    def dist_to_int(self) -> Fraction:
-        return min(self.frac, 1 - self.frac)
 
 
 @dataclass(frozen=True)
@@ -229,17 +228,16 @@ def _cos_of_reduced(r: Reduced, bits: int) -> tuple[int, int, bool]:
     return cos2pi_fixed(v.numerator, v.denominator, bits)
 
 
-def _factor_product(seq: CoefficientSequence, k_from: int, k_to: int,
-                    t: ArgumentSpec, bits: int) -> IntervalValue:
-    """Enclosure of prod_{k_from <= k <= k_to} cos(2*pi*c_k*t).
+def _factor_product(factors: Iterable[Reduced], bits: int) -> IntervalValue:
+    """Enclosure of the product of cos(2*pi*r) over the reductions r.
 
     Integer ends at scale 2**s: while every factor is exact, s grows by
     ``bits`` per factor, so (-1/2)**j stays exact for any j; after that
     each product is floored and ceiled back onto 2**-bits.
     """
     lo, hi, s, exact = 1, 1, 0, True
-    for k in range(k_from, k_to + 1):
-        f = _cos_of_reduced(arg_reduce(seq.term(k), t), bits)
+    for r in factors:
+        f = _cos_of_reduced(r, bits)
         lo, hi = product_fixed(((lo, hi), f), 1 << (s + bits))
         exact = exact and f[2]
         if exact:
@@ -268,9 +266,8 @@ def _structural_decay(seq: CoefficientSequence, t: ArgumentSpec) -> bool:
     return t.base == seq.base or _materializable(t.base, t.exponent)
 
 
-def _tail_term_bound(seq: CoefficientSequence, k: int, t: ArgumentSpec,
-                     floor_exp: int) -> tuple[Fraction, bool, bool]:
-    """Distance-to-integer bound d for factor k.
+def _tail_term_bound(r: Reduced, floor_exp: int) -> tuple[Fraction, bool, bool]:
+    """Distance-to-integer bound d for a factor reduced to r.
 
     Returns (d, is_value, unexpanded).  ``is_value`` marks bounds on the
     argument *value* itself (not merely its distance to the nearest
@@ -279,11 +276,10 @@ def _tail_term_bound(seq: CoefficientSequence, k: int, t: ArgumentSpec,
     fractional parts.  An unexpanded reduction bounds the value, by a power
     of two clamped to [2**floor_exp, 1] when it does not fit.
     """
-    r = arg_reduce(seq.term(k), t)
     if isinstance(r, ReducedSmall):
         return (r.as_fraction() if r.fits() else r.dyadic_upper(floor_exp),
                 True, True)
-    d = r.dist_to_int()
+    d = min(r.frac, 1 - r.frac)
     return d, r.is_value and r.frac == d, False
 
 
@@ -303,7 +299,8 @@ def tail_bound(seq: CoefficientSequence, cutoff: int, t,
 
     if seq.kind == EXPLICIT:
         # finite product: evaluate the remaining factors directly
-        return _factor_product(seq, cutoff + 1, len(seq.values), t, bits)
+        return _factor_product((arg_reduce(seq.term(k), t) for k in
+                                range(cutoff + 1, len(seq.values) + 1)), bits)
 
     if not _structural_decay(seq, t):
         raise TailNotCertified(
@@ -328,7 +325,8 @@ def tail_bound(seq: CoefficientSequence, cutoff: int, t,
             raise TailNotCertified(
                 f"tail arguments after index {cutoff} do not certifiably "
                 f"decay within {guard} consecutive factors")
-        d, is_value, unexpanded = _tail_term_bound(seq, k, t, floor_exp)
+        d, is_value, unexpanded = _tail_term_bound(arg_reduce(seq.term(k), t),
+                                                   floor_exp)
         if unexpanded and d > omega / 2:
             raise TailNotCertified(
                 f"cannot certify factor {k} below threshold {omega}/2")
@@ -367,22 +365,28 @@ def choose_cutoff(seq: CoefficientSequence, t) -> int:
         return len(seq.values)
     if isinstance(t, ExactRational) and t.value == 0:
         return 1
+    return len(_cutoff_reductions(seq, t))
+
+
+def _cutoff_reductions(seq: CoefficientSequence, t: ArgumentSpec) -> list:
+    """The head r_1 .. r_cutoff that ``choose_cutoff`` picks for t != 0."""
     omega = quadratic_cos_threshold()
     target = TAIL_WIDTH_TARGET * seq.base * seq.base
     # every value <= 2**floor_exp passes both tests below
     floor_exp = min(_log2_floor(omega), _log2_floor(target / 200) // 2)
-    small = False
+    small, head = False, []
     for k in range(1, TAIL_CUTOFF_CAP + 1):
-        d, is_value, _ = _tail_term_bound(seq, k, t, floor_exp)
+        head.append(arg_reduce(seq.term(k), t))
+        d, is_value, _ = _tail_term_bound(head[-1], floor_exp)
         small = d <= omega
         # conclude only from value-form terms: those certify the decay of
         # everything beyond; estimated remaining width ~ 200 * (d/base)^2
         if small and is_value and 200 * d * d <= target:
-            return k
+            return head
     if not small:
         raise TailNotCertified(f"no certified tail start within the first "
                                f"{TAIL_CUTOFF_CAP} factors")
-    return TAIL_CUTOFF_CAP
+    return head
 
 
 # ---------------------------------------------------------------------------
@@ -414,11 +418,15 @@ def atom_part(expr: MeasureExpr, t: ArgumentSpec, bits: int) -> IntervalValue:
 
 def _bernoulli_part(seq: CoefficientSequence, t: ArgumentSpec,
                     tail_cutoff: Optional[int], bits: int) -> IntervalValue:
-    cutoff = tail_cutoff if tail_cutoff is not None else choose_cutoff(seq, t)
-    if seq.kind == EXPLICIT:
-        cutoff = min(cutoff, len(seq.values))
-    out = (_factor_product(seq, 1, cutoff, t, bits)
-           * tail_bound(seq, cutoff, t, bits))
+    if tail_cutoff is None and seq.kind != EXPLICIT:
+        head = _cutoff_reductions(seq, t)
+        cutoff = len(head)
+    else:
+        cutoff = choose_cutoff(seq, t) if tail_cutoff is None else tail_cutoff
+        if seq.kind == EXPLICIT:
+            cutoff = min(cutoff, len(seq.values))
+        head = (arg_reduce(seq.term(k), t) for k in range(1, cutoff + 1))
+    out = _factor_product(head, bits) * tail_bound(seq, cutoff, t, bits)
     return out.clamp(-1, 1) if not out.exact else out
 
 
@@ -434,11 +442,11 @@ def ft_point(expr: MeasureExpr, t, tail_cutoff: Optional[int] = None,
     if expr.lebesgue:
         raise NotPointwiseEvaluable(
             "the Lebesgue component has no pointwise transform")
+    mass = plan_mass(expr)
     if isinstance(t, ExactRational) and t.value == 0:
-        return IntervalValue.point(expr.mass())
+        return IntervalValue.point(mass)
     out = atom_part(expr, t, bits)
     if expr.bernoulli is not None:
         out = out + _bernoulli_part(expr.bernoulli, t, tail_cutoff, bits)
-    mass = expr.mass()
     out = out.clamp(-mass, mass)
     return out if out.exact else out.round_out(bits)

@@ -20,7 +20,9 @@ two-point part in ``fourier``.
 Soundness contract: the true value always lies inside the returned interval.
 The kernels use alternating Taylor series whose partial sums bracket the
 limit, plus one unit-in-the-last-place of slack per arithmetic step, so the
-contract holds for every rounding of the fixed-point operations.
+contract holds for every rounding of the fixed-point operations.  A term
+x / (j * 2**s) is floored (ceiled) as (x >> s) // j, equal for x >= 0; one
+loop runs both ends of a cosine, whose upper end stops first (_cos_series).
 
 cos2pi is exact (zero width) at the rational points where the cosine of a
 rational multiple of 2*pi is itself rational; by Niven's theorem these are
@@ -38,6 +40,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Union
 
 from .errors import PrecisionSettingError
@@ -216,39 +219,38 @@ def _coerce(x) -> IntervalValue:
     return IntervalValue.point(x)
 
 
-ONE = IntervalValue.point(1)
-
 # 2*cos(2*pi*k/12) for the k in 0..11 where it is an integer.  By Niven's
 # theorem these are all the rationals x at which cos(2*pi*x) is rational.
 _EXACT_COS_TWELFTHS = {0: 2, 2: 1, 3: 0, 4: -1, 6: -2, 8: -1, 9: 0, 10: 1}
 
 
-def _cos_series(u: int, s: int) -> tuple[int, int]:
-    """Bracket cos(u/2**s) for 0 <= u/2**s <= 1.6, fixed-point at scale s.
-
-    Alternating Taylor series; terms decrease from the second one on, so the
-    remainder after truncation is bounded by the first omitted term.  Two
-    ulps of slack absorb the directed-rounding error of each accumulation.
-    """
-    one = 1 << s
-    uu = u * u
-    u2_lo, u2_hi = uu >> s, _ceil_div(uu, one)
-    t_lo, t_hi = one, one
-    s_lo, s_hi = one, one
-    sign = -1
-    j = 1
-    while True:
-        d = (2 * j - 1) * (2 * j) << s
-        # -(-x // d) is the ceiling, inlined: this loop is the hot spot
-        t_lo, t_hi = (t_lo * u2_lo) // d, -(-(t_hi * u2_hi) // d)
-        if sign < 0:
-            s_lo, s_hi = s_lo - t_hi, s_hi - t_lo
+def _cos_series(u_hi: int, u_lo: int, s: int) -> tuple[int, int]:
+    """Lower end of cos(u_hi/2**s) and upper end of cos(u_lo/2**s), scale s,
+    for 0 <= u_lo <= u_hi <= 1.6 * 2**s: one loop over the alternating Taylor
+    series at both.  Terms decrease from the second one on, so the first
+    omitted term bounds the remainder; two ulps absorb each accumulation's
+    directed rounding.  Terms divide as (x >> s) // k, or -((-x >> s) // k)
+    upward: for x >= 0 that is one floor (ceiling) division by k << s.  The
+    u_lo series ends no later: its ceiled chain starts at ceil(u_lo**2/2**s)
+    <= ceil(u_hi**2/2**s) and each step is monotone, so by induction its
+    terms never exceed the u_hi ones."""
+    a2_lo, a2_hi = u_hi * u_hi >> s, -(-u_hi * u_hi >> s)
+    b2_lo, b2_hi = u_lo * u_lo >> s, -(-u_lo * u_lo >> s)
+    a_lo = a_hi = b_lo = b_hi = sum_a = sum_b = 1 << s
+    hi = None
+    for j in count(1):
+        k = (2 * j - 1) * (2 * j)
+        a_lo, a_hi = (a_lo * a2_lo >> s) // k, -((-a_hi * a2_hi >> s) // k)
+        b_lo, b_hi = (b_lo * b2_lo >> s) // k, -((-b_hi * b2_hi >> s) // k)
+        if j & 1:
+            sum_a, sum_b = sum_a - a_hi, sum_b - b_lo
         else:
-            s_lo, s_hi = s_lo + t_lo, s_hi + t_hi
-        if t_hi <= 2 and j >= 2:
-            return s_lo - t_hi - 2, s_hi + t_hi + 2
-        sign = -sign
-        j += 1
+            sum_a, sum_b = sum_a + a_lo, sum_b + b_hi
+        if j >= 2:
+            if hi is None and b_hi <= 2:
+                hi = sum_b + b_hi + 2
+            if a_hi <= 2:
+                return sum_a - a_hi - 2, hi
 
 
 def cos2pi_fixed(p: int, q: int, bits: int) -> tuple[int, int, bool]:
@@ -271,9 +273,8 @@ def cos2pi_fixed(p: int, q: int, bits: int) -> tuple[int, int, bool]:
     if neg:
         r, q = q - 2 * r, 2 * q          # 1/2 - r/q
     tp_lo, tp_hi = _two_pi_bounds(bits)
-    one = 1 << bits
-    lo = max(_cos_series(_ceil_div(r * tp_hi, q), bits)[0], -one)
-    hi = min(_cos_series((r * tp_lo) // q, bits)[1], one)
+    lo, hi = _cos_series(_ceil_div(r * tp_hi, q), (r * tp_lo) // q, bits)
+    lo, hi = max(lo, -1 << bits), min(hi, 1 << bits)
     return (-hi, -lo, False) if neg else (lo, hi, False)
 
 
@@ -366,7 +367,7 @@ def exp_neg(s: Rational, bits: int | None = None) -> IntervalValue:
     if s < 0:
         raise ValueError("exp_neg expects a non-negative argument")
     if s == 0:
-        return ONE
+        return IntervalValue.point(1)
     halvings = 0
     while s > Fraction(1, 2):
         s /= 2
@@ -376,19 +377,15 @@ def exp_neg(s: Rational, bits: int | None = None) -> IntervalValue:
     # alternating series for exp(-v), v in (0, 1/2]: terms strictly decrease
     t_lo, t_hi = one, one
     r_lo, r_hi = one, one
-    sign = -1
-    j = 1
-    while True:
-        t_lo, t_hi = (t_lo * v_lo) // (j << bits), _ceil_div(t_hi * v_hi, j << bits)
-        if sign < 0:
+    for j in count(1):
+        t_lo, t_hi = (t_lo * v_lo >> bits) // j, -((-t_hi * v_hi >> bits) // j)
+        if j & 1:
             r_lo, r_hi = r_lo - t_hi, r_hi - t_lo
         else:
             r_lo, r_hi = r_lo + t_lo, r_hi + t_hi
         if t_hi <= 2:
             r_lo, r_hi = r_lo - t_hi - 2, r_hi + t_hi + 2
             break
-        sign = -sign
-        j += 1
     r_lo = max(r_lo, 0)
     for _ in range(halvings):
         r_lo, r_hi = (r_lo * r_lo) >> bits, _ceil_div(r_hi * r_hi, one)

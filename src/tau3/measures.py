@@ -308,6 +308,13 @@ def atom_plan(expr: MeasureExpr) -> tuple[int, tuple]:
     return plan
 
 
+def plan_mass(expr: MeasureExpr) -> Fraction:
+    """Finite mass of ``expr``: plan weights over D, +1 for a two-point part."""
+    den, pairs = atom_plan(expr)
+    two_point = expr.bernoulli is not None
+    return Fraction(sum(v for *_, v in pairs) + two_point * den, den)
+
+
 def scale_measure(expr: MeasureExpr, s) -> MeasureExpr:
     """Rescale: the result assigns to a set X the mass of s*X.
 

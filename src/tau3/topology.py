@@ -30,14 +30,14 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional
 
-from .errors import (NotPointwiseEvaluable, TailNotCertified,
+from .errors import (NotPointwiseEvaluable, ParameterError, TailNotCertified,
                      UndeterminedError, UnsupportedArgument)
 from .intervals import (IntervalValue, cos2pi, cos2pi_fixed,
                         cos2pi_range_fixed, precision_bits, product_fixed)
 from .fourier import (ArgumentSpec, ExactRational, ScaledPower, atom_part,
                       ft_point)
 from .measures import (EXPLICIT, FACTORIAL, GEOMETRIC, MeasureExpr,
-                       bernoulli_partial, normalize, rational_gcd)
+                       bernoulli_partial, normalize, plan_mass, rational_gcd)
 
 DEFAULT_TOLERANCE = Fraction(1, 10 ** 6)
 DEFAULT_SCAN_SUBDIVISIONS = 1500
@@ -331,15 +331,18 @@ def test_sequence(expr: MeasureExpr, seq: SequenceSpec, tol=DEFAULT_TOLERANCE,
     The measure must have finite mass; enclosures are normalized to total
     mass 1.  Family-level reasoning (uniform single-factor bounds, window
     bounds) is applied for the structured catalog pairs, otherwise the
-    verdict is drawn from the per-index enclosures alone.
+    verdict is drawn from the per-index enclosures alone.  Raises
+    ParameterError unless 0 < tol < 1.
     """
     bits = bits or precision_bits()
     tol = Fraction(tol)
+    if not 0 < tol < 1:
+        raise ParameterError(f"tolerance {tol} outside (0, 1)")
     expr = normalize(expr)
     if expr.lebesgue:
         raise NotPointwiseEvaluable(
             "sequence testing needs a finite-mass measure")
-    mass = expr.mass()
+    mass = plan_mass(expr)
     if mass <= 0:
         raise ValueError("measure has no mass")
 

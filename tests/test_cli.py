@@ -280,6 +280,27 @@ class TestMalformedArguments:
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("tol", ["3/2", "1", "0", "-1/2"])
+def test_converge_rejects_a_tolerance_outside_0_1(tmp_path, tol):
+    # every value is exactly -1/2; --tol 3/2 used to conclude ConvergesTo1
+    spec = tmp_path / "thirds.json"
+    spec.write_text(json.dumps({"atoms": [["1/3", "1/2"], ["-1/3", "1/2"]]}))
+    code, out, err = run_cli("converge", "--measure", str(spec),
+                             "--points", "1,2,4,5", f"--tol={tol}")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: ParameterError: tolerance {tol} outside (0, 1)\n"
+
+
+def test_eval_of_the_zero_measure_is_exactly_zero(tmp_path):
+    spec = tmp_path / "zero.json"
+    spec.write_text(json.dumps({"atoms": []}))
+    for t in ("0", "1/3"):
+        code, out, _ = run_cli("eval", "--measure", str(spec), "--t", t)
+        assert code == 0
+        assert "value: [0, 0] ~[0.0, 0.0] exact\n" in out
+
+
 IMPORT_FOOTPRINT = """
 import sys
 before = set(sys.modules)

@@ -4,10 +4,12 @@ import random
 import tracemalloc
 from fractions import Fraction
 from math import factorial
+from unittest import mock
 
 import mpmath as mp
 import pytest
 
+from tau3 import fourier
 from tau3.errors import (NotPointwiseEvaluable, TailNotCertified,
                          UnsupportedArgument)
 from tau3.fourier import (ExactRational, ReducedExact, ReducedSmall,
@@ -181,6 +183,38 @@ class TestChooseCutoff:
     def test_explicit_is_full_length(self):
         seq = CoefficientSequence("explicit", values=(F(1, 2), F(1, 4)))
         assert choose_cutoff(seq, ExactRational(F(3))) == 2
+
+
+class TestOneReductionPerFactor:
+    """``ft_point`` reduces each c_k * t once: the head takes the reductions
+    of ``choose_cutoff``'s pass and the tail goes on from there."""
+
+    @pytest.mark.parametrize("m, t", [
+        (MeasureExpr.bernoulli_geometric(3).plus(
+            MeasureExpr.symmetric_pair(F(1, 3), F(1, 2))), F(10)),
+        (MeasureExpr.bernoulli_geometric(3).plus(
+            MeasureExpr.symmetric_pair(1, F(1, 4))), F(7, 5)),
+        (MeasureExpr.bernoulli_geometric(3).plus(
+            MeasureExpr.symmetric_pair(F(2, 9), 1)),
+         ScaledPower(F(1, 3), 3, 40)),
+        (MeasureExpr.bernoulli_factorial(3), ScaledPower(F(1), 3, 120)),
+        (MeasureExpr.bernoulli_factorial(3), ScaledPower(F(1, 3), 3, 24)),
+        (MeasureExpr.bernoulli_factorial(3), F(5, 2)),
+    ], ids=["geo-atoms-10", "geo-atoms-7/5", "geo-atoms-power",
+            "fact-5!", "fact-third-4!", "fact-5/2"])
+    def test_each_index_is_reduced_once(self, m, t):
+        terms = []
+
+        def counting(c, t):
+            terms.append(c)
+            return arg_reduce(c, t)
+
+        with mock.patch.object(fourier, "arg_reduce", counting):
+            ft_point(m, t, tail_cutoff=None)
+        seq = normalize(m).bernoulli
+        # the calls are c_1 .. c_K in order, K the tail's last index
+        assert len(terms) > choose_cutoff(seq, t)
+        assert terms == [seq.term(k) for k in range(1, len(terms) + 1)]
 
 
 class TestFtPoint:

@@ -21,11 +21,12 @@ from tau3.errors import (BudgetExceeded, SnapError, SymmetryViolation,
                          TailNotCertified)
 from tau3.fourier import (ReducedExact, ScaledPower, _factor_product,
                           arg_reduce, atom_part, ft_point)
-from tau3.intervals import (PRECISION_PROFILES, IntervalValue, cos2pi,
+from tau3.intervals import (_EXACT_COS_TWELFTHS, PRECISION_PROFILES,
+                            IntervalValue, _two_pi_bounds, cos2pi,
                             cos2pi_fixed, cos2pi_interval)
 from tau3.measures import (CoefficientSequence, MeasureExpr,
                            bernoulli_partial, convolve_atoms, normalize,
-                           scale_measure)
+                           plan_mass, scale_measure)
 from tau3.oracle import discretize
 
 F = Fraction
@@ -114,6 +115,68 @@ def test_cos2pi_interval_encloses_the_range(p, q, dp, dq, bits):
                        2 * b.numerator // b.denominator + 1)
     assert (iv.hi == 1) == any(k % 2 == 0 for k in half_turns)
     assert (iv.lo == -1) == any(k % 2 == 1 for k in half_turns)
+
+
+def single_cos_series(u, s):
+    """Both ends of cos(u/2**s), one argument per series loop, each term
+    divided in one step by (2j-1)(2j) << s."""
+    one = 1 << s
+    uu = u * u
+    u2_lo, u2_hi = uu >> s, -(-uu // one)
+    t_lo = t_hi = s_lo = s_hi = one
+    sign, j = -1, 1
+    while True:
+        d = (2 * j - 1) * (2 * j) << s
+        t_lo, t_hi = (t_lo * u2_lo) // d, -(-(t_hi * u2_hi) // d)
+        if sign < 0:
+            s_lo, s_hi = s_lo - t_hi, s_hi - t_lo
+        else:
+            s_lo, s_hi = s_lo + t_lo, s_hi + t_hi
+        if t_hi <= 2 and j >= 2:
+            return s_lo - t_hi - 2, s_hi + t_hi + 2
+        sign = -sign
+        j += 1
+
+
+def two_call_cos2pi(p, q, bits):
+    """``cos2pi_fixed`` with one ``single_cos_series`` call per end."""
+    r = p % q
+    if 12 * r % q == 0 and 12 * r // q in _EXACT_COS_TWELFTHS:
+        v = _EXACT_COS_TWELFTHS[12 * r // q] << (bits - 1)
+        return v, v, True
+    if 2 * r > q:
+        r = q - r
+    neg = 4 * r > q
+    if neg:
+        r, q = q - 2 * r, 2 * q
+    tp_lo, tp_hi = _two_pi_bounds(bits)
+    one = 1 << bits
+    lo = max(single_cos_series(-(-r * tp_hi // q), bits)[0], -one)
+    hi = min(single_cos_series(r * tp_lo // q, bits)[1], one)
+    return (-hi, -lo, False) if neg else (lo, hi, False)
+
+
+# p/q with |p| <= 10**12; next to 0, 1/4 and 1/2; the exact twelfths
+kernel_arguments = st.one_of(
+    st.tuples(st.integers(-10 ** 12, 10 ** 12), st.integers(1, 10 ** 12)),
+    st.builds(lambda c, d, q: (c * q + d, 4 * q), st.integers(-2, 2),
+              st.integers(-3, 3), st.integers(1, 10 ** 12)),
+    st.builds(lambda k, m: (k * m, 12 * m), st.integers(-24, 24),
+              st.integers(1, 10 ** 6)))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(kernel_arguments, st.sampled_from((64, 96, 128, 256, 384, 512, 1024)))
+def test_cos2pi_fixed_equals_the_two_call_series(pq, bits):
+    assert cos2pi_fixed(*pq, bits) == two_call_cos2pi(*pq, bits)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 1 << 2100), st.integers(0, 1100), st.integers(1, 10 ** 4))
+def test_shift_then_divide_equals_one_division(x, s, k):
+    # the kernels' series terms: floor and ceiling of x / (k * 2**s)
+    assert (x >> s) // k == x // (k << s)
+    assert -((-x >> s) // k) == -(-x // (k << s))
 
 
 @pytest.mark.parametrize("profile", sorted(PRECISION_PROFILES))
@@ -347,6 +410,10 @@ def test_bernoulli_partial_equals_the_naive_expansion(case):
     assert all(type(p) is Fraction and type(w) is Fraction for p, w in atoms)
 
 
+def head_reductions(seq, n, t):
+    return [arg_reduce(seq.term(k), t) for k in range(1, n + 1)]
+
+
 def fraction_head(seq, n, t, bits):
     """The head product as ``Fraction`` intervals: each product clamped to
     [-1, 1] and rounded onto 2**-bits unless exact."""
@@ -383,8 +450,8 @@ head_arguments = st.one_of(
 def test_head_product_equals_the_fraction_loop(case, t, bits, data):
     seq, depth = case
     n = data.draw(st.integers(1, depth))
-    assert _factor_product(seq, 1, n, t, bits) == fraction_head(seq, n, t,
-                                                                  bits)
+    assert (_factor_product(head_reductions(seq, n, t), bits)
+            == fraction_head(seq, n, t, bits))
 
 
 @pytest.mark.parametrize("n", [64, 69, 71, 75])
@@ -392,7 +459,7 @@ def test_head_product_keeps_long_exact_runs(n):
     # c_k * t = 2**(70-k)/3 reduces to 1/3 or 2/3 for k <= 70 and to 1/6
     # at k = 71, so the first 71 factors are exact: (-1/2)**70 * 1/2
     seq, t = CoefficientSequence("geometric", 2), F(2 ** 70, 3)
-    iv = _factor_product(seq, 1, n, t, 64)
+    iv = _factor_product(head_reductions(seq, n, t), 64)
     assert iv == fraction_head(seq, n, t, 64)
     if n <= 71:
         assert iv.exact and iv.lo == F((-1) ** min(n, 70), 2 ** n)
@@ -405,8 +472,29 @@ def test_head_product_with_an_unexpanded_factor(bits):
     seq = CoefficientSequence("factorial", 3)
     t = ScaledPower(F(1, 3), 3, math.factorial(7))
     assert not arg_reduce(seq.term(8), t).fits()
-    assert _factor_product(seq, 1, 8, t, bits) == fraction_head(seq, 8, t,
-                                                                  bits)
+    assert (_factor_product(head_reductions(seq, 8, t), bits)
+            == fraction_head(seq, 8, t, bits))
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.tuples(points, weights), max_size=6),
+       st.sampled_from((None, "geometric", "factorial")), weights)
+def test_plan_mass_equals_the_fraction_sum(pairs, kind, scale):
+    # empty lists give the zero measure; points include 0
+    atoms = [a for p, w in pairs for a in ((p, w), (-p, w))]
+    bern = CoefficientSequence(kind, 3) if kind else None
+    m = MeasureExpr(atoms=tuple(atoms), bernoulli=bern, scale=scale)
+    assert plan_mass(m) == m.mass() == normalize(m).mass()
+
+
+def test_plan_mass_on_the_zero_measure_an_atom_at_0_and_a_two_point_part():
+    zero = MeasureExpr()
+    assert plan_mass(zero) == 0
+    assert ft_point(zero, F(1, 3)) == IntervalValue.point(0)
+    assert plan_mass(MeasureExpr(atoms=((F(0), F(2, 3)),))) == F(2, 3)
+    m = MeasureExpr(atoms=((F(0), F(1, 5)), (F(-1), F(1, 7)), (F(1), F(1, 7))),
+                    bernoulli=CoefficientSequence("geometric", 3))
+    assert plan_mass(m) == m.mass() == F(1, 5) + F(2, 7) + 1
 
 
 signed_weights = st.builds(F, st.integers(-2, 5), st.integers(1, 4))

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from tau3.errors import (NotPointwiseEvaluable, SymmetryViolation,
-                         UndeterminedError)
+from tau3.errors import (NotPointwiseEvaluable, ParameterError,
+                         SymmetryViolation, UndeterminedError)
 from tau3.intervals import cos2pi
 from tau3.measures import CoefficientSequence, MeasureExpr, scale_measure
 from tau3 import topology
@@ -196,6 +196,15 @@ class TestGenericSequences:
         v = run_test_sequence(pair, seq)
         assert v.conclusion is Conclusion.BOUNDED_AWAY_FROM_1
         assert v.gap == 2
+
+    @pytest.mark.parametrize("tol", [F(3, 2), F(1), F(0), F(-1, 2)])
+    def test_tolerance_outside_0_1_rejected(self, tol):
+        # every value is exactly -1/2, which tol = 3/2 used to count as
+        # within tolerance of 1
+        m = MeasureExpr.symmetric_pair(F(1, 3), F(1, 2))
+        seq = SequenceSpec("explicit", values=(F(1), F(2), F(4), F(5)))
+        with pytest.raises(ParameterError, match=r"outside \(0, 1\)"):
+            run_test_sequence(m, seq, tol)
 
     def test_explicit_oscillation_undetermined(self, pair):
         seq = SequenceSpec("explicit", values=(F(1, 2), F(1), F(3, 2), F(2)))
