@@ -7,7 +7,7 @@ which evaluate in fixed-point integer arithmetic with directed rounding:
 
     cos2pi(q)            enclosure of cos(2*pi*q) for rational q
     cos2pi_interval(a,b) enclosure of {cos(2*pi*x) : a <= x <= b}
-    log1m(y)             enclosure of log(1 - y), 0 <= y < 1
+    log1m(y)             enclosure of log(1 - y), 0 <= y <= 15/16
     exp_neg(s)           enclosure of exp(-s), s >= 0
 
 There is one cosine kernel, ``cos2pi_fixed``, whose ends are integers at
@@ -18,11 +18,10 @@ directly: the window scan in ``topology`` and the factor products of the
 two-point part in ``fourier``.
 
 Soundness contract: the true value always lies inside the returned interval.
-The kernels use alternating Taylor series whose partial sums bracket the
-limit, plus one unit-in-the-last-place of slack per arithmetic step, so the
-contract holds for every rounding of the fixed-point operations.  A term
-x / (j * 2**s) is floored (ceiled) as (x >> s) // j, equal for x >= 0; one
-loop runs both ends of a cosine, whose upper end stops first (_cos_series).
+``log1m`` and ``exp_neg`` run floored and ceiled series chains with one ulp of
+slack per step.  The cosine runs one floored Taylor chain with guard bits and
+an a-priori error bound (_cos_series), so its ends are at most 2 ulps apart.
+A term x / (j * 2**s) is floored (ceiled) as (x >> s) // j, equal for x >= 0.
 
 cos2pi is exact (zero width) at the rational points where the cosine of a
 rational multiple of 2*pi is itself rational; by Niven's theorem these are
@@ -224,41 +223,43 @@ def _coerce(x) -> IntervalValue:
 _EXACT_COS_TWELFTHS = {0: 2, 2: 1, 3: 0, 4: -1, 6: -2, 8: -1, 9: 0, 10: 1}
 
 
-def _cos_series(u_hi: int, u_lo: int, s: int) -> tuple[int, int]:
-    """Lower end of cos(u_hi/2**s) and upper end of cos(u_lo/2**s), scale s,
-    for 0 <= u_lo <= u_hi <= 1.6 * 2**s: one loop over the alternating Taylor
-    series at both.  Terms decrease from the second one on, so the first
-    omitted term bounds the remainder; two ulps absorb each accumulation's
-    directed rounding.  Terms divide as (x >> s) // k, or -((-x >> s) // k)
-    upward: for x >= 0 that is one floor (ceiling) division by k << s.  The
-    u_lo series ends no later: its ceiled chain starts at ceil(u_lo**2/2**s)
-    <= ceil(u_hi**2/2**s) and each step is monotone, so by induction its
-    terms never exceed the u_hi ones."""
-    a2_lo, a2_hi = u_hi * u_hi >> s, -(-u_hi * u_hi >> s)
-    b2_lo, b2_hi = u_lo * u_lo >> s, -(-u_lo * u_lo >> s)
-    a_lo = a_hi = b_lo = b_hi = sum_a = sum_b = 1 << s
-    hi = None
-    for j in count(1):
-        k = (2 * j - 1) * (2 * j)
-        a_lo, a_hi = (a_lo * a2_lo >> s) // k, -((-a_hi * a2_hi >> s) // k)
-        b_lo, b_hi = (b_lo * b2_lo >> s) // k, -((-b_hi * b2_hi >> s) // k)
-        if j & 1:
-            sum_a, sum_b = sum_a - a_hi, sum_b - b_lo
-        else:
-            sum_a, sum_b = sum_a + a_lo, sum_b + b_hi
-        if j >= 2:
-            if hi is None and b_hi <= 2:
-                hi = sum_b + b_hi + 2
-            if a_hi <= 2:
-                return sum_a - a_hi - 2, hi
+def _cos_series(r: int, q: int, bits: int) -> tuple[int, int, int]:
+    """(s, e, g): |s - 2**w * cos(2*pi*r/q)| < e at scale w = bits + g, for
+    0 < r/q <= 1/4, from one floored Taylor chain at the upper argument; the
+    g guard bits keep e < 2**(g-4) at every precision up to 4096 (tested).
+
+    U = 2*pi*r/q * 2**w is below x = ceil(r*tp_hi/q), tp_hi > 2*pi*2**w, by
+    less than r/q + 1; cos is 1-Lipschitz, so 2**w * cos(x/2**w) is within 2
+    of the true value, and as r/q <= 1/4, v = (x/2**w)**2 < 5/2.  With
+    X2 = x*x >> w and k_j = (2j-1)*2j, t_0 = 2**w and t_j = ((t_(j-1)*X2)
+    >> w) // k_j, the floor of t_(j-1)*X2 / (k_j*2**w), against the exact
+    T_j = 2**w * v**j / (2j)!.  As 0 <= X2 <= x*x/2**w, by induction
+    0 <= t_j <= T_j; as X2 > x*x/2**w - 1, d_j = T_j - t_j obeys
+    d_j < 1 + d_(j-1)*v/k_j + T_(j-1)/(k_j*2**w), with T_(j-1)/2**w <= 5/4.
+    So d_1 < 3/2, and for j >= 2, d_(j-1) < 4 gives d_j < 1 + 10/12 + 5/48
+    < 2: every floored term is low by less than 4.  The chain stops at its
+    first zero term t_n; s, the alternating sum of t_0 ... t_(n-1), is off
+    by less than 4(n-1).  From j = 2 on T_j/T_(j-1) = v/k_j < 1, so the
+    omitted alternating tail is at most T_n = d_n < 4.  With the argument,
+    the error is < 4n + 2 < 4n + 8 = e."""
+    g = bits.bit_length() + 4
+    w = bits + g
+    x = _ceil_div(r * _two_pi_bounds(w)[1], q)
+    x2 = x * x >> w
+    t = s = 1 << w
+    for n in count(1):
+        t = (t * x2 >> w) // ((2 * n - 1) * 2 * n)
+        if not t:
+            return s, 4 * n + 8, g
+        s = s - t if n & 1 else s + t
 
 
 def cos2pi_fixed(p: int, q: int, bits: int) -> tuple[int, int, bool]:
     """Enclosure (lo, hi, exact) of 2**bits * cos(2*pi*p/q) for q > 0.
 
-    lo and hi are integers; p/q need not be in lowest terms.  ``exact``
-    marks lo == hi == the value itself, which happens exactly when the
-    reduced denominator of p/q is 1, 2, 3, 4 or 6.
+    lo and hi are integers at most 2 apart; p/q need not be in lowest
+    terms.  ``exact`` marks lo == hi == the value itself, which happens
+    exactly when the reduced denominator of p/q is 1, 2, 3, 4 or 6.
     """
     r = p % q
     if 12 * r % q == 0:
@@ -272,9 +273,8 @@ def cos2pi_fixed(p: int, q: int, bits: int) -> tuple[int, int, bool]:
     neg = 4 * r > q
     if neg:
         r, q = q - 2 * r, 2 * q          # 1/2 - r/q
-    tp_lo, tp_hi = _two_pi_bounds(bits)
-    lo, hi = _cos_series(_ceil_div(r * tp_hi, q), (r * tp_lo) // q, bits)
-    lo, hi = max(lo, -1 << bits), min(hi, 1 << bits)
+    s, e, g = _cos_series(r, q, bits)
+    lo, hi = (s - e) >> g, min(-(-(s + e) >> g), 1 << bits)
     return (-hi, -lo, False) if neg else (lo, hi, False)
 
 

@@ -201,9 +201,9 @@ class WindowScan:
 def f_gap_scan(subdivisions: int = DEFAULT_SCAN_SUBDIVISIONS) -> WindowScan:
     """Branch-and-bound upper bound for sup of |window_product| on (1, 3].
 
-    ``subdivisions`` is the split budget; doubling it never increases the
-    certified bound.  Raises UndeterminedError if the bound cannot be
-    placed strictly below 1 within the budget.
+    ``subdivisions`` is the split budget.  That doubling it does not raise
+    the certified bound is tested (1500 against 3000), not proved.  Raises
+    UndeterminedError if the bound stays at or above 1 within the budget.
 
     Each scan point is evaluated once, in integer fixed point at
     ``WINDOW_SCAN_BITS``: a box carries the kernel enclosures at its ends

@@ -103,10 +103,13 @@ class TestHugeExponents:
     @pytest.mark.parametrize("n", (8, 9))
     @pytest.mark.parametrize("bits", (128, 256, 384))
     def test_enclosures_as_recorded(self, n, bits):
-        # recorded when the tail bound still built 2**e in full
+        # [-1/2, -1/2 + 2**-(bits-4)] was recorded when the tail bound still
+        # built 2**e in full, under the four-chain cosine kernel; the
+        # one-chain kernel's enclosure lies inside it
         iv = self.evaluate(n, bits)
+        assert F(-1, 2) <= iv.lo <= iv.hi <= F(-1, 2) + F(1, 1 << (bits - 4))
         assert (iv.lo, iv.hi, iv.exact) == (
-            F(-1, 2), F(-1, 2) + F(1, 1 << (bits - 4)), False)
+            F(-1, 2), F(-1, 2) + F(15, 1 << bits), False)
 
     @pytest.mark.parametrize("n", range(10, 21))
     def test_memory_does_not_grow_with_the_exponent(self, n):

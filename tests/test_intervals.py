@@ -7,7 +7,7 @@ import mpmath as mp
 import pytest
 
 from tau3.errors import PrecisionSettingError
-from tau3.intervals import (IntervalValue, _two_pi_bounds,
+from tau3.intervals import (IntervalValue, _cos_series, _two_pi_bounds,
                             certify_quadratic_cos_bound, cos2pi,
                             cos2pi_interval, exp_neg, log1m, precision_bits,
                             quadratic_cos_threshold)
@@ -51,6 +51,15 @@ class TestCosine:
                                             / q.denominator))
             assert contains_mp(iv, truth), q
             assert iv.width <= Fraction(1, 1 << 200)
+
+    def test_series_error_fits_in_the_guard_bits(self):
+        # the series error e grows with the argument, largest at r/q = 1/4,
+        # and with the working scale; the guard is constant on each
+        # bit-length band of the precision, so e is largest for its guard at
+        # the top of a band
+        for bits in (64, 127, 255, 511, 1023, 2047, 4095, 4096):
+            _, e, g = _cos_series(1, 4, bits)
+            assert e < 1 << (g - 4), bits
 
     def test_requested_bits_control_width(self):
         q = Fraction(1, 7)
