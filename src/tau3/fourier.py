@@ -14,8 +14,8 @@ Infinite products are split into an exactly evaluated head and a certified
 tail.  The head, and all of a finite product, is one integer factor loop
 on ``intervals.product_fixed``, fed the reductions of ``choose_cutoff``'s
 pass, so each c_k * t is reduced once per call.  An infinite tail uses
-cos(2*pi*x) >= 1 - 49*x**2 (certified on [0, omega] by ``intervals``) and
-is summed in log space with directed rounding; its upper bound is 1.
+cos(2*pi*x) >= 1 - 49*x**2 (certified on [0, omega] by ``intervals``) in
+one floored integer product at scale 2**bits; its upper bound is 1.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from typing import Iterable, Optional, Union
 from .errors import (NotPointwiseEvaluable, TailNotCertified,
                      UnsupportedArgument)
 from .intervals import (QUADRATIC_COS_COEFF, IntervalValue, cos2pi_fixed,
-                        exp_neg, log1m, precision_bits, product_fixed,
-                        quadratic_cos_threshold)
+                        precision_bits, product_fixed, quadratic_cos_threshold)
 from .measures import (EXPLICIT, FACTORIAL, GEOMETRIC, CoeffTerm,
                        CoefficientSequence, MeasureExpr, atom_plan, normalize,
                        plan_mass)
@@ -113,8 +112,10 @@ class ReducedSmall:
         return (self.neg_exp * self.base.bit_length()
                 + self.mantissa.denominator.bit_length() <= MATERIALIZE_BITS)
 
-    def as_fraction(self) -> Fraction:
-        return self.mantissa / Fraction(self.base) ** self.neg_exp
+    def ratio(self) -> tuple[int, int]:
+        """Integers (n, q) with n/q the value, for a reduction that fits."""
+        m = self.mantissa
+        return m.numerator, m.denominator * self.base ** self.neg_exp
 
     @property
     def upper_exp(self) -> int:
@@ -125,10 +126,10 @@ class ReducedSmall:
         return ((m_log2_hi * lg.denominator - self.neg_exp * lg.numerator)
                 // lg.denominator + 1)
 
-    def dyadic_upper(self, floor_exp: int) -> Fraction:
-        """2**e for e = ``upper_exp`` clamped to [floor_exp, 0]: callers' tests
-        treat all values below 2**floor_exp alike, and all values >= 1."""
-        return Fraction(2) ** max(floor_exp, min(self.upper_exp, 0))
+    def dyadic_upper(self, floor_exp: int) -> tuple[int, int]:
+        """(1, 2**-e), e = ``upper_exp`` clamped to [floor_exp, 0]: callers'
+        tests treat values below 2**floor_exp alike, and all values >= 1."""
+        return 1, 1 << -max(floor_exp, min(self.upper_exp, 0))
 
 
 Reduced = Union[ReducedExact, ReducedSmall]
@@ -208,24 +209,30 @@ def arg_reduce(c, t: ArgumentSpec) -> Reduced:
         f"base {t.base} argument")
 
 
+def _at_most(n: int, q: int, x: Fraction) -> bool:
+    """n/q <= x for integers n >= 0, q > 0, by cross-multiplication."""
+    return n * x.denominator <= x.numerator * q
+
+
 def _log2_floor(x: Fraction) -> int:
     """floor(log2(x)) for a rational x > 0, where 2**(k-1) < x < 2**(k+1)."""
     k = x.numerator.bit_length() - x.denominator.bit_length()
-    return k if x >= Fraction(2) ** k else k - 1
+    return k if _at_most(1 << max(k, 0), 1 << max(-k, 0), x) else k - 1
 
 
 def _cos_of_reduced(r: Reduced, bits: int) -> tuple[int, int, bool]:
     """``cos2pi_fixed``'s (lo, hi, exact) at the reduced argument."""
-    if isinstance(r, ReducedSmall) and not r.fits():
-        # x <= v: cos(2*pi*x) lies in [cos(2*pi*v), 1]; the kernel reads v only
-        # via ceil(2*pi*2**bits * v), which is 1 for all v <= 2**-(bits+3)
-        v = r.dyadic_upper(-(bits + 3))
-        if v > Fraction(1, 2):
-            raise TailNotCertified(
-                "unexpanded argument too large to bound the cosine near 1")
-        return cos2pi_fixed(v.numerator, v.denominator, bits)[0], 1 << bits, False
-    v = r.frac if isinstance(r, ReducedExact) else r.as_fraction()
-    return cos2pi_fixed(v.numerator, v.denominator, bits)
+    if isinstance(r, ReducedExact):
+        return cos2pi_fixed(r.frac.numerator, r.frac.denominator, bits)
+    if r.fits():
+        return cos2pi_fixed(*r.ratio(), bits)
+    # x <= v: cos(2*pi*x) lies in [cos(2*pi*v), 1]; the kernel reads v only
+    # via ceil(2*pi*2**bits * v), which is 1 for all v <= 2**-(bits+3)
+    n, q = r.dyadic_upper(-(bits + 3))
+    if 2 * n > q:
+        raise TailNotCertified(
+            "unexpanded argument too large to bound the cosine near 1")
+    return cos2pi_fixed(n, q, bits)[0], 1 << bits, False
 
 
 def _factor_product(factors: Iterable[Reduced], bits: int) -> IntervalValue:
@@ -266,10 +273,10 @@ def _structural_decay(seq: CoefficientSequence, t: ArgumentSpec) -> bool:
     return t.base == seq.base or _materializable(t.base, t.exponent)
 
 
-def _tail_term_bound(r: Reduced, floor_exp: int) -> tuple[Fraction, bool, bool]:
-    """Distance-to-integer bound d for a factor reduced to r.
+def _tail_term_bound(r: Reduced, floor_exp: int) -> tuple[int, int, bool, bool]:
+    """Distance-to-integer bound d = n/q, n and q integers, for a factor r.
 
-    Returns (d, is_value, unexpanded).  ``is_value`` marks bounds on the
+    Returns (n, q, is_value, unexpanded).  ``is_value`` marks bounds on the
     argument *value* itself (not merely its distance to the nearest
     integer); only those license the geometric remainder estimate, because
     |c_{k+j} * t| = |c_k * t| / base**(...) holds for values, not for
@@ -277,20 +284,27 @@ def _tail_term_bound(r: Reduced, floor_exp: int) -> tuple[Fraction, bool, bool]:
     of two clamped to [2**floor_exp, 1] when it does not fit.
     """
     if isinstance(r, ReducedSmall):
-        return (r.as_fraction() if r.fits() else r.dyadic_upper(floor_exp),
+        return (*(r.ratio() if r.fits() else r.dyadic_upper(floor_exp)),
                 True, True)
-    d = min(r.frac, 1 - r.frac)
-    return d, r.is_value and r.frac == d, False
+    p, q = r.frac.as_integer_ratio()
+    return min(p, q - p), q, r.is_value and 2 * p <= q, False
 
 
 def tail_bound(seq: CoefficientSequence, cutoff: int, t,
                bits: Optional[int] = None) -> IntervalValue:
     """Certified enclosure of prod_{k > cutoff} cos(2*pi*c_k*t).
 
-    Every tail argument must reduce below the certified quadratic-bound
-    threshold omega; then log prod >= sum log(1 - 49*x_k**2), accumulated
-    with directed rounding, and the upper bound is 1.  Raises
-    TailNotCertified when the arguments are not eventually small.
+    Every tail argument must reduce to a distance d_k <= omega = 1/8 from
+    the integers; there cos(2*pi*d_k) >= 1 - y_k, y_k = 49*d_k**2 (certified
+    by ``intervals``), and 1 - y_k >= 15/64 > 0.  The lower end is an
+    integer at scale 2**bits, times 2**bits - ceil(y_k * 2**bits) per term,
+    floored; ceilings and floors only lower it.  A value-form term k with
+    d_k <= omega/2 and y_k <= y_close closes the tail: the values beyond
+    shrink by >= 1/base per step, so sum_{j>=k} y_j <= y_k * geom, geom =
+    base**2/(base**2 - 1), and as each y_j lies in [0, 1], prod (1 - y_j)
+    >= 1 - sum y_j (Weierstrass), so one factor 1 - y_k * geom > 0 stands
+    for them all.  The upper bound is 1.  Raises TailNotCertified when the
+    arguments are not eventually small.
     """
     bits = bits or precision_bits()
     t = as_argument(t)
@@ -307,50 +321,34 @@ def tail_bound(seq: CoefficientSequence, cutoff: int, t,
             "tail decay is only certified for the structured families")
 
     omega = quadratic_cos_threshold()
-    base = seq.base
-    log_lo = Fraction(0)
-    ulp = Fraction(1, 1 << bits)
+    bb = seq.base * seq.base
     y_close = min(Fraction(1, 1 << (bits // 2)), TAIL_WIDTH_TARGET / 16)
-    geom = Fraction(base * base, base * base - 1)
     # every value <= 2**floor_exp closes the tail below, deficit under ulp
     floor_exp = min(_log2_floor(omega / 2),
                     _log2_floor(y_close / QUADRATIC_COS_COEFF) // 2,
-                    _log2_floor(ulp / (QUADRATIC_COS_COEFF * geom)) // 2)
-    slack_terms = 0
-    k = cutoff
+                    _log2_floor(Fraction(bb - 1, QUADRATIC_COS_COEFF * bb
+                                         << bits)) // 2)
+    one = lo = 1 << bits
     guard = 64 + bits // 2
-    while True:
-        k += 1
-        if k - cutoff > guard:
-            raise TailNotCertified(
-                f"tail arguments after index {cutoff} do not certifiably "
-                f"decay within {guard} consecutive factors")
-        d, is_value, unexpanded = _tail_term_bound(arg_reduce(seq.term(k), t),
-                                                   floor_exp)
-        if unexpanded and d > omega / 2:
+    for k in range(cutoff + 1, cutoff + guard + 1):
+        n, q, is_value, unexpanded = _tail_term_bound(
+            arg_reduce(seq.term(k), t), floor_exp)
+        if unexpanded and not _at_most(2 * n, q, omega):
             raise TailNotCertified(
                 f"cannot certify factor {k} below threshold {omega}/2")
-        if d > omega:
-            raise TailNotCertified(
-                f"factor {k} reduces to {d}, above threshold {omega}")
-        if d != 0:
-            y = QUADRATIC_COS_COEFF * d * d
-            if is_value and d <= omega / 2 and y <= y_close:
-                # close: values beyond k shrink by >= 1/base per step, so
-                # the remaining quadratic deficits sum below y * geom
-                total = y * geom
-                if total > ulp:
-                    log_lo -= 2 * total
-                slack_terms += 2
-                break
-            if y <= ulp:
-                log_lo -= 2 * y        # log(1-y) >= -2y for 0 <= y <= 1/2
-            else:
-                log_lo += log1m(y, bits).lo
-    log_lo -= Fraction(4 * (slack_terms + 4), 1 << bits)
-
-    lo = exp_neg(-log_lo, bits).lo
-    return IntervalValue(min(lo, Fraction(1)), Fraction(1))
+        if not _at_most(n, q, omega):
+            raise TailNotCertified(f"factor {k} reduces to {Fraction(n, q)}, "
+                                   f"above threshold {omega}")
+        y_n, y_d = QUADRATIC_COS_COEFF * n * n, q * q
+        # factors 2**bits - ceil(y * 2**bits); the last has y = y_k * geom
+        if (is_value and _at_most(2 * n, q, omega)
+                and _at_most(y_n, y_d, y_close)):
+            lo = lo * (one + (-y_n * bb << bits) // (y_d * (bb - 1))) >> bits
+            return IntervalValue(Fraction(lo, one), Fraction(1))
+        lo = lo * (one + (-y_n << bits) // y_d) >> bits
+    raise TailNotCertified(
+        f"tail arguments after index {cutoff} do not certifiably "
+        f"decay within {guard} consecutive factors")
 
 
 def choose_cutoff(seq: CoefficientSequence, t) -> int:
@@ -377,11 +375,11 @@ def _cutoff_reductions(seq: CoefficientSequence, t: ArgumentSpec) -> list:
     small, head = False, []
     for k in range(1, TAIL_CUTOFF_CAP + 1):
         head.append(arg_reduce(seq.term(k), t))
-        d, is_value, _ = _tail_term_bound(head[-1], floor_exp)
-        small = d <= omega
+        n, q, is_value, _ = _tail_term_bound(head[-1], floor_exp)
+        small = _at_most(n, q, omega)
         # conclude only from value-form terms: those certify the decay of
         # everything beyond; estimated remaining width ~ 200 * (d/base)^2
-        if small and is_value and 200 * d * d <= target:
+        if small and is_value and _at_most(200 * n * n, q * q, target):
             return head
     if not small:
         raise TailNotCertified(f"no certified tail start within the first "

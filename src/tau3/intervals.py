@@ -14,8 +14,9 @@ There is one cosine kernel, ``cos2pi_fixed``, whose ends are integers at
 scale 2**bits, and one product of such enclosures, ``product_fixed``;
 ``cos2pi`` and ``cos2pi_interval`` convert the kernel's output to
 ``Fraction`` endpoints.  Callers that stay on the integer grid use them
-directly: the window scan in ``topology`` and the factor products of the
-two-point part in ``fourier``.
+directly: the window scan in ``topology`` and the two-point products of
+``fourier``, tail included.  ``log1m`` and ``exp_neg`` serve no transform;
+the benchmark tracer and the tests' log-space reference tail use them.
 
 Soundness contract: the true value always lies inside the returned interval.
 ``log1m`` and ``exp_neg`` run floored and ceiled series chains with one ulp of

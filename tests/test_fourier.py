@@ -104,12 +104,13 @@ class TestHugeExponents:
     @pytest.mark.parametrize("bits", (128, 256, 384))
     def test_enclosures_as_recorded(self, n, bits):
         # [-1/2, -1/2 + 2**-(bits-4)] was recorded when the tail bound still
-        # built 2**e in full, under the four-chain cosine kernel; the
-        # one-chain kernel's enclosure lies inside it
+        # built 2**e in full, under the four-chain cosine kernel, and
+        # [-1/2, -1/2 + 15 * 2**-bits] under the log-space tail; the
+        # fixed-point tail product's enclosure lies inside both
         iv = self.evaluate(n, bits)
-        assert F(-1, 2) <= iv.lo <= iv.hi <= F(-1, 2) + F(1, 1 << (bits - 4))
+        assert F(-1, 2) <= iv.lo <= iv.hi <= F(-1, 2) + F(15, 1 << bits)
         assert (iv.lo, iv.hi, iv.exact) == (
-            F(-1, 2), F(-1, 2) + F(15, 1 << bits), False)
+            F(-1, 2), F(-1, 2) + F(2, 1 << bits), False)
 
     @pytest.mark.parametrize("n", range(10, 21))
     def test_memory_does_not_grow_with_the_exponent(self, n):

@@ -6,15 +6,19 @@ shared) in a scratch directory holding copies of ``golden/specs``, with
 code, stdout and the ``--out`` file against ``golden/expected``.
 
 To rebuild the expected files after a deliberate change of a report, run
-``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff.  It
+refuses to write anything when a changed line widens a ``value`` interval
+beyond the old one or makes a gap smaller (see ``loosened_lines``).
 """
 
 import io
 import os
+import re
 import shutil
 import sys
 import tempfile
 from contextlib import redirect_stdout
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -82,17 +86,67 @@ def test_golden(name, tmp_path, monkeypatch):
     assert report == (EXPECTED / f"{name}.out").read_bytes()
 
 
+#: "value: [lo, hi]" and "value=[lo, hi]" enclosures, "gap: g" and "gap=g"
+VALUE = re.compile(r"value[:=] ?\[([-\d/]+), ([-\d/]+)\]")
+GAP = re.compile(r"gap[:=] ?([-\d/]+)")
+
+
+def loosened_lines(name: str, old: str, new: str) -> list[str]:
+    """'name:line: ...' for each line of ``new`` that differs from the line
+    of ``old`` at the same place and has a ``value`` interval not inside the
+    old one, or a gap smaller than the old one."""
+    problems = []
+    for i, (a, b) in enumerate(zip(old.splitlines(), new.splitlines()), 1):
+        if a == b:
+            continue
+        for (a_lo, a_hi), (b_lo, b_hi) in zip(VALUE.findall(a),
+                                              VALUE.findall(b)):
+            if not F(a_lo) <= F(b_lo) <= F(b_hi) <= F(a_hi):
+                problems.append(f"{name}:{i}: value [{b_lo}, {b_hi}] is not "
+                                f"inside [{a_lo}, {a_hi}]")
+        for a_gap, b_gap in zip(GAP.findall(a), GAP.findall(b)):
+            if F(b_gap) < F(a_gap):
+                problems.append(f"{name}:{i}: gap {b_gap} is smaller than "
+                                f"{a_gap}")
+    return problems
+
+
+def test_regeneration_refuses_a_widened_value_or_a_smaller_gap():
+    old = "status: evaluated\nvalue: [1/4, 3/4] ~[0.25, 0.75]\ngap: 1/2 ~0.5\n"
+    inside = old.replace("[1/4, 3/4]", "[1/3, 2/3]")
+    assert loosened_lines("x.out", old, inside) == []
+    assert loosened_lines("x.out", old, inside.replace("1/3", "1/5")) == [
+        "x.out:2: value [1/5, 2/3] is not inside [1/4, 3/4]"]
+    per_n = "  n=3 t=3^3! value=[-1/2, 1/2] ~[-0.5, 0.5]"
+    assert loosened_lines("y.out", per_n, per_n.replace("1/2]", "3/4]")) == [
+        "y.out:1: value [-1/2, 3/4] is not inside [-1/2, 1/2]"]
+    smaller = old.replace("gap: 1/2", "gap: 1/3")
+    larger = old.replace("gap: 1/2", "gap: 2/3")
+    assert loosened_lines("x.out", old, smaller) == [
+        "x.out:3: gap 1/3 is smaller than 1/2"]
+    assert loosened_lines("x.out", old, larger) == []
+
+
 def regenerate() -> None:
     os.environ["TAU3_PRECISION"] = PRECISION
     EXPECTED.mkdir(exist_ok=True)
+    outputs, problems = {}, []
     for name, (argv, expected_code) in sorted(CASES.items()):
         with tempfile.TemporaryDirectory() as tmp:
             code, stdout, report = run_case(argv, Path(tmp))
         if code != expected_code:
             sys.exit(f"{name}: exit code {code}, expected {expected_code}")
-        (EXPECTED / f"{name}.stdout").write_bytes(stdout)
-        (EXPECTED / f"{name}.out").write_bytes(report)
-        print(f"wrote {name}")
+        for path, data in ((EXPECTED / f"{name}.stdout", stdout),
+                           (EXPECTED / f"{name}.out", report)):
+            outputs[path] = data
+            if path.exists():
+                problems += loosened_lines(path.name, path.read_text(),
+                                           data.decode())
+    if problems:
+        sys.exit("refusing to write:\n" + "\n".join(problems))
+    for path, data in outputs.items():
+        path.write_bytes(data)
+        print(f"wrote {path.name}")
 
 
 if __name__ == "__main__":

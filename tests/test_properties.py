@@ -1,7 +1,8 @@
-"""Property tests: the cosine kernel, atomic convolution, the transform,
-``normalize``, the integer-lattice expansions behind the grid oracle and
-the laws of the measure-class algebra, checked on generated inputs against
-mpmath, against naive ``Fraction`` references and against each other."""
+"""Property tests: the cosine kernel, atomic convolution, the transform
+and its tail, ``normalize``, the integer-lattice expansions behind the grid
+oracle and the laws of the measure-class algebra, checked on generated
+inputs against mpmath, against naive ``Fraction`` references (the log-space
+tail among them) and against each other."""
 
 import math
 import os
@@ -18,12 +19,16 @@ from tau3.class_algebra import (LEBESGUE_CLASS, ClassExpr, RelationKind,
                                 SingularTag, Support, convolve, relation,
                                 series_class)
 from tau3.errors import (BudgetExceeded, SnapError, SymmetryViolation,
-                         TailNotCertified)
-from tau3.fourier import (ReducedExact, ScaledPower, _factor_product,
-                          arg_reduce, atom_part, ft_point)
+                         TailNotCertified, UnsupportedArgument)
+from tau3.fourier import (TAIL_CUTOFF_CAP, TAIL_WIDTH_TARGET, ReducedExact,
+                          ReducedSmall, ScaledPower, _factor_product,
+                          _structural_decay, arg_reduce, atom_part,
+                          choose_cutoff, ft_point, tail_bound)
 from tau3.intervals import (_EXACT_COS_TWELFTHS, PRECISION_PROFILES,
-                            IntervalValue, _cos_series, _two_pi_bounds,
-                            cos2pi, cos2pi_fixed, cos2pi_interval)
+                            QUADRATIC_COS_COEFF, IntervalValue, _cos_series,
+                            _two_pi_bounds, cos2pi, cos2pi_fixed,
+                            cos2pi_interval, exp_neg, log1m,
+                            quadratic_cos_threshold)
 from tau3.measures import (CoefficientSequence, MeasureExpr,
                            bernoulli_partial, convolve_atoms, normalize,
                            plan_mass, scale_measure)
@@ -457,9 +462,9 @@ def fraction_head(seq, n, t, bits):
         if isinstance(r, ReducedExact):
             factor = cos2pi(r.frac, bits)
         elif r.fits():
-            factor = cos2pi(r.as_fraction(), bits)
+            factor = cos2pi(r.mantissa / F(r.base) ** r.neg_exp, bits)
         else:
-            v = r.dyadic_upper(-(bits + 3))
+            v = F(2) ** max(-(bits + 3), min(r.upper_exp, 0))
             assert v <= F(1, 2)
             factor = IntervalValue(cos2pi(v, bits).lo, F(1))
         out = (out * factor).clamp(-1, 1)
@@ -508,6 +513,183 @@ def test_head_product_with_an_unexpanded_factor(bits):
     assert not arg_reduce(seq.term(8), t).fits()
     assert (_factor_product(head_reductions(seq, 8, t), bits)
             == fraction_head(seq, 8, t, bits))
+
+
+def fraction_log2_floor(x: Fraction) -> int:
+    k = x.numerator.bit_length() - x.denominator.bit_length()
+    return k if x >= F(2) ** k else k - 1
+
+
+def fraction_term_bound(r, floor_exp):
+    """(d, is_value, unexpanded) for a reduced factor, d a ``Fraction``."""
+    if isinstance(r, ReducedSmall):
+        if r.fits():
+            return r.mantissa / F(r.base) ** r.neg_exp, True, True
+        return F(2) ** max(floor_exp, min(r.upper_exp, 0)), True, True
+    d = min(r.frac, 1 - r.frac)
+    return d, r.is_value and r.frac == d, False
+
+
+def fraction_cutoff(seq, t) -> int:
+    """``choose_cutoff`` for the infinite kinds at t != 0, deciding with
+    ``Fraction`` comparisons."""
+    omega = quadratic_cos_threshold()
+    target = TAIL_WIDTH_TARGET * seq.base * seq.base
+    floor_exp = min(fraction_log2_floor(omega),
+                    fraction_log2_floor(target / 200) // 2)
+    small = False
+    for k in range(1, TAIL_CUTOFF_CAP + 1):
+        d, is_value, _ = fraction_term_bound(arg_reduce(seq.term(k), t),
+                                             floor_exp)
+        small = d <= omega
+        if small and is_value and 200 * d * d <= target:
+            return k
+    if not small:
+        raise TailNotCertified(f"no certified tail start within the first "
+                               f"{TAIL_CUTOFF_CAP} factors")
+    return TAIL_CUTOFF_CAP
+
+
+def log_space_tail(seq, cutoff, t, bits) -> IntervalValue:
+    """``tail_bound`` for the infinite kinds at t != 0 as a sum of
+    ``log1m`` enclosures in ``Fraction``s, closed with ``exp_neg`` and a
+    slack of 4 ulps per rounded step."""
+    if not _structural_decay(seq, t):
+        raise TailNotCertified(
+            "tail decay is only certified for the structured families")
+    omega = quadratic_cos_threshold()
+    base = seq.base
+    log_lo = F(0)
+    ulp = F(1, 1 << bits)
+    y_close = min(F(1, 1 << (bits // 2)), TAIL_WIDTH_TARGET / 16)
+    geom = F(base * base, base * base - 1)
+    floor_exp = min(fraction_log2_floor(omega / 2),
+                    fraction_log2_floor(y_close / QUADRATIC_COS_COEFF) // 2,
+                    fraction_log2_floor(ulp / (QUADRATIC_COS_COEFF * geom))
+                    // 2)
+    slack_terms = 0
+    k = cutoff
+    guard = 64 + bits // 2
+    while True:
+        k += 1
+        if k - cutoff > guard:
+            raise TailNotCertified(
+                f"tail arguments after index {cutoff} do not certifiably "
+                f"decay within {guard} consecutive factors")
+        d, is_value, unexpanded = fraction_term_bound(
+            arg_reduce(seq.term(k), t), floor_exp)
+        if unexpanded and d > omega / 2:
+            raise TailNotCertified(
+                f"cannot certify factor {k} below threshold {omega}/2")
+        if d > omega:
+            raise TailNotCertified(
+                f"factor {k} reduces to {d}, above threshold {omega}")
+        if d != 0:
+            y = QUADRATIC_COS_COEFF * d * d
+            if is_value and d <= omega / 2 and y <= y_close:
+                total = y * geom
+                if total > ulp:
+                    log_lo -= 2 * total
+                slack_terms += 2
+                break
+            if y <= ulp:
+                log_lo -= 2 * y        # log(1-y) >= -2y for 0 <= y <= 1/2
+            else:
+                log_lo += log1m(y, bits).lo
+    log_lo -= F(4 * (slack_terms + 4), 1 << bits)
+    return IntervalValue(min(exp_neg(-log_lo, bits).lo, F(1)), F(1))
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the refusal it raised."""
+    try:
+        return f(*args)
+    except (TailNotCertified, UnsupportedArgument) as exc:
+        return type(exc), str(exc)
+
+
+tail_sequences = st.builds(
+    CoefficientSequence, st.sampled_from(("geometric", "factorial")),
+    st.integers(2, 7), st.sampled_from((F(1), F(1, 3), F(5, 2))))
+scaled_powers = st.builds(
+    ScaledPower, st.builds(F, st.integers(1, 30), st.integers(1, 9)),
+    st.integers(2, 7),
+    st.one_of(st.integers(0, 80),
+              st.sampled_from([math.factorial(n) for n in range(3, 10)])))
+tail_arguments = st.one_of(
+    st.builds(F, st.integers(1, 10 ** 6), st.integers(1, 1000)),
+    scaled_powers)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(tail_sequences, tail_arguments, st.integers(0, 12),
+       st.integers(64, 512))
+def test_tail_product_lies_inside_the_log_space_tail(seq, t, cutoff, bits):
+    new = outcome(tail_bound, seq, cutoff, t, bits)
+    old = outcome(log_space_tail, seq, cutoff, t, bits)
+    if isinstance(old, IntervalValue):
+        assert isinstance(new, IntervalValue)
+        assert old.lo <= new.lo <= new.hi == old.hi == 1
+    else:
+        assert new == old
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(tail_sequences, tail_arguments)
+def test_choose_cutoff_equals_the_fraction_decisions(seq, t):
+    assert outcome(choose_cutoff, seq, t) == outcome(fraction_cutoff, seq, t)
+
+
+def true_tail_lower(seq, cutoff, value_at, bits):
+    """mpmath lower bound on prod_{k > cutoff} cos(2*pi*v_k), v_k =
+    value_at(k) exact: factors up to the first v_k < 2**-(bits+64), then
+    1 - 2*pi**2 * sum v_j**2 for the rest, whose values shrink by >= base."""
+    with mp.workprec(2 * bits + 160):
+        prod = mp.mpf(1)
+        k = cutoff + 1
+        while True:
+            v = value_at(k)
+            if v < F(1, 1 << (bits + 64)):
+                break
+            prod *= mp.cos(2 * mp.pi * mp_value(v % 1))
+            k += 1
+        rest = 20 * mp_value(v) ** 2 * seq.base ** 2 / (seq.base ** 2 - 1)
+        return prod * (1 - rest) - mp.mpf(2) ** -(2 * bits + 100)
+
+
+@st.composite
+def tails_with_exact_values(draw):
+    """(seq, t, value_at): geometric sequences at rational t, factorial ones
+    at materializable powers of their own base."""
+    seq = draw(tail_sequences)
+    if seq.kind == "geometric":
+        t = draw(st.builds(F, st.integers(1, 10 ** 6), st.integers(1, 1000)))
+        return seq, t, lambda k: seq.c(k) * t
+    b, s = seq.base, draw(st.builds(F, st.integers(1, 30), st.integers(1, 9)))
+    e = draw(st.one_of(st.integers(0, 80), st.sampled_from(
+        [math.factorial(n) for n in range(3, 8)])))
+
+    def value_at(k):
+        # past 2**-600, return that upper bound instead of b**(e - k!)
+        d, m = math.factorial(k) - e, seq.scale * s
+        if d * (b.bit_length() - 1) > m.numerator.bit_length() + 600:
+            return F(1, 1 << 600)
+        return m * F(b) ** -d
+
+    return seq, ScaledPower(s, b, e), value_at
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(tails_with_exact_values(), st.integers(0, 12),
+       st.sampled_from((64, 128, 256)))
+def test_tail_product_lies_below_the_true_tail(case, cutoff, bits):
+    seq, t, value_at = case
+    try:
+        tb = tail_bound(seq, cutoff, t, bits)
+    except TailNotCertified:
+        return
+    with mp.workprec(2 * bits + 160):
+        assert mp_value(tb.lo) <= true_tail_lower(seq, cutoff, value_at, bits)
 
 
 @PROPERTY_SETTINGS
