@@ -8,7 +8,9 @@ For a symmetric probability measure the transform is real:
 The interesting arguments have the shape t = lam * base**e with e as large
 as 720! worth of digits, so arguments are reduced without ever materializing
 the huge powers: fractional parts come from modular exponentiation, and
-magnitudes of tiny products are kept in mantissa/exponent form.
+magnitudes of tiny products are kept in mantissa/exponent form.  Every
+reduction is integer-only: |scale * t| is folded into one integer pair per
+call, and each factor costs at most one ``pow(base, d, q)``.
 
 Infinite products are split into an exactly evaluated head and a certified
 tail.  The head, and all of a finite product, is one integer factor loop
@@ -16,18 +18,24 @@ on ``intervals.product_fixed``, fed the reductions of ``choose_cutoff``'s
 pass, so each c_k * t is reduced once per call.  An infinite tail uses
 cos(2*pi*x) >= 1 - 49*x**2 (certified on [0, omega] by ``intervals``) in
 one floored integer product at scale 2**bits; its upper bound is 1.
+``ft_point`` adds the atom sum and head times tail as integers over one
+denominator, and clamps and rounds once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from functools import cache
+from itertools import count, islice
+from math import lcm
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import (NotPointwiseEvaluable, TailNotCertified,
                      UnsupportedArgument)
-from .intervals import (QUADRATIC_COS_COEFF, IntervalValue, cos2pi_fixed,
-                        precision_bits, product_fixed, quadratic_cos_threshold)
+from .intervals import (QUADRATIC_COS_COEFF, IntervalValue, Rational,
+                        cos2pi_fixed, precision_bits, product_fixed,
+                        quadratic_cos_threshold)
 from .measures import (EXPLICIT, FACTORIAL, GEOMETRIC, CoeffTerm,
                        CoefficientSequence, MeasureExpr, atom_plan, normalize,
                        plan_mass)
@@ -85,43 +93,45 @@ def as_argument(t) -> ArgumentSpec:
 
 @dataclass(frozen=True)
 class ReducedExact:
-    """Fractional part of |c*t|, exactly.
+    """Fractional part of |c*t|, exactly: num/den, 0 <= num < den, integers
+    not necessarily in lowest terms.
 
     ``is_value`` is set when the product itself lies in [0, 1), i.e. the
     fractional part is the whole value; magnitude-decay arguments are only
     valid in that case.
     """
 
-    frac: Fraction
+    num: int
+    den: int
     is_value: bool = False
 
 
 @dataclass(frozen=True)
 class ReducedSmall:
-    """|c*t| = mantissa * base**(-neg_exp), held unexpanded.
+    """|c*t| = num/den * base**(-neg_exp), held unexpanded; num/den is the
+    mantissa in lowest terms.
 
     The represented value is exact, but the denominator is too large to be
     worth constructing; only magnitude bounds are ever taken from it.
     """
 
-    mantissa: Fraction
+    num: int
+    den: int
     base: int
     neg_exp: int
 
     def fits(self) -> bool:
         return (self.neg_exp * self.base.bit_length()
-                + self.mantissa.denominator.bit_length() <= MATERIALIZE_BITS)
+                + self.den.bit_length() <= MATERIALIZE_BITS)
 
     def ratio(self) -> tuple[int, int]:
         """Integers (n, q) with n/q the value, for a reduction that fits."""
-        m = self.mantissa
-        return m.numerator, m.denominator * self.base ** self.neg_exp
+        return self.num, self.den * self.base ** self.neg_exp
 
     @property
     def upper_exp(self) -> int:
         """An integer e with 2**e certainly >= the represented value."""
-        m = self.mantissa
-        m_log2_hi = m.numerator.bit_length() - m.denominator.bit_length() + 1
+        m_log2_hi = self.num.bit_length() - self.den.bit_length() + 1
         lg = _log2_lower(self.base)
         return ((m_log2_hi * lg.denominator - self.neg_exp * lg.numerator)
                 // lg.denominator + 1)
@@ -134,34 +144,55 @@ class ReducedSmall:
 
 Reduced = Union[ReducedExact, ReducedSmall]
 
-_LOG2_LOWER_CACHE: dict[int, Fraction] = {}
 
-
+@cache
 def _log2_lower(base: int) -> Fraction:
     """Rational lower bound on log2(base), certified by integer comparison."""
-    cached = _LOG2_LOWER_CACHE.get(base)
-    if cached is not None:
-        return cached
     if base & (base - 1) == 0:
-        out = Fraction(base.bit_length() - 1)
-    else:
-        # best p/48: log2(base) >= p/48 iff base**48 >= 2**p
-        b48 = base ** 48
-        p = b48.bit_length() - 1
-        assert b48 >= 1 << p
-        out = Fraction(p, 48)
-    _LOG2_LOWER_CACHE[base] = out
-    return out
+        return Fraction(base.bit_length() - 1)
+    # best p/48: log2(base) >= p/48 iff base**48 >= 2**p
+    b48 = base ** 48
+    p = b48.bit_length() - 1
+    assert b48 >= 1 << p
+    return Fraction(p, 48)
 
 
 def _materializable(base: int, exponent: int) -> bool:
     return exponent * base.bit_length() <= MATERIALIZE_BITS
 
 
-def _frac_power(m: Fraction, base: int, exponent: int) -> Fraction:
-    """Fractional part of m * base**exponent via modular exponentiation."""
-    p, q = m.numerator, m.denominator
-    return Fraction((p * pow(base, exponent, q)) % q, q)
+def _fold(c: Rational, t: ArgumentSpec) -> tuple[int, int, int, int]:
+    """(p, q, b, e) with |c * t| = p/q * b**e, p/q in lowest terms; b = 1 and
+    e = 0 for a rational t."""
+    if isinstance(t, ExactRational):
+        return (*abs(c * t.value).as_integer_ratio(), 1, 0)
+    return (*(c * t.scale).as_integer_ratio(), t.base, t.exponent)
+
+
+def _reduce(fold: tuple[int, int, int, int], c_base: Optional[int],
+            c_exp: int) -> Reduced:
+    """Reduce p/q * b**e * c_base**(-c_exp) modulo 1, (p, q, b, e) = fold.
+
+    The one reduction of every factor; ``c_base`` is None for a plain
+    rational coefficient (then c_exp = 0).
+    """
+    p, q, b, e = fold
+    if c_exp == 0 or c_base == b:
+        d = e - c_exp
+        if d < 0:
+            # negative combined exponent: never build the huge denominator
+            # here; consumers materialize via fits() when worth having
+            return ReducedSmall(p, q, c_base, -d)
+    elif _materializable(c_base, c_exp):
+        q, d = q * c_base ** c_exp, e
+    elif b == 1:
+        return ReducedSmall(p, q, c_base, c_exp)
+    else:
+        raise UnsupportedArgument(
+            f"no common rational form for base {c_base} coefficient against "
+            f"base {b} argument")
+    # the fractional part of p * b**d / q, where pow reduces b**d mod q
+    return ReducedExact(p * pow(b, d, q) % q, q, d == 0 and p < q)
 
 
 def arg_reduce(c, t: ArgumentSpec) -> Reduced:
@@ -174,39 +205,23 @@ def arg_reduce(c, t: ArgumentSpec) -> Reduced:
     """
     if not isinstance(c, CoeffTerm):
         c = CoeffTerm(Fraction(c))
-    t = as_argument(t)
-    if isinstance(t, ExactRational):
-        m = c.mantissa * abs(t.value)
-        if c.base is None or c.neg_exp == 0:
-            return ReducedExact(m % 1, is_value=m < 1)
-        if _materializable(c.base, c.neg_exp):
-            v = m / Fraction(c.base) ** c.neg_exp
-            return ReducedExact(v % 1, is_value=v < 1)
-        return ReducedSmall(m, c.base, c.neg_exp)
+    return _reduce(_fold(c.mantissa, as_argument(t)), c.base, c.neg_exp)
 
-    m = c.mantissa * t.scale
-    if c.base is None or c.neg_exp == 0:
-        # plain rational coefficient against a power argument
-        if t.exponent == 0:
-            return ReducedExact(m % 1, is_value=m < 1)
-        return ReducedExact(_frac_power(m, t.base, t.exponent))
-    if c.base == t.base:
-        d = t.exponent - c.neg_exp
-        if d == 0:
-            return ReducedExact(m % 1, is_value=m < 1)
-        if d > 0:
-            return ReducedExact(_frac_power(m, t.base, d))
-        # negative combined exponent: never build the huge denominator here;
-        # consumers materialize via fits() when the value is worth having
-        return ReducedSmall(m, c.base, -d)
-    if _materializable(c.base, c.neg_exp):
-        folded = m / Fraction(c.base) ** c.neg_exp
-        if t.exponent == 0:
-            return ReducedExact(folded % 1, is_value=folded < 1)
-        return ReducedExact(_frac_power(folded, t.base, t.exponent))
-    raise UnsupportedArgument(
-        f"no common rational form for base {c.base} coefficient against "
-        f"base {t.base} argument")
+
+def _reductions(seq: CoefficientSequence, t: ArgumentSpec,
+                start: int) -> Iterator[Reduced]:
+    """``_reduce`` of c_k * t for k = start, start + 1, ... (to the end of an
+    explicit list), with |scale * t| folded once."""
+    if start < 1:
+        raise ValueError("coefficient index starts at 1")
+    fold = _fold(seq.scale, t)
+    if seq.kind == EXPLICIT:
+        p, q, b, e = fold
+        for v in seq.values[start - 1:]:
+            yield _reduce((p * v.numerator, q * v.denominator, b, e), None, 0)
+    else:
+        for k in count(start):
+            yield _reduce(fold, seq.base, seq.exponent(k))
 
 
 def _at_most(n: int, q: int, x: Fraction) -> bool:
@@ -223,7 +238,7 @@ def _log2_floor(x: Fraction) -> int:
 def _cos_of_reduced(r: Reduced, bits: int) -> tuple[int, int, bool]:
     """``cos2pi_fixed``'s (lo, hi, exact) at the reduced argument."""
     if isinstance(r, ReducedExact):
-        return cos2pi_fixed(r.frac.numerator, r.frac.denominator, bits)
+        return cos2pi_fixed(r.num, r.den, bits)
     if r.fits():
         return cos2pi_fixed(*r.ratio(), bits)
     # x <= v: cos(2*pi*x) lies in [cos(2*pi*v), 1]; the kernel reads v only
@@ -235,12 +250,14 @@ def _cos_of_reduced(r: Reduced, bits: int) -> tuple[int, int, bool]:
     return cos2pi_fixed(n, q, bits)[0], 1 << bits, False
 
 
-def _factor_product(factors: Iterable[Reduced], bits: int) -> IntervalValue:
-    """Enclosure of the product of cos(2*pi*r) over the reductions r.
+def _factor_product(factors: Iterable[Reduced],
+                    bits: int) -> tuple[int, int, int, bool]:
+    """(lo, hi, s, exact): the product of cos(2*pi*r) over the reductions r
+    lies in [lo/2**s, hi/2**s].
 
-    Integer ends at scale 2**s: while every factor is exact, s grows by
-    ``bits`` per factor, so (-1/2)**j stays exact for any j; after that
-    each product is floored and ceiled back onto 2**-bits.
+    While every factor is exact, s grows by ``bits`` per factor, so
+    (-1/2)**j stays exact for any j; after that each product is floored and
+    ceiled back onto 2**-bits.
     """
     lo, hi, s, exact = 1, 1, 0, True
     for r in factors:
@@ -251,7 +268,7 @@ def _factor_product(factors: Iterable[Reduced], bits: int) -> IntervalValue:
             s += bits
         else:
             lo, hi, s = lo >> s, -(-hi >> s), bits
-    return IntervalValue(Fraction(lo, 1 << s), Fraction(hi, 1 << s), exact)
+    return lo, hi, s, exact
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +303,7 @@ def _tail_term_bound(r: Reduced, floor_exp: int) -> tuple[int, int, bool, bool]:
     if isinstance(r, ReducedSmall):
         return (*(r.ratio() if r.fits() else r.dyadic_upper(floor_exp)),
                 True, True)
-    p, q = r.frac.as_integer_ratio()
+    p, q = r.num, r.den
     return min(p, q - p), q, r.is_value and 2 * p <= q, False
 
 
@@ -313,8 +330,9 @@ def tail_bound(seq: CoefficientSequence, cutoff: int, t,
 
     if seq.kind == EXPLICIT:
         # finite product: evaluate the remaining factors directly
-        return _factor_product((arg_reduce(seq.term(k), t) for k in
-                                range(cutoff + 1, len(seq.values) + 1)), bits)
+        lo, hi, s, exact = _factor_product(_reductions(seq, t, cutoff + 1),
+                                           bits)
+        return IntervalValue(Fraction(lo, 1 << s), Fraction(hi, 1 << s), exact)
 
     if not _structural_decay(seq, t):
         raise TailNotCertified(
@@ -330,9 +348,9 @@ def tail_bound(seq: CoefficientSequence, cutoff: int, t,
                                          << bits)) // 2)
     one = lo = 1 << bits
     guard = 64 + bits // 2
-    for k in range(cutoff + 1, cutoff + guard + 1):
-        n, q, is_value, unexpanded = _tail_term_bound(
-            arg_reduce(seq.term(k), t), floor_exp)
+    for k, r in zip(range(cutoff + 1, cutoff + guard + 1),
+                    _reductions(seq, t, cutoff + 1)):
+        n, q, is_value, unexpanded = _tail_term_bound(r, floor_exp)
         if unexpanded and not _at_most(2 * n, q, omega):
             raise TailNotCertified(
                 f"cannot certify factor {k} below threshold {omega}/2")
@@ -373,9 +391,9 @@ def _cutoff_reductions(seq: CoefficientSequence, t: ArgumentSpec) -> list:
     # every value <= 2**floor_exp passes both tests below
     floor_exp = min(_log2_floor(omega), _log2_floor(target / 200) // 2)
     small, head = False, []
-    for k in range(1, TAIL_CUTOFF_CAP + 1):
-        head.append(arg_reduce(seq.term(k), t))
-        n, q, is_value, _ = _tail_term_bound(head[-1], floor_exp)
+    for r in islice(_reductions(seq, t, 1), TAIL_CUTOFF_CAP):
+        head.append(r)
+        n, q, is_value, _ = _tail_term_bound(r, floor_exp)
         small = _at_most(n, q, omega)
         # conclude only from value-form terms: those certify the decay of
         # everything beyond; estimated remaining width ~ 200 * (d/base)^2
@@ -391,18 +409,12 @@ def _cutoff_reductions(seq: CoefficientSequence, t: ArgumentSpec) -> list:
 # Pointwise transform
 # ---------------------------------------------------------------------------
 
-def atom_part(expr: MeasureExpr, t: ArgumentSpec, bits: int) -> IntervalValue:
-    """Enclosure of sum_a w_a * cos(2*pi*a*t) over the atoms of ``expr``.
-
-    One kernel call per atom pair +-p of the measure's ``atom_plan``; the
-    integer ends times the pair weights, over D * 2**bits, are the exact sum.
-    """
+def _atom_sum(expr: MeasureExpr, t: ArgumentSpec,
+              bits: int) -> tuple[int, int, int, bool]:
+    """(lo, hi, D * 2**bits, exact): integer ends of the atom sum over D *
+    2**bits, one kernel call per atom pair +-p of the ``atom_plan``."""
     den, pairs = atom_plan(expr)
-    t = as_argument(t)
-    if isinstance(t, ExactRational):
-        (sn, sd), b, e = abs(t.value).as_integer_ratio(), 1, 0
-    else:
-        (sn, sd), b, e = t.scale.as_integer_ratio(), t.base, t.exponent
+    sn, sd, b, e = _fold(1, t)
     lo = hi = 0
     exact = True
     for pn, pd, v in pairs:
@@ -410,22 +422,33 @@ def atom_part(expr: MeasureExpr, t: ArgumentSpec, bits: int) -> IntervalValue:
         q = pd * sd
         k_lo, k_hi, k_exact = cos2pi_fixed(pn * sn * pow(b, e, q), q, bits)
         lo, hi, exact = lo + v * k_lo, hi + v * k_hi, exact and k_exact
-    scale = den << bits
-    return IntervalValue(Fraction(lo, scale), Fraction(hi, scale), exact)
+    return lo, hi, den << bits, exact
+
+
+def atom_part(expr: MeasureExpr, t: ArgumentSpec, bits: int) -> IntervalValue:
+    """Enclosure of sum_a w_a * cos(2*pi*a*t) over the atoms of ``expr``."""
+    lo, hi, den, exact = _atom_sum(expr, as_argument(t), bits)
+    return IntervalValue(Fraction(lo, den), Fraction(hi, den), exact)
 
 
 def _bernoulli_part(seq: CoefficientSequence, t: ArgumentSpec,
-                    tail_cutoff: Optional[int], bits: int) -> IntervalValue:
+                    tail_cutoff: Optional[int],
+                    bits: int) -> tuple[int, int, int, bool]:
+    """(lo, hi, den, exact): the head product times ``tail_bound``, clamped
+    to [-1, 1], over den; each c_k * t is reduced once."""
     if tail_cutoff is None and seq.kind != EXPLICIT:
         head = _cutoff_reductions(seq, t)
-        cutoff = len(head)
     else:
         cutoff = choose_cutoff(seq, t) if tail_cutoff is None else tail_cutoff
-        if seq.kind == EXPLICIT:
-            cutoff = min(cutoff, len(seq.values))
-        head = (arg_reduce(seq.term(k), t) for k in range(1, cutoff + 1))
-    out = _factor_product(head, bits) * tail_bound(seq, cutoff, t, bits)
-    return out.clamp(-1, 1) if not out.exact else out
+        head = list(islice(_reductions(seq, t, 1), cutoff))
+    h_lo, h_hi, s, exact = _factor_product(head, bits)
+    tail = tail_bound(seq, len(head), t, bits)
+    (t_lo, lo_den), (t_hi, hi_den) = (tail.lo.as_integer_ratio(),
+                                      tail.hi.as_integer_ratio())
+    den = lcm(lo_den, hi_den)
+    lo, hi = product_fixed(((h_lo, h_hi), (t_lo * (den // lo_den),
+                                           t_hi * (den // hi_den))), den << s)
+    return lo, hi, den << s, exact and tail.exact
 
 
 def ft_point(expr: MeasureExpr, t, tail_cutoff: Optional[int] = None,
@@ -443,8 +466,17 @@ def ft_point(expr: MeasureExpr, t, tail_cutoff: Optional[int] = None,
     mass = plan_mass(expr)
     if isinstance(t, ExactRational) and t.value == 0:
         return IntervalValue.point(mass)
-    out = atom_part(expr, t, bits)
+    lo, hi, den, exact = _atom_sum(expr, t, bits)
     if expr.bernoulli is not None:
-        out = out + _bernoulli_part(expr.bernoulli, t, tail_cutoff, bits)
-    out = out.clamp(-mass, mass)
-    return out if out.exact else out.round_out(bits)
+        b_lo, b_hi, b_den, b_exact = _bernoulli_part(expr.bernoulli, t,
+                                                     tail_cutoff, bits)
+        lo, hi = lo * b_den + b_lo * den, hi * b_den + b_hi * den
+        den, exact = den * b_den, exact and b_exact
+    if exact:
+        return IntervalValue.point(Fraction(lo, den))
+    # floor and ceiling are monotone, so rounding the ends and +-mass onto
+    # 2**-bits first and clamping after gives the same grid points
+    m, m_den = mass.as_integer_ratio()
+    lo = max((lo << bits) // den, (-m << bits) // m_den)
+    hi = min(-((-hi << bits) // den), -((-m << bits) // m_den))
+    return IntervalValue(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))

@@ -1,6 +1,8 @@
 """Certified transform evaluation: argument reduction, tails, enclosures."""
 
+import fractions
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from math import factorial
@@ -45,12 +47,12 @@ class TestArgReduce:
             t = ScaledPower(F(1), 3, factorial(n))
             for k in range(1, n + 1):
                 r = arg_reduce(FACT.term(k), t)
-                assert isinstance(r, ReducedExact) and r.frac == 0
+                assert isinstance(r, ReducedExact) and F(r.num, r.den) == 0
 
     def test_plain_rationals(self):
         r = arg_reduce(F(1, 3), ExactRational(F(3, 4)))
         assert isinstance(r, ReducedExact)
-        assert r.frac == F(1, 4) and r.is_value
+        assert F(r.num, r.den) == F(1, 4) and r.is_value
 
     def test_beyond_exponent_is_unexpanded(self):
         t = ScaledPower(F(1), 3, factorial(5))
@@ -72,23 +74,23 @@ class TestArgReduce:
     def test_fractional_via_modular_exponentiation(self):
         # (2/5) * 3^4 = 162/5: fractional part 2/5
         r = arg_reduce(F(1), ScaledPower(F(2, 5), 3, 4))
-        assert isinstance(r, ReducedExact) and r.frac == F(2, 5)
+        assert isinstance(r, ReducedExact) and F(r.num, r.den) == F(2, 5)
         # same through a coefficient with matching base
         r = arg_reduce(GEO.term(2), ScaledPower(F(2, 5), 3, 6))
-        assert r.frac == (F(2, 5) * 81) % 1
+        assert F(r.num, r.den) == (F(2, 5) * 81) % 1
 
     def test_mixed_bases(self):
         seq2 = CoefficientSequence("geometric", 2)
         r = arg_reduce(seq2.term(3), ScaledPower(F(1), 3, 5))
         assert isinstance(r, ReducedExact)
-        assert r.frac == (F(1, 8) * 243) % 1
+        assert F(r.num, r.den) == (F(1, 8) * 243) % 1
         big2 = CoefficientSequence("factorial", 2)
         with pytest.raises(UnsupportedArgument):
             arg_reduce(big2.term(9), ScaledPower(F(1), 3, factorial(9)))
 
     def test_negative_arguments_fold(self):
         r = arg_reduce(F(1, 3), ExactRational(F(-3, 4)))
-        assert r.frac == F(1, 4)
+        assert F(r.num, r.den) == F(1, 4)
 
 
 class TestHugeExponents:
@@ -208,17 +210,47 @@ class TestOneReductionPerFactor:
             "fact-5!", "fact-third-4!", "fact-5/2"])
     def test_each_index_is_reduced_once(self, m, t):
         terms = []
+        reduce = fourier._reduce
 
-        def counting(c, t):
-            terms.append(c)
-            return arg_reduce(c, t)
+        def counting(fold, c_base, c_exp):
+            terms.append(c_exp)
+            return reduce(fold, c_base, c_exp)
 
-        with mock.patch.object(fourier, "arg_reduce", counting):
+        with mock.patch.object(fourier, "_reduce", counting):
             ft_point(m, t, tail_cutoff=None)
         seq = normalize(m).bernoulli
         # the calls are c_1 .. c_K in order, K the tail's last index
         assert len(terms) > choose_cutoff(seq, t)
-        assert terms == [seq.term(k) for k in range(1, len(terms) + 1)]
+        assert terms == [seq.exponent(k) for k in range(1, len(terms) + 1)]
+
+    @staticmethod
+    def fraction_constructions(f, *args, **kwargs) -> int:
+        """How many ``Fraction`` objects f(*args, **kwargs) builds."""
+        made = 0
+
+        def profile(frame, event, arg):
+            nonlocal made
+            code = frame.f_code
+            if (event == "call" and code.co_filename == fractions.__file__
+                    and code.co_name in ("__new__", "_from_coprime_ints")):
+                made += 1
+
+        sys.setprofile(profile)
+        try:
+            f(*args, **kwargs)
+        finally:
+            sys.setprofile(None)
+        return made
+
+    def test_no_fraction_per_factor(self):
+        # 10 or 60 head factors, and a tail from there: the reductions, the
+        # products and the tail are integers, so the count is per call only
+        m = normalize(MeasureExpr.bernoulli_geometric(3))
+        ft_point(m, F(7, 5))        # fills the atom plan and kernel caches
+        assert (self.fraction_constructions(ft_point, m, F(7, 5),
+                                            tail_cutoff=10)
+                == self.fraction_constructions(ft_point, m, F(7, 5),
+                                               tail_cutoff=60))
 
 
 class TestFtPoint:

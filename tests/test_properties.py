@@ -7,6 +7,8 @@ tail among them) and against each other."""
 import math
 import os
 from fractions import Fraction
+from itertools import islice
+from typing import NamedTuple
 from unittest import mock
 
 import mpmath as mp
@@ -20,16 +22,18 @@ from tau3.class_algebra import (LEBESGUE_CLASS, ClassExpr, RelationKind,
                                 series_class)
 from tau3.errors import (BudgetExceeded, SnapError, SymmetryViolation,
                          TailNotCertified, UnsupportedArgument)
-from tau3.fourier import (TAIL_CUTOFF_CAP, TAIL_WIDTH_TARGET, ReducedExact,
+from tau3.fourier import (MATERIALIZE_BITS, TAIL_CUTOFF_CAP,
+                          TAIL_WIDTH_TARGET, ExactRational, ReducedExact,
                           ReducedSmall, ScaledPower, _factor_product,
-                          _structural_decay, arg_reduce, atom_part,
-                          choose_cutoff, ft_point, tail_bound)
+                          _log2_lower, _reductions, _structural_decay,
+                          arg_reduce, as_argument, atom_part, choose_cutoff,
+                          ft_point, tail_bound)
 from tau3.intervals import (_EXACT_COS_TWELFTHS, PRECISION_PROFILES,
                             QUADRATIC_COS_COEFF, IntervalValue, _cos_series,
                             _two_pi_bounds, cos2pi, cos2pi_fixed,
                             cos2pi_interval, exp_neg, log1m,
                             quadratic_cos_threshold)
-from tau3.measures import (CoefficientSequence, MeasureExpr,
+from tau3.measures import (CoeffTerm, CoefficientSequence, MeasureExpr,
                            bernoulli_partial, convolve_atoms, normalize,
                            plan_mass, scale_measure)
 from tau3.oracle import discretize
@@ -449,8 +453,133 @@ def test_bernoulli_partial_equals_the_naive_expansion(case):
     assert all(type(p) is Fraction and type(w) is Fraction for p, w in atoms)
 
 
-def head_reductions(seq, n, t):
-    return [arg_reduce(seq.term(k), t) for k in range(1, n + 1)]
+class FractionExact(NamedTuple):
+    """``ReducedExact`` with the fractional part as one ``Fraction``."""
+
+    frac: Fraction
+    is_value: bool = False
+
+
+class FractionSmall(NamedTuple):
+    """``ReducedSmall`` with the mantissa as one ``Fraction``."""
+
+    mantissa: Fraction
+    base: int
+    neg_exp: int
+
+    def fits(self) -> bool:
+        return (self.neg_exp * self.base.bit_length()
+                + self.mantissa.denominator.bit_length() <= MATERIALIZE_BITS)
+
+    @property
+    def upper_exp(self) -> int:
+        m = self.mantissa
+        m_log2_hi = m.numerator.bit_length() - m.denominator.bit_length() + 1
+        lg = _log2_lower(self.base)
+        return ((m_log2_hi * lg.denominator - self.neg_exp * lg.numerator)
+                // lg.denominator + 1)
+
+
+def fraction_reduce(c, t):
+    """``arg_reduce`` computed in ``Fraction``s: the fractional part of
+    |c * t|, or its mantissa and negative exponent when unexpanded."""
+    if not isinstance(c, CoeffTerm):
+        c = CoeffTerm(F(c))
+    t = as_argument(t)
+
+    def frac_power(m, base, exponent):
+        p, q = m.numerator, m.denominator
+        return F((p * pow(base, exponent, q)) % q, q)
+
+    def materializable(base, exponent):
+        return exponent * base.bit_length() <= MATERIALIZE_BITS
+
+    if isinstance(t, ExactRational):
+        m = c.mantissa * abs(t.value)
+        if c.base is None or c.neg_exp == 0:
+            return FractionExact(m % 1, is_value=m < 1)
+        if materializable(c.base, c.neg_exp):
+            v = m / F(c.base) ** c.neg_exp
+            return FractionExact(v % 1, is_value=v < 1)
+        return FractionSmall(m, c.base, c.neg_exp)
+    m = c.mantissa * t.scale
+    if c.base is None or c.neg_exp == 0:
+        if t.exponent == 0:
+            return FractionExact(m % 1, is_value=m < 1)
+        return FractionExact(frac_power(m, t.base, t.exponent))
+    if c.base == t.base:
+        d = t.exponent - c.neg_exp
+        if d == 0:
+            return FractionExact(m % 1, is_value=m < 1)
+        if d > 0:
+            return FractionExact(frac_power(m, t.base, d))
+        return FractionSmall(m, c.base, -d)
+    if materializable(c.base, c.neg_exp):
+        folded = m / F(c.base) ** c.neg_exp
+        if t.exponent == 0:
+            return FractionExact(folded % 1, is_value=folded < 1)
+        return FractionExact(frac_power(folded, t.base, t.exponent))
+    raise UnsupportedArgument(
+        f"no common rational form for base {c.base} coefficient against "
+        f"base {t.base} argument")
+
+
+def same_reduction(new, old) -> bool:
+    """The integer reduction ``new`` states what ``fraction_reduce`` does."""
+    if isinstance(old, FractionExact):
+        return (isinstance(new, ReducedExact) and new.is_value == old.is_value
+                and F(new.num, new.den) == old.frac)
+    return (isinstance(new, ReducedSmall)
+            and (new.num, new.den) == old.mantissa.as_integer_ratio()
+            and (new.base, new.neg_exp, new.fits(), new.upper_exp)
+            == (old.base, old.neg_exp, old.fits(), old.upper_exp))
+
+
+def reductions_until_refused(reduce_k, n):
+    """[reduce_k(1), ..., reduce_k(n)], cut at the first refusal's message."""
+    out = []
+    for k in range(1, n + 1):
+        try:
+            out.append(reduce_k(k))
+        except UnsupportedArgument as exc:
+            return out, str(exc)
+    return out, None
+
+
+reduction_sequences = st.one_of(
+    explicit_sequences(max_len=12),
+    st.builds(CoefficientSequence, st.sampled_from(("geometric", "factorial")),
+              st.integers(2, 7), positive))
+reduction_arguments = st.one_of(
+    st.builds(F, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 1000)),
+    st.builds(ScaledPower, st.builds(F, st.integers(1, 30), st.integers(1, 9)),
+              st.integers(2, 7),
+              st.one_of(st.just(0), st.integers(0, 80), st.sampled_from(
+                  [math.factorial(n) for n in range(3, 10)]))))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(reduction_sequences, reduction_arguments, st.integers(1, 12))
+def test_integer_reduction_equals_the_fraction_reduction(seq, t, n):
+    # every branch: exact with and without is_value, unexpanded (fits or
+    # not), refused mixed bases; rational t of either sign, powers b**0 too
+    n = min(n, seq.length or n)
+    old, old_refusal = reductions_until_refused(
+        lambda k: fraction_reduce(seq.term(k), t), n)
+    terms = _reductions(seq, as_argument(t), 1)
+    for new, refusal in (
+            reductions_until_refused(lambda k: arg_reduce(seq.term(k), t), n),
+            reductions_until_refused(lambda k: next(terms), n)):
+        assert refusal == old_refusal
+        assert len(new) == len(old)
+        assert all(map(same_reduction, new, old))
+
+
+def head_product(seq, n, t, bits):
+    """``_factor_product`` of the first n reductions as an interval."""
+    lo, hi, s, exact = _factor_product(
+        islice(_reductions(seq, as_argument(t), 1), n), bits)
+    return IntervalValue(F(lo, 1 << s), F(hi, 1 << s), exact)
 
 
 def fraction_head(seq, n, t, bits):
@@ -458,8 +587,8 @@ def fraction_head(seq, n, t, bits):
     [-1, 1] and rounded onto 2**-bits unless exact."""
     out = IntervalValue.point(1)
     for k in range(1, n + 1):
-        r = arg_reduce(seq.term(k), t)
-        if isinstance(r, ReducedExact):
+        r = fraction_reduce(seq.term(k), t)
+        if isinstance(r, FractionExact):
             factor = cos2pi(r.frac, bits)
         elif r.fits():
             factor = cos2pi(r.mantissa / F(r.base) ** r.neg_exp, bits)
@@ -489,7 +618,7 @@ head_arguments = st.one_of(
 def test_head_product_equals_the_fraction_loop(case, t, bits, data):
     seq, depth = case
     n = data.draw(st.integers(1, depth))
-    assert (_factor_product(head_reductions(seq, n, t), bits)
+    assert (head_product(seq, n, t, bits)
             == fraction_head(seq, n, t, bits))
 
 
@@ -498,7 +627,7 @@ def test_head_product_keeps_long_exact_runs(n):
     # c_k * t = 2**(70-k)/3 reduces to 1/3 or 2/3 for k <= 70 and to 1/6
     # at k = 71, so the first 71 factors are exact: (-1/2)**70 * 1/2
     seq, t = CoefficientSequence("geometric", 2), F(2 ** 70, 3)
-    iv = _factor_product(head_reductions(seq, n, t), 64)
+    iv = head_product(seq, n, t, 64)
     assert iv == fraction_head(seq, n, t, 64)
     if n <= 71:
         assert iv.exact and iv.lo == F((-1) ** min(n, 70), 2 ** n)
@@ -511,7 +640,7 @@ def test_head_product_with_an_unexpanded_factor(bits):
     seq = CoefficientSequence("factorial", 3)
     t = ScaledPower(F(1, 3), 3, math.factorial(7))
     assert not arg_reduce(seq.term(8), t).fits()
-    assert (_factor_product(head_reductions(seq, 8, t), bits)
+    assert (head_product(seq, 8, t, bits)
             == fraction_head(seq, 8, t, bits))
 
 
@@ -522,7 +651,7 @@ def fraction_log2_floor(x: Fraction) -> int:
 
 def fraction_term_bound(r, floor_exp):
     """(d, is_value, unexpanded) for a reduced factor, d a ``Fraction``."""
-    if isinstance(r, ReducedSmall):
+    if isinstance(r, FractionSmall):
         if r.fits():
             return r.mantissa / F(r.base) ** r.neg_exp, True, True
         return F(2) ** max(floor_exp, min(r.upper_exp, 0)), True, True
@@ -539,7 +668,7 @@ def fraction_cutoff(seq, t) -> int:
                     fraction_log2_floor(target / 200) // 2)
     small = False
     for k in range(1, TAIL_CUTOFF_CAP + 1):
-        d, is_value, _ = fraction_term_bound(arg_reduce(seq.term(k), t),
+        d, is_value, _ = fraction_term_bound(fraction_reduce(seq.term(k), t),
                                              floor_exp)
         small = d <= omega
         if small and is_value and 200 * d * d <= target:
@@ -577,7 +706,7 @@ def log_space_tail(seq, cutoff, t, bits) -> IntervalValue:
                 f"tail arguments after index {cutoff} do not certifiably "
                 f"decay within {guard} consecutive factors")
         d, is_value, unexpanded = fraction_term_bound(
-            arg_reduce(seq.term(k), t), floor_exp)
+            fraction_reduce(seq.term(k), t), floor_exp)
         if unexpanded and d > omega / 2:
             raise TailNotCertified(
                 f"cannot certify factor {k} below threshold {omega}/2")
@@ -690,6 +819,53 @@ def test_tail_product_lies_below_the_true_tail(case, cutoff, bits):
         return
     with mp.workprec(2 * bits + 160):
         assert mp_value(tb.lo) <= true_tail_lower(seq, cutoff, value_at, bits)
+
+
+def fraction_ft_point(m, t, tail_cutoff, bits) -> IntervalValue:
+    """``ft_point`` composed in ``Fraction`` intervals: the atom sum plus
+    the head times the tail, clamped to [-1, 1] unless exact, then to
+    +-mass and rounded out onto 2**-bits unless exact."""
+    m, t = normalize(m), as_argument(t)
+    mass = plan_mass(m)
+    if isinstance(t, ExactRational) and t.value == 0:
+        return IntervalValue.point(mass)
+    out = atom_part(m, t, bits)
+    seq = m.bernoulli
+    if seq is not None:
+        cutoff = choose_cutoff(seq, t) if tail_cutoff is None else tail_cutoff
+        part = (fraction_head(seq, min(cutoff, seq.length or cutoff), t, bits)
+                * tail_bound(seq, cutoff, t, bits))
+        out = out + (part if part.exact else part.clamp(-1, 1))
+    out = out.clamp(-mass, mass)
+    return out if out.exact else out.round_out(bits)
+
+
+@st.composite
+def transform_measures(draw):
+    """Atoms alone, or a geometric, factorial or explicit two-point part
+    with or without atoms."""
+    kind = draw(st.sampled_from(("atomic", "geometric", "factorial",
+                                 "explicit")))
+    atoms = draw(symmetric_atomic())
+    if kind == "atomic":
+        return atoms
+    seq = (draw(explicit_sequences()) if kind == "explicit" else
+           CoefficientSequence(kind, draw(st.integers(2, 7)),
+                               draw(st.sampled_from((F(1), F(1, 3), F(5, 2))))))
+    m = MeasureExpr(bernoulli=seq)
+    return m.plus(atoms) if draw(st.booleans()) else m
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(transform_measures(), st.one_of(st.just(F(0)), tail_arguments),
+       st.one_of(st.none(), st.integers(0, 12)), st.integers(64, 512))
+def test_ft_point_equals_the_fraction_composition(m, t, tail_cutoff, bits):
+    new = outcome(ft_point, m, t, tail_cutoff, bits)
+    old = outcome(fraction_ft_point, m, t, tail_cutoff, bits)
+    if isinstance(old, IntervalValue):
+        assert (new.lo, new.hi, new.exact) == (old.lo, old.hi, old.exact)
+    else:
+        assert new == old
 
 
 @PROPERTY_SETTINGS
