@@ -245,8 +245,12 @@ def _cmd_class_op(args) -> int:
 
 def _cmd_distinguish(args) -> int:
     table = _load_axioms(args)
-    spec_a = FactorSpec(args.label_a, load_measure_spec(args.a))
-    spec_b = FactorSpec(args.label_b, load_measure_spec(args.b))
+    a, b = load_measure_spec(args.a), load_measure_spec(args.b)
+    try:
+        spec_a = FactorSpec(args.label_a, a)
+        spec_b = FactorSpec(args.label_b, b)
+    except ValueError as exc:
+        raise SpecFormatError(str(exc)) from None
     cert = distinguish(spec_a, spec_b, table)
     replay = replay_certificate(cert.to_text(), table)
     header = _report_header("distinguish", _flag_echo(

@@ -40,6 +40,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import count
 from typing import Union
 
@@ -99,9 +100,7 @@ def _arctan_inv_bounds(x: int, s: int) -> tuple[int, int]:
     return total - err, total + err
 
 
-_TWO_PI_CACHE: dict[int, tuple[int, int]] = {}
-
-
+@cache
 def _two_pi_bounds(s: int) -> tuple[int, int]:
     """(floor(2*pi*2**s), floor(2*pi*2**s) + 1), by Machin's formula.
 
@@ -109,9 +108,6 @@ def _two_pi_bounds(s: int) -> tuple[int, int]:
     2*pi is irrational, so once both brackets share their top bits the
     floor is decided.
     """
-    cached = _TWO_PI_CACHE.get(s)
-    if cached is not None:
-        return cached
     g = s.bit_length() + 8
     while True:
         a_lo, a_hi = _arctan_inv_bounds(5, s + g)
@@ -120,7 +116,6 @@ def _two_pi_bounds(s: int) -> tuple[int, int]:
         if lo == hi:
             break
         g += 16
-    _TWO_PI_CACHE[s] = lo, lo + 1
     return lo, lo + 1
 
 
@@ -406,7 +401,6 @@ def exp_neg(s: Rational, bits: int | None = None) -> IntervalValue:
 
 QUADRATIC_COS_COEFF = 49
 _OMEGA = Fraction(1, 8)
-_omega_certified = False
 
 
 def certify_quadratic_cos_bound(omega: Fraction = _OMEGA) -> bool:
@@ -419,10 +413,8 @@ def certify_quadratic_cos_bound(omega: Fraction = _OMEGA) -> bool:
     return True
 
 
+@cache
 def quadratic_cos_threshold() -> Fraction:
     """Largest argument magnitude at which the 1 - 49*x**2 bound is certified."""
-    global _omega_certified
-    if not _omega_certified:
-        certify_quadratic_cos_bound()
-        _omega_certified = True
+    certify_quadratic_cos_bound()
     return _OMEGA

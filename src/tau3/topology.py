@@ -30,8 +30,9 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional
 
-from .errors import (NotPointwiseEvaluable, ParameterError, TailNotCertified,
-                     UndeterminedError, UnsupportedArgument)
+from .errors import (BudgetExceeded, NotPointwiseEvaluable, ParameterError,
+                     TailNotCertified, UndeterminedError,
+                     UnsupportedArgument)
 from .intervals import (IntervalValue, cos2pi, cos2pi_fixed,
                         cos2pi_range_fixed, precision_bits, product_fixed)
 from .fourier import (ArgumentSpec, ExactRational, ScaledPower, atom_part,
@@ -145,19 +146,6 @@ def _normalized_ft(expr: MeasureExpr, t, mass: Fraction,
                    bits: int) -> IntervalValue:
     iv = ft_point(expr, t, bits=bits)
     return iv.scale(Fraction(1) / mass) if mass != 1 else iv
-
-
-def _power_exceeds(m: Fraction, base: int, exponent: int,
-                   bound: Fraction) -> bool:
-    """Exact test m * base**exponent > bound without huge materialization."""
-    # quick bit-length screen: base**e >= 2**e
-    lhs_bits = m.numerator.bit_length() - m.denominator.bit_length() + exponent
-    rhs_bits = bound.numerator.bit_length() - bound.denominator.bit_length()
-    if lhs_bits > rhs_bits + 64:
-        return True
-    if exponent * base.bit_length() > 1 << 20:
-        return False        # unreachable for catalog parameters
-    return m * Fraction(base) ** exponent > bound
 
 
 # ---------------------------------------------------------------------------
@@ -294,30 +282,42 @@ def _atoms_witness_compatible(expr: MeasureExpr, lam: Fraction,
                for p, _ in expr.atoms if p != 0)
 
 
+def _suffix_start(per_n, holds, min_len: int) -> Optional[int]:
+    """First index from which the enclosures, at least ``min_len`` of them,
+    satisfy ``holds``; None if no such suffix does."""
+    ivs = [iv for _, _, iv in per_n]
+    return next((per_n[i][0] for i in range(len(ivs) - min_len + 1)
+                 if holds(ivs[i:])), None)
+
+
+def _rises_to_1(tol: Fraction):
+    """Suffix test: lower bounds at least 1 - tol and non-decreasing."""
+    return lambda ivs: (all(iv.lo >= 1 - tol for iv in ivs)
+                        and all(b.lo >= a.lo for a, b in zip(ivs, ivs[1:])))
+
+
+def _per_index(seq: SequenceSpec, value) -> tuple:
+    """(n, description, value(n)) for every index of the sequence."""
+    return tuple((n, seq.describe(n), value(n)) for n in seq.indices())
+
+
 def _conclude_generic(per_n, tol: Fraction) -> ConvergenceVerdict:
     # a finite-horizon pattern needs at least two indices of evidence
-    indices = [n for n, _, _ in per_n]
-    for i in indices:
-        window = [(n, iv) for n, _, iv in per_n if n >= i]
-        if len(window) < 2:
-            break
-        if all(iv.lo >= 1 - tol for _, iv in window) and all(
-                b.lo >= a.lo for (_, a), (_, b) in zip(window, window[1:])):
-            return ConvergenceVerdict(
-                per_n, Conclusion.CONVERGES_TO_1, from_index=i,
-                claim=(f"certified lower bounds exceed 1-{tol} and are "
-                       f"non-decreasing for tested n >= {i}"))
-    for i in indices:
-        window = [(n, iv) for n, _, iv in per_n if n >= i]
-        if len(window) < 2:
-            break
-        worst = max(iv.hi for _, iv in window)
-        if worst <= 1 - tol:
-            return ConvergenceVerdict(
-                per_n, Conclusion.BOUNDED_AWAY_FROM_1, gap=1 - worst,
-                from_index=i,
-                claim=(f"certified upper bounds stay below {float(worst):.6g}"
-                       f" for tested n >= {i} (tested horizon only)"))
+    start = _suffix_start(per_n, _rises_to_1(tol), 2)
+    if start is not None:
+        return ConvergenceVerdict(
+            per_n, Conclusion.CONVERGES_TO_1, from_index=start,
+            claim=(f"certified lower bounds exceed 1-{tol} and are "
+                   f"non-decreasing for tested n >= {start}"))
+    start = _suffix_start(
+        per_n, lambda ivs: max(iv.hi for iv in ivs) <= 1 - tol, 2)
+    if start is not None:
+        worst = max(iv.hi for n, _, iv in per_n if n >= start)
+        return ConvergenceVerdict(
+            per_n, Conclusion.BOUNDED_AWAY_FROM_1, gap=1 - worst,
+            from_index=start,
+            claim=(f"certified upper bounds stay below {float(worst):.6g}"
+                   f" for tested n >= {start} (tested horizon only)"))
     return ConvergenceVerdict(
         per_n, Conclusion.UNDETERMINED,
         reason="no certified pattern at the requested tolerance",
@@ -344,7 +344,7 @@ def test_sequence(expr: MeasureExpr, seq: SequenceSpec, tol=DEFAULT_TOLERANCE,
             "sequence testing needs a finite-mass measure")
     mass = plan_mass(expr)
     if mass <= 0:
-        raise ValueError("measure has no mass")
+        raise ParameterError("measure has no mass")
 
     bern = expr.bernoulli
     if (bern is not None and bern.kind == FACTORIAL
@@ -381,22 +381,13 @@ def _test_factorial_matched(expr, seq, tol, mass, bits) -> ConvergenceVerdict:
     m = bern.scale * seq.lam
     frac = m % 1
 
-    per_n = []
-    for n in seq.indices():
-        iv = _normalized_ft(expr, seq.argument(n), mass, bits)
-        per_n.append((n, seq.describe(n), iv))
-    per_n = tuple(per_n)
+    per_n = _per_index(
+        seq, lambda n: _normalized_ft(expr, seq.argument(n), mass, bits))
 
     if frac == 0:
         if not _atoms_witness_compatible(expr, seq.lam, seq.base):
             return _conclude_generic(per_n, tol)
-        lows = [iv.lo for _, _, iv in per_n]
-        start = None
-        for i, n in enumerate(seq.indices()):
-            if all(lo >= 1 - tol for lo in lows[i:]) and all(
-                    b >= a for a, b in zip(lows[i:], lows[i + 1:])):
-                start = n
-                break
+        start = _suffix_start(per_n, _rises_to_1(tol), 1)
         if start is None:
             return ConvergenceVerdict(
                 per_n, Conclusion.UNDETERMINED,
@@ -438,23 +429,36 @@ def _test_factorial_matched(expr, seq, tol, mass, bits) -> ConvergenceVerdict:
 
 
 def _test_window_bounded(expr, seq, tol, mass, bits) -> ConvergenceVerdict:
-    """Base-3 geometric part: three-factor window bound beyond t > 9/scale."""
-    bern = expr.bernoulli
+    """Base-3 geometric part: three-factor window bound beyond t > 9/scale.
+
+    The window argument is u_n = scale * t_n = c * 3**j_n with
+    3**r < scale * lam <= 3**(r+1), j_n = exponent(n) + r and
+    c = scale * lam * 3**-r in (1, 3].  The bound uses factor indices
+    j_n, j_n + 1, j_n + 2 and needs j_n >= 1; c is the same for every n, so
+    one window product serves every such index.  u_n > WINDOW_THRESHOLD
+    exactly when j_n >= 2.
+    """
     scan = cached_window_scan()
-    per_n = []
-    start = None
-    for n in seq.indices():
+    u_scale = expr.bernoulli.scale * seq.lam
+    r = 0
+    while Fraction(3) ** (r + 1) < u_scale:
+        r += 1
+    while Fraction(3) ** r >= u_scale:
+        r -= 1
+    mag = (window_product(u_scale / Fraction(3) ** r, bits).mag_hi()
+           if seq.exponent(seq.n_max) + r >= 1 else None)
+
+    def value(n: int) -> IntervalValue:
         t = seq.argument(n)
-        # effective window argument u = scale * t
-        exp_n = seq.exponent(n)
-        u_scale = bern.scale * seq.lam
-        beyond = _power_exceeds(u_scale, seq.base, exp_n,
-                                Fraction(WINDOW_THRESHOLD))
-        if beyond and start is None:
-            start = n
-        iv = _window_ft(expr, t, u_scale, exp_n, seq.base, mass, bits)
-        per_n.append((n, seq.describe(n), iv))
-    per_n = tuple(per_n)
+        if seq.exponent(n) + r < 1:
+            return _normalized_ft(expr, t, mass, bits)
+        out = (atom_part(expr, t, bits) + IntervalValue(-mag, mag)).scale(
+            Fraction(1) / mass)
+        return out.clamp(-1, 1).round_out(bits)
+
+    per_n = _per_index(seq, value)
+    start = next((n for n in seq.indices() if seq.exponent(n) + r >= 2),
+                 None)
     if start is None:
         return _conclude_generic(per_n, tol)
     gap_family = (1 - scan.sup.hi) / mass
@@ -469,33 +473,6 @@ def _test_window_bounded(expr, seq, tol, mass, bits) -> ConvergenceVerdict:
                f"on, and the certified window supremum "
                f"{float(scan.sup.hi):.9g} keeps every later enclosure below "
                f"1 - {float(gap):.6g}"))
-
-
-def _window_ft(expr, t, u_scale: Fraction, exponent: int, base: int,
-               mass: Fraction, bits: int) -> IntervalValue:
-    """Per-index enclosure combining exact atoms with the window bound."""
-    # window position: j with base**j < u <= base**(j+1); the three-factor
-    # bound uses factor indices j, j+1, j+2 and needs j >= 1, i.e. u > base
-    j = _window_position(u_scale, base, exponent)
-    if j < 1:
-        return _normalized_ft(expr, t, mass, bits)
-
-    c = u_scale * Fraction(base) ** (exponent - j)
-    mag = window_product(c, bits).mag_hi()
-    out = (atom_part(expr, t, bits) + IntervalValue(-mag, mag)).scale(
-        Fraction(1) / mass)
-    return out.clamp(-1, 1).round_out(bits)
-
-
-def _window_position(u_scale: Fraction, base: int, exponent: int) -> int:
-    """j such that base**j < u_scale * base**exponent <= base**(j+1)."""
-    # find offset r with base**r < u_scale <= base**(r+1); j = exponent + r
-    r = 0
-    while Fraction(base) ** (r + 1) < u_scale:
-        r += 1
-    while Fraction(base) ** r >= u_scale:
-        r -= 1
-    return exponent + r
 
 
 # ---------------------------------------------------------------------------
@@ -612,11 +589,11 @@ def classify_completion(expr: MeasureExpr,
         if bern.kind == EXPLICIT:
             try:
                 atoms = bernoulli_partial(bern, len(bern.values)).atoms
-                flat = normalize(MeasureExpr(atoms=atoms + expr.atoms))
-                return classify_completion(flat, bits)
-            except Exception as exc:
+            except BudgetExceeded as exc:
                 raise UndeterminedError(
                     f"explicit convolution not expandable: {exc}") from None
+            flat = normalize(MeasureExpr(atoms=atoms + expr.atoms))
+            return classify_completion(flat, bits)
         raise UndeterminedError(
             f"two-point convolution family {bern.describe()} is outside "
             f"the classification catalog")

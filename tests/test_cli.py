@@ -292,6 +292,33 @@ def test_converge_rejects_a_tolerance_outside_0_1(tmp_path, tol):
     assert err == f"error: ParameterError: tolerance {tol} outside (0, 1)\n"
 
 
+class TestDegenerateMeasures:
+    """Measures without mass, or with all of it at 0, are input errors."""
+
+    @pytest.mark.parametrize("name, doc, argv, message", [
+        ("zero", {"atoms": []},
+         ("converge", "--measure", "{}", "--family", "geometric",
+          "--n", "1..3"),
+         "error: ParameterError: measure has no mass"),
+        ("zero", {"atoms": []},
+         ("distinguish", "--a", "{}", "--b", "{m2}"),
+         "error: spectral measure must be nontrivial"),
+        ("at0", {"atoms": [["0", "1"]]},
+         ("distinguish", "--a", "{m2}", "--b", "{}"),
+         "error: spectral measure supported at 0 only defines no "
+         "nontrivial group action"),
+    ], ids=["converge-zero", "distinguish-zero", "distinguish-atom-at-0"])
+    def test_exits_with_one_error_line(self, specs, tmp_path, name, doc,
+                                       argv, message):
+        spec = tmp_path / f"{name}.json"
+        spec.write_text(json.dumps(doc))
+        argv = [a.format(spec, m2=specs["m2"]) for a in argv]
+        code, out, err = run_cli(*argv)
+        assert code == 1
+        assert out == ""
+        assert err == message + "\n"
+
+
 def test_eval_of_the_zero_measure_is_exactly_zero(tmp_path):
     spec = tmp_path / "zero.json"
     spec.write_text(json.dumps({"atoms": []}))

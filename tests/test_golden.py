@@ -47,6 +47,11 @@ CASES = {
     "converge_1_at_5_8": (["converge", "--measure", "g1.json",
                            "--family", "factorial", "--lambda", "5/8",
                            "--n", "3..6"], 0),
+    # window route: n=1 is below the window, n=2 a window bound outside
+    # the gap, n >= 3 past WINDOW_THRESHOLD
+    "converge_m2_geometric": (["converge", "--measure", "m2.json",
+                               "--family", "geometric", "--lambda", "1/2",
+                               "--n", "1..6"], 0),
     "classify_lebesgue": (["classify", "--measure", "lebesgue.json"], 0),
     "classify_geometric": (["classify", "--measure", "geometric.json"], 0),
     "classify_factorial": (["classify", "--measure", "g1.json"], 0),

@@ -1,8 +1,9 @@
 """Property tests: the cosine kernel, atomic convolution, the transform
-and its tail, ``normalize``, the integer-lattice expansions behind the grid
-oracle and the laws of the measure-class algebra, checked on generated
-inputs against mpmath, against naive ``Fraction`` references (the log-space
-tail among them) and against each other."""
+and its tail, ``normalize``, the window route of ``test_sequence``, the
+integer-lattice expansions behind the grid oracle and the laws of the
+measure-class algebra, checked on generated inputs against mpmath, against
+naive ``Fraction`` references (the log-space tail and the per-index window
+evaluation among them) and against each other."""
 
 import math
 import os
@@ -37,6 +38,9 @@ from tau3.measures import (CoeffTerm, CoefficientSequence, MeasureExpr,
                            bernoulli_partial, convolve_atoms, normalize,
                            plan_mass, scale_measure)
 from tau3.oracle import discretize
+from tau3 import topology
+from tau3.topology import (WINDOW_THRESHOLD, Conclusion, ConvergenceVerdict,
+                           SequenceSpec, cached_window_scan, window_product)
 
 F = Fraction
 
@@ -866,6 +870,137 @@ def test_ft_point_equals_the_fraction_composition(m, t, tail_cutoff, bits):
         assert (new.lo, new.hi, new.exact) == (old.lo, old.hi, old.exact)
     else:
         assert new == old
+
+
+def parent_power_exceeds(m, base, exponent, bound) -> bool:
+    """Exact test m * base**exponent > bound, by bit lengths first."""
+    lhs_bits = m.numerator.bit_length() - m.denominator.bit_length() + exponent
+    rhs_bits = bound.numerator.bit_length() - bound.denominator.bit_length()
+    if lhs_bits > rhs_bits + 64:
+        return True
+    if exponent * base.bit_length() > 1 << 20:
+        return False
+    return m * F(base) ** exponent > bound
+
+
+def parent_window_position(u_scale, base, exponent) -> int:
+    """j such that base**j < u_scale * base**exponent <= base**(j+1)."""
+    r = 0
+    while F(base) ** (r + 1) < u_scale:
+        r += 1
+    while F(base) ** r >= u_scale:
+        r -= 1
+    return exponent + r
+
+
+def parent_window_ft(expr, t, u_scale, exponent, base, mass, bits):
+    """Per-index enclosure: the transform below the window, else the exact
+    atoms plus the window product evaluated at this index."""
+    j = parent_window_position(u_scale, base, exponent)
+    if j < 1:
+        iv = ft_point(expr, t, bits=bits)
+        return iv.scale(1 / mass) if mass != 1 else iv
+    c = u_scale * F(base) ** (exponent - j)
+    mag = window_product(c, bits).mag_hi()
+    out = (atom_part(expr, t, bits) + IntervalValue(-mag, mag)).scale(
+        1 / mass)
+    return out.clamp(-1, 1).round_out(bits)
+
+
+def parent_conclude_generic(per_n, tol) -> ConvergenceVerdict:
+    """The verdict from the enclosures alone: one scan per pattern, each
+    over suffixes of at least two indices."""
+    indices = [n for n, _, _ in per_n]
+    for i in indices:
+        window = [iv for n, _, iv in per_n if n >= i]
+        if len(window) < 2:
+            break
+        if all(iv.lo >= 1 - tol for iv in window) and all(
+                b.lo >= a.lo for a, b in zip(window, window[1:])):
+            return ConvergenceVerdict(
+                per_n, Conclusion.CONVERGES_TO_1, from_index=i,
+                claim=(f"certified lower bounds exceed 1-{tol} and are "
+                       f"non-decreasing for tested n >= {i}"))
+    for i in indices:
+        window = [iv for n, _, iv in per_n if n >= i]
+        if len(window) < 2:
+            break
+        worst = max(iv.hi for iv in window)
+        if worst <= 1 - tol:
+            return ConvergenceVerdict(
+                per_n, Conclusion.BOUNDED_AWAY_FROM_1, gap=1 - worst,
+                from_index=i,
+                claim=(f"certified upper bounds stay below {float(worst):.6g}"
+                       f" for tested n >= {i} (tested horizon only)"))
+    return ConvergenceVerdict(
+        per_n, Conclusion.UNDETERMINED,
+        reason="no certified pattern at the requested tolerance",
+        claim="enclosures neither approach 1 nor stay uniformly below it")
+
+
+def parent_window_route(expr, seq, tol, bits) -> ConvergenceVerdict:
+    """The window route with the window located and evaluated per index."""
+    expr = normalize(expr)
+    mass = plan_mass(expr)
+    scan = cached_window_scan()
+    u_scale = expr.bernoulli.scale * seq.lam
+    per_n, start = [], None
+    for n in seq.indices():
+        exp_n = seq.exponent(n)
+        if start is None and parent_power_exceeds(
+                u_scale, seq.base, exp_n, F(WINDOW_THRESHOLD)):
+            start = n
+        per_n.append((n, seq.describe(n), parent_window_ft(
+            expr, seq.argument(n), u_scale, exp_n, seq.base, mass, bits)))
+    per_n = tuple(per_n)
+    if start is None:
+        return parent_conclude_generic(per_n, tol)
+    gap = min([(1 - scan.sup.hi) / mass]
+              + [1 - iv.hi for n, _, iv in per_n if n >= start])
+    if gap <= 0:
+        return parent_conclude_generic(per_n, tol)
+    return ConvergenceVerdict(
+        per_n, Conclusion.BOUNDED_AWAY_FROM_1, gap=gap, from_index=start,
+        beyond_horizon=True,
+        claim=(f"window arguments exceed {WINDOW_THRESHOLD} from n={start} "
+               f"on, and the certified window supremum "
+               f"{float(scan.sup.hi):.9g} keeps every later enclosure below "
+               f"1 - {float(gap):.6g}"))
+
+
+def verdict_fields(v: ConvergenceVerdict) -> tuple:
+    return (tuple((n, d, iv.lo, iv.hi, iv.exact) for n, d, iv in v.per_n),
+            v.conclusion, v.gap, v.from_index, v.reason, v.beyond_horizon,
+            v.claim)
+
+
+@st.composite
+def window_cases(draw):
+    """A base-3 geometric measure, with or without atoms, and a base-3
+    factorial or geometric sequence whose scale runs from below 1/3 to
+    above 9."""
+    m = MeasureExpr(bernoulli=CoefficientSequence(
+        "geometric", 3, draw(st.sampled_from((F(1), F(1, 3), F(5, 2),
+                                              F(2, 7), F(9))))))
+    if draw(st.booleans()):
+        m = m.plus(draw(symmetric_atomic()))
+    family = draw(st.sampled_from(("geometric", "factorial")))
+    n_min = draw(st.integers(1, 4))
+    n_max = n_min + draw(st.integers(0, 4))
+    seq = SequenceSpec(family, lam=draw(st.builds(F, st.integers(1, 400),
+                                                  st.integers(1, 90))),
+                       base=3, n_min=n_min,
+                       n_max=min(n_max, 6) if family == "factorial" else n_max)
+    return m, seq
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(window_cases(), st.sampled_from((F(1, 10 ** 6), F(1, 10), F(1, 2))),
+       st.sampled_from((128, 256)))
+def test_window_route_equals_the_per_index_evaluation(case, tol, bits):
+    m, seq = case
+    assert (verdict_fields(topology.test_sequence(m, seq, tol, bits))
+            == verdict_fields(parent_window_route(m, seq, tol, bits)))
 
 
 @PROPERTY_SETTINGS

@@ -180,6 +180,23 @@ class TestWindowBound:
         v = run_test_sequence(geometric, seq_factorial(1, 2, 5))
         assert v.conclusion is Conclusion.BOUNDED_AWAY_FROM_1
 
+    @pytest.mark.parametrize("lam, n_min, calls", [
+        (F(1), 2, 1),           # window indices j_n = n - 1 >= 1 throughout
+        (F(1, 81), 1, 0),       # j_n = n - 5 < 1: the transform at every n
+    ])
+    def test_one_window_product_per_call(self, geometric, monkeypatch, lam,
+                                         n_min, calls):
+        counted = []
+
+        def counting(c, bits=None):
+            counted.append(c)
+            return window_product(c, bits)
+
+        monkeypatch.setattr(topology, "window_product", counting)
+        seq = SequenceSpec("geometric", lam=lam, n_min=n_min, n_max=n_min + 4)
+        run_test_sequence(geometric, seq)
+        assert len(counted) == calls
+
 
 class TestWeightSymmetry:
     LOPSIDED = MeasureExpr(atoms=((F(1), F(1)), (F(-1), F(2))),
@@ -206,6 +223,11 @@ class TestGenericSequences:
         v = run_test_sequence(pair, seq)
         assert v.conclusion is Conclusion.BOUNDED_AWAY_FROM_1
         assert v.gap == 2
+
+    def test_zero_measure_rejected(self):
+        seq = SequenceSpec("geometric", lam=F(1), n_min=1, n_max=3)
+        with pytest.raises(ParameterError, match="measure has no mass"):
+            run_test_sequence(MeasureExpr(), seq)
 
     @pytest.mark.parametrize("tol", [F(3, 2), F(1), F(0), F(-1, 2)])
     def test_tolerance_outside_0_1_rejected(self, tol):
@@ -282,6 +304,24 @@ class TestClassifyCompletion:
         cc = classify_completion(m)
         assert cc.kind in (CompletionKind.NOT_HAUSDORFF,
                            CompletionKind.COMPACT_ATOMIC)
+
+    def test_explicit_beyond_the_atom_budget_undetermined(self):
+        # 2**13 atoms exceed the budget; only that refusal is caught
+        m = MeasureExpr(bernoulli=CoefficientSequence(
+            "explicit", values=tuple(F(1, 2 ** k) for k in range(1, 14))))
+        with pytest.raises(UndeterminedError) as exc:
+            classify_completion(m)
+        assert "depth 13" in exc.value.reason
+
+    def test_explicit_expansion_passes_other_errors_on(self, monkeypatch):
+        def broken(seq, n):
+            raise RuntimeError("not a budget refusal")
+
+        monkeypatch.setattr(topology, "bernoulli_partial", broken)
+        m = MeasureExpr(bernoulli=CoefficientSequence(
+            "explicit", values=(F(1, 2), F(1, 4))))
+        with pytest.raises(RuntimeError, match="not a budget refusal"):
+            classify_completion(m)
 
     def test_trace_is_present(self, factorial_measure):
         cc = classify_completion(factorial_measure)
