@@ -19,12 +19,11 @@ first-class outcome whenever no rule applies.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import SpecFormatError
+from .errors import SpecFormatError, Value
 from .measures import (EXPLICIT, GEOMETRIC, CoefficientSequence,
                        MeasureExpr, bernoulli_partial, format_rational,
                        normalize, parse_rational, rational_gcd)
@@ -33,8 +32,7 @@ from .measures import (EXPLICIT, GEOMETRIC, CoefficientSequence,
 # Countable supports: finite sets and rational lattices with offsets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Support:
+class Support(Value):
     """Countable subset of the line: finite points or g*Z + offsets.
 
     kind "finite": ``points`` lists the members.
@@ -42,10 +40,15 @@ class Support:
     smallest period of the set, so each set has one form.
     """
 
-    kind: str
-    points: tuple[Fraction, ...] = ()
-    generator: Fraction = Fraction(0)
-    residues: tuple[Fraction, ...] = (Fraction(0),)
+    __slots__ = ("kind", "points", "generator", "residues")
+
+    def __init__(self, kind: str, points: tuple[Fraction, ...] = (),
+                 generator: Fraction = Fraction(0),
+                 residues: tuple[Fraction, ...] = (Fraction(0),)):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "generator", generator)
+        object.__setattr__(self, "residues", residues)
 
     @staticmethod
     def finite(points) -> "Support":
@@ -69,7 +72,7 @@ class Support:
     def group_generated(points) -> "Support":
         pts = [Fraction(p) for p in points if p != 0]
         if not pts:
-            return Support.finite([Fraction(0)])
+            return ORIGIN
         return Support.lattice(rational_gcd(pts))
 
     def is_finite(self) -> bool:
@@ -130,12 +133,15 @@ class Support:
         return (self.kind, self.points, self.generator, self.residues)
 
 
+#: the support {0}: an untranslated tag, the unit of the sumset
+ORIGIN = Support.finite([0])
+
+
 # ---------------------------------------------------------------------------
 # Singular tags
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SingularTag:
+class SingularTag(Value):
     """Named singular-continuous class, translated along a support.
 
     ``components`` is the multiset of primitive two-point-convolution
@@ -150,16 +156,21 @@ class SingularTag:
     constituent names supporting equality only.
     """
 
-    components: tuple[tuple[tuple, int], ...] = ()
-    closed: bool = False
-    opaque: tuple[str, ...] = ()
-    translates: Support = field(default_factory=lambda: Support.finite([0]))
+    __slots__ = ("components", "closed", "opaque", "translates")
+
+    def __init__(self, components: tuple[tuple[tuple, int], ...] = (),
+                 closed: bool = False, opaque: tuple[str, ...] = (),
+                 translates: Support = ORIGIN):
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "closed", closed)
+        object.__setattr__(self, "opaque", opaque)
+        object.__setattr__(self, "translates", translates)
 
     @staticmethod
     def of(seq: CoefficientSequence, power: int = 1,
            translates: Optional[Support] = None) -> "SingularTag":
         return SingularTag(((seq.key(), power),),
-                           translates=translates or Support.finite([0]))
+                           translates=translates or ORIGIN)
 
     def is_opaque(self) -> bool:
         return bool(self.opaque)
@@ -208,11 +219,13 @@ class SingularTag:
 # Axiom table
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Axiom:
-    name: str
-    statement: str
-    anchor: str
+class Axiom(Value):
+    __slots__ = ("name", "statement", "anchor")
+
+    def __init__(self, name: str, statement: str, anchor: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "statement", statement)
+        object.__setattr__(self, "anchor", anchor)
 
 
 DEFAULT_AXIOMS_TEXT = """\
@@ -282,21 +295,27 @@ class AxiomTable:
 # Class expressions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClassExpr:
+class ClassExpr(Value):
     """Measure class: atomic support + Lebesgue flag + singular tags."""
 
-    atoms: Optional[Support] = None
-    ac_lebesgue: bool = False
-    tags: tuple[SingularTag, ...] = ()
-    provenance: tuple[str, ...] = field(default=(), compare=False)
+    __slots__ = ("atoms", "ac_lebesgue", "tags", "provenance")
+    _uncompared = ("provenance",)
+
+    def __init__(self, atoms: Optional[Support] = None,
+                 ac_lebesgue: bool = False,
+                 tags: tuple[SingularTag, ...] = (),
+                 provenance: tuple[str, ...] = ()):
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "ac_lebesgue", ac_lebesgue)
+        object.__setattr__(self, "tags", tags)
+        object.__setattr__(self, "provenance", provenance)
 
     def canonical(self) -> "ClassExpr":
-        return replace(self, tags=tuple(sorted(set(self.tags),
-                                               key=SingularTag.sort_key)))
+        return self.replace(tags=tuple(sorted(set(self.tags),
+                                              key=SingularTag.sort_key)))
 
     def with_note(self, *notes: str) -> "ClassExpr":
-        return replace(self, provenance=self.provenance + notes)
+        return self.replace(provenance=self.provenance + notes)
 
     def describe(self) -> str:
         parts = []
@@ -384,11 +403,11 @@ def convolve(a: Union[MeasureExpr, ClassExpr],
         trace.append("rule:AtomSumset")
     for ta in ca.tags:
         if cb.atoms is not None:
-            tags.append(replace(ta, translates=ta.translates.sumset(cb.atoms)))
+            tags.append(ta.replace(translates=ta.translates.sumset(cb.atoms)))
             trace.append("rule:TagTranslation")
     for tb in cb.tags:
         if ca.atoms is not None:
-            tags.append(replace(tb, translates=tb.translates.sumset(ca.atoms)))
+            tags.append(tb.replace(translates=tb.translates.sumset(ca.atoms)))
             trace.append("rule:TagTranslation")
     for ta in ca.tags:
         for tb in cb.tags:
@@ -439,7 +458,7 @@ def series_class(a: Union[MeasureExpr, ClassExpr]) -> ClassExpr:
         # cross products of distinct singular summands: kept opaque
         names = tuple(sorted(n for t in base_tags
                              for n in t.constituent_names()))
-        translates = (Support.finite([0]) if group is None else group)
+        translates = ORIGIN if group is None else group
         tags.append(SingularTag(opaque=("mixed-products",) + names,
                                 translates=translates))
     return ClassExpr(atoms=group, ac_lebesgue=leb, tags=tuple(tags),
@@ -458,10 +477,12 @@ class RelationKind(Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class Relation:
-    kind: RelationKind
-    trace: tuple[str, ...] = ()
+class Relation(Value):
+    __slots__ = ("kind", "trace")
+
+    def __init__(self, kind: RelationKind, trace: tuple[str, ...] = ()):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "trace", trace)
 
     def describe(self) -> str:
         rules = ", ".join(self.trace) if self.trace else "-"

@@ -1,4 +1,56 @@
-"""Exception types shared across the library."""
+"""Exception types and the immutable value base shared across the library.
+
+``Value`` is the base of every value class: ``__slots__`` fields set once
+in ``__init__``, so defining a class generates no code at import.
+"""
+
+from operator import attrgetter
+
+
+class Value:
+    """Immutable value whose public ``__slots__`` are its fields.
+
+    Subclasses list their fields in constructor order and set them in
+    ``__init__`` with ``object.__setattr__``.  Equality and hashing follow
+    the fields not named in ``_uncompared``; ``repr`` shows every field.
+    Slots starting with ``_`` are private caches, outside all three.
+    Values can be weakly referenced.
+    """
+
+    __slots__ = ("__weakref__",)
+    _uncompared = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+        compared = [n for n in cls._fields if n not in cls._uncompared]
+        cls._key = attrgetter(*compared)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: "
+                             f"cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        """Copies and pickles are rebuilt by the constructor."""
+        return type(self), tuple(getattr(self, n) for n in self._fields)
+
+    def replace(self, **changes):
+        """A copy with the named fields changed, built by the constructor."""
+        fields = {n: getattr(self, n) for n in self._fields}
+        return type(self)(**{**fields, **changes})
 
 
 class Tau3Error(Exception):

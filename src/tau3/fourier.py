@@ -24,7 +24,6 @@ denominator, and clamps and rounds once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import count, islice
@@ -32,7 +31,7 @@ from math import lcm
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import (NotPointwiseEvaluable, TailNotCertified,
-                     UnsupportedArgument)
+                     UnsupportedArgument, Value)
 from .intervals import (QUADRATIC_COS_COEFF, IntervalValue, Rational,
                         cos2pi_fixed, precision_bits, product_fixed,
                         quadratic_cos_threshold)
@@ -48,33 +47,32 @@ TAIL_WIDTH_TARGET = Fraction(1, 10 ** 30)
 TAIL_CUTOFF_CAP = 80
 
 
-@dataclass(frozen=True)
-class ExactRational:
+class ExactRational(Value):
     """Argument t given as an exact rational."""
 
-    value: Fraction
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
+    def __init__(self, value: Fraction):
+        object.__setattr__(self, "value", Fraction(value))
 
     def describe(self) -> str:
         return str(self.value)
 
 
-@dataclass(frozen=True)
-class ScaledPower:
+class ScaledPower(Value):
     """Argument t = scale * base**exponent; the exponent may be huge."""
 
-    scale: Fraction
-    base: int
-    exponent: int
+    __slots__ = ("scale", "base", "exponent")
 
-    def __post_init__(self):
-        object.__setattr__(self, "scale", Fraction(self.scale))
-        if self.scale <= 0:
+    def __init__(self, scale: Fraction, base: int, exponent: int):
+        scale = Fraction(scale)
+        if scale <= 0:
             raise ValueError("scaled-power arguments need a positive scale")
-        if self.base < 2 or self.exponent < 0:
+        if base < 2 or exponent < 0:
             raise ValueError("need base >= 2 and non-negative exponent")
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exponent", exponent)
 
     def describe(self) -> str:
         if self.scale == 1:
@@ -91,8 +89,7 @@ def as_argument(t) -> ArgumentSpec:
     return ExactRational(Fraction(t))
 
 
-@dataclass(frozen=True)
-class ReducedExact:
+class ReducedExact(Value):
     """Fractional part of |c*t|, exactly: num/den, 0 <= num < den, integers
     not necessarily in lowest terms.
 
@@ -101,13 +98,15 @@ class ReducedExact:
     valid in that case.
     """
 
-    num: int
-    den: int
-    is_value: bool = False
+    __slots__ = ("num", "den", "is_value")
+
+    def __init__(self, num: int, den: int, is_value: bool = False):
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "is_value", is_value)
 
 
-@dataclass(frozen=True)
-class ReducedSmall:
+class ReducedSmall(Value):
     """|c*t| = num/den * base**(-neg_exp), held unexpanded; num/den is the
     mantissa in lowest terms.
 
@@ -115,10 +114,13 @@ class ReducedSmall:
     worth constructing; only magnitude bounds are ever taken from it.
     """
 
-    num: int
-    den: int
-    base: int
-    neg_exp: int
+    __slots__ = ("num", "den", "base", "neg_exp")
+
+    def __init__(self, num: int, den: int, base: int, neg_exp: int):
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "neg_exp", neg_exp)
 
     def fits(self) -> bool:
         return (self.neg_exp * self.base.bit_length()

@@ -38,13 +38,12 @@ Machin's formula in integer arithmetic.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import count
 from typing import Union
 
-from .errors import PrecisionSettingError
+from .errors import PrecisionSettingError, Value
 
 Rational = Union[Fraction, int]
 
@@ -119,23 +118,23 @@ def _two_pi_bounds(s: int) -> tuple[int, int]:
     return lo, lo + 1
 
 
-@dataclass(frozen=True)
-class IntervalValue:
+class IntervalValue(Value):
     """Closed interval [lo, hi] guaranteed to contain the true value.
 
     ``exact`` marks zero-width intervals whose endpoints are the value
     itself (not merely a tight enclosure).
     """
 
-    lo: Fraction
-    hi: Fraction
-    exact: bool = False
+    __slots__ = ("lo", "hi", "exact")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"inverted interval [{self.lo}, {self.hi}]")
-        if self.exact and self.lo != self.hi:
+    def __init__(self, lo: Fraction, hi: Fraction, exact: bool = False):
+        if lo > hi:
+            raise ValueError(f"inverted interval [{lo}, {hi}]")
+        if exact and lo != hi:
             raise ValueError("exact interval must have equal endpoints")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "exact", exact)
 
     @staticmethod
     def point(x: Rational) -> "IntervalValue":

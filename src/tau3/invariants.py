@@ -22,15 +22,15 @@ recorded inputs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .errors import SpecFormatError, UndeterminedError
-from .class_algebra import (AxiomTable, ClassExpr, LEBESGUE_CLASS, Relation,
-                            RelationKind, Support, atom_union, class_from_text,
-                            class_of, class_to_text, relation, series_class)
+from .errors import SpecFormatError, UndeterminedError, Value
+from .class_algebra import (ORIGIN, AxiomTable, ClassExpr, LEBESGUE_CLASS,
+                            Relation, RelationKind, atom_union,
+                            class_from_text, class_of, class_to_text,
+                            relation, series_class)
 from .intervals import precision_bits
 from .measures import (EXPLICIT, MeasureExpr, measure_from_dict,
                        measure_to_dict, normalize)
@@ -45,29 +45,31 @@ NOTATION_NOTE = ("the state-intersection invariant is identified with the "
                  "and disjointness are asserted, never the exact value")
 
 
-@dataclass(frozen=True)
-class FactorSpec:
+class FactorSpec(Value):
     """A factor given by the symmetric spectral measure of its defining
     orthogonal one-parameter group (additive log scale)."""
 
-    label: str
-    spectral_measure: MeasureExpr
+    __slots__ = ("label", "spectral_measure")
 
-    def __post_init__(self):
-        m = normalize(self.spectral_measure)
+    def __init__(self, label: str, spectral_measure: MeasureExpr):
+        m = normalize(spectral_measure)
         if m.is_zero:
             raise ValueError("spectral measure must be nontrivial")
         if not m.lebesgue and m.bernoulli is None \
                 and all(p == 0 for p, _ in m.atoms):
             raise ValueError("spectral measure supported at 0 only defines "
                              "no nontrivial group action")
+        object.__setattr__(self, "label", label)
         object.__setattr__(self, "spectral_measure", m)
 
 
-@dataclass(frozen=True)
-class TauDescriptor:
-    completion: Optional[CompletionClass]
-    reason: Optional[str] = None
+class TauDescriptor(Value):
+    __slots__ = ("completion", "reason")
+
+    def __init__(self, completion: Optional[CompletionClass],
+                 reason: Optional[str] = None):
+        object.__setattr__(self, "completion", completion)
+        object.__setattr__(self, "reason", reason)
 
     @property
     def determined(self) -> bool:
@@ -82,16 +84,20 @@ class TauDescriptor:
         return self.completion.describe()
 
 
-@dataclass(frozen=True)
-class SBounds:
+class SBounds(Value):
     """Bracket for the state-intersection invariant plus the exact
     weight-intersection value when the core rule applies."""
 
-    lower: Optional[ClassExpr]
-    upper: ClassExpr
-    w_exact: Optional[ClassExpr]
-    tau_bar: Optional[str]
-    rules: tuple[str, ...]
+    __slots__ = ("lower", "upper", "w_exact", "tau_bar", "rules")
+
+    def __init__(self, lower: Optional[ClassExpr], upper: ClassExpr,
+                 w_exact: Optional[ClassExpr], tau_bar: Optional[str],
+                 rules: tuple[str, ...]):
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "w_exact", w_exact)
+        object.__setattr__(self, "tau_bar", tau_bar)
+        object.__setattr__(self, "rules", rules)
 
 
 class Verdict(Enum):
@@ -112,9 +118,8 @@ def tau_descriptor(spec: FactorSpec,
 
 
 def _augment_with_unit(c: ClassExpr) -> ClassExpr:
-    unit = Support.finite([Fraction(0)])
-    atoms = unit if c.atoms is None else atom_union(c.atoms, unit)
-    return replace(c, atoms=atoms)
+    atoms = ORIGIN if c.atoms is None else atom_union(c.atoms, ORIGIN)
+    return c.replace(atoms=atoms)
 
 
 def _is_exact_lebesgue_plus_unit(m: MeasureExpr) -> bool:
@@ -192,10 +197,12 @@ def _atomic_progression_witness(gen_conv: Fraction, other: MeasureExpr
     return None
 
 
-@dataclass(frozen=True)
-class CrossTest:
-    name: str
-    verdict: ConvergenceVerdict
+class CrossTest(Value):
+    __slots__ = ("name", "verdict")
+
+    def __init__(self, name: str, verdict: ConvergenceVerdict):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "verdict", verdict)
 
     def describe(self) -> str:
         extra = ""
@@ -208,32 +215,38 @@ class CrossTest:
 # Certificates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RelationRecord:
-    name: str
-    rel: Relation
+class RelationRecord(Value):
+    __slots__ = ("name", "rel")
+
+    def __init__(self, name: str, rel: Relation):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "rel", rel)
 
     def describe(self) -> str:
         return f"{self.name}: {self.rel.describe()}"
 
 
-@dataclass(frozen=True)
-class Certificate:
-    label_a: str
-    label_b: str
-    measure_a: dict
-    measure_b: dict
-    tau_a: TauDescriptor
-    tau_b: TauDescriptor
-    sb_a: SBounds
-    sb_b: SBounds
-    relations: tuple[RelationRecord, ...]
-    cross_tests: tuple[CrossTest, ...]
-    verdict: Verdict
-    reason: str
-    table_hash: str
-    axioms: tuple[tuple[str, str, str], ...]   # (name, statement, anchor)
-    notes: tuple[str, ...] = (NOTATION_NOTE,)
+class Certificate(Value):
+    """Everything a replay checks; ``axioms`` holds the cited table rows
+    as (name, statement, anchor)."""
+
+    __slots__ = ("label_a", "label_b", "measure_a", "measure_b", "tau_a",
+                 "tau_b", "sb_a", "sb_b", "relations", "cross_tests",
+                 "verdict", "reason", "table_hash", "axioms", "notes")
+
+    def __init__(self, label_a: str, label_b: str, measure_a: dict,
+                 measure_b: dict, tau_a: TauDescriptor, tau_b: TauDescriptor,
+                 sb_a: SBounds, sb_b: SBounds,
+                 relations: tuple[RelationRecord, ...],
+                 cross_tests: tuple[CrossTest, ...], verdict: Verdict,
+                 reason: str, table_hash: str,
+                 axioms: tuple[tuple[str, str, str], ...],
+                 notes: tuple[str, ...] = (NOTATION_NOTE,)):
+        for name, value in zip(self.__slots__, (
+                label_a, label_b, measure_a, measure_b, tau_a, tau_b, sb_a,
+                sb_b, relations, cross_tests, verdict, reason, table_hash,
+                axioms, notes)):
+            object.__setattr__(self, name, value)
 
     def cited_rules(self) -> tuple[str, ...]:
         out: list[str] = []
@@ -455,7 +468,7 @@ def distinguish(a: FactorSpec, b: FactorSpec,
         verdict=verdict, reason=reason,
         table_hash=table.table_hash(),
         axioms=(), notes=(NOTATION_NOTE,))
-    cert = replace(cert, axioms=_cited_axioms(cert.cited_rules(), table))
+    cert = cert.replace(axioms=_cited_axioms(cert.cited_rules(), table))
     return cert
 
 
@@ -463,10 +476,12 @@ def distinguish(a: FactorSpec, b: FactorSpec,
 # Replay
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReplayReport:
-    ok: bool
-    notes: tuple[str, ...]
+class ReplayReport(Value):
+    __slots__ = ("ok", "notes")
+
+    def __init__(self, ok: bool, notes: tuple[str, ...]):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "notes", notes)
 
 
 def _parse_certificate(text: str) -> dict:

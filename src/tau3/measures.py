@@ -15,12 +15,12 @@ operation is a pure function.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import Iterable, Optional
 
-from .errors import BudgetExceeded, SpecFormatError, SymmetryViolation
+from .errors import (BudgetExceeded, SpecFormatError, SymmetryViolation,
+                     Value)
 
 DEFAULT_ATOM_BUDGET = 4096
 
@@ -62,17 +62,20 @@ def rational_gcd(values) -> Fraction:
     return Fraction(num, den)
 
 
-@dataclass(frozen=True)
-class CoeffTerm:
+class CoeffTerm(Value):
     """One coefficient c_k in mantissa * base**(-neg_exp) form.
 
     ``base`` is None for plain rationals (explicit lists, already-folded
     terms); then neg_exp is 0 and the value is just the mantissa.
     """
 
-    mantissa: Fraction
-    base: Optional[int] = None
-    neg_exp: int = 0
+    __slots__ = ("mantissa", "base", "neg_exp")
+
+    def __init__(self, mantissa: Fraction, base: Optional[int] = None,
+                 neg_exp: int = 0):
+        object.__setattr__(self, "mantissa", mantissa)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "neg_exp", neg_exp)
 
     def value(self) -> Fraction:
         if self.base is None or self.neg_exp == 0:
@@ -80,8 +83,7 @@ class CoeffTerm:
         return self.mantissa / Fraction(self.base) ** self.neg_exp
 
 
-@dataclass(frozen=True)
-class CoefficientSequence:
+class CoefficientSequence(Value):
     """Generator of the coefficients c_k of an infinite two-point convolution.
 
     kind "factorial": c_k = scale * base**(-k!)
@@ -93,32 +95,34 @@ class CoefficientSequence:
     limit measure to exist is automatic.
     """
 
-    kind: str
-    base: Optional[int] = None
-    scale: Fraction = Fraction(1)
-    values: tuple[Fraction, ...] = ()
+    __slots__ = ("kind", "base", "scale", "values")
 
-    def __post_init__(self):
-        object.__setattr__(self, "scale", Fraction(self.scale))
-        if self.scale <= 0:
+    def __init__(self, kind: str, base: Optional[int] = None,
+                 scale: Fraction = Fraction(1),
+                 values: tuple[Fraction, ...] = ()):
+        scale = Fraction(scale)
+        if scale <= 0:
             raise ValueError("coefficient scale must be positive")
-        if self.kind in (FACTORIAL, GEOMETRIC):
-            if self.base is None or self.base < 2:
-                raise ValueError(f"{self.kind} sequence needs an integer base >= 2")
-            if self.values:
-                raise ValueError(f"{self.kind} sequence takes no explicit values")
-        elif self.kind == EXPLICIT:
-            vals = tuple(Fraction(v) for v in self.values)
-            if not vals:
+        if kind in (FACTORIAL, GEOMETRIC):
+            if base is None or base < 2:
+                raise ValueError(f"{kind} sequence needs an integer base >= 2")
+            if values:
+                raise ValueError(f"{kind} sequence takes no explicit values")
+        elif kind == EXPLICIT:
+            values = tuple(Fraction(v) for v in values)
+            if not values:
                 raise ValueError("explicit sequence must be non-empty")
-            if any(v <= 0 for v in vals):
+            if any(v <= 0 for v in values):
                 raise ValueError("explicit coefficients must be positive")
-            if any(b >= a for a, b in zip(vals, vals[1:])):
+            if any(b >= a for a, b in zip(values, values[1:])):
                 raise ValueError("explicit coefficients must be strictly decreasing")
-            object.__setattr__(self, "values", vals)
-            object.__setattr__(self, "base", None)
+            base = None
         else:
-            raise ValueError(f"unknown sequence kind {self.kind!r}")
+            raise ValueError(f"unknown sequence kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "values", values)
 
     @property
     def length(self) -> Optional[int]:
@@ -178,20 +182,24 @@ def _merge_atoms(pairs: Iterable[tuple[Fraction, Fraction]]) -> tuple:
     return tuple(sorted((p, w) for p, w in acc.items() if w))
 
 
-@dataclass(frozen=True)
-class MeasureExpr:
-    """Symbolic symmetric measure; see the module docstring."""
+class MeasureExpr(Value):
+    """Symbolic symmetric measure; see the module docstring.  The private
+    slots are the caches of ``normalize`` and ``atom_plan``."""
 
-    atoms: tuple[tuple[Fraction, Fraction], ...] = ()
-    lebesgue: bool = False
-    bernoulli: Optional[CoefficientSequence] = None
-    scale: Fraction = Fraction(1)
+    __slots__ = ("atoms", "lebesgue", "bernoulli", "scale",
+                 "_normal", "_atom_plan")
 
-    def __post_init__(self):
-        object.__setattr__(self, "scale", _exact(self.scale))
+    def __init__(self, atoms: tuple[tuple[Fraction, Fraction], ...] = (),
+                 lebesgue: bool = False,
+                 bernoulli: Optional[CoefficientSequence] = None,
+                 scale: Fraction = Fraction(1)):
+        scale = _exact(scale)
         object.__setattr__(self, "atoms", tuple(
-            (_exact(p), _exact(w)) for p, w in self.atoms))
-        if self.scale <= 0:
+            (_exact(p), _exact(w)) for p, w in atoms))
+        object.__setattr__(self, "lebesgue", lebesgue)
+        object.__setattr__(self, "bernoulli", bernoulli)
+        object.__setattr__(self, "scale", scale)
+        if scale <= 0:
             raise ValueError("measure scale must be positive")
 
     # -- structure helpers -------------------------------------------------

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .errors import (NotPointwiseEvaluable, ParameterError, RangeError,
-                     SnapError, StepMismatch)
+                     SnapError, StepMismatch, Value)
 from .fourier import ft_point
 from .measures import (CoefficientSequence, MeasureExpr, bernoulli_lattice,
                        check_atom_budget, convolve_atoms, normalize)
@@ -28,19 +27,18 @@ from .measures import (CoefficientSequence, MeasureExpr, bernoulli_lattice,
 FLOAT_SAFETY = float(1 << 20)
 
 
-@dataclass(frozen=True)
-class GridMeasure:
+class GridMeasure(Value):
     """Finite measure sampled on origin + step * k, weights as floats."""
 
-    origin: Fraction
-    step: Fraction
-    weights: np.ndarray
+    __slots__ = ("origin", "step", "weights")
 
-    def __post_init__(self):
+    def __init__(self, origin: Fraction, step: Fraction, weights: np.ndarray):
         import numpy as np
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "step", step)
         object.__setattr__(self, "weights",
-                           np.asarray(self.weights, dtype=np.float64))
-        if self.step <= 0:
+                           np.asarray(weights, dtype=np.float64))
+        if step <= 0:
             raise ValueError("grid step must be positive")
 
     @property
@@ -51,13 +49,6 @@ class GridMeasure:
         import numpy as np
         n = len(self.weights)
         return np.float64(self.origin) + np.float64(self.step) * np.arange(n)
-
-    @property
-    def extent(self) -> float:
-        pts = self.points()
-        if len(pts) == 0:
-            return 0.0
-        return max(abs(pts[0]), abs(pts[-1]))
 
     def trimmed(self) -> "GridMeasure":
         """Drop zero-weight margins (canonical form for comparisons)."""
@@ -131,11 +122,12 @@ def grid_ft(g: GridMeasure, t: float) -> float:
     """Direct transform value sum_j w_j * cos(2*pi*x_j*t) at a float t."""
     import numpy as np
     t = float(t)
-    if abs(t) * g.extent > FLOAT_SAFETY:
-        raise RangeError(
-            f"|t|*extent = {abs(t) * g.extent:.3g} exceeds the float "
-            f"safety bound {FLOAT_SAFETY:.3g}")
     pts = g.points()
+    extent = max(abs(pts[0]), abs(pts[-1])) if len(pts) else 0.0
+    if abs(t) * extent > FLOAT_SAFETY:
+        raise RangeError(
+            f"|t|*extent = {abs(t) * extent:.3g} exceeds the float "
+            f"safety bound {FLOAT_SAFETY:.3g}")
     return float(np.sum(g.weights * np.cos(2.0 * math.pi * pts * t)))
 
 
@@ -143,13 +135,18 @@ def grid_ft(g: GridMeasure, t: float) -> float:
 # Randomized agreement suite (used by tests and the oracle-check command)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OracleReport:
-    cases: int
-    containment_checked: int
-    convolution_checked: int
-    atom_exact_checked: int
-    failures: list[str]
+class OracleReport(Value):
+    __slots__ = ("cases", "containment_checked", "convolution_checked",
+                 "atom_exact_checked", "failures")
+
+    def __init__(self, cases: int, containment_checked: int,
+                 convolution_checked: int, atom_exact_checked: int,
+                 failures: tuple[str, ...]):
+        object.__setattr__(self, "cases", cases)
+        object.__setattr__(self, "containment_checked", containment_checked)
+        object.__setattr__(self, "convolution_checked", convolution_checked)
+        object.__setattr__(self, "atom_exact_checked", atom_exact_checked)
+        object.__setattr__(self, "failures", failures)
 
     @property
     def ok(self) -> bool:
@@ -200,7 +197,8 @@ def oracle_suite(cases: int = 1000, seed: int = 20240, depth: int = 12,
         raise ParameterError(f"depth must be at least 2, got {depth}")
     check_atom_budget(depth)
     rng = random.Random(seed)
-    report = OracleReport(cases, 0, 0, 0, [])
+    contained = convolved = atom_exact = 0
+    failures = []
     slack = 1e-9
     for i in range(cases):
         mode = i % 3
@@ -229,9 +227,9 @@ def oracle_suite(cases: int = 1000, seed: int = 20240, depth: int = 12,
             val = grid_ft(g, float(t))
         except RangeError:
             continue
-        report.containment_checked += 1
+        contained += 1
         if not (float(iv.lo) - slack <= val <= float(iv.hi) + slack):
-            report.failures.append(
+            failures.append(
                 f"case {i}: grid value {val!r} outside "
                 f"[{float(iv.lo)!r}, {float(iv.hi)!r}] at t={t}")
 
@@ -242,19 +240,20 @@ def oracle_suite(cases: int = 1000, seed: int = 20240, depth: int = 12,
             conv = grid_convolve(ga, gb)
             lhs = grid_ft(conv, float(t))
             rhs = grid_ft(ga, float(t)) * grid_ft(gb, float(t))
-            report.convolution_checked += 1
+            convolved += 1
             if abs(lhs - rhs) > 1e-9 * max(1.0, abs(rhs)):
-                report.failures.append(
+                failures.append(
                     f"case {i}: convolution theorem off by {abs(lhs-rhs)!r}")
             gs = discretize(convolve_atoms(expr, other), step)
-            report.atom_exact_checked += 1
+            atom_exact += 1
             if not np.array_equal(gs.trimmed().weights,
                                   conv.trimmed().weights):
                 diff = np.abs(gs.trimmed().weights - conv.trimmed().weights)
-                report.failures.append(
+                failures.append(
                     f"case {i}: delta convolution mismatch, max diff "
                     f"{diff.max()!r}")
-    return report
+    return OracleReport(cases, contained, convolved, atom_exact,
+                        tuple(failures))
 
 
 def _finest_step(seq) -> Fraction:

@@ -24,7 +24,6 @@ tested indices.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import factorial
@@ -32,7 +31,7 @@ from typing import Optional
 
 from .errors import (BudgetExceeded, NotPointwiseEvaluable, ParameterError,
                      TailNotCertified, UndeterminedError,
-                     UnsupportedArgument)
+                     UnsupportedArgument, Value)
 from .intervals import (IntervalValue, cos2pi, cos2pi_fixed,
                         cos2pi_range_fixed, precision_bits, product_fixed)
 from .fourier import (ArgumentSpec, ExactRational, ScaledPower, atom_part,
@@ -46,8 +45,7 @@ WINDOW_THRESHOLD = 9
 WINDOW_SCAN_BITS = 96
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
+class SequenceSpec(Value):
     """Family of test arguments t_n; strictly increasing by construction.
 
     family "factorial": t_n = lam * base**(n!)
@@ -56,35 +54,36 @@ class SequenceSpec:
                         indexed from 1
     """
 
-    family: str
-    lam: Fraction = Fraction(1)
-    base: int = 3
-    n_min: int = 1
-    n_max: int = 1
-    values: tuple[Fraction, ...] = ()
+    __slots__ = ("family", "lam", "base", "n_min", "n_max", "values")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", Fraction(self.lam))
-        object.__setattr__(self, "values",
-                           tuple(Fraction(v) for v in self.values))
-        if self.family in (FACTORIAL, GEOMETRIC):
-            if self.lam <= 0:
+    def __init__(self, family: str, lam: Fraction = Fraction(1),
+                 base: int = 3, n_min: int = 1, n_max: int = 1,
+                 values: tuple[Fraction, ...] = ()):
+        lam = Fraction(lam)
+        values = tuple(Fraction(v) for v in values)
+        if family in (FACTORIAL, GEOMETRIC):
+            if lam <= 0:
                 raise ValueError("sequence scale must be positive")
-            if self.base < 2:
+            if base < 2:
                 raise ValueError("sequence base must be at least 2")
-            if self.n_min < 1 or self.n_min > self.n_max:
+            if n_min < 1 or n_min > n_max:
                 raise ValueError("need 1 <= n_min <= n_max")
-        elif self.family == EXPLICIT:
-            if not self.values:
+        elif family == EXPLICIT:
+            if not values:
                 raise ValueError("explicit sequence must be non-empty")
-            if any(v <= 0 for v in self.values):
+            if any(v <= 0 for v in values):
                 raise ValueError("explicit sequence terms must be positive")
-            if any(b <= a for a, b in zip(self.values, self.values[1:])):
+            if any(b <= a for a, b in zip(values, values[1:])):
                 raise ValueError("sequence terms must be strictly increasing")
-            object.__setattr__(self, "n_min", 1)
-            object.__setattr__(self, "n_max", len(self.values))
+            n_min, n_max = 1, len(values)
         else:
-            raise ValueError(f"unknown sequence family {self.family!r}")
+            raise ValueError(f"unknown sequence family {family!r}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "n_min", n_min)
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "values", values)
 
     def indices(self) -> range:
         return range(self.n_min, self.n_max + 1)
@@ -119,27 +118,32 @@ class Conclusion(Enum):
     UNDETERMINED = "Undetermined"
 
 
-@dataclass(frozen=True)
-class ConvergenceVerdict:
+class ConvergenceVerdict(Value):
     """Per-index certified enclosures plus the drawn conclusion."""
 
-    per_n: tuple[tuple[int, str, IntervalValue], ...]
-    conclusion: Conclusion
-    gap: Optional[Fraction] = None
-    from_index: Optional[int] = None
-    reason: Optional[str] = None
-    beyond_horizon: bool = False
-    claim: str = ""
+    __slots__ = ("per_n", "conclusion", "gap", "from_index", "reason",
+                 "beyond_horizon", "claim")
 
-    def __post_init__(self):
-        if self.conclusion is Conclusion.BOUNDED_AWAY_FROM_1:
-            if self.gap is None or self.gap <= 0:
+    def __init__(self, per_n: tuple[tuple[int, str, IntervalValue], ...],
+                 conclusion: Conclusion, gap: Optional[Fraction] = None,
+                 from_index: Optional[int] = None,
+                 reason: Optional[str] = None, beyond_horizon: bool = False,
+                 claim: str = ""):
+        if conclusion is Conclusion.BOUNDED_AWAY_FROM_1:
+            if gap is None or gap <= 0:
                 raise ValueError("bounded-away verdicts need a positive gap")
-            start = self.from_index if self.from_index is not None else -10**9
-            for n, _, iv in self.per_n:
-                if n >= start and iv.hi > 1 - self.gap:
+            start = from_index if from_index is not None else -10**9
+            for n, _, iv in per_n:
+                if n >= start and iv.hi > 1 - gap:
                     raise ValueError(
                         f"per-index enclosure at n={n} violates the gap")
+        object.__setattr__(self, "per_n", per_n)
+        object.__setattr__(self, "conclusion", conclusion)
+        object.__setattr__(self, "gap", gap)
+        object.__setattr__(self, "from_index", from_index)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "beyond_horizon", beyond_horizon)
+        object.__setattr__(self, "claim", claim)
 
 
 def _normalized_ft(expr: MeasureExpr, t, mass: Fraction,
@@ -172,13 +176,18 @@ def window_product(c: Fraction, bits: Optional[int] = None) -> IntervalValue:
                          exact=all(f[2] for f in factors))
 
 
-@dataclass(frozen=True)
-class WindowScan:
-    """Certified supremum of |window_product| over the period (1, 3]."""
+class WindowScan(Value):
+    """Certified supremum of |window_product| over the period (1, 3]:
+    ``sup`` encloses it, ``peak`` is the subinterval attaining the upper
+    bound."""
 
-    sup: IntervalValue          # encloses the true supremum
-    peak: tuple[Fraction, Fraction]   # subinterval attaining the upper bound
-    subdivisions: int
+    __slots__ = ("sup", "peak", "subdivisions")
+
+    def __init__(self, sup: IntervalValue, peak: tuple[Fraction, Fraction],
+                 subdivisions: int):
+        object.__setattr__(self, "sup", sup)
+        object.__setattr__(self, "peak", peak)
+        object.__setattr__(self, "subdivisions", subdivisions)
 
     @property
     def gap(self) -> Fraction:
@@ -486,17 +495,25 @@ class CompletionKind(Enum):
     NOT_HAUSDORFF = "NotHausdorff"
 
 
-@dataclass(frozen=True)
-class CompletionClass:
+class CompletionClass(Value):
     """Classification of the completion of the line in the measure topology."""
 
-    kind: CompletionKind
-    dual_generators: tuple[Fraction, ...] = ()
-    canonical_generator: Optional[Fraction] = None
-    witness: Optional[SequenceSpec] = None
-    witness_verdict: Optional[ConvergenceVerdict] = field(
-        default=None, compare=False)
-    trace: tuple[str, ...] = field(default=(), compare=False)
+    __slots__ = ("kind", "dual_generators", "canonical_generator", "witness",
+                 "witness_verdict", "trace")
+    _uncompared = ("witness_verdict", "trace")
+
+    def __init__(self, kind: CompletionKind,
+                 dual_generators: tuple[Fraction, ...] = (),
+                 canonical_generator: Optional[Fraction] = None,
+                 witness: Optional[SequenceSpec] = None,
+                 witness_verdict: Optional[ConvergenceVerdict] = None,
+                 trace: tuple[str, ...] = ()):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "dual_generators", dual_generators)
+        object.__setattr__(self, "canonical_generator", canonical_generator)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "witness_verdict", witness_verdict)
+        object.__setattr__(self, "trace", trace)
 
     def tau_key(self) -> tuple:
         """Canonical data deciding equality of the induced topologies."""

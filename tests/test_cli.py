@@ -332,9 +332,11 @@ IMPORT_FOOTPRINT = """
 import sys
 before = set(sys.modules)
 import tau3, tau3.cli
-foreign = sorted(m for m in set(sys.modules) - before
-                 if m.partition(".")[0] not in {"tau3", *sys.stdlib_module_names})
+loaded = set(sys.modules) - before
+foreign = sorted(m for m in loaded if m.partition(".")[0]
+                 not in {"tau3", *sys.stdlib_module_names})
 assert not foreign, foreign[:5]
+assert not loaded & {"dataclasses", "inspect"}, sorted(loaded)
 spec = sys.argv[1]
 assert tau3.cli.main(["eval", "--measure", spec, "--t", "1/3"]) == 0
 assert tau3.cli.main(["classify", "--measure", spec]) == 0
@@ -344,6 +346,7 @@ assert tau3.cli.main(["oracle-check", "--cases", "3", "--depth", "4"]) == 0
 
 
 def test_only_the_grid_oracle_loads_numpy():
+    """Also: ``import tau3`` loads neither ``dataclasses`` nor ``inspect``."""
     geometric = os.path.join(os.path.dirname(__file__), "golden", "specs",
                              "geometric.json")
     proc = subprocess.run([sys.executable, "-c", IMPORT_FOOTPRINT, geometric],
