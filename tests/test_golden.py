@@ -1,9 +1,10 @@
 """Golden corpus: CLI reports and certificates must stay byte-identical.
 
 Each case runs ``tau3.cli.main`` in-process (so the cached window scan is
-shared) in a scratch directory holding copies of ``golden/specs``, with
-``TAU3_PRECISION`` pinned to the default profile, and compares the exit
-code, stdout and the ``--out`` file against ``golden/expected``.
+shared) in a scratch directory holding copies of ``golden/specs`` (measure
+specs and one axiom table), with ``TAU3_PRECISION`` pinned to the default
+profile, and compares the exit code, stdout and the ``--out`` file against
+``golden/expected``.
 
 To rebuild the expected files after a deliberate change of a report, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.  It
@@ -62,6 +63,18 @@ CASES = {
     "classop_series": (["class-op", "--op", "series", "--a", "m2.json"], 0),
     "classop_relation": (["class-op", "--op", "relation", "--a", "m2.json",
                           "--b", "lebesgue.json"], 0),
+    # exits other than 0, the explicit route, --axioms and oracle-check
+    "eval_geometric_undetermined": (["eval", "--measure", "geometric.json",
+                                     "--t-power", "1,3,100"], 2),
+    "classify_geometric_base2": (["classify", "--measure",
+                                  "geometric_base2.json"], 2),
+    "converge_cyclic_points": (["converge", "--measure", "cyclic.json",
+                                "--points", "1,2,3,4"], 0),
+    "classop_relation_axioms": (["class-op", "--op", "relation",
+                                 "--a", "m2.json", "--b", "lebesgue.json",
+                                 "--axioms", "axioms_no_singular.txt"], 2),
+    "oracle_check_30": (["oracle-check", "--cases", "30", "--seed", "7",
+                         "--depth", "10"], 0),
 }
 
 
