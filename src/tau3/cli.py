@@ -2,10 +2,17 @@
 
 Subcommands: eval, converge, classify, class-op, distinguish, oracle-check.
 
-Every run echoes its flag set in the output header so results are
-reproducible; machine-readable reports are deterministic structured text
-(byte-identical for identical inputs and flags).  Exit codes: 0 for a
-definitive result, 2 for Undetermined, 1 for input or usage errors.
+``COMMANDS`` declares each subcommand once: its handler, its help text and
+its flags with their ``add_argument`` keywords; ``--out`` and ``--axioms``
+are added to every subcommand.  ``main`` runs one pipeline for all of them:
+load the axiom table, call the handler (which returns its RESULT lines and
+exit code, and for ``distinguish`` the certificate), build the header, and
+write the report to stdout and ``--out``.  The header's ``flags:`` line
+lists every flag the subcommand declares that has a value, defaults
+included, sorted by name, so results are reproducible; reports are
+deterministic structured text (byte-identical for identical inputs and
+flags).  Exit codes: 0 for a definitive result, 2 for Undetermined, 1 for
+input or usage errors.
 
 Exact parameters (measure scales, sequence scales, arguments) are accepted
 as "p/q" strings only; tolerances may use decimal or scientific notation
@@ -38,38 +45,6 @@ from .topology import (Conclusion, SequenceSpec, classify_completion,
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNDETERMINED = 2
-
-
-_FLAG_ATTRS = {"lambda": "lam"}
-
-
-def _flag_echo(args: argparse.Namespace, names: list[str]) -> str:
-    parts = []
-    for name in sorted(names):
-        attr = _FLAG_ATTRS.get(name, name.replace("-", "_"))
-        val = getattr(args, attr, None)
-        if val is not None:
-            parts.append(f"{name}={val}")
-    return " ".join(parts)
-
-
-def _report_header(command: str, echo: str, table: AxiomTable) -> list[str]:
-    return [
-        "TAU3-REPORT",
-        f"version: {__version__}",
-        f"command: {command}",
-        f"flags: {echo}",
-        f"axiom-table: {table.table_hash()}",
-        f"precision: {precision_bits()}",
-    ]
-
-
-def _emit(lines: list[str], out_path) -> None:
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
 
 
 def _interval_text(iv) -> str:
@@ -111,37 +86,23 @@ def _parse_argument(args) -> object:
     raise SpecFormatError("an argument is required: --t or --t-power")
 
 
-def _load_axioms(args) -> AxiomTable:
-    if getattr(args, "axioms", None):
-        return AxiomTable.load(args.axioms)
-    return AxiomTable.default()
-
-
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns its RESULT lines and exit code, and
+# ``distinguish`` also the certificate that ``--out`` receives.
 # ---------------------------------------------------------------------------
 
-def _cmd_eval(args) -> int:
-    table = _load_axioms(args)
+def _cmd_eval(args, table):
     expr = load_measure_spec(args.measure)
     t = _parse_argument(args)
     if args.cutoff is not None and args.cutoff < 0:
         raise SpecFormatError(f"--cutoff must be at least 0, got {args.cutoff}")
-    lines = _report_header("eval", _flag_echo(
-        args, ["measure", "t", "t-power", "cutoff", "axioms", "out"]), table)
     try:
         iv = ft_point(expr, t, tail_cutoff=args.cutoff)
     except TailNotCertified as exc:
-        lines += ["RESULT", "status: Undetermined",
-                  f"reason: {exc}", "END"]
-        _emit(lines, args.out)
-        return EXIT_UNDETERMINED
-    lines += ["RESULT", "status: evaluated",
-              f"value: {_interval_text(iv)}",
-              f"width: {format_rational(iv.width)} ~{float(iv.width)!r}",
-              "END"]
-    _emit(lines, args.out)
-    return EXIT_OK
+        return ["status: Undetermined", f"reason: {exc}"], EXIT_UNDETERMINED
+    lines = ["status: evaluated", f"value: {_interval_text(iv)}",
+             f"width: {format_rational(iv.width)} ~{float(iv.width)!r}"]
+    return lines, EXIT_OK
 
 
 def _build_sequence(args) -> SequenceSpec:
@@ -163,18 +124,12 @@ def _build_sequence(args) -> SequenceSpec:
         raise SpecFormatError(str(exc)) from None
 
 
-def _cmd_converge(args) -> int:
-    table = _load_axioms(args)
+def _cmd_converge(args, table):
     expr = load_measure_spec(args.measure)
     seq = _build_sequence(args)
-    tol = parse_rational(args.tol)
-    verdict = test_sequence(expr, seq, tol)
-    lines = _report_header("converge", _flag_echo(
-        args, ["measure", "family", "lambda", "base", "n", "points",
-               "tol", "axioms", "out"]), table)
-    lines += ["RESULT",
-              f"sequence: {seq.family_describe()}",
-              f"conclusion: {verdict.conclusion.value}"]
+    verdict = test_sequence(expr, seq, parse_rational(args.tol))
+    lines = [f"sequence: {seq.family_describe()}",
+             f"conclusion: {verdict.conclusion.value}"]
     if verdict.gap is not None:
         lines.append(f"gap: {format_rational(verdict.gap)}"
                      f" ~{float(verdict.gap)!r}")
@@ -187,64 +142,43 @@ def _cmd_converge(args) -> int:
     lines.append("per-n:")
     for n, desc, iv in verdict.per_n:
         lines.append(f"  n={n} t={desc} value={_interval_text(iv)}")
-    lines.append("END")
-    _emit(lines, args.out)
-    return (EXIT_OK if verdict.conclusion is not Conclusion.UNDETERMINED
-            else EXIT_UNDETERMINED)
+    return lines, (EXIT_OK if verdict.conclusion is not Conclusion.UNDETERMINED
+                   else EXIT_UNDETERMINED)
 
 
-def _cmd_classify(args) -> int:
-    table = _load_axioms(args)
+def _cmd_classify(args, table):
     expr = load_measure_spec(args.measure)
-    lines = _report_header("classify", _flag_echo(
-        args, ["measure", "axioms", "out"]), table)
     try:
         cc = classify_completion(expr)
     except UndeterminedError as exc:
-        lines += ["RESULT", "completion: Undetermined",
-                  f"reason: {exc.reason}", "END"]
-        _emit(lines, args.out)
-        return EXIT_UNDETERMINED
-    lines += ["RESULT", f"completion: {cc.describe()}"]
-    for step in cc.trace:
-        lines.append(f"justification: {step}")
+        return (["completion: Undetermined", f"reason: {exc.reason}"],
+                EXIT_UNDETERMINED)
+    lines = [f"completion: {cc.describe()}"]
+    lines += [f"justification: {step}" for step in cc.trace]
     if cc.witness_verdict is not None:
         lines.append("witness-per-n:")
         for n, desc, iv in cc.witness_verdict.per_n:
             lines.append(f"  n={n} t={desc} value={_interval_text(iv)}")
-    lines.append("END")
-    _emit(lines, args.out)
-    return EXIT_OK
+    return lines, EXIT_OK
 
 
-def _cmd_class_op(args) -> int:
-    table = _load_axioms(args)
+def _cmd_class_op(args, table):
     a = load_measure_spec(args.a)
-    lines = _report_header("class-op", _flag_echo(
-        args, ["op", "a", "b", "axioms", "out"]), table)
     if args.op == "series":
-        result = series_class(a)
-        lines += ["RESULT", f"class: {class_to_text(result)}", "END"]
-        _emit(lines, args.out)
-        return EXIT_OK
+        return [f"class: {class_to_text(series_class(a))}"], EXIT_OK
     if not args.b:
         raise SpecFormatError(f"--b is required for op {args.op}")
     b = load_measure_spec(args.b)
     if args.op == "convolve":
-        result = convolve(a, b)
-        lines += ["RESULT", f"class: {class_to_text(result)}", "END"]
-        _emit(lines, args.out)
-        return EXIT_OK
+        return [f"class: {class_to_text(convolve(a, b))}"], EXIT_OK
     rel = relation(a, b, table)
-    lines += ["RESULT", f"relation: {rel.kind.value}",
-              f"rules: {', '.join(rel.trace) or '-'}", "END"]
-    _emit(lines, args.out)
-    return (EXIT_OK if rel.kind is not RelationKind.UNKNOWN
-            else EXIT_UNDETERMINED)
+    lines = [f"relation: {rel.kind.value}",
+             f"rules: {', '.join(rel.trace) or '-'}"]
+    return lines, (EXIT_OK if rel.kind is not RelationKind.UNKNOWN
+                   else EXIT_UNDETERMINED)
 
 
-def _cmd_distinguish(args) -> int:
-    table = _load_axioms(args)
+def _cmd_distinguish(args, table):
     a, b = load_measure_spec(args.a), load_measure_spec(args.b)
     try:
         spec_a = FactorSpec(args.label_a, a)
@@ -252,47 +186,76 @@ def _cmd_distinguish(args) -> int:
     except ValueError as exc:
         raise SpecFormatError(str(exc)) from None
     cert = distinguish(spec_a, spec_b, table)
-    replay = replay_certificate(cert.to_text(), table)
-    header = _report_header("distinguish", _flag_echo(
-        args, ["a", "b", "label-a", "label-b", "axioms", "out"]), table)
-    summary = header + [
-        "RESULT",
-        f"verdict: {cert.verdict.value}",
-        f"reason: {cert.reason}",
-        f"replay: {'ok' if replay.ok else 'FAILED'}",
-        "certificate follows",
-        "",
-    ]
-    sys.stdout.write("\n".join(summary) + "\n")
-    sys.stdout.write(cert.to_text())
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(cert.to_text())
-    if not replay.ok:
-        return EXIT_ERROR
-    return (EXIT_OK if cert.verdict is not Verdict.UNDETERMINED
-            else EXIT_UNDETERMINED)
+    text = cert.to_text()
+    replay = replay_certificate(text, table)
+    lines = [f"verdict: {cert.verdict.value}", f"reason: {cert.reason}",
+             f"replay: {'ok' if replay.ok else 'FAILED'}"]
+    code = (EXIT_ERROR if not replay.ok
+            else EXIT_UNDETERMINED if cert.verdict is Verdict.UNDETERMINED
+            else EXIT_OK)
+    return lines, code, text
 
 
-def _cmd_oracle_check(args) -> int:
-    table = _load_axioms(args)
+def _cmd_oracle_check(args, table):
     report = oracle_suite(cases=args.cases, seed=args.seed, depth=args.depth)
-    lines = _report_header("oracle-check", _flag_echo(
-        args, ["cases", "seed", "depth", "axioms", "out"]), table)
-    lines += ["RESULT",
-              f"cases: {report.cases}",
-              f"containment-checked: {report.containment_checked}",
-              f"convolution-checked: {report.convolution_checked}",
-              f"atom-exact-checked: {report.atom_exact_checked}",
-              f"failures: {len(report.failures)}"]
-    for f in report.failures[:20]:
-        lines.append(f"  fail: {f}")
-    lines.append("END")
-    _emit(lines, args.out)
-    return EXIT_OK if report.ok else EXIT_ERROR
+    lines = [f"cases: {report.cases}",
+             f"containment-checked: {report.containment_checked}",
+             f"convolution-checked: {report.convolution_checked}",
+             f"atom-exact-checked: {report.atom_exact_checked}",
+             f"failures: {len(report.failures)}"]
+    lines += [f"  fail: {f}" for f in report.failures[:20]]
+    return lines, EXIT_OK if report.ok else EXIT_ERROR
 
 
 # ---------------------------------------------------------------------------
+# The one table of subcommands and the one pipeline
+# ---------------------------------------------------------------------------
+
+MEASURE_FLAG = {"measure": {"required": True}}
+
+#: command -> (handler, help, flag -> ``add_argument`` keywords)
+COMMANDS = {
+    "eval": (_cmd_eval, "certified transform value at one point", {
+        **MEASURE_FLAG,
+        "t": {"help": "exact rational argument 'p/q'"},
+        "t-power": {"help": "huge argument 'scale,base,exponent' (exponent "
+                            "may be 'n!')"},
+        "cutoff": {"type": int,
+                   "help": "head length before the certified tail"}}),
+    "converge": (_cmd_converge, "certified sequence convergence test", {
+        **MEASURE_FLAG,
+        "family": {"choices": ["factorial", "geometric"]},
+        "lambda": {"dest": "lam", "default": "1",
+                   "help": "sequence scale as 'p/q'"},
+        "base": {"type": int, "default": 3},
+        "n": {"help": "index range like 3..6"},
+        "points": {"help": "explicit rationals 't1,t2,...'"},
+        "tol": {"default": "1e-6"}}),
+    "classify": (_cmd_classify, "completion class of the topology",
+                 MEASURE_FLAG),
+    "class-op": (_cmd_class_op, "measure-class algebra operations", {
+        "op": {"required": True,
+               "choices": ["convolve", "series", "relation"]},
+        "a": {"required": True},
+        "b": {}}),
+    "distinguish": (_cmd_distinguish, "compare two factor specifications", {
+        "a": {"required": True},
+        "b": {"required": True},
+        "label-a": {"default": "A"},
+        "label-b": {"default": "B"}}),
+    "oracle-check": (_cmd_oracle_check,
+                     "randomized grid-vs-certified agreement suite", {
+                         "cases": {"type": int, "default": 1000},
+                         "seed": {"type": int, "default": 20240},
+                         "depth": {"type": int, "default": 12}}),
+}
+
+#: flags every subcommand takes
+COMMON_FLAGS = {
+    "out": {"help": "write the machine-readable report here"},
+    "axioms": {"help": "axiom table overriding the default"},
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -301,71 +264,46 @@ def build_parser() -> argparse.ArgumentParser:
                     "algebra, and factor-invariant certificates.")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add_common(sp):
-        sp.add_argument("--out", help="write the machine-readable report here")
-        sp.add_argument("--axioms", help="axiom table overriding the default")
-
-    sp = sub.add_parser("eval", help="certified transform value at one point")
-    sp.add_argument("--measure", required=True)
-    sp.add_argument("--t", help="exact rational argument 'p/q'")
-    sp.add_argument("--t-power", dest="t_power",
-                    help="huge argument 'scale,base,exponent' (exponent "
-                         "may be 'n!')")
-    sp.add_argument("--cutoff", type=int, default=None,
-                    help="head length before the certified tail")
-    add_common(sp)
-    sp.set_defaults(func=_cmd_eval)
-
-    sp = sub.add_parser("converge", help="certified sequence convergence test")
-    sp.add_argument("--measure", required=True)
-    sp.add_argument("--family", choices=["factorial", "geometric"])
-    sp.add_argument("--lambda", dest="lam", default="1",
-                    help="sequence scale as 'p/q'")
-    sp.add_argument("--base", type=int, default=3)
-    sp.add_argument("--n", help="index range like 3..6")
-    sp.add_argument("--points", help="explicit rationals 't1,t2,...'")
-    sp.add_argument("--tol", default="1e-6")
-    add_common(sp)
-    sp.set_defaults(func=_cmd_converge)
-
-    sp = sub.add_parser("classify", help="completion class of the topology")
-    sp.add_argument("--measure", required=True)
-    add_common(sp)
-    sp.set_defaults(func=_cmd_classify)
-
-    sp = sub.add_parser("class-op", help="measure-class algebra operations")
-    sp.add_argument("--op", required=True,
-                    choices=["convolve", "series", "relation"])
-    sp.add_argument("--a", required=True)
-    sp.add_argument("--b")
-    add_common(sp)
-    sp.set_defaults(func=_cmd_class_op)
-
-    sp = sub.add_parser("distinguish",
-                        help="compare two factor specifications")
-    sp.add_argument("--a", required=True)
-    sp.add_argument("--b", required=True)
-    sp.add_argument("--label-a", dest="label_a", default="A")
-    sp.add_argument("--label-b", dest="label_b", default="B")
-    add_common(sp)
-    sp.set_defaults(func=_cmd_distinguish)
-
-    sp = sub.add_parser("oracle-check",
-                        help="randomized grid-vs-certified agreement suite")
-    sp.add_argument("--cases", type=int, default=1000)
-    sp.add_argument("--seed", type=int, default=20240)
-    sp.add_argument("--depth", type=int, default=12)
-    add_common(sp)
-    sp.set_defaults(func=_cmd_oracle_check)
+    for command, (_, help_text, flags) in COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        for flag, keywords in {**flags, **COMMON_FLAGS}.items():
+            sp.add_argument(f"--{flag}", **keywords)
     return p
 
 
+def _write_report(args, table: AxiomTable, lines: list[str],
+                  certificate: str = "") -> None:
+    """Header, RESULT lines and certificate to stdout; the report, or the
+    certificate when there is one, to ``--out``."""
+    flags = {**COMMANDS[args.command][2], **COMMON_FLAGS}
+    values = ((flag, getattr(args, keywords.get("dest",
+                                                flag.replace("-", "_"))))
+              for flag, keywords in sorted(flags.items()))
+    echo = " ".join(f"{flag}={value}" for flag, value in values
+                    if value is not None)
+    report = "\n".join([
+        "TAU3-REPORT",
+        f"version: {__version__}",
+        f"command: {args.command}",
+        f"flags: {echo}",
+        f"axiom-table: {table.table_hash()}",
+        f"precision: {precision_bits()}",
+        "RESULT", *lines,
+        *(["certificate follows", ""] if certificate else ["END"])]) + "\n"
+    sys.stdout.write(report + certificate)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(certificate or report)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        table = (AxiomTable.load(args.axioms) if args.axioms
+                 else AxiomTable.default())
+        lines, code, *certificate = COMMANDS[args.command][0](args, table)
+        _write_report(args, table, lines, *certificate)
+        return code
     except SpecFormatError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR

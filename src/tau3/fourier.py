@@ -325,7 +325,7 @@ def tail_bound(seq: CoefficientSequence, cutoff: int, t,
     for them all.  The upper bound is 1.  Raises TailNotCertified when the
     arguments are not eventually small.
     """
-    bits = bits or precision_bits()
+    bits = precision_bits(bits)
     t = as_argument(t)
     if isinstance(t, ExactRational) and t.value == 0:
         return IntervalValue.point(1)
@@ -459,7 +459,7 @@ def ft_point(expr: MeasureExpr, t, tail_cutoff: Optional[int] = None,
 
     The measure must have finite mass (no Lebesgue component).
     """
-    bits = bits or precision_bits()
+    bits = precision_bits(bits)
     t = as_argument(t)
     expr = normalize(expr)
     if expr.lebesgue:

@@ -28,11 +28,13 @@ cos2pi is exact (zero width) at the rational points where the cosine of a
 rational multiple of 2*pi is itself rational; by Niven's theorem these are
 exactly the fractions with denominator 1, 2, 3, 4 or 6.
 
-The working precision (bits of fixed-point scale) comes from the
-``TAU3_PRECISION`` environment variable: one of the profile names ``fast``,
-``default``, ``high``, or an explicit bit count in [64, 4096]; any other
-value raises PrecisionSettingError.  2*pi is bracketed at any precision by
-Machin's formula in integer arithmetic.
+The working precision (bits of fixed-point scale) is the ``bits`` argument
+of each entry point, or else comes from the ``TAU3_PRECISION`` environment
+variable: one of the profile names ``fast``, ``default``, ``high``, or an
+explicit bit count in [64, 4096]; any other value raises
+PrecisionSettingError, and a ``bits`` argument outside that range
+ParameterError (``precision_bits`` resolves both).  2*pi is bracketed at any
+precision by Machin's formula in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from functools import cache
 from itertools import count
 from typing import Union
 
-from .errors import PrecisionSettingError, Value
+from .errors import ParameterError, PrecisionSettingError, Value
 
 Rational = Union[Fraction, int]
 
@@ -51,12 +53,19 @@ PRECISION_PROFILES = {"fast": 128, "default": 256, "high": 512}
 MIN_BITS, MAX_BITS = 64, 4096
 
 
-def precision_bits() -> int:
-    """Working precision in bits, from TAU3_PRECISION (profile name or int).
+def precision_bits(bits: int | None = None) -> int:
+    """Working precision in bits: ``bits`` when given, else TAU3_PRECISION
+    (profile name or int).
 
-    Raises PrecisionSettingError for anything but a profile name or a bit
-    count in [MIN_BITS, MAX_BITS].
+    An explicit count outside [MIN_BITS, MAX_BITS], 0 included, raises
+    ParameterError; a TAU3_PRECISION value other than a profile name or a
+    count in that range raises PrecisionSettingError.
     """
+    if bits is not None:
+        if not MIN_BITS <= bits <= MAX_BITS:
+            raise ParameterError(f"bits={bits} outside [{MIN_BITS}, "
+                                 f"{MAX_BITS}]")
+        return bits
     raw = os.environ.get("TAU3_PRECISION", "default").strip().lower()
     if raw in PRECISION_PROFILES:
         return PRECISION_PROFILES[raw]
@@ -301,7 +310,7 @@ def product_fixed(factors, one: int) -> tuple[int, int]:
 
 def cos2pi(q: Rational, bits: int | None = None) -> IntervalValue:
     """Certified enclosure of cos(2*pi*q) for rational q."""
-    bits = bits or precision_bits()
+    bits = precision_bits(bits)
     q = Fraction(q)
     lo, hi, exact = cos2pi_fixed(q.numerator, q.denominator, bits)
     den = 1 << bits
@@ -311,7 +320,7 @@ def cos2pi(q: Rational, bits: int | None = None) -> IntervalValue:
 def cos2pi_interval(a: Rational, b: Rational,
                     bits: int | None = None) -> IntervalValue:
     """Enclosure of the range of cos(2*pi*x) over the interval [a, b]."""
-    bits = bits or precision_bits()
+    bits = precision_bits(bits)
     a, b = Fraction(a), Fraction(b)
     if a > b:
         raise ValueError("interval endpoints out of order")
@@ -331,7 +340,7 @@ def log1m(y: Rational, bits: int | None = None) -> IntervalValue:
     Series -sum_{j>=1} y^j / j with the tail after J terms bounded by
     y^(J+1) / ((J+1)(1-y)).
     """
-    bits = bits or precision_bits()
+    bits = precision_bits(bits)
     y = Fraction(y)
     if y == 0:
         return IntervalValue.point(0)
@@ -357,7 +366,7 @@ def log1m(y: Rational, bits: int | None = None) -> IntervalValue:
 
 def exp_neg(s: Rational, bits: int | None = None) -> IntervalValue:
     """Certified enclosure of exp(-s) for rational s >= 0."""
-    bits = bits or precision_bits()
+    bits = precision_bits(bits)
     s = Fraction(s)
     if s < 0:
         raise ValueError("exp_neg expects a non-negative argument")
@@ -399,21 +408,13 @@ def exp_neg(s: Rational, bits: int | None = None) -> IntervalValue:
 # ---------------------------------------------------------------------------
 
 QUADRATIC_COS_COEFF = 49
-_OMEGA = Fraction(1, 8)
-
-
-def certify_quadratic_cos_bound(omega: Fraction = _OMEGA) -> bool:
-    """Verify cos(2*pi*x) >= 1 - 49*x**2 on [0, omega] via 2*pi^2 < 49."""
-    if not 0 < omega <= Fraction(1, 4):
-        raise ValueError("omega must lie in (0, 1/4]")
-    _, tp_hi = _two_pi_bounds(64)
-    if Fraction(tp_hi * tp_hi, 2 << 128) > QUADRATIC_COS_COEFF:
-        raise ValueError("cannot certify 2*pi^2 < 49")
-    return True
 
 
 @cache
 def quadratic_cos_threshold() -> Fraction:
-    """Largest argument magnitude at which the 1 - 49*x**2 bound is certified."""
-    certify_quadratic_cos_bound()
-    return _OMEGA
+    """Largest argument magnitude at which the 1 - 49*x**2 bound is used;
+    certifies it first by checking 2*pi^2 < 49."""
+    _, tp_hi = _two_pi_bounds(64)
+    if Fraction(tp_hi * tp_hi, 2 << 128) > QUADRATIC_COS_COEFF:
+        raise ValueError("cannot certify 2*pi^2 < 49")
+    return Fraction(1, 8)

@@ -110,7 +110,7 @@ def tau_descriptor(spec: FactorSpec,
                    bits: Optional[int] = None) -> TauDescriptor:
     """Topology descriptor of the factor: the spectral measure's completion
     class, witnesses attached."""
-    bits = bits or precision_bits()
+    bits = precision_bits(bits)
     try:
         return TauDescriptor(classify_completion(spec.spectral_measure, bits))
     except UndeterminedError as exc:
@@ -406,7 +406,7 @@ def distinguish(a: FactorSpec, b: FactorSpec,
     computed descriptors agree; Undetermined covers everything else.
     """
     table = table or AxiomTable.default()
-    bits = bits or precision_bits()
+    bits = precision_bits(bits)
     tau_a, tau_b = tau_descriptor(a, bits), tau_descriptor(b, bits)
     sb_a, sb_b = s_bounds(a, table), s_bounds(b, table)
 
@@ -429,8 +429,8 @@ def distinguish(a: FactorSpec, b: FactorSpec,
 
     check_bracket("A", sb_a.lower, "B", sb_b.upper)
     check_bracket("B", sb_b.lower, "A", sb_a.upper)
-    relations.append(RelationRecord(
-        "s-upper(A) vs s-upper(B)", relation(sb_a.upper, sb_b.upper, table)))
+    uppers = relation(sb_a.upper, sb_b.upper, table)
+    relations.append(RelationRecord("s-upper(A) vs s-upper(B)", uppers))
 
     tau_sep, tests = _tau_separation(a, b, tau_a, tau_b, bits)
     if tau_sep is not None:
@@ -449,7 +449,6 @@ def distinguish(a: FactorSpec, b: FactorSpec,
             sb_a.lower is None
             or relation(sb_a.lower, sb_b.lower, table).kind
             is RelationKind.EQUIVALENT)
-        uppers = relation(sb_a.upper, sb_b.upper, table)
         if tau_equal and lowers_equal and uppers.kind is RelationKind.EQUIVALENT:
             verdict = Verdict.INDISTINGUISHABLE
             reason = ("all computed descriptors agree and no separating "
@@ -509,11 +508,6 @@ def _parse_certificate(text: str) -> dict:
             name, rest = body.split(": ", 1)
             kind = rest.split(" [", 1)[0]
             out["relations"].append((name, kind))
-        elif section == "VERDICT":
-            if body.startswith("reason: "):
-                out["reason"] = body[len("reason: "):]
-            else:
-                out["verdict"] = body
     return out
 
 

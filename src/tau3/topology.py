@@ -26,6 +26,7 @@ from __future__ import annotations
 import heapq
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from math import factorial
 from typing import Optional
 
@@ -168,7 +169,7 @@ def _window_point(c: Fraction, bits: int) -> tuple:
 
 def window_product(c: Fraction, bits: Optional[int] = None) -> IntervalValue:
     """Enclosure of cos(2*pi*c) * cos(2*pi*c/3) * cos(2*pi*c/9)."""
-    bits = bits or precision_bits()
+    bits = precision_bits(bits)
     factors = _window_point(Fraction(c), bits)
     one = 1 << 3 * bits
     lo, hi = product_fixed(factors, one)
@@ -264,13 +265,10 @@ def f_gap_scan(subdivisions: int = DEFAULT_SCAN_SUBDIVISIONS) -> WindowScan:
                       peak, subdivisions)
 
 
-_scan_cache: dict[int, WindowScan] = {}
-
-
-def cached_window_scan(subdivisions: int = DEFAULT_SCAN_SUBDIVISIONS) -> WindowScan:
-    if subdivisions not in _scan_cache:
-        _scan_cache[subdivisions] = f_gap_scan(subdivisions)
-    return _scan_cache[subdivisions]
+@cache
+def cached_window_scan() -> WindowScan:
+    """The window scan at the default depth, certified once per process."""
+    return f_gap_scan(DEFAULT_SCAN_SUBDIVISIONS)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +341,7 @@ def test_sequence(expr: MeasureExpr, seq: SequenceSpec, tol=DEFAULT_TOLERANCE,
     verdict is drawn from the per-index enclosures alone.  Raises
     ParameterError unless 0 < tol < 1.
     """
-    bits = bits or precision_bits()
+    bits = precision_bits(bits)
     tol = Fraction(tol)
     if not 0 < tol < 1:
         raise ParameterError(f"tolerance {tol} outside (0, 1)")
@@ -547,7 +545,7 @@ def classify_completion(expr: MeasureExpr,
     base-3 factorial two-point convolutions (plus compatible atoms); all
     with rational scalings.
     """
-    bits = bits or precision_bits()
+    bits = precision_bits(bits)
     expr = normalize(expr)
     if expr.is_zero:
         raise UndeterminedError("the zero measure induces no topology")

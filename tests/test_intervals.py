@@ -6,11 +6,14 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from tau3.errors import PrecisionSettingError
+from tau3 import topology
+from tau3.errors import ParameterError, PrecisionSettingError
+from tau3.fourier import ft_point
 from tau3.intervals import (IntervalValue, _cos_series, _two_pi_bounds,
-                            certify_quadratic_cos_bound, cos2pi,
-                            cos2pi_interval, exp_neg, log1m, precision_bits,
-                            quadratic_cos_threshold)
+                            cos2pi, cos2pi_interval, exp_neg, log1m,
+                            precision_bits, quadratic_cos_threshold)
+from tau3.invariants import FactorSpec, distinguish
+from tau3.measures import MeasureExpr
 
 mp.mp.dps = 90
 
@@ -155,7 +158,6 @@ class TestIntervalValue:
 
 class TestQuadraticBound:
     def test_certified_on_default_range(self):
-        assert certify_quadratic_cos_bound() is True
         assert quadratic_cos_threshold() == Fraction(1, 8)
 
     def test_bound_actually_holds_numerically(self):
@@ -164,10 +166,6 @@ class TestQuadraticBound:
             x = omega * j / 200
             lhs = mp.cos(2 * mp.pi * mp.mpf(x.numerator) / x.denominator)
             assert lhs >= 1 - 49 * float(x) ** 2 - 1e-30
-
-    def test_rejects_bad_range(self):
-        with pytest.raises(ValueError):
-            certify_quadratic_cos_bound(Fraction(1, 2))
 
 
 class TestTwoPi:
@@ -208,3 +206,38 @@ def test_precision_env(monkeypatch):
             precision_bits()
     monkeypatch.delenv("TAU3_PRECISION")
     assert precision_bits() == 256
+
+
+def entry_points_at(bits):
+    """Calls of four entry points that take ``bits``, at that precision."""
+    pair = MeasureExpr.symmetric_pair(Fraction(1, 3))
+    other = FactorSpec("B", MeasureExpr.symmetric_pair(Fraction(1, 5)))
+    seq = topology.SequenceSpec(family="explicit",
+                                values=(Fraction(1), Fraction(2)))
+    return {"ft_point": lambda: ft_point(pair, Fraction(1, 7), bits=bits),
+            "cos2pi": lambda: cos2pi(Fraction(1, 7), bits),
+            "test_sequence": lambda: topology.test_sequence(pair, seq,
+                                                            bits=bits),
+            "distinguish": lambda: distinguish(FactorSpec("A", pair), other,
+                                               bits=bits)}
+
+
+@pytest.mark.parametrize("bits", (0, 8, 63, 4097, -3))
+def test_explicit_bits_outside_the_range_are_rejected(bits):
+    # 0 used to fall back to TAU3_PRECISION and 8 or 5000 to run as asked
+    with pytest.raises(ParameterError, match=r"outside \[64, 4096\]"):
+        precision_bits(bits)
+    for name, call in entry_points_at(bits).items():
+        with pytest.raises(ParameterError, match=r"outside \[64, 4096\]"):
+            call()
+            pytest.fail(f"{name} accepted bits={bits}")
+
+
+@pytest.mark.parametrize("bits", (64, 4096))
+def test_explicit_bits_at_the_ends_of_the_range_are_accepted(bits,
+                                                             monkeypatch):
+    monkeypatch.setenv("TAU3_PRECISION", "banana")  # never read
+    assert precision_bits(bits) == bits
+    for call in entry_points_at(bits).values():
+        call()
+    assert cos2pi(Fraction(1, 7), bits).width <= Fraction(2, 1 << bits)
