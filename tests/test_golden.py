@@ -9,7 +9,8 @@ profile, and compares the exit code, stdout and the ``--out`` file against
 To rebuild the expected files after a deliberate change of a report, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.  It
 refuses to write anything when a changed line widens a ``value`` interval
-beyond the old one or makes a gap smaller (see ``loosened_lines``).
+beyond the old one, makes a gap smaller or prints a larger window supremum
+(see ``loosened_lines``).
 """
 
 import io
@@ -107,12 +108,15 @@ def test_golden(name, tmp_path, monkeypatch):
 #: "value: [lo, hi]" and "value=[lo, hi]" enclosures, "gap: g" and "gap=g"
 VALUE = re.compile(r"value[:=] ?\[([-\d/]+), ([-\d/]+)\]")
 GAP = re.compile(r"gap[:=] ?([-\d/]+)")
+#: the window supremum in "|FT(t)| <= s" and "certified window supremum s"
+SUP = re.compile(r"(?:\|FT\(t\)\| <=|certified window supremum) ([\d.]+)")
 
 
 def loosened_lines(name: str, old: str, new: str) -> list[str]:
     """'name:line: ...' for each line of ``new`` that differs from the line
     of ``old`` at the same place and has a ``value`` interval not inside the
-    old one, or a gap smaller than the old one."""
+    old one, a gap smaller than the old one, or a window supremum larger
+    than the old one."""
     problems = []
     for i, (a, b) in enumerate(zip(old.splitlines(), new.splitlines()), 1):
         if a == b:
@@ -126,6 +130,10 @@ def loosened_lines(name: str, old: str, new: str) -> list[str]:
             if F(b_gap) < F(a_gap):
                 problems.append(f"{name}:{i}: gap {b_gap} is smaller than "
                                 f"{a_gap}")
+        for a_sup, b_sup in zip(SUP.findall(a), SUP.findall(b)):
+            if F(b_sup) > F(a_sup):
+                problems.append(f"{name}:{i}: window supremum {b_sup} is "
+                                f"larger than {a_sup}")
     return problems
 
 
@@ -143,6 +151,14 @@ def test_regeneration_refuses_a_widened_value_or_a_smaller_gap():
     assert loosened_lines("x.out", old, smaller) == [
         "x.out:3: gap 1/3 is smaller than 1/2"]
     assert loosened_lines("x.out", old, larger) == []
+    for line in ("justification: three-factor window bound: |FT(t)| <= {} "
+                 "< 1 once scale*t > 9",
+                 "claim: the certified window supremum {} keeps every later "
+                 "enclosure below 1 - 0.163994"):
+        was = line.format("0.508017853")
+        assert loosened_lines("z.out", was, line.format("0.508017586")) == []
+        assert loosened_lines("z.out", was, line.format("0.508018")) == [
+            "z.out:1: window supremum 0.508018 is larger than 0.508017853"]
 
 
 def regenerate() -> None:
