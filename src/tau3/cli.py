@@ -12,7 +12,7 @@ lists every flag the subcommand declares that has a value, defaults
 included, sorted by name, so results are reproducible; reports are
 deterministic structured text (byte-identical for identical inputs and
 flags).  Exit codes: 0 for a definitive result, 2 for Undetermined, 1 for
-input or usage errors.
+input or usage errors, unreadable or unwritable paths included.
 
 Exact parameters (measure scales, sequence scales, arguments) are accepted
 as "p/q" strings only; tolerances may use decimal or scientific notation
@@ -290,9 +290,11 @@ def _write_report(args, table: AxiomTable, lines: list[str],
         f"precision: {precision_bits()}",
         "RESULT", *lines,
         *(["certificate follows", ""] if certificate else ["END"])]) + "\n"
+    # opened first: an --out path that cannot be written prints no report
+    fh = open(args.out, "w", encoding="utf-8") if args.out else None
     sys.stdout.write(report + certificate)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    if fh is not None:
+        with fh:
             fh.write(certificate or report)
 
 
@@ -310,7 +312,7 @@ def main(argv=None) -> int:
     except UndeterminedError as exc:
         sys.stderr.write(f"undetermined: {exc.reason}\n")
         return EXIT_UNDETERMINED
-    except FileNotFoundError as exc:
+    except OSError as exc:            # an input or output path
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
     except Tau3Error as exc:

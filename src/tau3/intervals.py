@@ -14,8 +14,9 @@ There is one cosine kernel, ``cos2pi_fixed``, whose ends are integers at
 scale 2**bits, and one product of such enclosures, ``product_fixed``;
 ``cos2pi`` and ``cos2pi_interval`` convert the kernel's output to
 ``Fraction`` endpoints.  Callers that stay on the integer grid use them
-directly: the window scan in ``topology`` and the two-point products of
-``fourier``, tail included.  ``log1m`` and ``exp_neg`` serve no transform;
+directly: the window scan in ``topology``, which also takes its bound on
+2*pi from ``two_pi_bounds``, and the two-point products of ``fourier``,
+tail included.  ``log1m`` and ``exp_neg`` serve no transform;
 the benchmark tracer and the tests' log-space reference tail use them.
 
 Soundness contract: the true value always lies inside the returned interval.
@@ -109,7 +110,7 @@ def _arctan_inv_bounds(x: int, s: int) -> tuple[int, int]:
 
 
 @cache
-def _two_pi_bounds(s: int) -> tuple[int, int]:
+def two_pi_bounds(s: int) -> tuple[int, int]:
     """(floor(2*pi*2**s), floor(2*pi*2**s) + 1), by Machin's formula.
 
     pi/4 = 4*arctan(1/5) - arctan(1/239), bracketed with g guard bits;
@@ -125,6 +126,9 @@ def _two_pi_bounds(s: int) -> tuple[int, int]:
             break
         g += 16
     return lo, lo + 1
+
+
+_two_pi_bounds = two_pi_bounds      # the name the tests import
 
 
 class IntervalValue(Value):
@@ -248,7 +252,7 @@ def _cos_series(r: int, q: int, bits: int) -> tuple[int, int, int]:
     the error is < 4n + 2 < 4n + 8 = e."""
     g = bits.bit_length() + 4
     w = bits + g
-    x = _ceil_div(r * _two_pi_bounds(w)[1], q)
+    x = _ceil_div(r * two_pi_bounds(w)[1], q)
     x2 = x * x >> w
     t = s = 1 << w
     for n in count(1):
@@ -282,22 +286,6 @@ def cos2pi_fixed(p: int, q: int, bits: int) -> tuple[int, int, bool]:
     return (-hi, -lo, False) if neg else (lo, hi, False)
 
 
-def cos2pi_range_fixed(a: tuple[int, int], b: tuple[int, int],
-                       va: tuple, vb: tuple, bits: int) -> tuple[int, int]:
-    """Enclosure (lo, hi) of 2**bits * cos(2*pi*x) over a <= x <= b.
-
-    a and b are rationals given as (p, q) with q > 0; va and vb are the
-    ``cos2pi_fixed`` enclosures at them.  The range reaches 1 when an
-    integer lies in [a, b] and -1 when a half-integer does.
-    """
-    # the integers k in [2a, 2b] are the half-turns x = k/2 in [a, b]
-    k_min, k_max = _ceil_div(2 * a[0], a[1]), (2 * b[0]) // b[1]
-    one = 1 << bits
-    lo = -one if (k_min | 1) <= k_max else min(va[0], vb[0])   # an odd k
-    hi = one if k_min + (k_min & 1) <= k_max else max(va[1], vb[1])  # even
-    return lo, hi
-
-
 def product_fixed(factors, one: int) -> tuple[int, int]:
     """Exact interval product of integer (lo, hi, ...) factors, clamped to
     [-one, one]; ``one`` is 1 at the product of the factors' scales."""
@@ -324,10 +312,14 @@ def cos2pi_interval(a: Rational, b: Rational,
     a, b = Fraction(a), Fraction(b)
     if a > b:
         raise ValueError("interval endpoints out of order")
-    ends = (a.numerator, a.denominator), (b.numerator, b.denominator)
-    lo, hi = cos2pi_range_fixed(*ends, *[cos2pi_fixed(p, q, bits)
-                                         for p, q in ends], bits)
+    va = cos2pi_fixed(a.numerator, a.denominator, bits)
+    vb = cos2pi_fixed(b.numerator, b.denominator, bits)
+    # the integers k in [2a, 2b] are the half-turns x = k/2 in [a, b]: the
+    # range reaches 1 at an even k, -1 at an odd k, else the ends bound it
+    k_min, k_max = -(-2 * a // 1), 2 * b // 1
     den = 1 << bits
+    lo = -den if (k_min | 1) <= k_max else min(va[0], vb[0])      # an odd k
+    hi = den if k_min + (k_min & 1) <= k_max else max(va[1], vb[1])  # even
     return IntervalValue(Fraction(lo, den), Fraction(hi, den))
 
 
@@ -414,7 +406,7 @@ QUADRATIC_COS_COEFF = 49
 def quadratic_cos_threshold() -> Fraction:
     """Largest argument magnitude at which the 1 - 49*x**2 bound is used;
     certifies it first by checking 2*pi^2 < 49."""
-    _, tp_hi = _two_pi_bounds(64)
+    _, tp_hi = two_pi_bounds(64)
     if Fraction(tp_hi * tp_hi, 2 << 128) > QUADRATIC_COS_COEFF:
         raise ValueError("cannot certify 2*pi^2 < 49")
     return Fraction(1, 8)

@@ -10,10 +10,10 @@ Sequences of the shape lam * base**(n!) against the matching factorial
 two-point convolution admit uniform single-factor bounds; the base-3
 geometric convolution admits a three-factor window bound whose supremum
 over one period is certified once by branch-and-bound and cached.  The
-branch-and-bound evaluates each scan point once, in integer fixed point on
-the ``cos2pi_fixed`` kernel with products by ``intervals.product_fixed``,
-and certifies the same bound as interval products over ``Fraction``
-endpoints would.
+branch-and-bound bounds each box to second order from the window product
+and its derivative at the midpoint, in integer fixed point on the
+``cos2pi_fixed`` kernel with products by ``intervals.product_fixed``, and
+an a-priori bound on the second derivative.
 
 Verdicts are honest finite computations: a ConvergesTo1 or BoundedAwayFrom1
 conclusion records the index it starts from and whether the reasoning
@@ -33,8 +33,8 @@ from typing import Optional
 from .errors import (BudgetExceeded, NotPointwiseEvaluable, ParameterError,
                      TailNotCertified, UndeterminedError,
                      UnsupportedArgument, Value)
-from .intervals import (IntervalValue, cos2pi, cos2pi_fixed,
-                        cos2pi_range_fixed, precision_bits, product_fixed)
+from .intervals import (IntervalValue, cos2pi, cos2pi_fixed, precision_bits,
+                        product_fixed, two_pi_bounds)
 from .fourier import (ArgumentSpec, ExactRational, ScaledPower, atom_part,
                       ft_point)
 from .measures import (EXPLICIT, FACTORIAL, GEOMETRIC, MeasureExpr,
@@ -161,20 +161,46 @@ def _normalized_ft(expr: MeasureExpr, t, mass: Fraction,
 _WINDOW_DIVISORS = (1, 3, 9)
 
 
-def _window_point(c: Fraction, bits: int) -> tuple:
-    """Kernel enclosures of the three window factors at c, scale 2**bits."""
-    p, q = c.numerator, c.denominator
+def _window_point(p: int, q: int, bits: int) -> tuple:
+    """Kernel enclosures of the window factors at c = p/q, scale 2**bits."""
     return tuple(cos2pi_fixed(p, d * q, bits) for d in _WINDOW_DIVISORS)
 
 
 def window_product(c: Fraction, bits: Optional[int] = None) -> IntervalValue:
     """Enclosure of cos(2*pi*c) * cos(2*pi*c/3) * cos(2*pi*c/9)."""
     bits = precision_bits(bits)
-    factors = _window_point(Fraction(c), bits)
+    factors = _window_point(*Fraction(c).as_integer_ratio(), bits)
     one = 1 << 3 * bits
     lo, hi = product_fixed(factors, one)
     return IntervalValue(Fraction(lo, one), Fraction(hi, one),
                          exact=all(f[2] for f in factors))
+
+
+def _box_bound(p: int, e: int, bits: int) -> tuple[int, int, int]:
+    """(lo, hi, bound) at scale 2**(3*bits): [lo, hi] encloses the window
+    product f at m = p/2**e, and bound >= |f| on [m - h, m + h], h = 2**-e.
+
+    By Taylor's theorem |f(x)| <= |f(m)| + |f'(m)|*h + M*h**2/2 there when
+    M >= sup |f''|.  By product to sum f(c) is 1/4 of the
+    sum of cos(2*pi*w*c) over w in {13, 11, 7, 5}/9, so M = 91*(2*pi)**2/81
+    serves, as 13**2 + 11**2 + 7**2 + 5**2 = 4*91.  f'(m) is -(2*pi/9) times
+    the sum over d of (9/d) * sin(2*pi*m/d) * the other two factors, and
+    sin(2*pi*m/d) = cos(2*pi*(4p - d*q)/(4*d*q)) for q = 2**e.  Products
+    are exact (``product_fixed``); the terms in 2*pi are rounded up.
+    """
+    q, one = 1 << e, 1 << 3 * bits
+    cos = _window_point(p, q, bits)
+    lo, hi = product_fixed(cos, one)
+    d_lo = d_hi = 0
+    for i, d in enumerate(_WINDOW_DIVISORS):
+        sin = cos2pi_fixed(4 * p - d * q, 4 * d * q, bits)
+        t_lo, t_hi = product_fixed((sin, *cos[:i], *cos[i + 1:]), one)
+        d_lo, d_hi = d_lo + 9 // d * t_lo, d_hi + 9 // d * t_hi
+    tp = two_pi_bounds(bits)[1]                   # > 2*pi * 2**bits
+    # ceilings of |f'(m)|*h = (2*pi/9)*|sum|*2**-e and of M*h**2/2
+    first = -(-max(-d_lo, d_hi) * tp // (9 << (bits + e)))
+    second = -(-(91 * tp * tp << bits) // (162 << 2 * e))
+    return lo, hi, max(-lo, hi) + first + second
 
 
 class WindowScan(Value):
@@ -199,63 +225,41 @@ class WindowScan(Value):
 def f_gap_scan(subdivisions: int = DEFAULT_SCAN_SUBDIVISIONS) -> WindowScan:
     """Branch-and-bound upper bound for sup of |window_product| on (1, 3].
 
-    ``subdivisions`` is the split budget.  That doubling it does not raise
-    the certified bound is tested (1500 against 3000), not proved.  Raises
-    UndeterminedError if the bound stays at or above 1 within the budget.
-
-    Each scan point is evaluated once, in integer fixed point at
-    ``WINDOW_SCAN_BITS``: a box carries the kernel enclosures at its ends
-    and its midpoint, so a split evaluates only the two new
-    quarter-points.  Box ranges, midpoint products (``product_fixed``) and
-    the stop test are exact integers at scale 2**(3*bits), so the
-    certified bound is the one ``IntervalValue`` arithmetic on the same
-    enclosures gives.
+    Each box is bounded from its midpoint alone, to second order
+    (``_box_bound``, the centered form of R. E. Moore's *Interval
+    Analysis*), in integer fixed point at ``WINDOW_SCAN_BITS``.  From 16
+    boxes on [1, 3], the box with the largest bound is split until that
+    bound is within 2**-48 of the best lower bound on |f| at a midpoint,
+    about 60 splits, or until the ``subdivisions`` cap.  Bounds and the
+    stop test are exact integers.  Raises UndeterminedError if the bound
+    stays at or above 1.
     """
     if subdivisions < 100:
         raise ValueError("need at least 100 subdivisions")
     bits = WINDOW_SCAN_BITS
-    init = 128
     one = 1 << 3 * bits
     boxes = []
     best_lo = 0
 
-    def push(lo: Fraction, hi: Fraction, v_lo: tuple, v_hi: tuple):
+    def push(p: int, e: int):
         nonlocal best_lo
-        ranges = [cos2pi_range_fixed((lo.numerator, d * lo.denominator),
-                                     (hi.numerator, d * hi.denominator),
-                                     f_lo, f_hi, bits)
-                  for d, f_lo, f_hi in zip(_WINDOW_DIVISORS, v_lo, v_hi)]
-        r_lo, r_hi = product_fixed(ranges, one)
-        mid = (lo + hi) / 2
-        v_mid = _window_point(mid, bits)
-        m_lo, m_hi = product_fixed(v_mid, one)
-        if m_lo > 0:
-            best_lo = max(best_lo, m_lo)
-        elif m_hi < 0:
-            best_lo = max(best_lo, -m_hi)
-        # (-mag, lo, hi) orders the heap; boxes are disjoint, so the
-        # kernel values after hi are never compared
-        mag = max(-r_lo, r_hi)
-        heapq.heappush(boxes, (-mag, lo, hi, v_lo, mid, v_mid, v_hi))
+        lo, hi, bound = _box_bound(p, e, bits)
+        best_lo = max(best_lo, lo, -hi)
+        heapq.heappush(boxes, (-bound, p, e))
 
-    ends = [1 + Fraction(2 * i, init) for i in range(init + 1)]
-    values = [_window_point(x, bits) for x in ends]
-    for i in range(init):
-        push(ends[i], ends[i + 1], values[i], values[i + 1])
-    splits = 0
-    while splits < subdivisions:
-        box = heapq.heappop(boxes)
-        if (-box[0] - best_lo) << 48 <= one:      # mag <= best_lo + 2**-48
-            heapq.heappush(boxes, box)
+    for p in range(17, 48, 2):                # midpoints (16 + 2i + 1)/16
+        push(p, 4)
+    for _ in range(subdivisions):
+        neg_bound, p, e = boxes[0]
+        if (-neg_bound - best_lo) << 48 <= one:   # within 2**-48 of best_lo
             break
-        _, lo, hi, v_lo, mid, v_mid, v_hi = box
-        push(lo, mid, v_lo, v_mid)
-        push(mid, hi, v_mid, v_hi)
-        splits += 1
-    sup_hi = max(-b[0] for b in boxes)
-    peak = next((b[1], b[2]) for b in boxes if -b[0] == sup_hi)
+        heapq.heappop(boxes)
+        push(2 * p - 1, e + 1)
+        push(2 * p + 1, e + 1)
+    neg_bound, p, e = boxes[0]
+    peak = (Fraction(p - 1, 1 << e), Fraction(p + 1, 1 << e))
     # outward-round the bound so that deeper scans are monotone in practice
-    sup_hi = Fraction(-((-sup_hi << 64) // one), 1 << 64)
+    sup_hi = Fraction(-((neg_bound << 64) // one), 1 << 64)
     if sup_hi >= 1:
         raise UndeterminedError(
             f"window supremum not certified below 1 after {subdivisions} "

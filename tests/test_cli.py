@@ -257,6 +257,25 @@ class TestErrors:
         assert err.startswith("error: NotPointwiseEvaluable:")
 
 
+class TestFileErrors:
+    """A path that cannot be read or written is an input error: one line,
+    exit 1, no report.  A directory, and a path under a regular file."""
+
+    @pytest.mark.parametrize("flag", ["--measure", "--axioms", "--out"])
+    @pytest.mark.parametrize("where", ["directory", "under-a-file"])
+    def test_exits_with_one_error_line(self, specs, tmp_path, flag, where):
+        blocker = tmp_path / "regular.txt"
+        blocker.write_text("not a directory\n")
+        path = tmp_path if where == "directory" else blocker / "x.json"
+        # a repeated --measure replaces the first one
+        code, out, err = run_cli("eval", "--measure", specs["fact"],
+                                 "--t", "1/3", flag, str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert blocker.read_text() == "not a directory\n"
+
+
 class TestMalformedArguments:
     """Bad numbers in flags are input errors: one line, exit 1."""
 

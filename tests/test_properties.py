@@ -1003,6 +1003,51 @@ def test_window_route_equals_the_per_index_evaluation(case, tol, bits):
             == verdict_fields(parent_window_route(m, seq, tol, bits)))
 
 
+def window_truth(c):
+    """cos(2*pi*c) * cos(2*pi*c/3) * cos(2*pi*c/9) in mpmath."""
+    return mp.fprod(mp.cos(2 * mp.pi * c / d) for d in (1, 3, 9))
+
+
+@st.composite
+def window_boxes(draw):
+    """(p, e) for a dyadic box [m - h, m + h] inside [1, 3], m = p/2**e
+    with p odd, h = 2**-e, from the scan's first boxes (e = 4) to e = 30."""
+    e = draw(st.integers(4, 30))
+    return (1 << e) + 1 + 2 * draw(st.integers(0, (1 << e) - 1)), e
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(window_boxes())
+def test_box_bound_covers_the_window_product_on_its_box(box):
+    p, e = box
+    bits = topology.WINDOW_SCAN_BITS
+    lo, hi, bound = topology._box_bound(p, e, bits)
+    one = 1 << 3 * bits
+    with mp.workdps(40):
+        m, h = mp.mpf(p) / 2 ** e, mp.mpf(2) ** -e
+        assert lo <= window_truth(m) * one <= hi
+        # 65 evenly spaced points, both ends included
+        peak = max(abs(window_truth(m + h * k / 32)) for k in range(-32, 33))
+        assert peak * one <= bound
+
+
+# the window product by product to sum: f(c) is a quarter of the sum of
+# cos(2*pi*w*c) over these w, so |f''| <= (2*pi)**2 * sum(w**2)/4, which
+# is the 91*(2*pi)**2/81 that bounds the scan's second-order term
+WINDOW_FREQUENCIES = (F(13, 9), F(11, 9), F(7, 9), F(5, 9))
+
+
+@PROPERTY_SETTINGS
+@given(st.builds(F, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 4)))
+def test_window_product_is_a_quarter_sum_of_four_cosines(c):
+    assert sum(w * w for w in WINDOW_FREQUENCIES) / 4 == F(91, 81)
+    with mp.workdps(40):
+        x = mp_value(c)
+        quarter = mp.fsum(mp.cos(2 * mp.pi * mp_value(w) * x)
+                          for w in WINDOW_FREQUENCIES) / 4
+        assert abs(window_truth(x) - quarter) < mp.mpf(10) ** -30
+
+
 @PROPERTY_SETTINGS
 @given(st.lists(st.tuples(points, weights), max_size=6),
        st.sampled_from((None, "geometric", "factorial")), weights)

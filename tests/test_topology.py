@@ -114,22 +114,24 @@ class TestWindowBound:
         ref = cos2pi(c, 96) * cos2pi(c / 3, 96) * cos2pi(c / 9, 96)
         assert window_product(c, 96) == ref.clamp(-1, 1)
 
-    # exact scan results.  sup.hi and peak were recorded from the
-    # Fraction-endpoint scan that the integer fixed-point scan replaced, and
-    # the two must agree bit for bit.  sup.lo is pinned as the one-chain
-    # cosine kernel gives it; under the earlier four-chain kernel it was
-    # FOUR_CHAIN_SUP_LO, an outer bound that the tighter kernel may only
-    # raise
-    PINNED_SCANS = {
+    # exact scan results of the midpoint (second-order) scan, which reaches
+    # its stop rule well inside every budget below and so gives one result.
+    # FIRST_ORDER_SCANS holds the (sup.lo, sup.hi) that the earlier
+    # first-order box-range scan certified at each budget, an outer bound
+    # the new enclosure must lie inside.  FOUR_CHAIN_SUP_LO is the sup.lo of
+    # that scan under the earlier four-chain kernel, an outer bound on the
+    # first-order pin
+    PINNED_SCANS = dict.fromkeys((100, 1500, 3000), (
+        F(7895279685647983731318980305317549959767384762614155196496339247283744097328061694435, 1 << 283),  # noqa: E501
+        F(292852199714030611, 1 << 59),
+        (F(49451903, 33554432), F(98903807, 67108864))))
+    FIRST_ORDER_SCANS = {
         100: (F(126324474926935671455567535068749906593649852010696315314303236042567510694454137279485, 1 << 287),  # noqa: E501
-              F(9372241520811477769, 1 << 64),
-              (F(6047, 4096), F(189, 128))),
+              F(9372241520811477769, 1 << 64)),
         1500: (F(126324474970366776630886781666908910717426457209190969481711394444191294107405142932945, 1 << 287),  # noqa: E501
-               F(4685637660733308669, 1 << 63),
-               (F(193167, 131072), F(3090673, 2097152))),
+               F(4685637660733308669, 1 << 63)),
         3000: (F(63162237485183695004100336221746970356472330109484150317715753366974060941903429426539, 1 << 286),  # noqa: E501
-               F(9371271627094437149, 1 << 64),
-               (F(12362837, 8388608), F(6181419, 4194304))),
+               F(9371271627094437149, 1 << 64)),
     }
     FOUR_CHAIN_SUP_LO = {
         100: F(15790559365866958931945941876145111931982009255009815558505124105848770930782428350721, 1 << 284),  # noqa: E501
@@ -141,11 +143,29 @@ class TestWindowBound:
     def test_scan_result_is_pinned(self, subdivisions):
         sup_lo, sup_hi, peak = self.PINNED_SCANS[subdivisions]
         assert sup_lo >= self.FOUR_CHAIN_SUP_LO[subdivisions]
+        old_lo, old_hi = self.FIRST_ORDER_SCANS[subdivisions]
+        assert old_lo <= sup_lo and sup_hi <= old_hi
         scan = f_gap_scan(subdivisions)
         assert scan.sup.lo == sup_lo
         assert scan.sup.hi == sup_hi
         assert scan.peak == peak
         assert not scan.sup.exact and scan.subdivisions == subdivisions
+
+    @pytest.mark.parametrize("subdivisions", [100, 1500, 3000])
+    def test_scan_stops_within_100_splits(self, monkeypatch, subdivisions):
+        # 16 initial boxes and two per split; the stop rule, not the
+        # budget, ends the scan
+        counted = []
+
+        def counting(p, e, bits):
+            counted.append(e)
+            return box_bound(p, e, bits)
+
+        box_bound = topology._box_bound
+        monkeypatch.setattr(topology, "_box_bound", counting)
+        scan = f_gap_scan(subdivisions)
+        assert (len(counted) - 16) // 2 < 100
+        assert scan.sup.width <= F(1, 10 ** 14)
 
     def test_scan_is_monotone_under_refinement(self):
         shallow = f_gap_scan(1500)
