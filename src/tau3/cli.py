@@ -5,13 +5,13 @@ Subcommands: eval, converge, classify, class-op, distinguish, oracle-check.
 ``COMMANDS`` declares each subcommand once: its handler, its help text and
 its flags with their ``add_argument`` keywords; ``--out`` and ``--axioms``
 are added to every subcommand.  ``main`` runs one pipeline for all of them:
-load the axiom table, call the handler (which returns its RESULT lines and
-exit code, and for ``distinguish`` the certificate), build the header, and
-write the report to stdout and ``--out``.  The header's ``flags:`` line
-lists every flag the subcommand declares that has a value, defaults
-included, sorted by name, so results are reproducible; reports are
-deterministic structured text (byte-identical for identical inputs and
-flags).  Exit codes: 0 for a definitive result, 2 for Undetermined, 1 for
+check that ``--out`` can be written, load the axiom table, call the handler
+(which returns its RESULT lines and exit code, and for ``distinguish`` the
+certificate), build the header, and write the report to stdout and
+``--out``.  The header's ``flags:`` line lists every flag the subcommand
+declares that has a value, defaults included, sorted by name, so results
+are reproducible; reports are deterministic structured text
+(byte-identical for identical inputs and flags).  Exit codes: 0 for a definitive result, 2 for Undetermined, 1 for
 input or usage errors, unreadable or unwritable paths included.
 
 Exact parameters (measure scales, sequence scales, arguments) are accepted
@@ -26,6 +26,7 @@ multiplicative unit is the atom at 0 here.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from math import factorial
 
@@ -271,6 +272,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_out(path) -> None:
+    """Fail on an ``--out`` path that cannot be written before any work is
+    done: open it for appending, which keeps an existing file's bytes, and
+    remove the file again if this call made it."""
+    if path is None:
+        return
+    existed = os.path.lexists(path)
+    open(path, "a", encoding="utf-8").close()
+    if not existed:
+        os.remove(path)
+
+
 def _write_report(args, table: AxiomTable, lines: list[str],
                   certificate: str = "") -> None:
     """Header, RESULT lines and certificate to stdout; the report, or the
@@ -301,6 +314,7 @@ def _write_report(args, table: AxiomTable, lines: list[str],
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_out(args.out)
         table = (AxiomTable.load(args.axioms) if args.axioms
                  else AxiomTable.default())
         lines, code, *certificate = COMMANDS[args.command][0](args, table)

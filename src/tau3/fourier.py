@@ -15,7 +15,15 @@ call, and each factor costs at most one ``pow(base, d, q)``.
 Infinite products are split into an exactly evaluated head and a certified
 tail.  The head, and all of a finite product, is one integer factor loop
 on ``intervals.product_fixed``, fed the reductions of ``choose_cutoff``'s
-pass, so each c_k * t is reduced once per call.  An infinite tail uses
+pass, so each c_k * t is reduced once per call.  A geometric head is one
+Chebyshev chain instead: c_(k-1) * t = b * c_k * t, so factor k-1 is
+T_b(factor k).  Its exact factors (cosines 0, +-1/2, +-1) form a prefix
+multiplied as one integer over 2**j; the rest takes one ``cos2pi_fixed``
+call per block of CHAIN_BLOCK + 1 factors, from the last index down, and
+Chebyshev steps in between, in integer midpoint-radius form at
+w = bits + CHAIN_BLOCK * ceil(log2 b**2) + CHAIN_GUARD bits.  The radius
+grows by at most b**2 per step (Markov's inequality) plus b for Horner's
+rounding, so w bounds it for any head length.  An infinite tail uses
 cos(2*pi*x) >= 1 - 49*x**2 (certified on [0, omega] by ``intervals``) in
 one floored integer product at scale 2**bits; its upper bound is 1.
 ``ft_point`` adds the atom sum and head times tail as integers over one
@@ -33,8 +41,8 @@ from typing import Iterable, Iterator, Optional, Union
 from .errors import (NotPointwiseEvaluable, TailNotCertified,
                      UnsupportedArgument, Value)
 from .intervals import (QUADRATIC_COS_COEFF, IntervalValue, Rational,
-                        cos2pi_fixed, precision_bits, product_fixed,
-                        quadratic_cos_threshold)
+                        cos2pi_fixed, niven_twice, precision_bits,
+                        product_fixed, quadratic_cos_threshold)
 from .measures import (EXPLICIT, FACTORIAL, GEOMETRIC, CoeffTerm,
                        CoefficientSequence, MeasureExpr, atom_plan, normalize,
                        plan_mass)
@@ -226,15 +234,31 @@ def _reductions(seq: CoefficientSequence, t: ArgumentSpec,
             yield _reduce(fold, seq.base, seq.exponent(k))
 
 
-def _at_most(n: int, q: int, x: Fraction) -> bool:
-    """n/q <= x for integers n >= 0, q > 0, by cross-multiplication."""
-    return n * x.denominator <= x.numerator * q
+def _at_most(n: int, q: int, x: tuple[int, int]) -> bool:
+    """n/q <= x_num/x_den for integers n >= 0, q > 0, by
+    cross-multiplication; x = (x_num, x_den) with x_den > 0."""
+    x_num, x_den = x
+    return n * x_den <= x_num * q
 
 
 def _log2_floor(x: Fraction) -> int:
     """floor(log2(x)) for a rational x > 0, where 2**(k-1) < x < 2**(k+1)."""
     k = x.numerator.bit_length() - x.denominator.bit_length()
-    return k if _at_most(1 << max(k, 0), 1 << max(-k, 0), x) else k - 1
+    return (k if _at_most(1 << max(k, 0), 1 << max(-k, 0),
+                          x.as_integer_ratio()) else k - 1)
+
+
+def _unexpanded_upper(r: ReducedSmall, bits: int) -> tuple[int, int]:
+    """``dyadic_upper`` of a reduction that does not fit, for the one-sided
+    cosine [cos(2*pi*v), 1]; raises TailNotCertified when v may exceed 1/2
+    (whatever ``bits`` is, since that needs ``upper_exp`` >= 0)."""
+    # the kernel reads v only via ceil(2*pi*2**bits * v), which is 1 for
+    # all v <= 2**-(bits+3)
+    n, q = r.dyadic_upper(-(bits + 3))
+    if 2 * n > q:
+        raise TailNotCertified(
+            "unexpanded argument too large to bound the cosine near 1")
+    return n, q
 
 
 def _cos_of_reduced(r: Reduced, bits: int) -> tuple[int, int, bool]:
@@ -243,13 +267,8 @@ def _cos_of_reduced(r: Reduced, bits: int) -> tuple[int, int, bool]:
         return cos2pi_fixed(r.num, r.den, bits)
     if r.fits():
         return cos2pi_fixed(*r.ratio(), bits)
-    # x <= v: cos(2*pi*x) lies in [cos(2*pi*v), 1]; the kernel reads v only
-    # via ceil(2*pi*2**bits * v), which is 1 for all v <= 2**-(bits+3)
-    n, q = r.dyadic_upper(-(bits + 3))
-    if 2 * n > q:
-        raise TailNotCertified(
-            "unexpanded argument too large to bound the cosine near 1")
-    return cos2pi_fixed(n, q, bits)[0], 1 << bits, False
+    # x <= v: cos(2*pi*x) lies in [cos(2*pi*v), 1]
+    return cos2pi_fixed(*_unexpanded_upper(r, bits), bits)[0], 1 << bits, False
 
 
 def _factor_product(factors: Iterable[Reduced],
@@ -271,6 +290,103 @@ def _factor_product(factors: Iterable[Reduced],
         else:
             lo, hi, s = lo >> s, -(-hi >> s), bits
     return lo, hi, s, exact
+
+
+# ---------------------------------------------------------------------------
+# Geometric heads: one kernel call per block and a Chebyshev chain
+# ---------------------------------------------------------------------------
+
+#: Chebyshev steps after each kernel call of a geometric head
+CHAIN_BLOCK = 16
+#: guard bits of the chain's working precision (_chain_product)
+CHAIN_GUARD = 16
+
+
+@cache
+def _chebyshev(b: int, w: int = 0) -> tuple[int, ...]:
+    """(c_b, ..., c_0) * 2**w, highest first for Horner's rule: the integer
+    coefficients of the Chebyshev polynomial T_b(x) = sum c_i * x**i, for
+    which T_b(cos u) = cos(b*u)."""
+    prev, cur = (1,), (1, 0)
+    for _ in range(b - 1):
+        # T_(n+1) = 2x * T_n - T_(n-1)
+        prev, cur = cur, tuple(2 * a - c for a, c in
+                               zip((*cur, 0), (0, 0, *prev)))
+    return tuple(c << w for c in cur)
+
+
+def _niven_factor(r: Reduced) -> Optional[int]:
+    """2*cos(2*pi*r) when that is an integer (``niven_twice``), else None;
+    an unexpanded value that does not fit counts as inexact."""
+    if isinstance(r, ReducedExact):
+        return niven_twice(r.num, r.den)
+    return niven_twice(*r.ratio()) if r.fits() else None
+
+
+def _chain_product(chain: list, b: int,
+                   bits: int) -> tuple[int, int, int]:
+    """(mid, rad, w): prod cos(2*pi*r) over the reductions r of consecutive
+    geometric factors lies in [mid - rad, mid + rad] / 2**w.
+
+    Factor k-1 is T_b(factor k), as c_(k-1)*t = b * c_k*t.  From the last
+    factor down, each block of CHAIN_BLOCK + 1 factors makes one kernel
+    call at w = bits + CHAIN_BLOCK * ceil(log2 b**2) + CHAIN_GUARD, then
+    CHAIN_BLOCK Chebyshev steps in integer midpoint-radius form (m, r) at
+    scale 2**w.  A step clamps T_b(m) to [-2**w, 2**w] and sets r to
+    b**2 * r + b: by Markov's inequality |T_b'| <= b**2 on [-1, 1], where
+    the true factor and the clamped m lie, and Horner's rule with b floored
+    products, each multiplied after by |m| <= 2**w, is off by less than b.
+    So within a block r <= 2 * b**(2 * CHAIN_BLOCK), below
+    2**(w - bits - CHAIN_GUARD + 1), and w does not grow with the head.
+    The product of (P, R) and (m, r) is P*m >> w with radius
+    ((|P|*r + |m|*R + R*r) >> w) + 2, which covers both floors.
+    """
+    w = bits + CHAIN_BLOCK * (b * b - 1).bit_length() + CHAIN_GUARD
+    one, bb = 1 << w, b * b
+    horner = _chebyshev(b, w)
+    p_mid, p_rad = one, 0
+    for top in range(len(chain) - 1, -1, -(CHAIN_BLOCK + 1)):
+        lo, hi, _ = _cos_of_reduced(chain[top], w)
+        m, r = (lo + hi) >> 1, (hi - lo + 1) >> 1
+        for step in range(min(CHAIN_BLOCK, top) + 1):
+            if step:
+                h = 0
+                for c in horner:
+                    h = (h * m >> w) + c
+                m, r = max(-one, min(h, one)), bb * r + b
+            p_mid, p_rad = (p_mid * m >> w,
+                            (abs(p_mid) * r + abs(m) * p_rad + p_rad * r
+                             >> w) + 2)
+    return p_mid, p_rad, w
+
+
+def _geometric_head(head: list, b: int,
+                    bits: int) -> tuple[int, int, int, bool]:
+    """(lo, hi, s, exact) as ``_factor_product``, for the reductions r_1 ..
+    r_K of a base-b geometric sequence.
+
+    Factors whose cosine is 0, +-1/2 or +-1 form a prefix, since T_b maps
+    those values to themselves; their product is one integer over 2**j.
+    The rest is one ``_chain_product``.  Every reduction the kernel would
+    refuse is refused first, as ``_factor_product`` does.
+    """
+    num, j = 1, 0
+    for r in head:
+        twice = _niven_factor(r)
+        if twice is None:
+            break
+        num, j = num * twice, j + 1
+    chain = head[j:]
+    if not chain:
+        return num, num, j, True
+    for r in chain:
+        if isinstance(r, ReducedSmall) and not r.fits():
+            _unexpanded_upper(r, bits)
+    if num == 0:
+        return 0, 0, j, False
+    mid, rad, w = _chain_product(chain, b, bits)
+    lo, hi = sorted((num * (mid - rad), num * (mid + rad)))
+    return lo, hi, j + w, False
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +456,8 @@ def tail_bound(seq: CoefficientSequence, cutoff: int, t,
         raise TailNotCertified(
             "tail decay is only certified for the structured families")
 
-    omega = quadratic_cos_threshold()
+    omega, y_close, floor_exp = _tail_constants(seq.base, bits)
     bb = seq.base * seq.base
-    y_close = min(Fraction(1, 1 << (bits // 2)), TAIL_WIDTH_TARGET / 16)
-    # every value <= 2**floor_exp closes the tail below, deficit under ulp
-    floor_exp = min(_log2_floor(omega / 2),
-                    _log2_floor(y_close / QUADRATIC_COS_COEFF) // 2,
-                    _log2_floor(Fraction(bb - 1, QUADRATIC_COS_COEFF * bb
-                                         << bits)) // 2)
     one = lo = 1 << bits
     guard = 64 + bits // 2
     for k, r in zip(range(cutoff + 1, cutoff + guard + 1),
@@ -355,10 +465,11 @@ def tail_bound(seq: CoefficientSequence, cutoff: int, t,
         n, q, is_value, unexpanded = _tail_term_bound(r, floor_exp)
         if unexpanded and not _at_most(2 * n, q, omega):
             raise TailNotCertified(
-                f"cannot certify factor {k} below threshold {omega}/2")
+                f"cannot certify factor {k} below threshold "
+                f"{Fraction(*omega)}/2")
         if not _at_most(n, q, omega):
             raise TailNotCertified(f"factor {k} reduces to {Fraction(n, q)}, "
-                                   f"above threshold {omega}")
+                                   f"above threshold {Fraction(*omega)}")
         y_n, y_d = QUADRATIC_COS_COEFF * n * n, q * q
         # factors 2**bits - ceil(y * 2**bits); the last has y = y_k * geom
         if (is_value and _at_most(2 * n, q, omega)
@@ -369,6 +480,34 @@ def tail_bound(seq: CoefficientSequence, cutoff: int, t,
     raise TailNotCertified(
         f"tail arguments after index {cutoff} do not certifiably "
         f"decay within {guard} consecutive factors")
+
+
+@cache
+def _tail_constants(base: int, bits: int) -> tuple[tuple[int, int],
+                                                   tuple[int, int], int]:
+    """(omega, y_close, floor_exp) of ``tail_bound``, the two thresholds as
+    integer pairs (numerator, denominator)."""
+    omega = quadratic_cos_threshold()
+    bb = base * base
+    y_close = min(Fraction(1, 1 << (bits // 2)), TAIL_WIDTH_TARGET / 16)
+    # every value <= 2**floor_exp closes the tail below, deficit under ulp
+    floor_exp = min(_log2_floor(omega / 2),
+                    _log2_floor(y_close / QUADRATIC_COS_COEFF) // 2,
+                    _log2_floor(Fraction(bb - 1, QUADRATIC_COS_COEFF * bb
+                                         << bits)) // 2)
+    return omega.as_integer_ratio(), y_close.as_integer_ratio(), floor_exp
+
+
+@cache
+def _cutoff_constants(base: int) -> tuple[tuple[int, int], tuple[int, int],
+                                          int]:
+    """(omega, target, floor_exp) of ``_cutoff_reductions``, the two
+    thresholds as integer pairs (numerator, denominator)."""
+    omega = quadratic_cos_threshold()
+    target = TAIL_WIDTH_TARGET * base * base
+    # every value <= 2**floor_exp passes both tests of the walk
+    floor_exp = min(_log2_floor(omega), _log2_floor(target / 200) // 2)
+    return omega.as_integer_ratio(), target.as_integer_ratio(), floor_exp
 
 
 def choose_cutoff(seq: CoefficientSequence, t) -> int:
@@ -388,10 +527,7 @@ def choose_cutoff(seq: CoefficientSequence, t) -> int:
 
 def _cutoff_reductions(seq: CoefficientSequence, t: ArgumentSpec) -> list:
     """The head r_1 .. r_cutoff that ``choose_cutoff`` picks for t != 0."""
-    omega = quadratic_cos_threshold()
-    target = TAIL_WIDTH_TARGET * seq.base * seq.base
-    # every value <= 2**floor_exp passes both tests below
-    floor_exp = min(_log2_floor(omega), _log2_floor(target / 200) // 2)
+    omega, target, floor_exp = _cutoff_constants(seq.base)
     small, head = False, []
     for r in islice(_reductions(seq, t, 1), TAIL_CUTOFF_CAP):
         head.append(r)
@@ -443,7 +579,9 @@ def _bernoulli_part(seq: CoefficientSequence, t: ArgumentSpec,
     else:
         cutoff = choose_cutoff(seq, t) if tail_cutoff is None else tail_cutoff
         head = list(islice(_reductions(seq, t, 1), cutoff))
-    h_lo, h_hi, s, exact = _factor_product(head, bits)
+    h_lo, h_hi, s, exact = (_geometric_head(head, seq.base, bits)
+                            if seq.kind == GEOMETRIC else
+                            _factor_product(head, bits))
     tail = tail_bound(seq, len(head), t, bits)
     (t_lo, lo_den), (t_hi, hi_den) = (tail.lo.as_integer_ratio(),
                                       tail.hi.as_integer_ratio())

@@ -262,6 +262,16 @@ def _cos_series(r: int, q: int, bits: int) -> tuple[int, int, int]:
         s = s - t if n & 1 else s + t
 
 
+def niven_twice(p: int, q: int) -> int | None:
+    """2*cos(2*pi*p/q) when cos(2*pi*p/q) is rational, else None; q > 0.
+
+    The result is then one of -2, -1, 0, 1, 2: p/q in lowest terms has
+    denominator 1, 2, 3, 4 or 6.
+    """
+    r = p % q
+    return _EXACT_COS_TWELFTHS.get(12 * r // q) if 12 * r % q == 0 else None
+
+
 def cos2pi_fixed(p: int, q: int, bits: int) -> tuple[int, int, bool]:
     """Enclosure (lo, hi, exact) of 2**bits * cos(2*pi*p/q) for q > 0.
 
@@ -269,12 +279,11 @@ def cos2pi_fixed(p: int, q: int, bits: int) -> tuple[int, int, bool]:
     terms.  ``exact`` marks lo == hi == the value itself, which happens
     exactly when the reduced denominator of p/q is 1, 2, 3, 4 or 6.
     """
+    twice = niven_twice(p, q)
+    if twice is not None:
+        v = twice << (bits - 1)
+        return v, v, True
     r = p % q
-    if 12 * r % q == 0:
-        twice = _EXACT_COS_TWELFTHS.get(12 * r // q)
-        if twice is not None:
-            v = twice << (bits - 1)
-            return v, v, True
     # fold r/q into [0, 1/4], where cos(2*pi*x) is decreasing
     if 2 * r > q:
         r = q - r

@@ -206,15 +206,17 @@ def _box_bound(p: int, e: int, bits: int) -> tuple[int, int, int]:
 class WindowScan(Value):
     """Certified supremum of |window_product| over the period (1, 3]:
     ``sup`` encloses it, ``peak`` is the subinterval attaining the upper
-    bound."""
+    bound, ``subdivisions`` the split cap and ``splits`` the splits the
+    scan made before it stopped."""
 
-    __slots__ = ("sup", "peak", "subdivisions")
+    __slots__ = ("sup", "peak", "subdivisions", "splits")
 
     def __init__(self, sup: IntervalValue, peak: tuple[Fraction, Fraction],
-                 subdivisions: int):
+                 subdivisions: int, splits: int):
         object.__setattr__(self, "sup", sup)
         object.__setattr__(self, "peak", peak)
         object.__setattr__(self, "subdivisions", subdivisions)
+        object.__setattr__(self, "splits", splits)
 
     @property
     def gap(self) -> Fraction:
@@ -249,13 +251,15 @@ def f_gap_scan(subdivisions: int = DEFAULT_SCAN_SUBDIVISIONS) -> WindowScan:
 
     for p in range(17, 48, 2):                # midpoints (16 + 2i + 1)/16
         push(p, 4)
-    for _ in range(subdivisions):
+    splits = 0
+    while splits < subdivisions:
         neg_bound, p, e = boxes[0]
         if (-neg_bound - best_lo) << 48 <= one:   # within 2**-48 of best_lo
             break
         heapq.heappop(boxes)
         push(2 * p - 1, e + 1)
         push(2 * p + 1, e + 1)
+        splits += 1
     neg_bound, p, e = boxes[0]
     peak = (Fraction(p - 1, 1 << e), Fraction(p + 1, 1 << e))
     # outward-round the bound so that deeper scans are monotone in practice
@@ -266,7 +270,7 @@ def f_gap_scan(subdivisions: int = DEFAULT_SCAN_SUBDIVISIONS) -> WindowScan:
             f"splits; retry with a deeper budget")
     return WindowScan(IntervalValue(min(Fraction(best_lo, one), sup_hi),
                                     sup_hi),
-                      peak, subdivisions)
+                      peak, subdivisions, splits)
 
 
 @cache

@@ -59,6 +59,14 @@ class TestEval:
         assert code == 0
         assert "status: evaluated" in out
 
+    def test_geometric_head_of_300_factors(self, specs):
+        # the chain restarts from a fresh kernel call every block, so its
+        # working precision does not grow with the head
+        code, out, _ = run_cli("eval", "--measure", specs["m2"],
+                               "--t", "37/11", "--cutoff", "300")
+        assert code == 0
+        assert "status: evaluated" in out
+
     def test_malformed_spec_diagnostics(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"atoms": [[,]]}')
@@ -274,6 +282,27 @@ class TestFileErrors:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert blocker.read_text() == "not a directory\n"
+
+    def test_out_is_checked_before_the_command_runs(self, tmp_path):
+        # the measure is missing too: the --out error comes first
+        missing = tmp_path / "missing.json"
+        code, out, err = run_cli("eval", "--measure", str(missing),
+                                 "--t", "1/3", "--out", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Is a directory" in err and "missing.json" not in err
+
+    def test_out_is_untouched_when_the_command_fails(self, tmp_path):
+        missing = tmp_path / "missing.json"
+        kept, fresh = tmp_path / "kept.txt", tmp_path / "fresh.txt"
+        kept.write_text("earlier report\n")
+        for path in (kept, fresh):
+            code, out, err = run_cli("eval", "--measure", str(missing),
+                                     "--t", "1/3", "--out", str(path))
+            assert code == 1 and out == "" and "missing.json" in err
+        assert kept.read_text() == "earlier report\n"
+        assert not fresh.exists()
 
 
 class TestMalformedArguments:

@@ -5,6 +5,7 @@ import random
 import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 from math import factorial
 from unittest import mock
 
@@ -251,6 +252,59 @@ class TestOneReductionPerFactor:
                                             tail_cutoff=10)
                 == self.fraction_constructions(ft_point, m, F(7, 5),
                                                tail_cutoff=60))
+
+
+class TestGeometricChain:
+    """A geometric head makes one kernel call per block of CHAIN_BLOCK + 1
+    factors, all at one working precision, whatever its length."""
+
+    @staticmethod
+    def kernel_precisions(monkeypatch, *args, **kwargs):
+        seen, kernel = [], fourier.cos2pi_fixed
+
+        def recording(p, q, bits):
+            seen.append(bits)
+            return kernel(p, q, bits)
+
+        monkeypatch.setattr(fourier, "cos2pi_fixed", recording)
+        iv = ft_point(*args, **kwargs)
+        monkeypatch.undo()
+        return iv, seen
+
+    @pytest.mark.parametrize("cutoff", [2, 17, 18, 30, 300])
+    def test_precision_is_bounded_for_any_head(self, monkeypatch, cutoff):
+        m = MeasureExpr.bernoulli_geometric(3)
+        iv, seen = self.kernel_precisions(monkeypatch, m, F(37, 11),
+                                          tail_cutoff=cutoff, bits=256)
+        w = 256 + fourier.CHAIN_BLOCK * 4 + fourier.CHAIN_GUARD
+        assert seen == [w] * -(-cutoff // (fourier.CHAIN_BLOCK + 1))
+        if cutoff == 300:       # the tail is negligible there
+            assert iv.width <= F(1, 1 << 250)
+
+    def test_exact_prefix_is_one_integer(self):
+        # c_k * t = 2**(70-k)/3: the first 71 factors are exact
+        seq, t = CoefficientSequence("geometric", 2), F(2 ** 70, 3)
+        head = list(islice(fourier._reductions(seq, ExactRational(t), 1),
+                           75))
+        lo, hi, s, exact = fourier._geometric_head(head[:71], 2, 64)
+        assert exact and s == 71 and F(lo, 1 << s) == F(1, 1 << 71)
+        lo, hi, s, exact = fourier._geometric_head(head, 2, 64)
+        old_lo, old_hi, old_s, _ = fourier._factor_product(head, 64)
+        assert not exact
+        assert F(old_lo, 1 << old_s) <= F(lo, 1 << s) <= F(hi, 1 << s)
+        assert F(hi, 1 << s) <= F(old_hi, 1 << old_s)
+
+    def test_refuses_what_the_factor_loop_refuses(self):
+        # an unexpanded factor whose value may exceed 1/2
+        huge = (1 << 40000) + 1
+        t = ScaledPower(F(huge, 1 << 40000), 3, 0)
+        head = [arg_reduce(GEO.term(1), t)]
+        assert not head[0].fits()
+        for product in (fourier._factor_product, fourier._geometric_head):
+            args = (head, 64) if product is fourier._factor_product else (
+                head, 3, 64)
+            with pytest.raises(TailNotCertified, match="too large"):
+                product(*args)
 
 
 class TestFtPoint:

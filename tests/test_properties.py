@@ -5,10 +5,12 @@ measure-class algebra, checked on generated inputs against mpmath, against
 naive ``Fraction`` references (the log-space tail and the per-index window
 evaluation among them) and against each other."""
 
+import inspect
 import math
 import os
+import textwrap
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from typing import NamedTuple
 from unittest import mock
 
@@ -25,20 +27,21 @@ from tau3.errors import (BudgetExceeded, SnapError, SymmetryViolation,
                          TailNotCertified, UnsupportedArgument)
 from tau3.fourier import (MATERIALIZE_BITS, TAIL_CUTOFF_CAP,
                           TAIL_WIDTH_TARGET, ExactRational, ReducedExact,
-                          ReducedSmall, ScaledPower, _factor_product,
-                          _log2_lower, _reductions, _structural_decay,
-                          arg_reduce, as_argument, atom_part, choose_cutoff,
-                          ft_point, tail_bound)
+                          ReducedSmall, ScaledPower, _chebyshev,
+                          _cutoff_reductions, _factor_product,
+                          _geometric_head, _log2_lower, _reductions,
+                          _structural_decay, arg_reduce, as_argument,
+                          atom_part, choose_cutoff, ft_point, tail_bound)
 from tau3.intervals import (_EXACT_COS_TWELFTHS, PRECISION_PROFILES,
                             QUADRATIC_COS_COEFF, IntervalValue, _cos_series,
                             _two_pi_bounds, cos2pi, cos2pi_fixed,
-                            cos2pi_interval, exp_neg, log1m,
+                            cos2pi_interval, exp_neg, log1m, niven_twice,
                             quadratic_cos_threshold)
 from tau3.measures import (CoeffTerm, CoefficientSequence, MeasureExpr,
                            bernoulli_partial, convolve_atoms, normalize,
                            plan_mass, scale_measure)
 from tau3.oracle import discretize
-from tau3 import topology
+from tau3 import fourier, topology
 from tau3.topology import (WINDOW_THRESHOLD, Conclusion, ConvergenceVerdict,
                            SequenceSpec, cached_window_scan, window_product)
 
@@ -864,12 +867,120 @@ def transform_measures(draw):
 @given(transform_measures(), st.one_of(st.just(F(0)), tail_arguments),
        st.one_of(st.none(), st.integers(0, 12)), st.integers(64, 512))
 def test_ft_point_equals_the_fraction_composition(m, t, tail_cutoff, bits):
+    # a geometric head is one Chebyshev chain at a higher working precision
+    # and is rounded once, so it only has to lie inside the factor loop's
     new = outcome(ft_point, m, t, tail_cutoff, bits)
     old = outcome(fraction_ft_point, m, t, tail_cutoff, bits)
-    if isinstance(old, IntervalValue):
-        assert (new.lo, new.hi, new.exact) == (old.lo, old.hi, old.exact)
-    else:
+    if not isinstance(old, IntervalValue):
         assert new == old
+    elif m.bernoulli is not None and m.bernoulli.kind == "geometric":
+        assert old.lo <= new.lo <= new.hi <= old.hi
+        assert new.exact == old.exact
+    else:
+        assert (new.lo, new.hi, new.exact) == (old.lo, old.hi, old.exact)
+
+
+chain_sequences = st.builds(
+    CoefficientSequence, st.just("geometric"), st.integers(2, 7),
+    st.sampled_from((F(1), F(1, 3), F(5, 2))))
+chain_arguments = st.one_of(
+    st.builds(F, st.integers(1, 10 ** 6), st.integers(1, 1000)),
+    st.builds(ScaledPower, st.builds(F, st.integers(1, 30), st.integers(1, 9)),
+              st.integers(2, 7), st.integers(0, 80)))
+# up to 300 head factors, so a chain runs through many kernel restarts
+chain_cutoffs = st.one_of(st.none(), st.integers(0, 300))
+
+
+def geometric_values(seq, t):
+    """c_k * |t| for k = 1, 2, ..., exactly."""
+    v = seq.scale * (t if isinstance(t, Fraction)
+                     else t.scale * t.base ** t.exponent)
+    return (v / seq.base ** k for k in count(1))
+
+
+def geometric_head(seq, t, tail_cutoff):
+    """The reductions ``ft_point`` hands to the head for this cutoff."""
+    t = as_argument(t)
+    if tail_cutoff is None:
+        return _cutoff_reductions(seq, t)
+    return list(islice(_reductions(seq, t, 1), tail_cutoff))
+
+
+def chain_encloses_head(seq, t, tail_cutoff, bits) -> bool:
+    """``_geometric_head``'s integer enclosure at scale 2**s contains the
+    mpmath product of its cosines, worked 64 bits beyond s."""
+    head = geometric_head(seq, t, tail_cutoff)
+    lo, hi, s, exact = _geometric_head(head, seq.base, bits)
+    with mp.workprec(s + 64):
+        truth = mp.ldexp(mp.fprod(
+            cos_truth(v % 1)
+            for v in islice(geometric_values(seq, t), len(head))), s)
+        pad = mp.mpf(2) ** -16
+        return lo - pad <= truth <= hi + pad and (not exact or lo == hi)
+
+
+def geometric_truth(seq, t, bits):
+    """prod_k cos(2*pi*c_k*t) in mpmath, up to the first value below
+    2**-(bits/2 + 64): the factors left out lower it by under 2**-(bits+120)
+    as their values shrink by at least the base."""
+    small = F(1, 1 << (bits // 2 + 64))
+    prod = mp.mpf(1)
+    for v in geometric_values(seq, t):
+        if v < small:
+            return prod
+        prod *= cos_truth(v % 1)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(chain_sequences, chain_arguments, chain_cutoffs, st.integers(64, 1024))
+def test_geometric_chain_encloses_the_truth(seq, t, tail_cutoff, bits):
+    m = MeasureExpr(bernoulli=seq)
+    new = outcome(ft_point, m, t, tail_cutoff, bits)
+    old = outcome(fraction_ft_point, m, t, tail_cutoff, bits)
+    if not isinstance(old, IntervalValue):
+        assert new == old
+        return
+    assert old.lo <= new.lo <= new.hi <= old.hi
+    assert new.exact == old.exact
+    assert chain_encloses_head(seq, t, tail_cutoff, bits)
+    with mp.workdps(digits_for(bits)):
+        assert encloses(new, geometric_truth(seq, t, bits), digits_for(bits))
+
+
+# the head's last factors lie next to 1, where |T_b'| reaches b**2
+NEAR_ONE_HEADS = [(CoefficientSequence("geometric", 3), F(1, 7), 300, 64),
+                  (CoefficientSequence("geometric", 3), F(37, 11), None, 128),
+                  (CoefficientSequence("geometric", 2, F(1, 3)), F(5, 3), 100,
+                   256),
+                  (CoefficientSequence("geometric", 7, F(5, 2)),
+                   ScaledPower(F(4, 3), 7, 20), None, 512)]
+
+
+def test_chain_with_radius_growth_b_misses_the_truth(monkeypatch):
+    # the same chain with the Markov factor b**2 replaced by b
+    source = textwrap.dedent(inspect.getsource(fourier._chain_product))
+    assert source.count("bb * r + b") == 1
+    scope = {}
+    exec(source.replace("bb * r + b", "b * r + b"), vars(fourier), scope)
+    assert all(chain_encloses_head(*case) for case in NEAR_ONE_HEADS)
+    monkeypatch.setattr(fourier, "_chain_product", scope["_chain_product"])
+    assert not all(chain_encloses_head(*case) for case in NEAR_ONE_HEADS)
+
+
+@pytest.mark.parametrize("b", range(2, 13))
+def test_chebyshev_table_maps_cos_2pi_x_to_cos_2pi_bx(b):
+    coefficients = _chebyshev(b)          # highest degree first
+    assert len(coefficients) == b + 1 and coefficients[0] == 1 << (b - 1)
+    assert _chebyshev(b, 40) == tuple(c << 40 for c in coefficients)
+    with mp.workdps(60):
+        for x in (F(1, 7), F(2, 9), F(5, 13), F(1, 1000), F(3, 8), F(1, 2)):
+            assert abs(mp.polyval(coefficients, cos_truth(x))
+                       - cos_truth(b * x)) < mp.mpf(10) ** -50
+    # exactly at the Niven points, the values the exact prefix relies on
+    for p, q in ((0, 1), (1, 2), (1, 3), (1, 4), (1, 6), (5, 6), (3, 4)):
+        x = F(niven_twice(p, q), 2)
+        assert (sum(c * x ** i for i, c in enumerate(reversed(coefficients)))
+                == F(niven_twice(b * p, q), 2))
 
 
 def parent_power_exceeds(m, base, exponent, bound) -> bool:

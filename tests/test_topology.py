@@ -164,7 +164,7 @@ class TestWindowBound:
         box_bound = topology._box_bound
         monkeypatch.setattr(topology, "_box_bound", counting)
         scan = f_gap_scan(subdivisions)
-        assert (len(counted) - 16) // 2 < 100
+        assert (len(counted) - 16) // 2 == scan.splits == 62
         assert scan.sup.width <= F(1, 10 ** 14)
 
     def test_scan_is_monotone_under_refinement(self):
