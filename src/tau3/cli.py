@@ -11,8 +11,9 @@ certificate), build the header, and write the report to stdout and
 ``--out``.  The header's ``flags:`` line lists every flag the subcommand
 declares that has a value, defaults included, sorted by name, so results
 are reproducible; reports are deterministic structured text
-(byte-identical for identical inputs and flags).  Exit codes: 0 for a definitive result, 2 for Undetermined, 1 for
-input or usage errors, unreadable or unwritable paths included.
+(byte-identical for identical inputs and flags).  Exit codes: 0 for a
+definitive result, 2 for Undetermined, 1 for input or usage errors,
+unreadable or unwritable paths included.
 
 Exact parameters (measure scales, sequence scales, arguments) are accepted
 as "p/q" strings only; tolerances may use decimal or scientific notation
@@ -275,13 +276,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_out(path) -> None:
     """Fail on an ``--out`` path that cannot be written before any work is
     done: open it for appending, which keeps an existing file's bytes, and
-    remove the file again if this call made it."""
-    if path is None:
+    remove the file again if this call made it (the target, for a dangling
+    symbolic link).  An empty path is unset, as in ``_write_report``."""
+    if not path:
         return
-    existed = os.path.lexists(path)
+    existed = os.path.exists(path)
     open(path, "a", encoding="utf-8").close()
     if not existed:
-        os.remove(path)
+        os.remove(os.path.realpath(path))
 
 
 def _write_report(args, table: AxiomTable, lines: list[str],

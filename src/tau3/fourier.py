@@ -15,19 +15,20 @@ call, and each factor costs at most one ``pow(base, d, q)``.
 Infinite products are split into an exactly evaluated head and a certified
 tail.  The head, and all of a finite product, is one integer factor loop
 on ``intervals.product_fixed``, fed the reductions of ``choose_cutoff``'s
-pass, so each c_k * t is reduced once per call.  A geometric head is one
-Chebyshev chain instead: c_(k-1) * t = b * c_k * t, so factor k-1 is
-T_b(factor k).  Its exact factors (cosines 0, +-1/2, +-1) form a prefix
-multiplied as one integer over 2**j; the rest takes one ``cos2pi_fixed``
-call per block of CHAIN_BLOCK + 1 factors, from the last index down, and
-Chebyshev steps in between, in integer midpoint-radius form at
-w = bits + CHAIN_BLOCK * ceil(log2 b**2) + CHAIN_GUARD bits.  The radius
-grows by at most b**2 per step (Markov's inequality) plus b for Horner's
-rounding, so w bounds it for any head length.  An infinite tail uses
-cos(2*pi*x) >= 1 - 49*x**2 (certified on [0, omega] by ``intervals``) in
-one floored integer product at scale 2**bits; its upper bound is 1.
-``ft_point`` adds the atom sum and head times tail as integers over one
-denominator, and clamps and rounds once.
+pass, so each c_k * t is reduced once per call.  A geometric head of base
+b <= CHAIN_MAX_BASE is one Chebyshev chain instead: c_(k-1) * t =
+b * c_k * t, so factor k-1 is T_b(factor k).  Its exact factors (cosines
+0, +-1/2, +-1) form a prefix multiplied as one integer over 2**j; the rest
+takes one ``cos2pi_fixed`` call per block of CHAIN_BLOCK + 1 factors, from
+the last index down, and Chebyshev steps in between, in integer
+midpoint-radius form at w = bits + CHAIN_BLOCK * ceil(log2 b**2) +
+CHAIN_GUARD bits.  The radius grows by at most b**2 per step (Markov's
+inequality) plus b for Horner's rounding, so w bounds it for any head
+length.  A step is a degree-b Horner evaluation, so larger bases keep the
+factor loop.  An infinite tail uses cos(2*pi*x) >= 1 - 49*x**2 (certified
+on [0, omega] by ``intervals``) in one floored integer product at scale
+2**bits; its upper bound is 1.  ``ft_point`` adds the atom sum and head
+times tail as integers over one denominator, and clamps and rounds once.
 """
 
 from __future__ import annotations
@@ -300,6 +301,9 @@ def _factor_product(factors: Iterable[Reduced],
 CHAIN_BLOCK = 16
 #: guard bits of the chain's working precision (_chain_product)
 CHAIN_GUARD = 16
+#: largest base whose head is a chain: a chain step costs b products at
+#: w bits, and from base 16 on the factor loop is faster for rational t
+CHAIN_MAX_BASE = 12
 
 
 @cache
@@ -363,7 +367,7 @@ def _chain_product(chain: list, b: int,
 def _geometric_head(head: list, b: int,
                     bits: int) -> tuple[int, int, int, bool]:
     """(lo, hi, s, exact) as ``_factor_product``, for the reductions r_1 ..
-    r_K of a base-b geometric sequence.
+    r_K of a base-b geometric sequence, b <= CHAIN_MAX_BASE.
 
     Factors whose cosine is 0, +-1/2 or +-1 form a prefix, since T_b maps
     those values to themselves; their product is one integer over 2**j.
@@ -579,9 +583,10 @@ def _bernoulli_part(seq: CoefficientSequence, t: ArgumentSpec,
     else:
         cutoff = choose_cutoff(seq, t) if tail_cutoff is None else tail_cutoff
         head = list(islice(_reductions(seq, t, 1), cutoff))
-    h_lo, h_hi, s, exact = (_geometric_head(head, seq.base, bits)
-                            if seq.kind == GEOMETRIC else
-                            _factor_product(head, bits))
+    h_lo, h_hi, s, exact = (
+        _geometric_head(head, seq.base, bits)
+        if seq.kind == GEOMETRIC and seq.base <= CHAIN_MAX_BASE else
+        _factor_product(head, bits))
     tail = tail_bound(seq, len(head), t, bits)
     (t_lo, lo_den), (t_hi, hi_den) = (tail.lo.as_integer_ratio(),
                                       tail.hi.as_integer_ratio())

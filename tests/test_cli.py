@@ -67,6 +67,18 @@ class TestEval:
         assert code == 0
         assert "status: evaluated" in out
 
+    def test_geometric_base_of_a_million(self, tmp_path):
+        # a base this large keeps the factor loop: a chain step would be a
+        # degree-10**6 Chebyshev polynomial
+        spec = tmp_path / "big.json"
+        spec.write_text(json.dumps(
+            {**M2, "bernoulli": {"kind": "geometric", "base": 10 ** 6,
+                                 "scale": "1"}}))
+        code, out, _ = run_cli("eval", "--measure", str(spec),
+                               "--t", "37/11")
+        assert code == 0
+        assert "~[-0.3097214681139005, -0.3097214681139005]" in out
+
     def test_malformed_spec_diagnostics(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"atoms": [[,]]}')
@@ -303,6 +315,21 @@ class TestFileErrors:
             assert code == 1 and out == "" and "missing.json" in err
         assert kept.read_text() == "earlier report\n"
         assert not fresh.exists()
+
+    def test_dangling_out_link_makes_no_target(self, tmp_path):
+        link, target = tmp_path / "link.txt", tmp_path / "target.txt"
+        link.symlink_to(target)
+        code, out, err = run_cli("eval", "--measure",
+                                 str(tmp_path / "missing.json"), "--t", "1/3",
+                                 "--out", str(link))
+        assert code == 1 and out == "" and "missing.json" in err
+        assert link.is_symlink() and not target.exists()
+
+    def test_empty_out_is_unset(self, specs):
+        code, out, err = run_cli("eval", "--measure", specs["expl"],
+                                 "--t", "0", "--out", "")
+        assert code == 0 and err == ""
+        assert "value: [1, 1]" in out
 
 
 class TestMalformedArguments:

@@ -25,7 +25,7 @@ from tau3.class_algebra import (LEBESGUE_CLASS, ClassExpr, RelationKind,
                                 series_class)
 from tau3.errors import (BudgetExceeded, SnapError, SymmetryViolation,
                          TailNotCertified, UnsupportedArgument)
-from tau3.fourier import (MATERIALIZE_BITS, TAIL_CUTOFF_CAP,
+from tau3.fourier import (CHAIN_MAX_BASE, MATERIALIZE_BITS, TAIL_CUTOFF_CAP,
                           TAIL_WIDTH_TARGET, ExactRational, ReducedExact,
                           ReducedSmall, ScaledPower, _chebyshev,
                           _cutoff_reductions, _factor_product,
@@ -881,7 +881,8 @@ def test_ft_point_equals_the_fraction_composition(m, t, tail_cutoff, bits):
 
 
 chain_sequences = st.builds(
-    CoefficientSequence, st.just("geometric"), st.integers(2, 7),
+    CoefficientSequence, st.just("geometric"),
+    st.integers(2, CHAIN_MAX_BASE),
     st.sampled_from((F(1), F(1, 3), F(5, 2))))
 chain_arguments = st.one_of(
     st.builds(F, st.integers(1, 10 ** 6), st.integers(1, 1000)),
@@ -981,6 +982,25 @@ def test_chebyshev_table_maps_cos_2pi_x_to_cos_2pi_bx(b):
         x = F(niven_twice(p, q), 2)
         assert (sum(c * x ** i for i, c in enumerate(reversed(coefficients)))
                 == F(niven_twice(b * p, q), 2))
+
+
+@pytest.mark.parametrize("base", [CHAIN_MAX_BASE + 1, 1000, 10 ** 6])
+def test_large_bases_keep_the_factor_loop(monkeypatch, base):
+    # a chain step is a degree-b Horner evaluation over a table built in
+    # O(b**2): above CHAIN_MAX_BASE the head is the factor loop, unchanged
+    monkeypatch.setattr(fourier, "_chain_product", None)
+    m = MeasureExpr.symmetric_pair(1, F(1, 2)).plus(
+        MeasureExpr.bernoulli_geometric(base))
+    for t in (F(37, 11), ScaledPower(F(1, 7), base, 30)):
+        for tail_cutoff in (None, 2, 40):
+            for bits in (64, 256):
+                new = outcome(ft_point, m, t, tail_cutoff, bits)
+                old = outcome(fraction_ft_point, m, t, tail_cutoff, bits)
+                if isinstance(old, IntervalValue):
+                    new, old = ((v.lo, v.hi, v.exact) for v in (new, old))
+                else:       # only a short head before 30 powers of the base
+                    assert isinstance(t, ScaledPower) and tail_cutoff == 2
+                assert new == old
 
 
 def parent_power_exceeds(m, base, exponent, bound) -> bool:
