@@ -430,11 +430,11 @@ def series_class(a: Union[MeasureExpr, ClassExpr]) -> ClassExpr:
     """
     c = class_of(a)
     trace = ["rule:SeriesClosure"]
-    group = Support.group_generated(
-        c.atoms.points if c.atoms is not None and c.atoms.is_finite()
-        else ()) if c.atoms is not None else None
-    if c.atoms is not None and not c.atoms.is_finite():
-        group = c.atoms   # already a lattice
+    # the union of the n-fold sumsets of a lattice g*Z + residues is the
+    # group generated by g and the residues
+    group = None if c.atoms is None else Support.group_generated(
+        c.atoms.points if c.atoms.is_finite()
+        else (c.atoms.generator, *c.atoms.residues))
     leb = c.ac_lebesgue
     if leb:
         trace.append("axiom:LebesgueAbsorption")

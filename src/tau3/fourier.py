@@ -13,22 +13,25 @@ reduction is integer-only: |scale * t| is folded into one integer pair per
 call, and each factor costs at most one ``pow(base, d, q)``.
 
 Infinite products are split into an exactly evaluated head and a certified
-tail.  The head, and all of a finite product, is one integer factor loop
-on ``intervals.product_fixed``, fed the reductions of ``choose_cutoff``'s
-pass, so each c_k * t is reduced once per call.  A geometric head of base
-b <= CHAIN_MAX_BASE is one Chebyshev chain instead: c_(k-1) * t =
-b * c_k * t, so factor k-1 is T_b(factor k).  Its exact factors (cosines
-0, +-1/2, +-1) form a prefix multiplied as one integer over 2**j; the rest
-takes one ``cos2pi_fixed`` call per block of CHAIN_BLOCK + 1 factors, from
-the last index down, and Chebyshev steps in between, in integer
-midpoint-radius form at w = bits + CHAIN_BLOCK * ceil(log2 b**2) +
-CHAIN_GUARD bits.  The radius grows by at most b**2 per step (Markov's
-inequality) plus b for Horner's rounding, so w bounds it for any head
-length.  A step is a degree-b Horner evaluation, so larger bases keep the
-factor loop.  An infinite tail uses cos(2*pi*x) >= 1 - 49*x**2 (certified
-on [0, omega] by ``intervals``) in one floored integer product at scale
-2**bits; its upper bound is 1.  ``ft_point`` adds the atom sum and head
-times tail as integers over one denominator, and clamps and rounds once.
+tail, fed the reductions of ``choose_cutoff``'s pass, so each c_k * t is
+reduced once per call.  Every head starts from one exact prefix, the
+leading factors whose cosine is 0, +-1/2 or +-1, multiplied as one integer
+over 2**j.  After it, a head (and all of a finite product) is one integer
+factor loop on ``intervals.product_fixed``, floored onto 2**-bits.  A
+geometric head of base b <= CHAIN_MAX_BASE is one Chebyshev chain instead:
+c_(k-1) * t = b * c_k * t, so factor k-1 is T_b(factor k), and its exact
+factors are all in the prefix.  The chain takes one ``cos2pi_fixed`` call
+per block of CHAIN_BLOCK + 1 factors, from the last index down, and
+Chebyshev steps in between, in integer midpoint-radius form at w = bits +
+CHAIN_BLOCK * ceil(log2 b**2) + CHAIN_GUARD bits.  The radius grows by at
+most b**2 per step (Markov's inequality) plus b for Horner's rounding, so
+w bounds it for any head length.  A step is a degree-b Horner evaluation,
+so larger bases keep the factor loop.  An infinite tail uses cos(2*pi*x)
+>= 1 - 49*x**2 (certified on [0, omega] by ``intervals``) in one floored
+integer product at scale 2**bits; its upper bound is 1.  ``ft_point`` adds
+the atom sum and head times tail as integers over one denominator, and
+clamps and rounds once.  No flag records exactness: equal integer ends
+give the point itself.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import count, islice
 from math import lcm
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .errors import (NotPointwiseEvaluable, TailNotCertified,
                      UnsupportedArgument, Value)
@@ -262,35 +265,44 @@ def _unexpanded_upper(r: ReducedSmall, bits: int) -> tuple[int, int]:
     return n, q
 
 
-def _cos_of_reduced(r: Reduced, bits: int) -> tuple[int, int, bool]:
-    """``cos2pi_fixed``'s (lo, hi, exact) at the reduced argument."""
+def _cos_of_reduced(r: Reduced, bits: int) -> tuple[int, int]:
+    """``cos2pi_fixed``'s (lo, hi) at the reduced argument."""
     if isinstance(r, ReducedExact):
         return cos2pi_fixed(r.num, r.den, bits)
     if r.fits():
         return cos2pi_fixed(*r.ratio(), bits)
     # x <= v: cos(2*pi*x) lies in [cos(2*pi*v), 1]
-    return cos2pi_fixed(*_unexpanded_upper(r, bits), bits)[0], 1 << bits, False
+    return cos2pi_fixed(*_unexpanded_upper(r, bits), bits)[0], 1 << bits
 
 
-def _factor_product(factors: Iterable[Reduced],
-                    bits: int) -> tuple[int, int, int, bool]:
-    """(lo, hi, s, exact): the product of cos(2*pi*r) over the reductions r
-    lies in [lo/2**s, hi/2**s].
+def _niven_prefix(factors: list) -> tuple[int, int]:
+    """(num, j): the first j reductions r have cos(2*pi*r) in {0, +-1/2,
+    +-1} (``niven_twice``), and their product is num/2**j, exactly.  An
+    unexpanded value that does not fit ends the prefix."""
+    num = 1
+    for j, r in enumerate(factors):
+        twice = (niven_twice(r.num, r.den) if isinstance(r, ReducedExact)
+                 else niven_twice(*r.ratio()) if r.fits() else None)
+        if twice is None:
+            return num, j
+        num *= twice
+    return num, len(factors)
 
-    While every factor is exact, s grows by ``bits`` per factor, so
-    (-1/2)**j stays exact for any j; after that each product is floored and
-    ceiled back onto 2**-bits.
+
+def _factor_product(factors: list, bits: int) -> tuple[int, int, int]:
+    """(lo, hi, s): the product of cos(2*pi*r) over the reductions r lies
+    in [lo/2**s, hi/2**s].
+
+    It starts from the exact ``_niven_prefix``, so (-1/2)**j stays exact
+    for any j; each later product is floored and ceiled onto 2**-bits.
     """
-    lo, hi, s, exact = 1, 1, 0, True
-    for r in factors:
-        f = _cos_of_reduced(r, bits)
-        lo, hi = product_fixed(((lo, hi), f), 1 << (s + bits))
-        exact = exact and f[2]
-        if exact:
-            s += bits
-        else:
-            lo, hi, s = lo >> s, -(-hi >> s), bits
-    return lo, hi, s, exact
+    num, s = _niven_prefix(factors)
+    lo = hi = num
+    for r in factors[s:]:
+        lo, hi = product_fixed(((lo, hi), _cos_of_reduced(r, bits)),
+                               1 << (s + bits))
+        lo, hi, s = lo >> s, -(-hi >> s), bits
+    return lo, hi, s
 
 
 # ---------------------------------------------------------------------------
@@ -319,14 +331,6 @@ def _chebyshev(b: int, w: int = 0) -> tuple[int, ...]:
     return tuple(c << w for c in cur)
 
 
-def _niven_factor(r: Reduced) -> Optional[int]:
-    """2*cos(2*pi*r) when that is an integer (``niven_twice``), else None;
-    an unexpanded value that does not fit counts as inexact."""
-    if isinstance(r, ReducedExact):
-        return niven_twice(r.num, r.den)
-    return niven_twice(*r.ratio()) if r.fits() else None
-
-
 def _chain_product(chain: list, b: int,
                    bits: int) -> tuple[int, int, int]:
     """(mid, rad, w): prod cos(2*pi*r) over the reductions r of consecutive
@@ -350,7 +354,7 @@ def _chain_product(chain: list, b: int,
     horner = _chebyshev(b, w)
     p_mid, p_rad = one, 0
     for top in range(len(chain) - 1, -1, -(CHAIN_BLOCK + 1)):
-        lo, hi, _ = _cos_of_reduced(chain[top], w)
+        lo, hi = _cos_of_reduced(chain[top], w)
         m, r = (lo + hi) >> 1, (hi - lo + 1) >> 1
         for step in range(min(CHAIN_BLOCK, top) + 1):
             if step:
@@ -364,33 +368,25 @@ def _chain_product(chain: list, b: int,
     return p_mid, p_rad, w
 
 
-def _geometric_head(head: list, b: int,
-                    bits: int) -> tuple[int, int, int, bool]:
-    """(lo, hi, s, exact) as ``_factor_product``, for the reductions r_1 ..
-    r_K of a base-b geometric sequence, b <= CHAIN_MAX_BASE.
+def _geometric_head(head: list, b: int, bits: int) -> tuple[int, int, int]:
+    """(lo, hi, s) as ``_factor_product``, for the reductions r_1 .. r_K of
+    a base-b geometric sequence, b <= CHAIN_MAX_BASE.
 
-    Factors whose cosine is 0, +-1/2 or +-1 form a prefix, since T_b maps
-    those values to themselves; their product is one integer over 2**j.
-    The rest is one ``_chain_product``.  Every reduction the kernel would
-    refuse is refused first, as ``_factor_product`` does.
+    T_b maps the cosines 0, +-1/2 and +-1 to themselves, so the exact
+    factors are all in the ``_niven_prefix``; the rest is one
+    ``_chain_product``.  Every reduction the kernel would refuse is refused
+    first, as ``_factor_product`` does.
     """
-    num, j = 1, 0
-    for r in head:
-        twice = _niven_factor(r)
-        if twice is None:
-            break
-        num, j = num * twice, j + 1
+    num, j = _niven_prefix(head)
     chain = head[j:]
-    if not chain:
-        return num, num, j, True
     for r in chain:
         if isinstance(r, ReducedSmall) and not r.fits():
             _unexpanded_upper(r, bits)
-    if num == 0:
-        return 0, 0, j, False
+    if not chain or num == 0:
+        return num, num, j
     mid, rad, w = _chain_product(chain, b, bits)
     lo, hi = sorted((num * (mid - rad), num * (mid + rad)))
-    return lo, hi, j + w, False
+    return lo, hi, j + w
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +448,9 @@ def tail_bound(seq: CoefficientSequence, cutoff: int, t,
 
     if seq.kind == EXPLICIT:
         # finite product: evaluate the remaining factors directly
-        lo, hi, s, exact = _factor_product(_reductions(seq, t, cutoff + 1),
-                                           bits)
-        return IntervalValue(Fraction(lo, 1 << s), Fraction(hi, 1 << s), exact)
+        lo, hi, s = _factor_product(list(_reductions(seq, t, cutoff + 1)),
+                                    bits)
+        return IntervalValue(Fraction(lo, 1 << s), Fraction(hi, 1 << s))
 
     if not _structural_decay(seq, t):
         raise TailNotCertified(
@@ -552,38 +548,37 @@ def _cutoff_reductions(seq: CoefficientSequence, t: ArgumentSpec) -> list:
 # ---------------------------------------------------------------------------
 
 def _atom_sum(expr: MeasureExpr, t: ArgumentSpec,
-              bits: int) -> tuple[int, int, int, bool]:
-    """(lo, hi, D * 2**bits, exact): integer ends of the atom sum over D *
-    2**bits, one kernel call per atom pair +-p of the ``atom_plan``."""
+              bits: int) -> tuple[int, int, int]:
+    """(lo, hi, D * 2**bits): integer ends of the atom sum over D * 2**bits,
+    one kernel call per atom pair +-p of the ``atom_plan``."""
     den, pairs = atom_plan(expr)
     sn, sd, b, e = _fold(1, t)
     lo = hi = 0
-    exact = True
     for pn, pd, v in pairs:
         # p*t mod 1 over the denominator pd*sd, where pow reduces b**e
         q = pd * sd
-        k_lo, k_hi, k_exact = cos2pi_fixed(pn * sn * pow(b, e, q), q, bits)
-        lo, hi, exact = lo + v * k_lo, hi + v * k_hi, exact and k_exact
-    return lo, hi, den << bits, exact
+        k_lo, k_hi = cos2pi_fixed(pn * sn * pow(b, e, q), q, bits)
+        lo, hi = lo + v * k_lo, hi + v * k_hi
+    return lo, hi, den << bits
 
 
 def atom_part(expr: MeasureExpr, t: ArgumentSpec, bits: int) -> IntervalValue:
     """Enclosure of sum_a w_a * cos(2*pi*a*t) over the atoms of ``expr``."""
-    lo, hi, den, exact = _atom_sum(expr, as_argument(t), bits)
-    return IntervalValue(Fraction(lo, den), Fraction(hi, den), exact)
+    lo, hi, den = _atom_sum(expr, as_argument(t), bits)
+    return IntervalValue(Fraction(lo, den), Fraction(hi, den))
 
 
 def _bernoulli_part(seq: CoefficientSequence, t: ArgumentSpec,
                     tail_cutoff: Optional[int],
-                    bits: int) -> tuple[int, int, int, bool]:
-    """(lo, hi, den, exact): the head product times ``tail_bound``, clamped
-    to [-1, 1], over den; each c_k * t is reduced once."""
+                    bits: int) -> tuple[int, int, int]:
+    """(lo, hi, den): the head product times ``tail_bound``, clamped to
+    [-1, 1], over den; each c_k * t is reduced once."""
     if tail_cutoff is None and seq.kind != EXPLICIT:
         head = _cutoff_reductions(seq, t)
     else:
         cutoff = choose_cutoff(seq, t) if tail_cutoff is None else tail_cutoff
         head = list(islice(_reductions(seq, t, 1), cutoff))
-    h_lo, h_hi, s, exact = (
+    h_lo, h_hi, s = (
         _geometric_head(head, seq.base, bits)
         if seq.kind == GEOMETRIC and seq.base <= CHAIN_MAX_BASE else
         _factor_product(head, bits))
@@ -593,7 +588,7 @@ def _bernoulli_part(seq: CoefficientSequence, t: ArgumentSpec,
     den = lcm(lo_den, hi_den)
     lo, hi = product_fixed(((h_lo, h_hi), (t_lo * (den // lo_den),
                                            t_hi * (den // hi_den))), den << s)
-    return lo, hi, den << s, exact and tail.exact
+    return lo, hi, den << s
 
 
 def ft_point(expr: MeasureExpr, t, tail_cutoff: Optional[int] = None,
@@ -611,13 +606,13 @@ def ft_point(expr: MeasureExpr, t, tail_cutoff: Optional[int] = None,
     mass = plan_mass(expr)
     if isinstance(t, ExactRational) and t.value == 0:
         return IntervalValue.point(mass)
-    lo, hi, den, exact = _atom_sum(expr, t, bits)
+    lo, hi, den = _atom_sum(expr, t, bits)
     if expr.bernoulli is not None:
-        b_lo, b_hi, b_den, b_exact = _bernoulli_part(expr.bernoulli, t,
-                                                     tail_cutoff, bits)
+        b_lo, b_hi, b_den = _bernoulli_part(expr.bernoulli, t, tail_cutoff,
+                                            bits)
         lo, hi = lo * b_den + b_lo * den, hi * b_den + b_hi * den
-        den, exact = den * b_den, exact and b_exact
-    if exact:
+        den *= b_den
+    if lo == hi:        # a certified point is the value itself
         return IntervalValue.point(Fraction(lo, den))
     # floor and ceiling are monotone, so rounding the ends and +-mass onto
     # 2**-bits first and clamping after gives the same grid points

@@ -25,9 +25,11 @@ slack per step.  The cosine runs one floored Taylor chain with guard bits and
 an a-priori error bound (_cos_series), so its ends are at most 2 ulps apart.
 A term x / (j * 2**s) is floored (ceiled) as (x >> s) // j, equal for x >= 0.
 
-cos2pi is exact (zero width) at the rational points where the cosine of a
-rational multiple of 2*pi is itself rational; by Niven's theorem these are
-exactly the fractions with denominator 1, 2, 3, 4 or 6.
+No flag records exactness: an enclosure of width zero is the value itself,
+so ``IntervalValue.exact`` is ``lo == hi``.  The cosine kernel returns
+lo == hi exactly at the rational points where the cosine of a rational
+multiple of 2*pi is itself rational; by Niven's theorem these are the
+fractions with denominator 1, 2, 3, 4 or 6.  Elsewhere its hi > lo.
 
 The working precision (bits of fixed-point scale) is the ``bits`` argument
 of each entry point, or else comes from the ``TAU3_PRECISION`` environment
@@ -134,25 +136,26 @@ _two_pi_bounds = two_pi_bounds      # the name the tests import
 class IntervalValue(Value):
     """Closed interval [lo, hi] guaranteed to contain the true value.
 
-    ``exact`` marks zero-width intervals whose endpoints are the value
-    itself (not merely a tight enclosure).
+    An enclosure of width zero is the value itself, so ``exact`` is
+    ``lo == hi``.
     """
 
-    __slots__ = ("lo", "hi", "exact")
+    __slots__ = ("lo", "hi")
 
-    def __init__(self, lo: Fraction, hi: Fraction, exact: bool = False):
+    def __init__(self, lo: Fraction, hi: Fraction):
         if lo > hi:
             raise ValueError(f"inverted interval [{lo}, {hi}]")
-        if exact and lo != hi:
-            raise ValueError("exact interval must have equal endpoints")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "exact", exact)
 
     @staticmethod
     def point(x: Rational) -> "IntervalValue":
         x = Fraction(x)
-        return IntervalValue(x, x, exact=True)
+        return IntervalValue(x, x)
+
+    @property
+    def exact(self) -> bool:
+        return self.lo == self.hi
 
     @property
     def width(self) -> Fraction:
@@ -170,13 +173,12 @@ class IntervalValue(Value):
 
     def __add__(self, other):
         other = _coerce(other)
-        return IntervalValue(self.lo + other.lo, self.hi + other.hi,
-                             exact=self.exact and other.exact)
+        return IntervalValue(self.lo + other.lo, self.hi + other.hi)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return IntervalValue(-self.hi, -self.lo, exact=self.exact)
+        return IntervalValue(-self.hi, -self.lo)
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -188,31 +190,29 @@ class IntervalValue(Value):
         other = _coerce(other)
         cands = (self.lo * other.lo, self.lo * other.hi,
                  self.hi * other.lo, self.hi * other.hi)
-        return IntervalValue(min(cands), max(cands),
-                             exact=self.exact and other.exact)
+        return IntervalValue(min(cands), max(cands))
 
     __rmul__ = __mul__
 
     def scale(self, c: Rational) -> "IntervalValue":
         c = Fraction(c)
         if c >= 0:
-            return IntervalValue(self.lo * c, self.hi * c, exact=self.exact)
-        return IntervalValue(self.hi * c, self.lo * c, exact=self.exact)
+            return IntervalValue(self.lo * c, self.hi * c)
+        return IntervalValue(self.hi * c, self.lo * c)
 
     def clamp(self, lo: Rational, hi: Rational) -> "IntervalValue":
         """Intersect with [lo, hi], which must be a known outer bound."""
         return IntervalValue(max(self.lo, Fraction(lo)),
-                             min(self.hi, Fraction(hi)), exact=self.exact)
+                             min(self.hi, Fraction(hi)))
 
     def round_out(self, bits: int) -> "IntervalValue":
         """Round endpoints outward onto the dyadic grid 2**-bits.
 
-        Keeps denominators bounded after long products; exactness is
-        preserved only for endpoints already on the grid.
+        Keeps denominators bounded after long products; a point stays a
+        point only when it lies on the grid.
         """
-        lo = Fraction(_floor_scaled(self.lo, bits), 1 << bits)
-        hi = Fraction(_ceil_scaled(self.hi, bits), 1 << bits)
-        return IntervalValue(lo, hi, exact=self.exact and lo == hi)
+        return IntervalValue(Fraction(_floor_scaled(self.lo, bits), 1 << bits),
+                             Fraction(_ceil_scaled(self.hi, bits), 1 << bits))
 
     def __repr__(self):
         if self.exact:
@@ -272,17 +272,17 @@ def niven_twice(p: int, q: int) -> int | None:
     return _EXACT_COS_TWELFTHS.get(12 * r // q) if 12 * r % q == 0 else None
 
 
-def cos2pi_fixed(p: int, q: int, bits: int) -> tuple[int, int, bool]:
-    """Enclosure (lo, hi, exact) of 2**bits * cos(2*pi*p/q) for q > 0.
+def cos2pi_fixed(p: int, q: int, bits: int) -> tuple[int, int]:
+    """Enclosure (lo, hi) of 2**bits * cos(2*pi*p/q) for q > 0.
 
     lo and hi are integers at most 2 apart; p/q need not be in lowest
-    terms.  ``exact`` marks lo == hi == the value itself, which happens
-    exactly when the reduced denominator of p/q is 1, 2, 3, 4 or 6.
+    terms.  lo == hi, the value itself, exactly when the reduced
+    denominator of p/q is 1, 2, 3, 4 or 6; otherwise hi > lo.
     """
     twice = niven_twice(p, q)
     if twice is not None:
         v = twice << (bits - 1)
-        return v, v, True
+        return v, v
     r = p % q
     # fold r/q into [0, 1/4], where cos(2*pi*x) is decreasing
     if 2 * r > q:
@@ -292,14 +292,14 @@ def cos2pi_fixed(p: int, q: int, bits: int) -> tuple[int, int, bool]:
         r, q = q - 2 * r, 2 * q          # 1/2 - r/q
     s, e, g = _cos_series(r, q, bits)
     lo, hi = (s - e) >> g, min(-(-(s + e) >> g), 1 << bits)
-    return (-hi, -lo, False) if neg else (lo, hi, False)
+    return (-hi, -lo) if neg else (lo, hi)
 
 
 def product_fixed(factors, one: int) -> tuple[int, int]:
-    """Exact interval product of integer (lo, hi, ...) factors, clamped to
+    """Exact interval product of integer (lo, hi) factors, clamped to
     [-one, one]; ``one`` is 1 at the product of the factors' scales."""
-    (lo, hi, *_), *rest = factors
-    for f_lo, f_hi, *_ in rest:
+    (lo, hi), *rest = factors
+    for f_lo, f_hi in rest:
         cands = (lo * f_lo, lo * f_hi, hi * f_lo, hi * f_hi)
         lo, hi = min(cands), max(cands)
     return max(lo, -one), min(hi, one)
@@ -309,9 +309,9 @@ def cos2pi(q: Rational, bits: int | None = None) -> IntervalValue:
     """Certified enclosure of cos(2*pi*q) for rational q."""
     bits = precision_bits(bits)
     q = Fraction(q)
-    lo, hi, exact = cos2pi_fixed(q.numerator, q.denominator, bits)
+    lo, hi = cos2pi_fixed(q.numerator, q.denominator, bits)
     den = 1 << bits
-    return IntervalValue(Fraction(lo, den), Fraction(hi, den), exact)
+    return IntervalValue(Fraction(lo, den), Fraction(hi, den))
 
 
 def cos2pi_interval(a: Rational, b: Rational,

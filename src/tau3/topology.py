@@ -41,7 +41,8 @@ from .measures import (EXPLICIT, FACTORIAL, GEOMETRIC, MeasureExpr,
                        bernoulli_partial, normalize, plan_mass, rational_gcd)
 
 DEFAULT_TOLERANCE = Fraction(1, 10 ** 6)
-DEFAULT_SCAN_SUBDIVISIONS = 1500
+#: split cap of ``f_gap_scan``, whose stop rule ends it after 62 splits
+SCAN_SPLIT_CAP = 1500
 WINDOW_THRESHOLD = 9
 WINDOW_SCAN_BITS = 96
 
@@ -172,8 +173,7 @@ def window_product(c: Fraction, bits: Optional[int] = None) -> IntervalValue:
     factors = _window_point(*Fraction(c).as_integer_ratio(), bits)
     one = 1 << 3 * bits
     lo, hi = product_fixed(factors, one)
-    return IntervalValue(Fraction(lo, one), Fraction(hi, one),
-                         exact=all(f[2] for f in factors))
+    return IntervalValue(Fraction(lo, one), Fraction(hi, one))
 
 
 def _box_bound(p: int, e: int, bits: int) -> tuple[int, int, int]:
@@ -206,16 +206,14 @@ def _box_bound(p: int, e: int, bits: int) -> tuple[int, int, int]:
 class WindowScan(Value):
     """Certified supremum of |window_product| over the period (1, 3]:
     ``sup`` encloses it, ``peak`` is the subinterval attaining the upper
-    bound, ``subdivisions`` the split cap and ``splits`` the splits the
-    scan made before it stopped."""
+    bound and ``splits`` the splits the scan made before it stopped."""
 
-    __slots__ = ("sup", "peak", "subdivisions", "splits")
+    __slots__ = ("sup", "peak", "splits")
 
     def __init__(self, sup: IntervalValue, peak: tuple[Fraction, Fraction],
-                 subdivisions: int, splits: int):
+                 splits: int):
         object.__setattr__(self, "sup", sup)
         object.__setattr__(self, "peak", peak)
-        object.__setattr__(self, "subdivisions", subdivisions)
         object.__setattr__(self, "splits", splits)
 
     @property
@@ -224,7 +222,7 @@ class WindowScan(Value):
         return 1 - self.sup.hi
 
 
-def f_gap_scan(subdivisions: int = DEFAULT_SCAN_SUBDIVISIONS) -> WindowScan:
+def f_gap_scan() -> WindowScan:
     """Branch-and-bound upper bound for sup of |window_product| on (1, 3].
 
     Each box is bounded from its midpoint alone, to second order
@@ -232,12 +230,10 @@ def f_gap_scan(subdivisions: int = DEFAULT_SCAN_SUBDIVISIONS) -> WindowScan:
     Analysis*), in integer fixed point at ``WINDOW_SCAN_BITS``.  From 16
     boxes on [1, 3], the box with the largest bound is split until that
     bound is within 2**-48 of the best lower bound on |f| at a midpoint,
-    about 60 splits, or until the ``subdivisions`` cap.  Bounds and the
-    stop test are exact integers.  Raises UndeterminedError if the bound
-    stays at or above 1.
+    after 62 splits, or at the ``SCAN_SPLIT_CAP``.  Bounds and the stop
+    test are exact integers.  Raises UndeterminedError if the bound stays
+    at or above 1.
     """
-    if subdivisions < 100:
-        raise ValueError("need at least 100 subdivisions")
     bits = WINDOW_SCAN_BITS
     one = 1 << 3 * bits
     boxes = []
@@ -252,7 +248,7 @@ def f_gap_scan(subdivisions: int = DEFAULT_SCAN_SUBDIVISIONS) -> WindowScan:
     for p in range(17, 48, 2):                # midpoints (16 + 2i + 1)/16
         push(p, 4)
     splits = 0
-    while splits < subdivisions:
+    while splits < SCAN_SPLIT_CAP:
         neg_bound, p, e = boxes[0]
         if (-neg_bound - best_lo) << 48 <= one:   # within 2**-48 of best_lo
             break
@@ -262,21 +258,19 @@ def f_gap_scan(subdivisions: int = DEFAULT_SCAN_SUBDIVISIONS) -> WindowScan:
         splits += 1
     neg_bound, p, e = boxes[0]
     peak = (Fraction(p - 1, 1 << e), Fraction(p + 1, 1 << e))
-    # outward-round the bound so that deeper scans are monotone in practice
     sup_hi = Fraction(-((neg_bound << 64) // one), 1 << 64)
     if sup_hi >= 1:
         raise UndeterminedError(
-            f"window supremum not certified below 1 after {subdivisions} "
-            f"splits; retry with a deeper budget")
+            f"window supremum not certified below 1 after {splits} splits")
     return WindowScan(IntervalValue(min(Fraction(best_lo, one), sup_hi),
                                     sup_hi),
-                      peak, subdivisions, splits)
+                      peak, splits)
 
 
 @cache
 def cached_window_scan() -> WindowScan:
-    """The window scan at the default depth, certified once per process."""
-    return f_gap_scan(DEFAULT_SCAN_SUBDIVISIONS)
+    """The window scan, certified once per process."""
+    return f_gap_scan()
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,7 @@ def test_criterion_2_pairwise_grid():
 
 def test_criterion_3_window_gap_certification():
     t0 = time.perf_counter()
-    scan = f_gap_scan(1500)
+    scan = f_gap_scan()
     elapsed = time.perf_counter() - t0
     assert scan.sup.hi < 1
     delta_star = 1 - FROZEN_WINDOW_SUP

@@ -162,6 +162,23 @@ class TestSeriesClass:
         assert all(s.atoms.members_include(p) for p in seen)
         assert {F(0), F(1), F(-1)} <= seen
 
+    @pytest.mark.parametrize("atoms, group", [
+        (Support.lattice(2, [1]), Support.lattice(1)),      # odd integers
+        (Support.lattice(3, [1]), Support.lattice(1)),
+        (Support.lattice(1, [F(1, 2)]), Support.lattice(F(1, 2))),
+        (Support.lattice(2, [0, F(2, 3)]), Support.lattice(F(2, 3))),
+        (Support.lattice(2), Support.lattice(2)),
+    ])
+    def test_lattice_closes_to_the_group_it_generates(self, atoms, group):
+        # the n-fold sumsets of g*Z + r are g*Z + n*r, whose union is the
+        # group that g and r generate
+        assert series_class(ClassExpr(atoms=atoms)).atoms == group
+        powers = [atoms]
+        for _ in range(5):
+            powers.append(powers[-1].sumset(atoms))
+        assert all(p.subset_of(group) for p in powers)
+        assert any(p.members_include(group.generator) for p in powers)
+
     def test_geometric_plus_atoms(self, geometric, half_pair):
         s = series_class(geometric.plus(half_pair))
         assert s.atoms == Support.lattice(F(1))

@@ -46,6 +46,14 @@ class TestEval:
         assert "value: [1, 1]" in out
         assert "exact" in out
 
+    def test_certified_zero_is_exact(self, tmp_path):
+        # the first geometric factor at t = 3/4 is cos(pi/2) = 0
+        spec = tmp_path / "geometric.json"
+        spec.write_text(json.dumps({**M2, "atoms": []}))
+        code, out, _ = run_cli("eval", "--measure", str(spec), "--t", "3/4")
+        assert code == 0
+        assert "value: [0, 0] ~[0.0, 0.0] exact\n" in out
+
     def test_huge_power_argument(self, specs):
         code, out, _ = run_cli("eval", "--measure", specs["fact"],
                                "--t-power", "1,3,5!")

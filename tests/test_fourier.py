@@ -286,11 +286,11 @@ class TestGeometricChain:
         seq, t = CoefficientSequence("geometric", 2), F(2 ** 70, 3)
         head = list(islice(fourier._reductions(seq, ExactRational(t), 1),
                            75))
-        lo, hi, s, exact = fourier._geometric_head(head[:71], 2, 64)
-        assert exact and s == 71 and F(lo, 1 << s) == F(1, 1 << 71)
-        lo, hi, s, exact = fourier._geometric_head(head, 2, 64)
-        old_lo, old_hi, old_s, _ = fourier._factor_product(head, 64)
-        assert not exact
+        lo, hi, s = fourier._geometric_head(head[:71], 2, 64)
+        assert lo == hi and s == 71 and F(lo, 1 << s) == F(1, 1 << 71)
+        lo, hi, s = fourier._geometric_head(head, 2, 64)
+        old_lo, old_hi, old_s = fourier._factor_product(head, 64)
+        assert lo < hi
         assert F(old_lo, 1 << old_s) <= F(lo, 1 << s) <= F(hi, 1 << s)
         assert F(hi, 1 << s) <= F(old_hi, 1 << old_s)
 
@@ -319,6 +319,13 @@ class TestFtPoint:
         # the first geometric factor at t=3/4 is the cosine of a right angle
         iv = ft_point(MeasureExpr.bernoulli_geometric(3), F(3, 4))
         assert iv.lo == 0 and iv.hi == 0
+        assert iv.exact
+        # plus atoms at +-4/9, where cos(2*pi/3) = -1/2: the sum is the
+        # value itself, not rounded out onto 2**-256
+        m = MeasureExpr.bernoulli_geometric(3).plus(
+            MeasureExpr.symmetric_pair(F(4, 9), F(1, 3)))
+        iv = ft_point(m, F(3, 4), bits=256)
+        assert iv.exact and iv.lo == F(-1, 3)
 
     def test_factorial_huge_argument_near_one(self):
         iv = ft_point(MeasureExpr.bernoulli_factorial(3),

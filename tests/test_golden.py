@@ -9,8 +9,8 @@ profile, and compares the exit code, stdout and the ``--out`` file against
 To rebuild the expected files after a deliberate change of a report, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.  It
 refuses to write anything when a changed line widens a ``value`` interval
-beyond the old one, makes a gap smaller or prints a larger window supremum
-(see ``loosened_lines``).
+beyond the old one, drops a value's `` exact`` suffix, makes a gap smaller
+or prints a larger window supremum (see ``loosened_lines``).
 """
 
 import io
@@ -105,8 +105,10 @@ def test_golden(name, tmp_path, monkeypatch):
     assert report == (EXPECTED / f"{name}.out").read_bytes()
 
 
-#: "value: [lo, hi]" and "value=[lo, hi]" enclosures, "gap: g" and "gap=g"
-VALUE = re.compile(r"value[:=] ?\[([-\d/]+), ([-\d/]+)\]")
+#: "value: [lo, hi]" and "value=[lo, hi]" enclosures with their " exact"
+#: suffix, if any; "gap: g" and "gap=g"
+VALUE = re.compile(r"value[:=] ?\[([-\d/]+), ([-\d/]+)\](?: ~\[[^]]*\])?"
+                   r"( exact)?")
 GAP = re.compile(r"gap[:=] ?([-\d/]+)")
 #: the window supremum in "|FT(t)| <= s" and "certified window supremum s"
 SUP = re.compile(r"(?:\|FT\(t\)\| <=|certified window supremum) ([\d.]+)")
@@ -115,17 +117,20 @@ SUP = re.compile(r"(?:\|FT\(t\)\| <=|certified window supremum) ([\d.]+)")
 def loosened_lines(name: str, old: str, new: str) -> list[str]:
     """'name:line: ...' for each line of ``new`` that differs from the line
     of ``old`` at the same place and has a ``value`` interval not inside the
-    old one, a gap smaller than the old one, or a window supremum larger
-    than the old one."""
+    old one or without the old one's `` exact``, a gap smaller than the old
+    one, or a window supremum larger than the old one."""
     problems = []
     for i, (a, b) in enumerate(zip(old.splitlines(), new.splitlines()), 1):
         if a == b:
             continue
-        for (a_lo, a_hi), (b_lo, b_hi) in zip(VALUE.findall(a),
-                                              VALUE.findall(b)):
+        for (a_lo, a_hi, a_exact), (b_lo, b_hi, b_exact) in zip(
+                VALUE.findall(a), VALUE.findall(b)):
             if not F(a_lo) <= F(b_lo) <= F(b_hi) <= F(a_hi):
                 problems.append(f"{name}:{i}: value [{b_lo}, {b_hi}] is not "
                                 f"inside [{a_lo}, {a_hi}]")
+            if a_exact and not b_exact:
+                problems.append(f"{name}:{i}: value [{b_lo}, {b_hi}] drops "
+                                f"the exact suffix")
         for a_gap, b_gap in zip(GAP.findall(a), GAP.findall(b)):
             if F(b_gap) < F(a_gap):
                 problems.append(f"{name}:{i}: gap {b_gap} is smaller than "
@@ -146,6 +151,10 @@ def test_regeneration_refuses_a_widened_value_or_a_smaller_gap():
     per_n = "  n=3 t=3^3! value=[-1/2, 1/2] ~[-0.5, 0.5]"
     assert loosened_lines("y.out", per_n, per_n.replace("1/2]", "3/4]")) == [
         "y.out:1: value [-1/2, 3/4] is not inside [-1/2, 1/2]"]
+    point = "  n=1 t=1 value=[1, 1] ~[1.0, 1.0] exact"
+    assert loosened_lines("w.out", point, point[:-len(" exact")]) == [
+        "w.out:1: value [1, 1] drops the exact suffix"]
+    assert loosened_lines("w.out", point[:-len(" exact")], point) == []
     smaller = old.replace("gap: 1/2", "gap: 1/3")
     larger = old.replace("gap: 1/2", "gap: 2/3")
     assert loosened_lines("x.out", old, smaller) == [

@@ -214,11 +214,11 @@ kernel_arguments = st.one_of(
 @settings(max_examples=300, deadline=None, database=None)
 @given(kernel_arguments, st.sampled_from((64, 96, 128, 256, 384, 512, 1024)))
 def test_cos2pi_fixed_lies_inside_the_two_call_series(pq, bits):
-    lo, hi, exact = cos2pi_fixed(*pq, bits)
+    lo, hi = cos2pi_fixed(*pq, bits)
     old_lo, old_hi, old_exact = two_call_cos2pi(*pq, bits)
     assert old_lo <= lo <= hi <= old_hi
     assert hi - lo <= 2
-    assert exact == old_exact
+    assert (lo == hi) == old_exact
 
 
 @PROPERTY_SETTINGS
@@ -584,9 +584,9 @@ def test_integer_reduction_equals_the_fraction_reduction(seq, t, n):
 
 def head_product(seq, n, t, bits):
     """``_factor_product`` of the first n reductions as an interval."""
-    lo, hi, s, exact = _factor_product(
-        islice(_reductions(seq, as_argument(t), 1), n), bits)
-    return IntervalValue(F(lo, 1 << s), F(hi, 1 << s), exact)
+    lo, hi, s = _factor_product(
+        list(islice(_reductions(seq, as_argument(t), 1), n)), bits)
+    return IntervalValue(F(lo, 1 << s), F(hi, 1 << s))
 
 
 def fraction_head(seq, n, t, bits):
@@ -911,13 +911,13 @@ def chain_encloses_head(seq, t, tail_cutoff, bits) -> bool:
     """``_geometric_head``'s integer enclosure at scale 2**s contains the
     mpmath product of its cosines, worked 64 bits beyond s."""
     head = geometric_head(seq, t, tail_cutoff)
-    lo, hi, s, exact = _geometric_head(head, seq.base, bits)
+    lo, hi, s = _geometric_head(head, seq.base, bits)
     with mp.workprec(s + 64):
         truth = mp.ldexp(mp.fprod(
             cos_truth(v % 1)
             for v in islice(geometric_values(seq, t), len(head))), s)
         pad = mp.mpf(2) ** -16
-        return lo - pad <= truth <= hi + pad and (not exact or lo == hi)
+        return lo - pad <= truth <= hi + pad
 
 
 def geometric_truth(seq, t, bits):

@@ -99,9 +99,12 @@ class TestWindowBound:
         assert window_product(F(3)).lo == F(-1, 2)
         assert window_product(F(3)).exact
         assert window_product(F(3, 2)).lo == F(1, 2)
+        # cos(pi/2) = 0 times two cosines that are not rational
+        w = window_product(F(1, 4))
+        assert (w.lo, w.hi) == (0, 0) and w.exact
 
     def test_scan_certifies_gap(self):
-        scan = f_gap_scan(1500)
+        scan = f_gap_scan()
         assert scan.sup.hi < 1
         assert abs(float(scan.sup.hi) - FROZEN_WINDOW_SUP) <= 1e-6
         assert float(scan.gap) >= FROZEN_WINDOW_GAP - 1e-6
@@ -114,17 +117,16 @@ class TestWindowBound:
         ref = cos2pi(c, 96) * cos2pi(c / 3, 96) * cos2pi(c / 9, 96)
         assert window_product(c, 96) == ref.clamp(-1, 1)
 
-    # exact scan results of the midpoint (second-order) scan, which reaches
-    # its stop rule well inside every budget below and so gives one result.
+    # the exact result of the midpoint (second-order) scan.
     # FIRST_ORDER_SCANS holds the (sup.lo, sup.hi) that the earlier
-    # first-order box-range scan certified at each budget, an outer bound
-    # the new enclosure must lie inside.  FOUR_CHAIN_SUP_LO is the sup.lo of
-    # that scan under the earlier four-chain kernel, an outer bound on the
-    # first-order pin
-    PINNED_SCANS = dict.fromkeys((100, 1500, 3000), (
+    # first-order box-range scan certified at each of its split budgets, an
+    # outer bound the scan's enclosure must lie inside.  FOUR_CHAIN_SUP_LO
+    # is the sup.lo of that scan under the earlier four-chain kernel, an
+    # outer bound on the first-order pin
+    PINNED_SCAN = (
         F(7895279685647983731318980305317549959767384762614155196496339247283744097328061694435, 1 << 283),  # noqa: E501
         F(292852199714030611, 1 << 59),
-        (F(49451903, 33554432), F(98903807, 67108864))))
+        (F(49451903, 33554432), F(98903807, 67108864)))
     FIRST_ORDER_SCANS = {
         100: (F(126324474926935671455567535068749906593649852010696315314303236042567510694454137279485, 1 << 287),  # noqa: E501
               F(9372241520811477769, 1 << 64)),
@@ -139,22 +141,22 @@ class TestWindowBound:
         3000: F(7895279685647961875512542024472681571603038542905548289460433452716934857981839098975, 1 << 283),  # noqa: E501
     }
 
-    @pytest.mark.parametrize("subdivisions", sorted(PINNED_SCANS))
-    def test_scan_result_is_pinned(self, subdivisions):
-        sup_lo, sup_hi, peak = self.PINNED_SCANS[subdivisions]
-        assert sup_lo >= self.FOUR_CHAIN_SUP_LO[subdivisions]
-        old_lo, old_hi = self.FIRST_ORDER_SCANS[subdivisions]
+    @pytest.mark.parametrize("budget", sorted(FIRST_ORDER_SCANS))
+    def test_scan_result_is_pinned(self, budget):
+        # the one scan against the old pins of each first-order budget
+        sup_lo, sup_hi, peak = self.PINNED_SCAN
+        assert sup_lo >= self.FOUR_CHAIN_SUP_LO[budget]
+        old_lo, old_hi = self.FIRST_ORDER_SCANS[budget]
         assert old_lo <= sup_lo and sup_hi <= old_hi
-        scan = f_gap_scan(subdivisions)
+        scan = f_gap_scan()
         assert scan.sup.lo == sup_lo
         assert scan.sup.hi == sup_hi
         assert scan.peak == peak
-        assert not scan.sup.exact and scan.subdivisions == subdivisions
+        assert not scan.sup.exact
 
-    @pytest.mark.parametrize("subdivisions", [100, 1500, 3000])
-    def test_scan_stops_within_100_splits(self, monkeypatch, subdivisions):
+    def test_scan_stops_within_100_splits(self, monkeypatch):
         # 16 initial boxes and two per split; the stop rule, not the
-        # budget, ends the scan
+        # split cap, ends the scan
         counted = []
 
         def counting(p, e, bits):
@@ -163,18 +165,9 @@ class TestWindowBound:
 
         box_bound = topology._box_bound
         monkeypatch.setattr(topology, "_box_bound", counting)
-        scan = f_gap_scan(subdivisions)
+        scan = f_gap_scan()
         assert (len(counted) - 16) // 2 == scan.splits == 62
         assert scan.sup.width <= F(1, 10 ** 14)
-
-    def test_scan_is_monotone_under_refinement(self):
-        shallow = f_gap_scan(1500)
-        deep = f_gap_scan(3000)
-        assert deep.sup.hi <= shallow.sup.hi
-
-    def test_scan_rejects_tiny_budgets(self):
-        with pytest.raises(ValueError):
-            f_gap_scan(50)
 
     def test_sup_is_attained_nearby(self):
         # the certified enclosure brackets a genuine value of |window|

@@ -41,7 +41,7 @@ def certificate():
 #: class -> (factory, field names in constructor order, hashable)
 CASES = {
     IntervalValue: (lambda: IntervalValue(F(1, 3), F(1, 2)),
-                    ("lo", "hi", "exact"), True),
+                    ("lo", "hi"), True),
     CoefficientSequence: (lambda: CoefficientSequence(
         "explicit", values=(F(1, 2), F(1, 5))),
         ("kind", "base", "scale", "values"), True),
