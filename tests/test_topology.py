@@ -154,9 +154,11 @@ class TestWindowBound:
         assert scan.peak == peak
         assert not scan.sup.exact
 
-    def test_scan_stops_within_100_splits(self, monkeypatch):
+    @pytest.mark.parametrize("cap", [100, 1500, 3000])
+    def test_scan_stops_within_100_splits(self, monkeypatch, cap):
         # 16 initial boxes and two per split; the stop rule, not the
-        # split cap, ends the scan
+        # split cap, ends the scan, at any cap from 100 up
+        monkeypatch.setattr(topology, "SCAN_SPLIT_CAP", cap)
         counted = []
 
         def counting(p, e, bits):
