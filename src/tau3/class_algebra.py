@@ -537,8 +537,7 @@ def _components(c: ClassExpr):
 def _pair_disjoint(ka, a, kb, b, table: AxiomTable) -> Optional[str]:
     """Axiom/rule name certifying disjointness of two components, or None."""
     if ka > kb:
-        out = _pair_disjoint(kb, b, ka, a, table)
-        return out
+        return _pair_disjoint(kb, b, ka, a, table)
     if ka == "atoms" and kb == "atoms":
         return None if a.intersects(b) else "rule:DisjointSupports"
     if ka == "atoms" and kb == "leb":
@@ -556,6 +555,17 @@ def _pair_disjoint(ka, a, kb, b, table: AxiomTable) -> Optional[str]:
     return None
 
 
+def _inclusion_rules(a: ClassExpr, b: ClassExpr) -> Optional[list[str]]:
+    """The rule names by which every component of a lies in b, or None."""
+    rules = []
+    for kind, comp in _components(a):
+        rule = _component_ac(kind, comp, b)
+        if rule is None:
+            return None
+        rules.append(rule)
+    return rules
+
+
 def relation(a: Union[MeasureExpr, ClassExpr], b: Union[MeasureExpr, ClassExpr],
              table: Optional[AxiomTable] = None) -> Relation:
     """Componentwise relation of two classes under the axiom table."""
@@ -564,29 +574,14 @@ def relation(a: Union[MeasureExpr, ClassExpr], b: Union[MeasureExpr, ClassExpr],
     if ca == cb:
         return Relation(RelationKind.EQUIVALENT, ("rule:CanonicalEquality",))
 
-    trace_ab: list[str] = []
-    a_in_b = True
-    for kind, comp in _components(ca):
-        rule = _component_ac(kind, comp, cb)
-        if rule is None:
-            a_in_b = False
-            break
-        trace_ab.append(rule)
-    trace_ba: list[str] = []
-    b_in_a = True
-    for kind, comp in _components(cb):
-        rule = _component_ac(kind, comp, ca)
-        if rule is None:
-            b_in_a = False
-            break
-        trace_ba.append(rule)
-    if a_in_b and b_in_a:
+    trace_ab, trace_ba = _inclusion_rules(ca, cb), _inclusion_rules(cb, ca)
+    if trace_ab is not None and trace_ba is not None:
         return Relation(RelationKind.EQUIVALENT,
                         tuple(dict.fromkeys(trace_ab + trace_ba)))
-    if a_in_b:
+    if trace_ab is not None:
         return Relation(RelationKind.FIRST_AC_SECOND,
                         tuple(dict.fromkeys(trace_ab)))
-    if b_in_a:
+    if trace_ba is not None:
         return Relation(RelationKind.SECOND_AC_FIRST,
                         tuple(dict.fromkeys(trace_ba)))
 

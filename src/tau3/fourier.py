@@ -10,7 +10,10 @@ as 720! worth of digits, so arguments are reduced without ever materializing
 the huge powers: fractional parts come from modular exponentiation, and
 magnitudes of tiny products are kept in mantissa/exponent form.  Every
 reduction is integer-only: |scale * t| is folded into one integer pair per
-call, and each factor costs at most one ``pow(base, d, q)``.
+call, and each factor costs at most one ``pow(base, d, q)``.  ``_reduce``
+alone decides whether a reduction is expanded: within the materialization
+budget it is an exact fraction, so a ``ScaledPower`` argument and the same
+rational give the same enclosure; beyond it only a magnitude bound is kept.
 
 Infinite products are split into an exactly evaluated head and a certified
 tail, fed the reductions of ``choose_cutoff``'s pass, so each c_k * t is
@@ -122,8 +125,8 @@ class ReducedSmall(Value):
     """|c*t| = num/den * base**(-neg_exp), held unexpanded; num/den is the
     mantissa in lowest terms.
 
-    The represented value is exact, but the denominator is too large to be
-    worth constructing; only magnitude bounds are ever taken from it.
+    base**neg_exp is beyond the materialization budget, so only magnitude
+    bounds are ever taken from it.
     """
 
     __slots__ = ("num", "den", "base", "neg_exp")
@@ -133,14 +136,6 @@ class ReducedSmall(Value):
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "neg_exp", neg_exp)
-
-    def fits(self) -> bool:
-        return (self.neg_exp * self.base.bit_length()
-                + self.den.bit_length() <= MATERIALIZE_BITS)
-
-    def ratio(self) -> tuple[int, int]:
-        """Integers (n, q) with n/q the value, for a reduction that fits."""
-        return self.num, self.den * self.base ** self.neg_exp
 
     @property
     def upper_exp(self) -> int:
@@ -187,16 +182,19 @@ def _reduce(fold: tuple[int, int, int, int], c_base: Optional[int],
             c_exp: int) -> Reduced:
     """Reduce p/q * b**e * c_base**(-c_exp) modulo 1, (p, q, b, e) = fold.
 
-    The one reduction of every factor; ``c_base`` is None for a plain
-    rational coefficient (then c_exp = 0).
+    The one reduction of every factor, and the one place that decides
+    whether it is expanded: a ``ReducedSmall`` only when a power of the base
+    is beyond ``_materializable``.  ``c_base`` is None for a plain rational
+    coefficient (then c_exp = 0).
     """
     p, q, b, e = fold
     if c_exp == 0 or c_base == b:
         d = e - c_exp
         if d < 0:
-            # negative combined exponent: never build the huge denominator
-            # here; consumers materialize via fits() when worth having
-            return ReducedSmall(p, q, c_base, -d)
+            if not _materializable(b, -d):
+                return ReducedSmall(p, q, b, -d)
+            # the value p / (q * b**-d) itself
+            q, d = q * b ** -d, 0
     elif _materializable(c_base, c_exp):
         q, d = q * c_base ** c_exp, e
     elif b == 1:
@@ -253,7 +251,7 @@ def _log2_floor(x: Fraction) -> int:
 
 
 def _unexpanded_upper(r: ReducedSmall, bits: int) -> tuple[int, int]:
-    """``dyadic_upper`` of a reduction that does not fit, for the one-sided
+    """``dyadic_upper`` of an unexpanded reduction, for the one-sided
     cosine [cos(2*pi*v), 1]; raises TailNotCertified when v may exceed 1/2
     (whatever ``bits`` is, since that needs ``upper_exp`` >= 0)."""
     # the kernel reads v only via ceil(2*pi*2**bits * v), which is 1 for
@@ -269,8 +267,6 @@ def _cos_of_reduced(r: Reduced, bits: int) -> tuple[int, int]:
     """``cos2pi_fixed``'s (lo, hi) at the reduced argument."""
     if isinstance(r, ReducedExact):
         return cos2pi_fixed(r.num, r.den, bits)
-    if r.fits():
-        return cos2pi_fixed(*r.ratio(), bits)
     # x <= v: cos(2*pi*x) lies in [cos(2*pi*v), 1]
     return cos2pi_fixed(*_unexpanded_upper(r, bits), bits)[0], 1 << bits
 
@@ -278,11 +274,11 @@ def _cos_of_reduced(r: Reduced, bits: int) -> tuple[int, int]:
 def _niven_prefix(factors: list) -> tuple[int, int]:
     """(num, j): the first j reductions r have cos(2*pi*r) in {0, +-1/2,
     +-1} (``niven_twice``), and their product is num/2**j, exactly.  An
-    unexpanded value that does not fit ends the prefix."""
+    unexpanded reduction ends the prefix."""
     num = 1
     for j, r in enumerate(factors):
         twice = (niven_twice(r.num, r.den) if isinstance(r, ReducedExact)
-                 else niven_twice(*r.ratio()) if r.fits() else None)
+                 else None)
         if twice is None:
             return num, j
         num *= twice
@@ -380,7 +376,7 @@ def _geometric_head(head: list, b: int, bits: int) -> tuple[int, int, int]:
     num, j = _niven_prefix(head)
     chain = head[j:]
     for r in chain:
-        if isinstance(r, ReducedSmall) and not r.fits():
+        if isinstance(r, ReducedSmall):
             _unexpanded_upper(r, bits)
     if not chain or num == 0:
         return num, num, j
@@ -416,11 +412,10 @@ def _tail_term_bound(r: Reduced, floor_exp: int) -> tuple[int, int, bool, bool]:
     integer); only those license the geometric remainder estimate, because
     |c_{k+j} * t| = |c_k * t| / base**(...) holds for values, not for
     fractional parts.  An unexpanded reduction bounds the value, by a power
-    of two clamped to [2**floor_exp, 1] when it does not fit.
+    of two clamped to [2**floor_exp, 1].
     """
     if isinstance(r, ReducedSmall):
-        return (*(r.ratio() if r.fits() else r.dyadic_upper(floor_exp)),
-                True, True)
+        return *r.dyadic_upper(floor_exp), True, True
     p, q = r.num, r.den
     return min(p, q - p), q, r.is_value and 2 * p <= q, False
 
@@ -573,11 +568,10 @@ def _bernoulli_part(seq: CoefficientSequence, t: ArgumentSpec,
                     bits: int) -> tuple[int, int, int]:
     """(lo, hi, den): the head product times ``tail_bound``, clamped to
     [-1, 1], over den; each c_k * t is reduced once."""
-    if tail_cutoff is None and seq.kind != EXPLICIT:
-        head = _cutoff_reductions(seq, t)
-    else:
-        cutoff = choose_cutoff(seq, t) if tail_cutoff is None else tail_cutoff
-        head = list(islice(_reductions(seq, t, 1), cutoff))
+    # an explicit list with no cutoff: all of it, as ``choose_cutoff`` says
+    head = (_cutoff_reductions(seq, t)
+            if tail_cutoff is None and seq.kind != EXPLICIT else
+            list(islice(_reductions(seq, t, 1), tail_cutoff)))
     h_lo, h_hi, s = (
         _geometric_head(head, seq.base, bits)
         if seq.kind == GEOMETRIC and seq.base <= CHAIN_MAX_BASE else

@@ -130,9 +130,6 @@ def two_pi_bounds(s: int) -> tuple[int, int]:
     return lo, lo + 1
 
 
-_two_pi_bounds = two_pi_bounds      # the name the tests import
-
-
 class IntervalValue(Value):
     """Closed interval [lo, hi] guaranteed to contain the true value.
 

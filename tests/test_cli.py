@@ -75,6 +75,20 @@ class TestEval:
         assert code == 0
         assert "status: evaluated" in out
 
+    def test_power_argument_evaluates_as_its_rational(self, tmp_path):
+        # 3**5 = 243: the tail starts at factor 7, which reduces to 1/9
+        # exactly (below the threshold 1/8) for both arguments
+        spec = tmp_path / "geometric.json"
+        spec.write_text(json.dumps({**M2, "atoms": []}))
+        values = []
+        for arg in (("--t-power", "1,3,5"), ("--t", "243")):
+            code, out, _ = run_cli("eval", "--measure", str(spec), *arg,
+                                   "--cutoff", "6")
+            assert code == 0
+            values.append([line for line in out.splitlines()
+                           if line.startswith("value:")])
+        assert len(values[0]) == 1 and values[0] == values[1]
+
     def test_geometric_base_of_a_million(self, tmp_path):
         # a base this large keeps the factor loop: a chain step would be a
         # degree-10**6 Chebyshev polynomial

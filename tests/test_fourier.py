@@ -57,18 +57,22 @@ class TestArgReduce:
 
     def test_beyond_exponent_is_unexpanded(self):
         t = ScaledPower(F(1), 3, factorial(5))
+        # within the materialization budget the value itself, 3**-600
         r = arg_reduce(FACT.term(6), t)
+        assert isinstance(r, ReducedExact) and r.is_value
+        assert F(r.num, r.den) == F(1, 3 ** (factorial(6) - factorial(5)))
+        # beyond it, 3**-40200 unexpanded
+        r = arg_reduce(FACT.term(8), t)
         assert isinstance(r, ReducedSmall)
-        assert (r.base, r.neg_exp) == (3, factorial(6) - factorial(5))
-        # 2**e > 3**-10000, i.e. 3**10000 > 2**-e
+        assert (r.base, r.neg_exp) == (3, factorial(8) - factorial(5))
+        # 2**e > 3**-40200, i.e. 3**40200 > 2**-e
         e = r.upper_exp
-        assert e >= 0 or 3 ** 10000 > 1 << -e
+        assert e >= 0 or 3 ** 40200 > 1 << -e
 
     def test_huge_exponents_never_materialize(self):
         t = ScaledPower(F(1), 3, factorial(8))
         r = arg_reduce(FACT.term(9), t)
         assert isinstance(r, ReducedSmall)
-        assert not r.fits()
         # 2**e < 2**-100000
         assert r.upper_exp < -100000
 
@@ -295,11 +299,11 @@ class TestGeometricChain:
         assert F(hi, 1 << s) <= F(old_hi, 1 << old_s)
 
     def test_refuses_what_the_factor_loop_refuses(self):
-        # an unexpanded factor whose value may exceed 1/2
-        huge = (1 << 40000) + 1
-        t = ScaledPower(F(huge, 1 << 40000), 3, 0)
-        head = [arg_reduce(GEO.term(1), t)]
-        assert not head[0].fits()
+        # an unexpanded factor whose value may exceed 1/2: (3**20000 + 1)/2
+        # * 3**-20000, beyond the materialization budget
+        t = ScaledPower(F(3 ** 20000 + 1, 2), 3, 0)
+        head = [arg_reduce(GEO.term(20000), t)]
+        assert isinstance(head[0], ReducedSmall)
         for product in (fourier._factor_product, fourier._geometric_head):
             args = (head, 64) if product is fourier._factor_product else (
                 head, 3, 64)

@@ -9,8 +9,9 @@ profile, and compares the exit code, stdout and the ``--out`` file against
 To rebuild the expected files after a deliberate change of a report, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.  It
 refuses to write anything when a changed line widens a ``value`` interval
-beyond the old one, drops a value's `` exact`` suffix, makes a gap smaller
-or prints a larger window supremum (see ``loosened_lines``).
+beyond the old one, drops a value's `` exact`` suffix, makes a gap smaller,
+prints a larger window supremum, or carries fewer values or gaps than the
+old line (see ``loosened_lines``).
 """
 
 import io
@@ -21,6 +22,7 @@ import sys
 import tempfile
 from contextlib import redirect_stdout
 from fractions import Fraction as F
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -118,11 +120,18 @@ def loosened_lines(name: str, old: str, new: str) -> list[str]:
     """'name:line: ...' for each line of ``new`` that differs from the line
     of ``old`` at the same place and has a ``value`` interval not inside the
     old one or without the old one's `` exact``, a gap smaller than the old
-    one, or a window supremum larger than the old one."""
+    one, a window supremum larger than the old one, or fewer values or gaps
+    than the old line (a line missing from ``new`` has none)."""
     problems = []
-    for i, (a, b) in enumerate(zip(old.splitlines(), new.splitlines()), 1):
+    for i, (a, b) in enumerate(zip_longest(old.splitlines(),
+                                           new.splitlines(), fillvalue=""), 1):
         if a == b:
             continue
+        for what, pattern in (("value", VALUE), ("gap", GAP)):
+            n_a, n_b = len(pattern.findall(a)), len(pattern.findall(b))
+            if n_b < n_a:
+                problems.append(f"{name}:{i}: {n_b} {what}s in place of "
+                                f"{n_a}")
         for (a_lo, a_hi, a_exact), (b_lo, b_hi, b_exact) in zip(
                 VALUE.findall(a), VALUE.findall(b)):
             if not F(a_lo) <= F(b_lo) <= F(b_hi) <= F(a_hi):
@@ -160,6 +169,12 @@ def test_regeneration_refuses_a_widened_value_or_a_smaller_gap():
     assert loosened_lines("x.out", old, smaller) == [
         "x.out:3: gap 1/3 is smaller than 1/2"]
     assert loosened_lines("x.out", old, larger) == []
+    undetermined = "status: Undetermined\nreason: r\n"
+    assert loosened_lines("x.out", old, undetermined) == [
+        "x.out:2: 0 values in place of 1", "x.out:3: 0 gaps in place of 1"]
+    assert loosened_lines("x.out", old, old.replace("gap: 1/2 ~0.5\n",
+                                                    "")) == [
+        "x.out:3: 0 gaps in place of 1"]
     for line in ("justification: three-factor window bound: |FT(t)| <= {} "
                  "< 1 once scale*t > 9",
                  "claim: the certified window supremum {} keeps every later "

@@ -9,9 +9,9 @@ import pytest
 from tau3 import topology
 from tau3.errors import ParameterError, PrecisionSettingError
 from tau3.fourier import ft_point
-from tau3.intervals import (IntervalValue, _cos_series, _two_pi_bounds,
-                            cos2pi, cos2pi_interval, exp_neg, log1m,
-                            precision_bits, quadratic_cos_threshold)
+from tau3.intervals import (IntervalValue, _cos_series, cos2pi,
+                            cos2pi_interval, exp_neg, log1m, precision_bits,
+                            quadratic_cos_threshold, two_pi_bounds)
 from tau3.invariants import FactorSpec, distinguish
 from tau3.measures import MeasureExpr
 
@@ -174,7 +174,7 @@ class TestTwoPi:
             two_pi = 2 * mp.pi
             for s in range(64, 4097):
                 f = int(mp.floor(two_pi * mp.mpf(2) ** s))
-                assert _two_pi_bounds(s) == (f, f + 1), s
+                assert two_pi_bounds(s) == (f, f + 1), s
 
     def test_cos2pi_encloses_and_narrows_at_high_precision(self):
         widths = []

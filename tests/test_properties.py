@@ -34,9 +34,9 @@ from tau3.fourier import (CHAIN_MAX_BASE, MATERIALIZE_BITS, TAIL_CUTOFF_CAP,
                           atom_part, choose_cutoff, ft_point, tail_bound)
 from tau3.intervals import (_EXACT_COS_TWELFTHS, PRECISION_PROFILES,
                             QUADRATIC_COS_COEFF, IntervalValue, _cos_series,
-                            _two_pi_bounds, cos2pi, cos2pi_fixed,
-                            cos2pi_interval, exp_neg, log1m, niven_twice,
-                            quadratic_cos_threshold)
+                            cos2pi, cos2pi_fixed, cos2pi_interval, exp_neg,
+                            log1m, niven_twice, quadratic_cos_threshold,
+                            two_pi_bounds)
 from tau3.measures import (CoeffTerm, CoefficientSequence, MeasureExpr,
                            bernoulli_partial, convolve_atoms, normalize,
                            plan_mass, scale_measure)
@@ -195,7 +195,7 @@ def two_call_cos2pi(p, q, bits):
     neg = 4 * r > q
     if neg:
         r, q = q - 2 * r, 2 * q
-    tp_lo, tp_hi = _two_pi_bounds(bits)
+    tp_lo, tp_hi = two_pi_bounds(bits)
     one = 1 << bits
     lo = max(single_cos_series(-(-r * tp_hi // q), bits)[0], -one)
     hi = min(single_cos_series(r * tp_lo // q, bits)[1], one)
@@ -474,10 +474,6 @@ class FractionSmall(NamedTuple):
     base: int
     neg_exp: int
 
-    def fits(self) -> bool:
-        return (self.neg_exp * self.base.bit_length()
-                + self.mantissa.denominator.bit_length() <= MATERIALIZE_BITS)
-
     @property
     def upper_exp(self) -> int:
         m = self.mantissa
@@ -520,6 +516,9 @@ def fraction_reduce(c, t):
             return FractionExact(m % 1, is_value=m < 1)
         if d > 0:
             return FractionExact(frac_power(m, t.base, d))
+        if materializable(c.base, -d):
+            v = m / F(c.base) ** -d
+            return FractionExact(v % 1, is_value=v < 1)
         return FractionSmall(m, c.base, -d)
     if materializable(c.base, c.neg_exp):
         folded = m / F(c.base) ** c.neg_exp
@@ -538,8 +537,8 @@ def same_reduction(new, old) -> bool:
                 and F(new.num, new.den) == old.frac)
     return (isinstance(new, ReducedSmall)
             and (new.num, new.den) == old.mantissa.as_integer_ratio()
-            and (new.base, new.neg_exp, new.fits(), new.upper_exp)
-            == (old.base, old.neg_exp, old.fits(), old.upper_exp))
+            and (new.base, new.neg_exp, new.upper_exp)
+            == (old.base, old.neg_exp, old.upper_exp))
 
 
 def reductions_until_refused(reduce_k, n):
@@ -568,8 +567,9 @@ reduction_arguments = st.one_of(
 @settings(max_examples=200, deadline=None, database=None)
 @given(reduction_sequences, reduction_arguments, st.integers(1, 12))
 def test_integer_reduction_equals_the_fraction_reduction(seq, t, n):
-    # every branch: exact with and without is_value, unexpanded (fits or
-    # not), refused mixed bases; rational t of either sign, powers b**0 too
+    # every branch: exact with and without is_value (negative exponents
+    # too), unexpanded beyond the materialization budget, refused mixed
+    # bases; rational t of either sign, powers b**0 too
     n = min(n, seq.length or n)
     old, old_refusal = reductions_until_refused(
         lambda k: fraction_reduce(seq.term(k), t), n)
@@ -597,8 +597,6 @@ def fraction_head(seq, n, t, bits):
         r = fraction_reduce(seq.term(k), t)
         if isinstance(r, FractionExact):
             factor = cos2pi(r.frac, bits)
-        elif r.fits():
-            factor = cos2pi(r.mantissa / F(r.base) ** r.neg_exp, bits)
         else:
             v = F(2) ** max(-(bits + 3), min(r.upper_exp, 0))
             assert v <= F(1, 2)
@@ -642,11 +640,11 @@ def test_head_product_keeps_long_exact_runs(n):
 
 @pytest.mark.parametrize("bits", [64, 256])
 def test_head_product_with_an_unexpanded_factor(bits):
-    # factor 8 of 3**-k! against (1/3) * 3**(7!) does not fit, so its
-    # cosine is the one-sided [cos(2*pi*v), 1]
+    # factor 8 of 3**-k! against (1/3) * 3**(7!) is beyond the
+    # materialization budget, so its cosine is the one-sided [cos(2*pi*v), 1]
     seq = CoefficientSequence("factorial", 3)
     t = ScaledPower(F(1, 3), 3, math.factorial(7))
-    assert not arg_reduce(seq.term(8), t).fits()
+    assert isinstance(arg_reduce(seq.term(8), t), ReducedSmall)
     assert (head_product(seq, 8, t, bits)
             == fraction_head(seq, 8, t, bits))
 
@@ -659,8 +657,6 @@ def fraction_log2_floor(x: Fraction) -> int:
 def fraction_term_bound(r, floor_exp):
     """(d, is_value, unexpanded) for a reduced factor, d a ``Fraction``."""
     if isinstance(r, FractionSmall):
-        if r.fits():
-            return r.mantissa / F(r.base) ** r.neg_exp, True, True
         return F(2) ** max(floor_exp, min(r.upper_exp, 0)), True, True
     d = min(r.frac, 1 - r.frac)
     return d, r.is_value and r.frac == d, False
@@ -878,6 +874,30 @@ def test_ft_point_equals_the_fraction_composition(m, t, tail_cutoff, bits):
         assert new.exact == old.exact
     else:
         assert (new.lo, new.hi, new.exact) == (old.lo, old.hi, old.exact)
+
+
+@st.composite
+def powers_with_their_rationals(draw):
+    """(m, ScaledPower(s, b, e), s * b**e) for a measure of base b: a
+    geometric one with e <= 40, or a factorial one with e = n!, n <= 5."""
+    kind = draw(st.sampled_from(("geometric", "factorial")))
+    b = draw(st.integers(2, 7))
+    m = MeasureExpr(bernoulli=CoefficientSequence(
+        kind, b, draw(st.sampled_from((F(1), F(1, 3), F(5, 2))))))
+    e = draw(st.integers(0, 40) if kind == "geometric" else
+             st.sampled_from([math.factorial(n) for n in range(1, 6)]))
+    s = draw(st.builds(F, st.integers(1, 40), st.integers(1, 60)))
+    return m, ScaledPower(s, b, e), s * b ** e
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(powers_with_their_rationals(), st.one_of(st.none(), st.integers(0, 12)),
+       st.integers(64, 512))
+def test_scaled_power_and_the_same_rational_agree(case, tail_cutoff, bits):
+    # one reduced form: the same enclosure, or the same refusal
+    m, power, rational = case
+    assert (outcome(ft_point, m, power, tail_cutoff, bits)
+            == outcome(ft_point, m, rational, tail_cutoff, bits))
 
 
 chain_sequences = st.builds(
