@@ -42,6 +42,9 @@ CASES = {
                            "--label-a", "G1", "--label-b", "G2"], 0),
     "eval_factorial_6": (["eval", "--measure", "g1.json",
                           "--t-power", "1,3,6!"], 0),
+    # a 300-factor geometric head: a chain reading only some of its factors
+    "eval_geometric_cutoff_300": (["eval", "--measure", "geometric.json",
+                                   "--t", "37/11", "--cutoff", "300"], 0),
     "converge_3_8_at_3_8": (["converge", "--measure", "fact_3_8.json",
                              "--family", "factorial", "--lambda", "3/8",
                              "--n", "3..6"], 0),
