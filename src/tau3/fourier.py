@@ -16,34 +16,38 @@ budget it is an exact fraction, so a ``ScaledPower`` argument and the same
 rational give the same enclosure; beyond it only a magnitude bound is kept.
 
 Infinite products are split into an exactly evaluated head and a certified
-tail, fed the reductions of ``choose_cutoff``'s pass, so each c_k * t is
-reduced once per call.  Every head starts from one exact prefix, the
-leading factors whose cosine is 0, +-1/2 or +-1, multiplied as one integer
-over 2**j.  After it, a head (and all of a finite product) is one integer
-factor loop on ``intervals.product_fixed``, floored onto 2**-bits.  A
-geometric head of base b <= CHAIN_MAX_BASE is one Chebyshev chain instead:
-c_(k-1) * t = b * c_k * t, so factor k-1 is T_b(factor k), and its exact
-factors are all in the prefix.  The chain takes one ``cos2pi_fixed`` call
-per block of CHAIN_BLOCK + 1 factors, from the last index down, and
-Chebyshev steps in between, in integer midpoint-radius form at w = bits +
-CHAIN_BLOCK * ceil(log2 b**2) + CHAIN_GUARD bits.  The radius grows by at
-most b**2 per step (Markov's inequality) plus b for Horner's rounding, so
-w bounds it for any head length.  A step is a degree-b Horner evaluation,
-so larger bases keep the factor loop.  An infinite tail uses cos(2*pi*x)
->= 1 - 49*x**2 (certified on [0, omega] by ``intervals``) in one floored
-integer product at scale 2**bits; its upper bound is 1.  ``ft_point`` adds
-the atom sum and head times tail as integers over one denominator, and
-clamps and rounds once.  No flag records exactness: equal integer ends
-give the point itself.
+tail, and no c_k * t is reduced twice in one call.  A geometric factor is
+read by its index k: for k >= e, with t rational (e = 0) or a power b**e of
+the sequence's own base, c_k * t is exactly p / (q * b**(k - e)), so the
+cutoff and tail walks step through that value regime by one multiplication
+per index, and ``_reduce`` runs only outside it and for the factors a head
+reads.  A factorial walk reduces every factor, and its head takes them all.
+Every head starts from one exact prefix, the leading factors whose cosine
+is 0, +-1/2 or +-1, multiplied as one integer over 2**j.  After it, a head
+(and all of a finite product) is one integer factor loop on
+``intervals.product_fixed``, floored onto 2**-bits.  A geometric head of
+base b <= CHAIN_MAX_BASE is one Chebyshev chain instead: c_(k-1) * t = b *
+c_k * t, so factor k-1 is T_b(factor k), and its exact factors are all in
+the prefix.  The chain reads one factor, and makes one ``cos2pi_fixed``
+call, per block of CHAIN_BLOCK + 1, from the last down, and Chebyshev steps
+in between, in integer midpoint-radius form at w = bits + CHAIN_BLOCK *
+ceil(log2 b**2) + CHAIN_GUARD bits.  The radius grows by at most b**2 per
+step (Markov's inequality) plus b for Horner's rounding, so w bounds it for
+any head length.  A step is a degree-b Horner evaluation, so larger bases
+keep the factor loop.  An infinite tail uses cos(2*pi*x) >= 1 - 49*x**2
+(certified on [0, omega] by ``intervals``) in one floored integer product
+at scale 2**bits; its upper bound is 1.  ``ft_point`` adds the atom sum and
+head times tail as integers over one denominator, and clamps and rounds
+once.  No flag records exactness: equal integer ends give the point itself.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import count, islice
+from itertools import count, islice, repeat, tee
 from math import lcm
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .errors import (NotPointwiseEvaluable, TailNotCertified,
                      UnsupportedArgument, Value)
@@ -236,6 +240,46 @@ def _reductions(seq: CoefficientSequence, t: ArgumentSpec,
             yield _reduce(fold, seq.base, seq.exponent(k))
 
 
+class _GeometricTerms(dict):
+    """The factors c_k * t, k >= 1, of one geometric sequence at one
+    argument, for one call: a dict from k to ``_reduce`` of c_k * t, filled
+    on first read, so no index is reduced twice.
+
+    ``regime`` is (p, q, lo, end): for lo <= k < end that reduction is the
+    value p / (q * base**(k - lo)) itself, which ``bounds`` reads without
+    reducing; ``end`` is the first index ``_reduce`` leaves unexpanded or
+    refuses, and lo = end when no index has that form.
+    """
+
+    __slots__ = ("base", "fold", "regime")
+
+    def __init__(self, seq: CoefficientSequence, t: ArgumentSpec):
+        self.base, self.fold = seq.base, _fold(seq.scale, t)
+        p, q, b, e = self.fold
+        end = MATERIALIZE_BITS // seq.base.bit_length() + 1
+        self.regime = ((p, q, e, e + end) if b == seq.base else
+                       (p, q, 0, end) if e == 0 else (p, q, end, end))
+
+    def __missing__(self, k: int) -> Reduced:
+        r = self[k] = _reduce(self.fold, self.base, k)
+        return r
+
+    def bounds(self, floor_exp: int,
+               start: int = 1) -> Iterator[tuple[int, int, bool, bool]]:
+        """``_tail_term_bound`` of the factors start, start + 1, ...; one
+        multiplication by the base per index in the value regime."""
+        p, q, lo, end = self.regime
+        den = q * self.base ** max(start - lo, 0)
+        for k in count(start):
+            if lo <= k < end:
+                num = p % den
+                yield (min(num, den - num), den, p < den and 2 * num <= den,
+                       False)
+                den *= self.base
+            else:
+                yield _tail_term_bound(self[k], floor_exp)
+
+
 def _at_most(n: int, q: int, x: tuple[int, int]) -> bool:
     """n/q <= x_num/x_den for integers n >= 0, q > 0, by
     cross-multiplication; x = (x_num, x_den) with x_den > 0."""
@@ -271,18 +315,18 @@ def _cos_of_reduced(r: Reduced, bits: int) -> tuple[int, int]:
     return cos2pi_fixed(*_unexpanded_upper(r, bits), bits)[0], 1 << bits
 
 
-def _niven_prefix(factors: list) -> tuple[int, int]:
+def _niven_prefix(factors: Iterable[Reduced]) -> tuple[int, int]:
     """(num, j): the first j reductions r have cos(2*pi*r) in {0, +-1/2,
     +-1} (``niven_twice``), and their product is num/2**j, exactly.  An
-    unexpanded reduction ends the prefix."""
-    num = 1
-    for j, r in enumerate(factors):
+    unexpanded reduction ends the prefix; none after it is taken."""
+    num, j = 1, 0
+    for r in factors:
         twice = (niven_twice(r.num, r.den) if isinstance(r, ReducedExact)
                  else None)
         if twice is None:
-            return num, j
-        num *= twice
-    return num, len(factors)
+            break
+        num, j = num * twice, j + 1
+    return num, j
 
 
 def _factor_product(factors: list, bits: int) -> tuple[int, int, int]:
@@ -327,15 +371,17 @@ def _chebyshev(b: int, w: int = 0) -> tuple[int, ...]:
     return tuple(c << w for c in cur)
 
 
-def _chain_product(chain: list, b: int,
+def _chain_product(tops: list, n: int, b: int,
                    bits: int) -> tuple[int, int, int]:
-    """(mid, rad, w): prod cos(2*pi*r) over the reductions r of consecutive
-    geometric factors lies in [mid - rad, mid + rad] / 2**w.
+    """(mid, rad, w): the product of cos(2*pi*r) over the reductions r of n
+    consecutive geometric factors lies in [mid - rad, mid + rad] / 2**w;
+    ``tops`` holds the reductions of the last factor and of every
+    (CHAIN_BLOCK + 1)-th one before it, the only ones read.
 
     Factor k-1 is T_b(factor k), as c_(k-1)*t = b * c_k*t.  From the last
     factor down, each block of CHAIN_BLOCK + 1 factors makes one kernel
-    call at w = bits + CHAIN_BLOCK * ceil(log2 b**2) + CHAIN_GUARD, then
-    CHAIN_BLOCK Chebyshev steps in integer midpoint-radius form (m, r) at
+    call, at its top, at w = bits + CHAIN_BLOCK * ceil(log2 b**2) +
+    CHAIN_GUARD, then CHAIN_BLOCK Chebyshev steps in integer midpoint-radius form (m, r) at
     scale 2**w.  A step clamps T_b(m) to [-2**w, 2**w] and sets r to
     b**2 * r + b: by Markov's inequality |T_b'| <= b**2 on [-1, 1], where
     the true factor and the clamped m lie, and Horner's rule with b floored
@@ -349,8 +395,8 @@ def _chain_product(chain: list, b: int,
     one, bb = 1 << w, b * b
     horner = _chebyshev(b, w)
     p_mid, p_rad = one, 0
-    for top in range(len(chain) - 1, -1, -(CHAIN_BLOCK + 1)):
-        lo, hi = _cos_of_reduced(chain[top], w)
+    for r, top in zip(tops, range(n - 1, -1, -(CHAIN_BLOCK + 1))):
+        lo, hi = _cos_of_reduced(r, w)
         m, r = (lo + hi) >> 1, (hi - lo + 1) >> 1
         for step in range(min(CHAIN_BLOCK, top) + 1):
             if step:
@@ -364,23 +410,26 @@ def _chain_product(chain: list, b: int,
     return p_mid, p_rad, w
 
 
-def _geometric_head(head: list, b: int, bits: int) -> tuple[int, int, int]:
-    """(lo, hi, s) as ``_factor_product``, for the reductions r_1 .. r_K of
-    a base-b geometric sequence, b <= CHAIN_MAX_BASE.
+def _geometric_head(terms: _GeometricTerms, n: int,
+                    bits: int) -> tuple[int, int, int]:
+    """(lo, hi, s) as ``_factor_product``, for the factors 1 .. n of a
+    base-b geometric sequence, b <= CHAIN_MAX_BASE.
 
     T_b maps the cosines 0, +-1/2 and +-1 to themselves, so the exact
     factors are all in the ``_niven_prefix``; the rest is one
-    ``_chain_product``.  Every reduction the kernel would refuse is refused
-    first, as ``_factor_product`` does.
+    ``_chain_product``.  Only the prefix, the block tops and the first
+    unexpanded factor are reduced.  Every factor the kernel would refuse is
+    refused first, as ``_factor_product`` does: unexpanded values fall as
+    k grows, so the first one refuses if any does.
     """
-    num, j = _niven_prefix(head)
-    chain = head[j:]
-    for r in chain:
-        if isinstance(r, ReducedSmall):
-            _unexpanded_upper(r, bits)
-    if not chain or num == 0:
+    num, j = _niven_prefix(terms[k] for k in range(1, n + 1))
+    tops = [terms[k] for k in range(n, j, -(CHAIN_BLOCK + 1))]
+    *_, first = terms.regime          # the first unexpanded index
+    if j < first <= n and isinstance(terms[first], ReducedSmall):
+        _unexpanded_upper(terms[first], bits)
+    if j == n or num == 0:
         return num, num, j
-    mid, rad, w = _chain_product(chain, b, bits)
+    mid, rad, w = _chain_product(tops, n - j, terms.base, bits)
     lo, hi = sorted((num * (mid - rad), num * (mid + rad)))
     return lo, hi, j + w
 
@@ -455,9 +504,12 @@ def tail_bound(seq: CoefficientSequence, cutoff: int, t,
     bb = seq.base * seq.base
     one = lo = 1 << bits
     guard = 64 + bits // 2
-    for k, r in zip(range(cutoff + 1, cutoff + guard + 1),
-                    _reductions(seq, t, cutoff + 1)):
-        n, q, is_value, unexpanded = _tail_term_bound(r, floor_exp)
+    bounds = (_GeometricTerms(seq, t).bounds(floor_exp, cutoff + 1)
+              if seq.kind == GEOMETRIC else
+              map(_tail_term_bound, _reductions(seq, t, cutoff + 1),
+                  repeat(floor_exp)))
+    for k, (n, q, is_value, unexpanded) in zip(
+            range(cutoff + 1, cutoff + guard + 1), bounds):
         if unexpanded and not _at_most(2 * n, q, omega):
             raise TailNotCertified(
                 f"cannot certify factor {k} below threshold "
@@ -496,7 +548,7 @@ def _tail_constants(base: int, bits: int) -> tuple[tuple[int, int],
 @cache
 def _cutoff_constants(base: int) -> tuple[tuple[int, int], tuple[int, int],
                                           int]:
-    """(omega, target, floor_exp) of ``_cutoff_reductions``, the two
+    """(omega, target, floor_exp) of ``_cutoff_index``, the two
     thresholds as integer pairs (numerator, denominator)."""
     omega = quadratic_cos_threshold()
     target = TAIL_WIDTH_TARGET * base * base
@@ -517,25 +569,38 @@ def choose_cutoff(seq: CoefficientSequence, t) -> int:
         return len(seq.values)
     if isinstance(t, ExactRational) and t.value == 0:
         return 1
+    if seq.kind == GEOMETRIC:
+        return _cutoff_index(seq.base, _GeometricTerms(seq, t).bounds)
     return len(_cutoff_reductions(seq, t))
 
 
-def _cutoff_reductions(seq: CoefficientSequence, t: ArgumentSpec) -> list:
-    """The head r_1 .. r_cutoff that ``choose_cutoff`` picks for t != 0."""
-    omega, target, floor_exp = _cutoff_constants(seq.base)
-    small, head = False, []
-    for r in islice(_reductions(seq, t, 1), TAIL_CUTOFF_CAP):
-        head.append(r)
-        n, q, is_value, _ = _tail_term_bound(r, floor_exp)
+def _cutoff_index(base: int,
+                  bounds: Callable[[int], Iterator[tuple]]) -> int:
+    """The head length ``choose_cutoff`` picks for t != 0, walking
+    ``bounds(floor_exp)``: the ``_tail_term_bound`` of factors 1, 2, ..."""
+    omega, target, floor_exp = _cutoff_constants(base)
+    small = False
+    for k, (n, q, is_value, _) in zip(range(1, TAIL_CUTOFF_CAP + 1),
+                                      bounds(floor_exp)):
         small = _at_most(n, q, omega)
         # conclude only from value-form terms: those certify the decay of
         # everything beyond; estimated remaining width ~ 200 * (d/base)^2
         if small and is_value and _at_most(200 * n * n, q * q, target):
-            return head
+            return k
     if not small:
         raise TailNotCertified(f"no certified tail start within the first "
                                f"{TAIL_CUTOFF_CAP} factors")
-    return head
+    return TAIL_CUTOFF_CAP
+
+
+def _cutoff_reductions(seq: CoefficientSequence, t: ArgumentSpec) -> list:
+    """The head r_1 .. r_cutoff that ``choose_cutoff`` picks for a factorial
+    sequence at t != 0: the walk reduces every factor, and the head reads
+    them all."""
+    walk, head = tee(_reductions(seq, t, 1))
+    n = _cutoff_index(seq.base, lambda floor_exp: map(
+        _tail_term_bound, walk, repeat(floor_exp)))
+    return list(islice(head, n))
 
 
 # ---------------------------------------------------------------------------
@@ -567,16 +632,21 @@ def _bernoulli_part(seq: CoefficientSequence, t: ArgumentSpec,
                     tail_cutoff: Optional[int],
                     bits: int) -> tuple[int, int, int]:
     """(lo, hi, den): the head product times ``tail_bound``, clamped to
-    [-1, 1], over den; each c_k * t is reduced once."""
-    # an explicit list with no cutoff: all of it, as ``choose_cutoff`` says
-    head = (_cutoff_reductions(seq, t)
-            if tail_cutoff is None and seq.kind != EXPLICIT else
-            list(islice(_reductions(seq, t, 1), tail_cutoff)))
-    h_lo, h_hi, s = (
-        _geometric_head(head, seq.base, bits)
-        if seq.kind == GEOMETRIC and seq.base <= CHAIN_MAX_BASE else
-        _factor_product(head, bits))
-    tail = tail_bound(seq, len(head), t, bits)
+    [-1, 1], over den; each c_k * t is reduced at most once."""
+    if seq.kind == GEOMETRIC:
+        terms = _GeometricTerms(seq, t)
+        n = (_cutoff_index(seq.base, terms.bounds) if tail_cutoff is None
+             else tail_cutoff)
+        h_lo, h_hi, s = (
+            _geometric_head(terms, n, bits) if seq.base <= CHAIN_MAX_BASE
+            else _factor_product([terms[k] for k in range(1, n + 1)], bits))
+    else:
+        # no cutoff: the factorial walk's head, or all of an explicit list
+        head = (_cutoff_reductions(seq, t)
+                if tail_cutoff is None and seq.kind != EXPLICIT else
+                list(islice(_reductions(seq, t, 1), tail_cutoff)))
+        n, (h_lo, h_hi, s) = len(head), _factor_product(head, bits)
+    tail = tail_bound(seq, n, t, bits)
     (t_lo, lo_den), (t_hi, hi_den) = (tail.lo.as_integer_ratio(),
                                       tail.hi.as_integer_ratio())
     den = lcm(lo_den, hi_den)

@@ -5,7 +5,6 @@ import random
 import sys
 import tracemalloc
 from fractions import Fraction
-from itertools import islice
 from math import factorial
 from unittest import mock
 
@@ -197,8 +196,24 @@ class TestChooseCutoff:
 
 
 class TestOneReductionPerFactor:
-    """``ft_point`` reduces each c_k * t once: the head takes the reductions
-    of ``choose_cutoff``'s pass and the tail goes on from there."""
+    """``ft_point`` reduces each c_k * t at most once: the head takes the
+    reductions of ``choose_cutoff``'s pass and the tail goes on from there.
+    A geometric chain head reduces only its exact prefix, its block tops
+    and the index that ends the prefix; the value regime of the walks,
+    c_k * t = p / (q * b**(k - e)), is read without reducing."""
+
+    @staticmethod
+    def reduced_exponents(m, t, tail_cutoff, bits=None) -> list:
+        """The exponents of the c_k that ``ft_point`` reduces, in order."""
+        exponents, reduce = [], fourier._reduce
+
+        def counting(fold, c_base, c_exp):
+            exponents.append(c_exp)
+            return reduce(fold, c_base, c_exp)
+
+        with mock.patch.object(fourier, "_reduce", counting):
+            ft_point(m, t, tail_cutoff=tail_cutoff, bits=bits)
+        return exponents
 
     @pytest.mark.parametrize("m, t", [
         (MeasureExpr.bernoulli_geometric(3).plus(
@@ -214,19 +229,29 @@ class TestOneReductionPerFactor:
     ], ids=["geo-atoms-10", "geo-atoms-7/5", "geo-atoms-power",
             "fact-5!", "fact-third-4!", "fact-5/2"])
     def test_each_index_is_reduced_once(self, m, t):
-        terms = []
-        reduce = fourier._reduce
-
-        def counting(fold, c_base, c_exp):
-            terms.append(c_exp)
-            return reduce(fold, c_base, c_exp)
-
-        with mock.patch.object(fourier, "_reduce", counting):
-            ft_point(m, t, tail_cutoff=None)
+        terms = self.reduced_exponents(m, t, None)
         seq = normalize(m).bernoulli
-        # the calls are c_1 .. c_K in order, K the tail's last index
-        assert len(terms) > choose_cutoff(seq, t)
-        assert terms == [seq.exponent(k) for k in range(1, len(terms) + 1)]
+        cutoff = choose_cutoff(seq, t)
+        if seq.kind == "factorial":
+            # the calls are c_1 .. c_K in order, K the tail's last index
+            assert len(terms) > cutoff
+            assert terms == [seq.exponent(k)
+                             for k in range(1, len(terms) + 1)]
+            return
+        assert len(set(terms)) == len(terms)
+        _, j = fourier._niven_prefix(arg_reduce(seq.term(k), t)
+                                     for k in range(1, cutoff + 1))
+        head = [k for k in terms if k <= cutoff]
+        block = fourier.CHAIN_BLOCK + 1
+        assert len(head) <= j + -(-(cutoff - j) // block) + 1
+
+    def test_a_long_head_reads_its_block_tops(self):
+        # 3,000 head factors: 178 reductions, the factor ending the (empty)
+        # exact prefix and the 177 block tops; the tail is in the value
+        # regime
+        terms = self.reduced_exponents(MeasureExpr.bernoulli_geometric(3),
+                                       F(37, 11), 3000, bits=256)
+        assert len(set(terms)) == len(terms) <= 180
 
     @staticmethod
     def fraction_constructions(f, *args, **kwargs) -> int:
@@ -288,25 +313,32 @@ class TestGeometricChain:
     def test_exact_prefix_is_one_integer(self):
         # c_k * t = 2**(70-k)/3: the first 71 factors are exact
         seq, t = CoefficientSequence("geometric", 2), F(2 ** 70, 3)
-        head = list(islice(fourier._reductions(seq, ExactRational(t), 1),
-                           75))
-        lo, hi, s = fourier._geometric_head(head[:71], 2, 64)
+        terms = fourier._GeometricTerms(seq, ExactRational(t))
+        lo, hi, s = fourier._geometric_head(terms, 71, 64)
         assert lo == hi and s == 71 and F(lo, 1 << s) == F(1, 1 << 71)
-        lo, hi, s = fourier._geometric_head(head, 2, 64)
-        old_lo, old_hi, old_s = fourier._factor_product(head, 64)
+        lo, hi, s = fourier._geometric_head(terms, 75, 64)
+        old_lo, old_hi, old_s = fourier._factor_product(
+            [terms[k] for k in range(1, 76)], 64)
         assert lo < hi
         assert F(old_lo, 1 << old_s) <= F(lo, 1 << s) <= F(hi, 1 << s)
         assert F(hi, 1 << s) <= F(old_hi, 1 << old_s)
 
     def test_refuses_what_the_factor_loop_refuses(self):
-        # an unexpanded factor whose value may exceed 1/2: (3**20000 + 1)/2
-        # * 3**-20000, beyond the materialization budget
-        t = ScaledPower(F(3 ** 20000 + 1, 2), 3, 0)
-        head = [arg_reduce(GEO.term(20000), t)]
-        assert isinstance(head[0], ReducedSmall)
-        for product in (fourier._factor_product, fourier._geometric_head):
-            args = (head, 64) if product is fourier._factor_product else (
-                head, 3, 64)
+        # c_k * t = 8**(m - k): factors 1 .. m-1 are exact integers, and m
+        # is the first beyond the materialization budget, unexpanded with a
+        # value of 1; factor m + 1, the chain's only block top, is
+        # unexpanded too but small (log2(8) is exact, so both bounds are
+        # tight)
+        b = 8
+        m = fourier.MATERIALIZE_BITS // b.bit_length() + 1
+        terms = fourier._GeometricTerms(CoefficientSequence("geometric", b),
+                                        ExactRational(F(b) ** m))
+        assert all(isinstance(terms[k], ReducedSmall) for k in (m, m + 1))
+        assert fourier._unexpanded_upper(terms[m + 1], 64)
+        for product, args in (
+                (fourier._factor_product,
+                 ([terms[k] for k in range(1, m + 2)], 64)),
+                (fourier._geometric_head, (terms, m + 1, 64))):
             with pytest.raises(TailNotCertified, match="too large"):
                 product(*args)
 

@@ -28,8 +28,8 @@ from tau3.errors import (BudgetExceeded, SnapError, SymmetryViolation,
 from tau3.fourier import (CHAIN_MAX_BASE, MATERIALIZE_BITS, TAIL_CUTOFF_CAP,
                           TAIL_WIDTH_TARGET, ExactRational, ReducedExact,
                           ReducedSmall, ScaledPower, _chebyshev,
-                          _cutoff_reductions, _factor_product,
-                          _geometric_head, _log2_lower, _reductions,
+                          _cutoff_index, _factor_product, _geometric_head,
+                          _GeometricTerms, _log2_lower, _reductions,
                           _structural_decay, arg_reduce, as_argument,
                           atom_part, choose_cutoff, ft_point, tail_bound)
 from tau3.intervals import (_EXACT_COS_TWELFTHS, PRECISION_PROFILES,
@@ -574,9 +574,11 @@ def test_integer_reduction_equals_the_fraction_reduction(seq, t, n):
     old, old_refusal = reductions_until_refused(
         lambda k: fraction_reduce(seq.term(k), t), n)
     terms = _reductions(seq, as_argument(t), 1)
-    for new, refusal in (
-            reductions_until_refused(lambda k: arg_reduce(seq.term(k), t), n),
-            reductions_until_refused(lambda k: next(terms), n)):
+    readers = [lambda k: arg_reduce(seq.term(k), t), lambda k: next(terms)]
+    if seq.kind == "geometric":
+        readers.append(_GeometricTerms(seq, as_argument(t)).__getitem__)
+    for new, refusal in (reductions_until_refused(read, n)
+                         for read in readers):
         assert refusal == old_refusal
         assert len(new) == len(old)
         assert all(map(same_reduction, new, old))
@@ -920,22 +922,22 @@ def geometric_values(seq, t):
 
 
 def geometric_head(seq, t, tail_cutoff):
-    """The reductions ``ft_point`` hands to the head for this cutoff."""
-    t = as_argument(t)
-    if tail_cutoff is None:
-        return _cutoff_reductions(seq, t)
-    return list(islice(_reductions(seq, t, 1), tail_cutoff))
+    """(terms, n): the factors ``ft_point`` hands to the head for this
+    cutoff, and the head length."""
+    terms = _GeometricTerms(seq, as_argument(t))
+    return terms, (_cutoff_index(seq.base, terms.bounds)
+                   if tail_cutoff is None else tail_cutoff)
 
 
 def chain_encloses_head(seq, t, tail_cutoff, bits) -> bool:
     """``_geometric_head``'s integer enclosure at scale 2**s contains the
     mpmath product of its cosines, worked 64 bits beyond s."""
-    head = geometric_head(seq, t, tail_cutoff)
-    lo, hi, s = _geometric_head(head, seq.base, bits)
+    terms, n = geometric_head(seq, t, tail_cutoff)
+    lo, hi, s = _geometric_head(terms, n, bits)
     with mp.workprec(s + 64):
         truth = mp.ldexp(mp.fprod(
             cos_truth(v % 1)
-            for v in islice(geometric_values(seq, t), len(head))), s)
+            for v in islice(geometric_values(seq, t), n)), s)
         pad = mp.mpf(2) ** -16
         return lo - pad <= truth <= hi + pad
 
