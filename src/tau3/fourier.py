@@ -21,10 +21,11 @@ read by its index k: for k >= e, with t rational (e = 0) or a power b**e of
 the sequence's own base, c_k * t is exactly p / (q * b**(k - e)), so the
 cutoff and tail walks step through that value regime by one multiplication
 per index, and ``_reduce`` runs only outside it and for the factors a head
-reads.  A factorial walk reduces every factor, and its head takes them all.
-Every head starts from one exact prefix, the leading factors whose cosine
-is 0, +-1/2 or +-1, multiplied as one integer over 2**j.  After it, a head
-(and all of a finite product) is one integer factor loop on
+reads.  A power of another base within the budget is folded into p, e = 0.
+A factorial walk reduces every factor, and its head takes them all.  Every
+head starts from one exact prefix, the leading factors whose cosine is 0,
++-1/2 or +-1, multiplied as one integer over 2**j.  After it, a head (and
+all of a finite product) is one integer factor loop on
 ``intervals.product_fixed``, floored onto 2**-bits.  A geometric head of
 base b <= CHAIN_MAX_BASE is one Chebyshev chain instead: c_(k-1) * t = b *
 c_k * t, so factor k-1 is T_b(factor k), and its exact factors are all in
@@ -201,6 +202,9 @@ def _reduce(fold: tuple[int, int, int, int], c_base: Optional[int],
             q, d = q * b ** -d, 0
     elif _materializable(c_base, c_exp):
         q, d = q * c_base ** c_exp, e
+        if _materializable(b, e):
+            # the value p * b**e / q itself
+            p, d = p * b ** e, 0
     elif b == 1:
         return ReducedSmall(p, q, c_base, c_exp)
     else:
@@ -258,7 +262,8 @@ class _GeometricTerms(dict):
         p, q, b, e = self.fold
         end = MATERIALIZE_BITS // seq.base.bit_length() + 1
         self.regime = ((p, q, e, e + end) if b == seq.base else
-                       (p, q, 0, end) if e == 0 else (p, q, end, end))
+                       (p * b ** e, q, 0, end) if _materializable(b, e)
+                       else (p, q, end, end))
 
     def __missing__(self, k: int) -> Reduced:
         r = self[k] = _reduce(self.fold, self.base, k)

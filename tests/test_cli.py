@@ -89,6 +89,20 @@ class TestEval:
                            if line.startswith("value:")])
         assert len(values[0]) == 1 and values[0] == values[1]
 
+    def test_power_of_another_base_evaluates_as_its_rational(self, tmp_path):
+        # (1/7) * 2**10 = 1024/7 against a base-3 measure: each factor is
+        # the value 1024/(7 * 3**k) itself, so the tail closes as it does
+        # for the rational
+        spec = tmp_path / "geometric.json"
+        spec.write_text(json.dumps({**M2, "atoms": []}))
+        values = []
+        for arg in (("--t-power", "1/7,2,10"), ("--t", "1024/7")):
+            code, out, _ = run_cli("eval", "--measure", str(spec), *arg)
+            assert code == 0
+            values.append([line for line in out.splitlines()
+                           if line.startswith("value:")])
+        assert len(values[0]) == 1 and values[0] == values[1]
+
     def test_geometric_base_of_a_million(self, tmp_path):
         # a base this large keeps the factor loop: a chain step would be a
         # degree-10**6 Chebyshev polynomial
