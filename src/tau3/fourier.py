@@ -17,29 +17,29 @@ rational give the same enclosure; beyond it only a magnitude bound is kept.
 
 Infinite products are split into an exactly evaluated head and a certified
 tail, and no c_k * t is reduced twice in one call.  A geometric factor is
-read by its index k: for k >= e, with t rational (e = 0) or a power b**e of
-the sequence's own base, c_k * t is exactly p / (q * b**(k - e)), so the
-cutoff and tail walks step through that value regime by one multiplication
-per index, and ``_reduce`` runs only outside it and for the factors a head
-reads.  A power of another base within the budget is folded into p, e = 0.
-A factorial walk reduces every factor, and its head takes them all.  Every
-head starts from one exact prefix, the leading factors whose cosine is 0,
-+-1/2 or +-1, multiplied as one integer over 2**j.  After it, a head (and
-all of a finite product) is one integer factor loop on
-``intervals.product_fixed``, floored onto 2**-bits.  A geometric head of
-base b <= CHAIN_MAX_BASE is one Chebyshev chain instead: c_(k-1) * t = b *
-c_k * t, so factor k-1 is T_b(factor k), and its exact factors are all in
-the prefix.  The chain reads one factor, and makes one ``cos2pi_fixed``
-call, per block of CHAIN_BLOCK + 1, from the last down, and Chebyshev steps
-in between, in integer midpoint-radius form at w = bits + CHAIN_BLOCK *
-ceil(log2 b**2) + CHAIN_GUARD bits.  The radius grows by at most b**2 per
-step (Markov's inequality) plus b for Horner's rounding, so w bounds it for
-any head length.  A step is a degree-b Horner evaluation, so larger bases
-keep the factor loop.  An infinite tail uses cos(2*pi*x) >= 1 - 49*x**2
-(certified on [0, omega] by ``intervals``) in one floored integer product
-at scale 2**bits; its upper bound is 1.  ``ft_point`` adds the atom sum and
-head times tail as integers over one denominator, and clamps and rounds
-once.  No flag records exactness: equal integer ends give the point itself.
+read by its index k: for k >= e it is exactly p / (q * b**(k - e)), with t
+= p/q * b**e a rational (e = 0) or a power of the sequence's own base (a
+power of another base within the budget is folded into p), so the cutoff
+and tail walks step through that value regime by one multiplication per
+index and reduce only outside it.  A factorial walk reduces every factor,
+and its head takes them all.  Every head starts from one exact prefix, the
+leading factors whose cosine is 0, +-1/2 or +-1, multiplied as one integer
+over 2**j.  After it, a head (and all of a finite product) is one integer
+factor loop on ``intervals.product_fixed``, floored onto 2**-bits.  A
+geometric head of base b <= CHAIN_MAX_BASE is one Chebyshev chain instead:
+c_(k-1) * t = b * c_k * t, so factor k-1 is T_b(factor k), and its exact
+factors are all in the prefix.  The chain reads one factor, and makes one
+``cos2pi_fixed`` call, per block of CHAIN_BLOCK + 1, from the last down,
+and Chebyshev steps in between, in integer midpoint-radius form at w = bits
++ CHAIN_BLOCK * ceil(log2 b**2) + CHAIN_GUARD bits.  The radius grows by at
+most b**2 per step (Markov's inequality) plus b for Horner's rounding, so w
+bounds it for any head length.  A step is a degree-b Horner evaluation, so
+larger bases keep the factor loop.  An infinite tail uses cos(2*pi*x) >= 1
+- 49*x**2 (certified on [0, omega] by ``intervals``) in one floored integer
+product at scale 2**bits; its upper bound is 1.  ``ft_point`` adds the atom
+sum and head times tail as integers over one denominator, and clamps and
+rounds once.  No flag records exactness: equal integer ends give the point
+itself.
 """
 
 from __future__ import annotations
@@ -273,6 +273,8 @@ class _GeometricTerms(dict):
                start: int = 1) -> Iterator[tuple[int, int, bool, bool]]:
         """``_tail_term_bound`` of the factors start, start + 1, ...; one
         multiplication by the base per index in the value regime."""
+        if start < 1:
+            raise ValueError("coefficient index starts at 1")
         p, q, lo, end = self.regime
         den = q * self.base ** max(start - lo, 0)
         for k in count(start):

@@ -195,6 +195,16 @@ class TestChooseCutoff:
         assert choose_cutoff(seq, ExactRational(F(3))) == 2
 
 
+@pytest.mark.parametrize("m", [MeasureExpr.bernoulli_geometric(3),
+                               MeasureExpr.bernoulli_geometric(20),
+                               MeasureExpr.bernoulli_factorial(3)])
+def test_negative_cutoff_raises(m):
+    with pytest.raises(ValueError):
+        ft_point(m, F(1, 3), tail_cutoff=-1)
+    with pytest.raises(ValueError, match="index starts at 1"):
+        tail_bound(m.bernoulli, -1, F(1, 3))
+
+
 class TestOneReductionPerFactor:
     """``ft_point`` reduces each c_k * t at most once: the head takes the
     reductions of ``choose_cutoff``'s pass and the tail goes on from there.

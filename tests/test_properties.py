@@ -769,8 +769,21 @@ def test_tail_product_lies_inside_the_log_space_tail(seq, t, cutoff, bits):
         assert new == old
 
 
-@settings(max_examples=150, deadline=None, database=None)
-@given(tail_sequences, tail_arguments)
+# every branch of the geometric index walk: the factor-loop bases 13-16,
+# exponents past the cap (a head that never reaches its value regime, and
+# the refusal at 3**100), and arguments of another base
+cutoff_sequences = st.one_of(tail_sequences, st.builds(
+    CoefficientSequence, st.just("geometric"), st.integers(13, 16),
+    st.sampled_from((F(1), F(1, 3), F(5, 2)))))
+cutoff_arguments = st.one_of(tail_arguments, st.builds(
+    ScaledPower, st.builds(F, st.integers(1, 30), st.integers(1, 9)),
+    st.integers(2, 16), st.integers(0, 120)), st.builds(
+    ScaledPower, st.builds(F, st.integers(1, 30), st.integers(1, 9)),
+    st.just(3), st.integers(81, 120)))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(cutoff_sequences, cutoff_arguments)
 def test_choose_cutoff_equals_the_fraction_decisions(seq, t):
     assert outcome(choose_cutoff, seq, t) == outcome(fraction_cutoff, seq, t)
 
