@@ -17,29 +17,28 @@ rational give the same enclosure; beyond it only a magnitude bound is kept.
 
 Infinite products are split into an exactly evaluated head and a certified
 tail, and no c_k * t is reduced twice in one call.  A geometric factor is
-read by its index k: for k >= e it is exactly p / (q * b**(k - e)), with t
-= p/q * b**e a rational (e = 0) or a power of the sequence's own base (a
-power of another base within the budget is folded into p), so the cutoff
-and tail walks step through that value regime by one multiplication per
-index and reduce only outside it.  A factorial walk reduces every factor,
-and its head takes them all.  Every head starts from one exact prefix, the
-leading factors whose cosine is 0, +-1/2 or +-1, multiplied as one integer
-over 2**j.  After it, a head (and all of a finite product) is one integer
-factor loop on ``intervals.product_fixed``, floored onto 2**-bits.  A
-geometric head of base b <= CHAIN_MAX_BASE is one Chebyshev chain instead:
-c_(k-1) * t = b * c_k * t, so factor k-1 is T_b(factor k), and its exact
-factors are all in the prefix.  The chain reads one factor, and makes one
-``cos2pi_fixed`` call, per block of CHAIN_BLOCK + 1, from the last down,
-and Chebyshev steps in between, in integer midpoint-radius form at w = bits
-+ CHAIN_BLOCK * ceil(log2 b**2) + CHAIN_GUARD bits.  The radius grows by at
-most b**2 per step (Markov's inequality) plus b for Horner's rounding, so w
-bounds it for any head length.  A step is a degree-b Horner evaluation, so
-larger bases keep the factor loop.  An infinite tail uses cos(2*pi*x) >= 1
-- 49*x**2 (certified on [0, omega] by ``intervals``) in one floored integer
-product at scale 2**bits; its upper bound is 1.  ``ft_point`` adds the atom
-sum and head times tail as integers over one denominator, and clamps and
-rounds once.  No flag records exactness: equal integer ends give the point
-itself.
+read by its index k: for k >= e it is exactly p / (q * b**(k - e)), with t =
+p/q * b**e a rational (e = 0) or a power of the sequence's own base (a power
+of another base within the budget is folded into p), so the cutoff and tail
+walks step through that value regime by one multiplication per index and
+reduce only outside it.  A factorial walk reduces every factor, and its head
+takes them all.  Every head starts from one exact prefix, the leading factors
+whose cosine is 0, +-1/2 or +-1, multiplied as one integer over 2**j.  After
+it, a head (and all of a finite product) is one integer factor loop on
+``intervals.product_fixed``, floored onto 2**-bits.  A geometric head of base
+b <= CHAIN_MAX_BASE is one Chebyshev chain instead: c_(k-1) * t = b * c_k *
+t, so factor k-1 is T_b(factor k), and its exact factors are all in the
+prefix.  The chain reads one factor, and makes one ``cos2pi_fixed`` call, per
+block of CHAIN_BLOCK + 1, from the last down, and Chebyshev steps in between,
+in integer midpoint-radius form at w = bits + CHAIN_BLOCK * ceil(log2 b**2) +
+CHAIN_GUARD bits.  The radius grows by at most b**2 per step (Markov's
+inequality) plus b for Horner's rounding, so w bounds it for any head length.
+A step is a degree-b Horner evaluation, so larger bases keep the factor loop.
+An infinite tail uses cos(2*pi*x) >= 1 - 49*x**2 (certified on [0, omega] by
+``intervals``) in one floored integer product at scale 2**bits; its upper
+bound is 1.  ``ft_point`` adds the atom sum and head times tail as integers
+over one denominator, and clamps and rounds once.  No flag records exactness:
+equal integer ends give the point itself.
 """
 
 from __future__ import annotations
@@ -187,10 +186,11 @@ def _reduce(fold: tuple[int, int, int, int], c_base: Optional[int],
             c_exp: int) -> Reduced:
     """Reduce p/q * b**e * c_base**(-c_exp) modulo 1, (p, q, b, e) = fold.
 
-    The one reduction of every factor, and the one place that decides
-    whether it is expanded: a ``ReducedSmall`` only when a power of the base
-    is beyond ``_materializable``.  ``c_base`` is None for a plain rational
-    coefficient (then c_exp = 0).
+    The one reduction of every factor, and the one place that decides whether
+    it is expanded: a ``ReducedSmall`` only when a power of the base is
+    beyond ``_materializable``.  ``_GeometricTerms`` reads the values it
+    gives in a geometric sequence's value regime without calling it.
+    ``c_base`` is None for a plain rational coefficient (then c_exp = 0).
     """
     p, q, b, e = fold
     if c_exp == 0 or c_base == b:
@@ -260,6 +260,7 @@ class _GeometricTerms(dict):
     def __init__(self, seq: CoefficientSequence, t: ArgumentSpec):
         self.base, self.fold = seq.base, _fold(seq.scale, t)
         p, q, b, e = self.fold
+        # the first k with base**k beyond _materializable
         end = MATERIALIZE_BITS // seq.base.bit_length() + 1
         self.regime = ((p, q, e, e + end) if b == seq.base else
                        (p * b ** e, q, 0, end) if _materializable(b, e)
@@ -276,7 +277,7 @@ class _GeometricTerms(dict):
         if start < 1:
             raise ValueError("coefficient index starts at 1")
         p, q, lo, end = self.regime
-        den = q * self.base ** max(start - lo, 0)
+        den = q * self.base ** max(start - lo, 0)   # at k = max(start, lo)
         for k in count(start):
             if lo <= k < end:
                 num = p % den
@@ -387,8 +388,8 @@ def _chain_product(tops: list, n: int, b: int,
 
     Factor k-1 is T_b(factor k), as c_(k-1)*t = b * c_k*t.  From the last
     factor down, each block of CHAIN_BLOCK + 1 factors makes one kernel
-    call, at its top, at w = bits + CHAIN_BLOCK * ceil(log2 b**2) +
-    CHAIN_GUARD, then CHAIN_BLOCK Chebyshev steps in integer midpoint-radius form (m, r) at
+    call at w = bits + CHAIN_BLOCK * ceil(log2 b**2) + CHAIN_GUARD, then
+    CHAIN_BLOCK Chebyshev steps in integer midpoint-radius form (m, r) at
     scale 2**w.  A step clamps T_b(m) to [-2**w, 2**w] and sets r to
     b**2 * r + b: by Markov's inequality |T_b'| <= b**2 on [-1, 1], where
     the true factor and the clamped m lie, and Horner's rule with b floored
@@ -604,6 +605,7 @@ def _cutoff_reductions(seq: CoefficientSequence, t: ArgumentSpec) -> list:
     """The head r_1 .. r_cutoff that ``choose_cutoff`` picks for a factorial
     sequence at t != 0: the walk reduces every factor, and the head reads
     them all."""
+    # the walk takes reductions from one copy, and the head replays them
     walk, head = tee(_reductions(seq, t, 1))
     n = _cutoff_index(seq.base, lambda floor_exp: map(
         _tail_term_bound, walk, repeat(floor_exp)))
