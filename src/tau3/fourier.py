@@ -16,45 +16,44 @@ budget it is an exact fraction, so a ``ScaledPower`` argument and the same
 rational give the same enclosure; beyond it only a magnitude bound is kept.
 
 Infinite products are split into an exactly evaluated head and a certified
-tail, and no c_k * t is reduced twice in one call.  A geometric factor is
-read by its index k: for k >= e it is exactly p / (q * b**(k - e)), with t =
-p/q * b**e a rational (e = 0) or a power of the sequence's own base (a power
-of another base within the budget is folded into p), so the cutoff and tail
-walks step through that value regime by one multiplication per index and
-reduce only outside it.  A factorial walk reduces every factor, and its head
-takes them all.  Every head starts from one exact prefix, the leading factors
-whose cosine is 0, +-1/2 or +-1, multiplied as one integer over 2**j.  After
-it, a head (and all of a finite product) is one integer factor loop on
-``intervals.product_fixed``, floored onto 2**-bits.  A geometric head of base
-b <= CHAIN_MAX_BASE is one Chebyshev chain instead: c_(k-1) * t = b * c_k *
-t, so factor k-1 is T_b(factor k), and its exact factors are all in the
-prefix.  The chain reads one factor, and makes one ``cos2pi_fixed`` call, per
-block of CHAIN_BLOCK + 1, from the last down, and Chebyshev steps in between,
-in integer midpoint-radius form at w = bits + CHAIN_BLOCK * ceil(log2 b**2) +
-CHAIN_GUARD bits.  The radius grows by at most b**2 per step (Markov's
-inequality) plus b for Horner's rounding, so w bounds it for any head length.
-A step is a degree-b Horner evaluation, so larger bases keep the factor loop.
-An infinite tail uses cos(2*pi*x) >= 1 - 49*x**2 (certified on [0, omega] by
-``intervals``) in one floored integer product at scale 2**bits; its upper
-bound is 1.  ``ft_point`` adds the atom sum and head times tail as integers
-over one denominator, and clamps and rounds once.  No flag records exactness:
-equal integer ends give the point itself.
+tail.  ``_terms`` gives one reader of the factors c_k * t per sequence kind,
+and the cutoff walk, the head and the tail all read through it, so no c_k * t
+is reduced twice in one call.  The geometric reader reads factor k by its
+index: for k >= e it is exactly p / (q * b**(k - e)), with t = p/q * b**e a
+rational (e = 0) or a power of the sequence's own base (a power of another
+base within the budget is folded into p), so its walks step through that
+value regime by one multiplication per index and reduce only outside it.
+The factorial reader keeps its reductions in a list that its head reads; an
+explicit list's head is the whole list unless cut, and its tail the finite
+rest.  Every head starts from one exact prefix, the leading factors whose
+cosine is 0, +-1/2 or +-1, multiplied as one integer over 2**j.  After it, a
+head is one integer factor loop on ``intervals.product_fixed``, floored onto
+2**-bits, except a geometric head of base b <= CHAIN_MAX_BASE: c_(k-1) * t =
+b * c_k * t, so factor k-1 is T_b(factor k), and one Chebyshev chain reads one
+factor, and makes one ``cos2pi_fixed`` call, per block of CHAIN_BLOCK + 1,
+with Chebyshev steps in between (a step is a degree-b Horner evaluation, so
+larger bases keep the factor loop).  An infinite tail uses cos(2*pi*x) >= 1 -
+49*x**2 (certified on [0, omega] by ``intervals``) in one floored integer
+product at scale 2**bits; its upper bound is 1.  ``ft_point`` adds the atom
+sum and head times tail as integers over one denominator, and clamps and
+rounds once.  No flag records exactness: equal integer ends give the point
+itself.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import count, islice, repeat, tee
-from math import lcm
-from typing import Callable, Iterable, Iterator, Optional, Union
+from itertools import count, islice, repeat
+from math import factorial, lcm
+from typing import Iterable, Iterator, Optional, Union
 
-from .errors import (NotPointwiseEvaluable, TailNotCertified,
+from .errors import (NotPointwiseEvaluable, ParameterError, TailNotCertified,
                      UnsupportedArgument, Value)
 from .intervals import (QUADRATIC_COS_COEFF, IntervalValue, Rational,
                         cos2pi_fixed, niven_twice, precision_bits,
                         product_fixed, quadratic_cos_threshold)
-from .measures import (EXPLICIT, FACTORIAL, GEOMETRIC, CoeffTerm,
+from .measures import (FACTORIAL, GEOMETRIC, CoeffTerm,
                        CoefficientSequence, MeasureExpr, atom_plan, normalize,
                        plan_mass)
 
@@ -74,9 +73,6 @@ class ExactRational(Value):
     def __init__(self, value: Fraction):
         object.__setattr__(self, "value", Fraction(value))
 
-    def describe(self) -> str:
-        return str(self.value)
-
 
 class ScaledPower(Value):
     """Argument t = scale * base**exponent; the exponent may be huge."""
@@ -92,11 +88,6 @@ class ScaledPower(Value):
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exponent", exponent)
-
-    def describe(self) -> str:
-        if self.scale == 1:
-            return f"{self.base}^{self.exponent}"
-        return f"({self.scale})*{self.base}^{self.exponent}"
 
 
 ArgumentSpec = Union[ExactRational, ScaledPower]
@@ -226,66 +217,6 @@ def arg_reduce(c, t: ArgumentSpec) -> Reduced:
     if not isinstance(c, CoeffTerm):
         c = CoeffTerm(Fraction(c))
     return _reduce(_fold(c.mantissa, as_argument(t)), c.base, c.neg_exp)
-
-
-def _reductions(seq: CoefficientSequence, t: ArgumentSpec,
-                start: int) -> Iterator[Reduced]:
-    """``_reduce`` of c_k * t for k = start, start + 1, ... (to the end of an
-    explicit list), with |scale * t| folded once."""
-    if start < 1:
-        raise ValueError("coefficient index starts at 1")
-    fold = _fold(seq.scale, t)
-    if seq.kind == EXPLICIT:
-        p, q, b, e = fold
-        for v in seq.values[start - 1:]:
-            yield _reduce((p * v.numerator, q * v.denominator, b, e), None, 0)
-    else:
-        for k in count(start):
-            yield _reduce(fold, seq.base, seq.exponent(k))
-
-
-class _GeometricTerms(dict):
-    """The factors c_k * t, k >= 1, of one geometric sequence at one
-    argument, for one call: a dict from k to ``_reduce`` of c_k * t, filled
-    on first read, so no index is reduced twice.
-
-    ``regime`` is (p, q, lo, end): for lo <= k < end that reduction is the
-    value p / (q * base**(k - lo)) itself, which ``bounds`` reads without
-    reducing; ``end`` is the first index ``_reduce`` leaves unexpanded or
-    refuses, and lo = end when no index has that form.
-    """
-
-    __slots__ = ("base", "fold", "regime")
-
-    def __init__(self, seq: CoefficientSequence, t: ArgumentSpec):
-        self.base, self.fold = seq.base, _fold(seq.scale, t)
-        p, q, b, e = self.fold
-        # the first k with base**k beyond _materializable
-        end = MATERIALIZE_BITS // seq.base.bit_length() + 1
-        self.regime = ((p, q, e, e + end) if b == seq.base else
-                       (p * b ** e, q, 0, end) if _materializable(b, e)
-                       else (p, q, end, end))
-
-    def __missing__(self, k: int) -> Reduced:
-        r = self[k] = _reduce(self.fold, self.base, k)
-        return r
-
-    def bounds(self, floor_exp: int,
-               start: int = 1) -> Iterator[tuple[int, int, bool, bool]]:
-        """``_tail_term_bound`` of the factors start, start + 1, ...; one
-        multiplication by the base per index in the value regime."""
-        if start < 1:
-            raise ValueError("coefficient index starts at 1")
-        p, q, lo, end = self.regime
-        den = q * self.base ** max(start - lo, 0)   # at k = max(start, lo)
-        for k in count(start):
-            if lo <= k < end:
-                num = p % den
-                yield (min(num, den - num), den, p < den and 2 * num <= den,
-                       False)
-                den *= self.base
-            else:
-                yield _tail_term_bound(self[k], floor_exp)
 
 
 def _at_most(n: int, q: int, x: tuple[int, int]) -> bool:
@@ -418,48 +349,9 @@ def _chain_product(tops: list, n: int, b: int,
     return p_mid, p_rad, w
 
 
-def _geometric_head(terms: _GeometricTerms, n: int,
-                    bits: int) -> tuple[int, int, int]:
-    """(lo, hi, s) as ``_factor_product``, for the factors 1 .. n of a
-    base-b geometric sequence, b <= CHAIN_MAX_BASE.
-
-    T_b maps the cosines 0, +-1/2 and +-1 to themselves, so the exact
-    factors are all in the ``_niven_prefix``; the rest is one
-    ``_chain_product``.  Only the prefix, the block tops and the first
-    unexpanded factor are reduced.  Every factor the kernel would refuse is
-    refused first, as ``_factor_product`` does: unexpanded values fall as
-    k grows, so the first one refuses if any does.
-    """
-    num, j = _niven_prefix(terms[k] for k in range(1, n + 1))
-    tops = [terms[k] for k in range(n, j, -(CHAIN_BLOCK + 1))]
-    *_, first = terms.regime          # the first unexpanded index
-    if j < first <= n and isinstance(terms[first], ReducedSmall):
-        _unexpanded_upper(terms[first], bits)
-    if j == n or num == 0:
-        return num, num, j
-    mid, rad, w = _chain_product(tops, n - j, terms.base, bits)
-    lo, hi = sorted((num * (mid - rad), num * (mid + rad)))
-    return lo, hi, j + w
-
-
 # ---------------------------------------------------------------------------
-# Tail bounds
+# Term readers: the cutoff, head and tail walks of each sequence kind
 # ---------------------------------------------------------------------------
-
-def _structural_decay(seq: CoefficientSequence, t: ArgumentSpec) -> bool:
-    """True when successive reduced magnitudes certainly shrink by >= base.
-
-    Holds for the infinite kinds once the combined exponent is negative:
-    consecutive exponents drop by at least 1 (by k*k! for the factorial
-    kind), so magnitudes decay at least geometrically with ratio 1/base.
-    """
-    if seq.kind not in (FACTORIAL, GEOMETRIC):
-        return False
-    t = as_argument(t)
-    if isinstance(t, ExactRational):
-        return True
-    return t.base == seq.base or _materializable(t.base, t.exponent)
-
 
 def _tail_term_bound(r: Reduced, floor_exp: int) -> tuple[int, int, bool, bool]:
     """Distance-to-integer bound d = n/q, n and q integers, for a factor r.
@@ -475,66 +367,6 @@ def _tail_term_bound(r: Reduced, floor_exp: int) -> tuple[int, int, bool, bool]:
         return *r.dyadic_upper(floor_exp), True, True
     p, q = r.num, r.den
     return min(p, q - p), q, r.is_value and 2 * p <= q, False
-
-
-def tail_bound(seq: CoefficientSequence, cutoff: int, t,
-               bits: Optional[int] = None) -> IntervalValue:
-    """Certified enclosure of prod_{k > cutoff} cos(2*pi*c_k*t).
-
-    Every tail argument must reduce to a distance d_k <= omega = 1/8 from
-    the integers; there cos(2*pi*d_k) >= 1 - y_k, y_k = 49*d_k**2 (certified
-    by ``intervals``), and 1 - y_k >= 15/64 > 0.  The lower end is an
-    integer at scale 2**bits, times 2**bits - ceil(y_k * 2**bits) per term,
-    floored; ceilings and floors only lower it.  A value-form term k with
-    d_k <= omega/2 and y_k <= y_close closes the tail: the values beyond
-    shrink by >= 1/base per step, so sum_{j>=k} y_j <= y_k * geom, geom =
-    base**2/(base**2 - 1), and as each y_j lies in [0, 1], prod (1 - y_j)
-    >= 1 - sum y_j (Weierstrass), so one factor 1 - y_k * geom > 0 stands
-    for them all.  The upper bound is 1.  Raises TailNotCertified when the
-    arguments are not eventually small.
-    """
-    bits = precision_bits(bits)
-    t = as_argument(t)
-    if isinstance(t, ExactRational) and t.value == 0:
-        return IntervalValue.point(1)
-
-    if seq.kind == EXPLICIT:
-        # finite product: evaluate the remaining factors directly
-        lo, hi, s = _factor_product(list(_reductions(seq, t, cutoff + 1)),
-                                    bits)
-        return IntervalValue(Fraction(lo, 1 << s), Fraction(hi, 1 << s))
-
-    if not _structural_decay(seq, t):
-        raise TailNotCertified(
-            "tail decay is only certified for the structured families")
-
-    omega, y_close, floor_exp = _tail_constants(seq.base, bits)
-    bb = seq.base * seq.base
-    one = lo = 1 << bits
-    guard = 64 + bits // 2
-    bounds = (_GeometricTerms(seq, t).bounds(floor_exp, cutoff + 1)
-              if seq.kind == GEOMETRIC else
-              map(_tail_term_bound, _reductions(seq, t, cutoff + 1),
-                  repeat(floor_exp)))
-    for k, (n, q, is_value, unexpanded) in zip(
-            range(cutoff + 1, cutoff + guard + 1), bounds):
-        if unexpanded and not _at_most(2 * n, q, omega):
-            raise TailNotCertified(
-                f"cannot certify factor {k} below threshold "
-                f"{Fraction(*omega)}/2")
-        if not _at_most(n, q, omega):
-            raise TailNotCertified(f"factor {k} reduces to {Fraction(n, q)}, "
-                                   f"above threshold {Fraction(*omega)}")
-        y_n, y_d = QUADRATIC_COS_COEFF * n * n, q * q
-        # factors 2**bits - ceil(y * 2**bits); the last has y = y_k * geom
-        if (is_value and _at_most(2 * n, q, omega)
-                and _at_most(y_n, y_d, y_close)):
-            lo = lo * (one + (-y_n * bb << bits) // (y_d * (bb - 1))) >> bits
-            return IntervalValue(Fraction(lo, one), Fraction(1))
-        lo = lo * (one + (-y_n << bits) // y_d) >> bits
-    raise TailNotCertified(
-        f"tail arguments after index {cutoff} do not certifiably "
-        f"decay within {guard} consecutive factors")
 
 
 @cache
@@ -556,13 +388,224 @@ def _tail_constants(base: int, bits: int) -> tuple[tuple[int, int],
 @cache
 def _cutoff_constants(base: int) -> tuple[tuple[int, int], tuple[int, int],
                                           int]:
-    """(omega, target, floor_exp) of ``_cutoff_index``, the two
-    thresholds as integer pairs (numerator, denominator)."""
+    """(omega, target, floor_exp) of the cutoff walk, the two thresholds as
+    integer pairs (numerator, denominator)."""
     omega = quadratic_cos_threshold()
     target = TAIL_WIDTH_TARGET * base * base
     # every value <= 2**floor_exp passes both tests of the walk
     floor_exp = min(_log2_floor(omega), _log2_floor(target / 200) // 2)
     return omega.as_integer_ratio(), target.as_integer_ratio(), floor_exp
+
+
+def _terms(seq: CoefficientSequence, t: ArgumentSpec):
+    """The reader of the factors c_k * t of ``seq`` for one call, the one
+    place that reads the kind: ``cutoff()`` for ``choose_cutoff``, ``head(n,
+    bits)`` -> (lo, hi, s) as ``_factor_product`` of factors 1 .. n,
+    ``tail(cutoff, bits)`` for ``tail_bound`` at t != 0, and ``reduced(n)``."""
+    if seq.kind == GEOMETRIC:
+        return _GeometricTerms(seq, t)
+    if seq.kind == FACTORIAL:
+        return _FactorialTerms(seq, t)
+    return _ExplicitTerms(seq, t)
+
+
+class _InfiniteTerms:
+    """The cutoff and tail of the geometric and factorial readers: one walk
+    over their ``bounds(floor_exp, start)``, the ``_tail_term_bound`` of
+    factors start, start + 1, ..."""
+
+    __slots__ = ()
+
+    def head(self, n: int, bits: int) -> tuple[int, int, int]:
+        return _factor_product(self.reduced(n), bits)
+
+    def cutoff(self) -> int:
+        omega, target, floor_exp = _cutoff_constants(self.base)
+        small = False
+        for k, (n, q, is_value, _) in zip(range(1, TAIL_CUTOFF_CAP + 1),
+                                          self.bounds(floor_exp)):
+            small = _at_most(n, q, omega)
+            # conclude only from value-form terms: those certify the decay of
+            # everything beyond; estimated remaining width ~ 200 * (d/base)^2
+            if small and is_value and _at_most(200 * n * n, q * q, target):
+                return k
+        if not small:
+            raise TailNotCertified(f"no certified tail start within the first "
+                                   f"{TAIL_CUTOFF_CAP} factors")
+        return TAIL_CUTOFF_CAP
+
+    def tail(self, cutoff: int, bits: int) -> IntervalValue:
+        # decay: t rational, a power of the own base, or one within budget
+        _, _, b, e = self.fold
+        if b != self.base and not _materializable(b, e):
+            raise TailNotCertified(
+                "tail decay is only certified for the structured families")
+        omega, y_close, floor_exp = _tail_constants(self.base, bits)
+        bb = self.base * self.base
+        one = lo = 1 << bits
+        guard = 64 + bits // 2
+        for k, (n, q, is_value, unexpanded) in zip(
+                range(cutoff + 1, cutoff + guard + 1),
+                self.bounds(floor_exp, cutoff + 1)):
+            if unexpanded and not _at_most(2 * n, q, omega):
+                raise TailNotCertified(
+                    f"cannot certify factor {k} below threshold "
+                    f"{Fraction(*omega)}/2")
+            if not _at_most(n, q, omega):
+                raise TailNotCertified(f"factor {k} reduces to "
+                                       f"{Fraction(n, q)}, above threshold "
+                                       f"{Fraction(*omega)}")
+            y_n, y_d = QUADRATIC_COS_COEFF * n * n, q * q
+            # factors 2**bits - ceil(y * 2**bits); the last has y = y_k * geom
+            if (is_value and _at_most(2 * n, q, omega)
+                    and _at_most(y_n, y_d, y_close)):
+                lo = (lo * (one + (-y_n * bb << bits) // (y_d * (bb - 1)))
+                      >> bits)
+                return IntervalValue(Fraction(lo, one), Fraction(1))
+            lo = lo * (one + (-y_n << bits) // y_d) >> bits
+        raise TailNotCertified(
+            f"tail arguments after index {cutoff} do not certifiably "
+            f"decay within {guard} consecutive factors")
+
+
+class _GeometricTerms(_InfiniteTerms, dict):
+    """The geometric reader: a dict from k to ``_reduce`` of c_k * t,
+    filled on first read, so no index is reduced twice.
+
+    ``regime`` is (p, q, lo, end): for lo <= k < end that reduction is the
+    value p / (q * base**(k - lo)) itself, which ``bounds`` reads without
+    reducing; ``end`` is the first index ``_reduce`` leaves unexpanded or
+    refuses, and lo = end when no index has that form.
+    """
+
+    __slots__ = ("base", "fold", "regime")
+
+    def __init__(self, seq: CoefficientSequence, t: ArgumentSpec):
+        self.base, self.fold = seq.base, _fold(seq.scale, t)
+        p, q, b, e = self.fold
+        # the first k with base**k beyond _materializable
+        end = MATERIALIZE_BITS // self.base.bit_length() + 1
+        self.regime = ((p, q, e, e + end) if b == self.base else
+                       (p * b ** e, q, 0, end) if _materializable(b, e)
+                       else (p, q, end, end))
+
+    def __missing__(self, k: int) -> Reduced:
+        r = self[k] = _reduce(self.fold, self.base, k)
+        return r
+
+    def reduced(self, n: int) -> list:
+        return [self[k] for k in range(1, n + 1)]
+
+    def bounds(self, floor_exp: int, start: int = 1) -> Iterator[tuple]:
+        """One multiplication by the base per index in the value regime."""
+        p, q, lo, end = self.regime
+        den = q * self.base ** max(start - lo, 0)   # at k = max(start, lo)
+        for k in count(start):
+            if lo <= k < end:
+                num = p % den
+                yield (min(num, den - num), den, p < den and 2 * num <= den,
+                       False)
+                den *= self.base
+            else:
+                yield _tail_term_bound(self[k], floor_exp)
+
+    def head(self, n: int, bits: int) -> tuple[int, int, int]:
+        """The factor loop above CHAIN_MAX_BASE, else the ``_niven_prefix``
+        (T_b maps the cosines 0, +-1/2 and +-1 to themselves) and one
+        ``_chain_product``, reducing only the prefix, the block tops and the
+        first unexpanded factor: unexpanded values fall as k grows, so the
+        first refuses if any does, as ``_factor_product`` would."""
+        if self.base > CHAIN_MAX_BASE:
+            return _factor_product(self.reduced(n), bits)
+        num, j = _niven_prefix(self[k] for k in range(1, n + 1))
+        tops = [self[k] for k in range(n, j, -(CHAIN_BLOCK + 1))]
+        *_, first = self.regime          # the first unexpanded index
+        if j < first <= n and isinstance(self[first], ReducedSmall):
+            _unexpanded_upper(self[first], bits)
+        if j == n or num == 0:
+            return num, num, j
+        mid, rad, w = _chain_product(tops, n - j, self.base, bits)
+        lo, hi = sorted((num * (mid - rad), num * (mid + rad)))
+        return lo, hi, j + w
+
+
+class _FactorialTerms(_InfiniteTerms):
+    """The factorial reader.  Its walks are short and its head reads every
+    factor, so ``done`` keeps the reductions of c_1, c_2, ... in a list."""
+
+    __slots__ = ("base", "fold", "done")
+
+    def __init__(self, seq: CoefficientSequence, t: ArgumentSpec):
+        self.base, self.fold, self.done = seq.base, _fold(seq.scale, t), []
+
+    def _walk(self, start: int) -> Iterator[Reduced]:
+        """Reductions of c_k, k >= start; each extending ``done`` is kept."""
+        done, fold, base = self.done, self.fold, self.base
+        for k in count(start):
+            r = (done[k - 1] if k <= len(done) else
+                 _reduce(fold, base, factorial(k)))
+            if k == len(done) + 1:
+                done.append(r)
+            yield r
+
+    def reduced(self, n: int) -> list:
+        done = self.done
+        return done[:n] if n <= len(done) else list(islice(self._walk(1), n))
+
+    def bounds(self, floor_exp: int, start: int = 1) -> Iterator[tuple]:
+        return map(_tail_term_bound, self._walk(start), repeat(floor_exp))
+
+
+class _ExplicitTerms:
+    """The reader of a finite list: its cutoff is the whole list, and its
+    tail the product of the factors after the cutoff."""
+
+    __slots__ = ("values", "fold")
+
+    def __init__(self, seq: CoefficientSequence, t: ArgumentSpec):
+        self.values, self.fold = seq.values, _fold(seq.scale, t)
+
+    def reduced(self, n: int, start: int = 0) -> list:
+        """The reductions of factors start + 1 .. n."""
+        p, q, b, e = self.fold
+        return [_reduce((p * v.numerator, q * v.denominator, b, e), None, 0)
+                for v in self.values[start:n]]
+
+    def cutoff(self) -> int:
+        return len(self.values)
+
+    def head(self, n: int, bits: int) -> tuple[int, int, int]:
+        return _factor_product(self.reduced(n), bits)
+
+    def tail(self, cutoff: int, bits: int) -> IntervalValue:
+        lo, hi, s = _factor_product(self.reduced(len(self.values), cutoff),
+                                    bits)
+        return IntervalValue(Fraction(lo, 1 << s), Fraction(hi, 1 << s))
+
+
+def tail_bound(seq: CoefficientSequence, cutoff: int, t,
+               bits: Optional[int] = None) -> IntervalValue:
+    """Certified enclosure of prod_{k > cutoff} cos(2*pi*c_k*t).
+
+    Every infinite tail argument must reduce to a distance d_k <= omega =
+    1/8 from the integers; there cos(2*pi*d_k) >= 1 - y_k, y_k = 49*d_k**2
+    (certified by ``intervals``), and 1 - y_k >= 15/64 > 0.  The lower end
+    is an integer at scale 2**bits, times 2**bits - ceil(y_k * 2**bits) per
+    term, floored; ceilings and floors only lower it.  A value-form term k
+    with d_k <= omega/2 and y_k <= y_close closes the tail: the values
+    beyond shrink by >= 1/base per step, so sum_{j>=k} y_j <= y_k * geom,
+    geom = base**2/(base**2 - 1), and as each y_j lies in [0, 1], prod (1 -
+    y_j) >= 1 - sum y_j (Weierstrass), so one factor 1 - y_k * geom > 0
+    stands for them all.  The upper bound is 1.  Raises TailNotCertified
+    when the arguments are not eventually small.
+    """
+    bits = precision_bits(bits)
+    if cutoff < 0:
+        raise ParameterError(f"tail cutoff {cutoff} is negative")
+    t = as_argument(t)
+    if isinstance(t, ExactRational) and t.value == 0:
+        return IntervalValue.point(1)
+    return _terms(seq, t).tail(cutoff, bits)
 
 
 def choose_cutoff(seq: CoefficientSequence, t) -> int:
@@ -572,44 +615,7 @@ def choose_cutoff(seq: CoefficientSequence, t) -> int:
     the result is then still sound, only wider.  Raises TailNotCertified
     when no tail start exists at the cap.
     """
-    t = as_argument(t)
-    if seq.kind == EXPLICIT:
-        return len(seq.values)
-    if isinstance(t, ExactRational) and t.value == 0:
-        return 1
-    if seq.kind == GEOMETRIC:
-        return _cutoff_index(seq.base, _GeometricTerms(seq, t).bounds)
-    return len(_cutoff_reductions(seq, t))
-
-
-def _cutoff_index(base: int,
-                  bounds: Callable[[int], Iterator[tuple]]) -> int:
-    """The head length ``choose_cutoff`` picks for t != 0, walking
-    ``bounds(floor_exp)``: the ``_tail_term_bound`` of factors 1, 2, ..."""
-    omega, target, floor_exp = _cutoff_constants(base)
-    small = False
-    for k, (n, q, is_value, _) in zip(range(1, TAIL_CUTOFF_CAP + 1),
-                                      bounds(floor_exp)):
-        small = _at_most(n, q, omega)
-        # conclude only from value-form terms: those certify the decay of
-        # everything beyond; estimated remaining width ~ 200 * (d/base)^2
-        if small and is_value and _at_most(200 * n * n, q * q, target):
-            return k
-    if not small:
-        raise TailNotCertified(f"no certified tail start within the first "
-                               f"{TAIL_CUTOFF_CAP} factors")
-    return TAIL_CUTOFF_CAP
-
-
-def _cutoff_reductions(seq: CoefficientSequence, t: ArgumentSpec) -> list:
-    """The head r_1 .. r_cutoff that ``choose_cutoff`` picks for a factorial
-    sequence at t != 0: the walk reduces every factor, and the head reads
-    them all."""
-    # the walk takes reductions from one copy, and the head replays them
-    walk, head = tee(_reductions(seq, t, 1))
-    n = _cutoff_index(seq.base, lambda floor_exp: map(
-        _tail_term_bound, walk, repeat(floor_exp)))
-    return list(islice(head, n))
+    return _terms(seq, as_argument(t)).cutoff()
 
 
 # ---------------------------------------------------------------------------
@@ -642,19 +648,9 @@ def _bernoulli_part(seq: CoefficientSequence, t: ArgumentSpec,
                     bits: int) -> tuple[int, int, int]:
     """(lo, hi, den): the head product times ``tail_bound``, clamped to
     [-1, 1], over den; each c_k * t is reduced at most once."""
-    if seq.kind == GEOMETRIC:
-        terms = _GeometricTerms(seq, t)
-        n = (_cutoff_index(seq.base, terms.bounds) if tail_cutoff is None
-             else tail_cutoff)
-        h_lo, h_hi, s = (
-            _geometric_head(terms, n, bits) if seq.base <= CHAIN_MAX_BASE
-            else _factor_product([terms[k] for k in range(1, n + 1)], bits))
-    else:
-        # no cutoff: the factorial walk's head, or all of an explicit list
-        head = (_cutoff_reductions(seq, t)
-                if tail_cutoff is None and seq.kind != EXPLICIT else
-                list(islice(_reductions(seq, t, 1), tail_cutoff)))
-        n, (h_lo, h_hi, s) = len(head), _factor_product(head, bits)
+    terms = _terms(seq, t)
+    n = terms.cutoff() if tail_cutoff is None else tail_cutoff
+    h_lo, h_hi, s = terms.head(n, bits)
     tail = tail_bound(seq, n, t, bits)
     (t_lo, lo_den), (t_hi, hi_den) = (tail.lo.as_integer_ratio(),
                                       tail.hi.as_integer_ratio())
@@ -668,9 +664,12 @@ def ft_point(expr: MeasureExpr, t, tail_cutoff: Optional[int] = None,
              bits: Optional[int] = None) -> IntervalValue:
     """Certified enclosure of the Fourier transform of ``expr`` at ``t``.
 
-    The measure must have finite mass (no Lebesgue component).
+    The measure must have finite mass (no Lebesgue component).  Raises
+    ParameterError for a negative ``tail_cutoff``.
     """
     bits = precision_bits(bits)
+    if tail_cutoff is not None and tail_cutoff < 0:
+        raise ParameterError(f"tail cutoff {tail_cutoff} is negative")
     t = as_argument(t)
     expr = normalize(expr)
     if expr.lebesgue:

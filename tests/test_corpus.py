@@ -31,7 +31,6 @@ import random
 import re
 import sys
 from fractions import Fraction as F
-from itertools import islice
 from math import factorial
 from pathlib import Path
 
@@ -124,13 +123,7 @@ def verdict(v) -> str:
 def head(seq: CoefficientSequence, t, n: int, bits: int) -> str:
     """The first n factors as ``ft_point``'s head takes them, unrounded:
     a geometric chain shows its working radius here."""
-    t = as_argument(t)
-    if seq.kind == "geometric" and seq.base <= fourier.CHAIN_MAX_BASE:
-        lo, hi, s = fourier._geometric_head(
-            fourier._GeometricTerms(seq, t), n, bits)
-    else:
-        lo, hi, s = fourier._factor_product(
-            list(islice(fourier._reductions(seq, t, 1), n)), bits)
+    lo, hi, s = fourier._terms(seq, as_argument(t)).head(n, bits)
     return interval(IntervalValue(F(lo, 1 << s), F(hi, 1 << s)))
 
 

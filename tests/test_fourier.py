@@ -12,8 +12,8 @@ import mpmath as mp
 import pytest
 
 from tau3 import fourier
-from tau3.errors import (NotPointwiseEvaluable, TailNotCertified,
-                         UnsupportedArgument)
+from tau3.errors import (NotPointwiseEvaluable, ParameterError,
+                         TailNotCertified, UnsupportedArgument)
 from tau3.fourier import (ExactRational, ReducedExact, ReducedSmall,
                           ScaledPower, arg_reduce, choose_cutoff, ft_point,
                           tail_bound)
@@ -195,14 +195,18 @@ class TestChooseCutoff:
         assert choose_cutoff(seq, ExactRational(F(3))) == 2
 
 
-@pytest.mark.parametrize("m", [MeasureExpr.bernoulli_geometric(3),
-                               MeasureExpr.bernoulli_geometric(20),
-                               MeasureExpr.bernoulli_factorial(3)])
+@pytest.mark.parametrize("m", [
+    MeasureExpr.bernoulli_geometric(3), MeasureExpr.bernoulli_geometric(20),
+    MeasureExpr.bernoulli_factorial(3),
+    MeasureExpr(bernoulli=CoefficientSequence("explicit",
+                                              values=(F(1, 2), F(1, 5))))])
 def test_negative_cutoff_raises(m):
-    with pytest.raises(ValueError):
-        ft_point(m, F(1, 3), tail_cutoff=-1)
-    with pytest.raises(ValueError, match="index starts at 1"):
-        tail_bound(m.bernoulli, -1, F(1, 3))
+    # one check at the entry of each, before any factor is reduced
+    with mock.patch.object(fourier, "_reduce", side_effect=AssertionError):
+        with pytest.raises(ParameterError, match="tail cutoff -1 is negative"):
+            ft_point(m, F(1, 3), tail_cutoff=-1)
+        with pytest.raises(ParameterError, match="tail cutoff -1 is negative"):
+            tail_bound(m.bernoulli, -1, F(1, 3))
 
 
 class TestOneReductionPerFactor:
@@ -323,12 +327,11 @@ class TestGeometricChain:
     def test_exact_prefix_is_one_integer(self):
         # c_k * t = 2**(70-k)/3: the first 71 factors are exact
         seq, t = CoefficientSequence("geometric", 2), F(2 ** 70, 3)
-        terms = fourier._GeometricTerms(seq, ExactRational(t))
-        lo, hi, s = fourier._geometric_head(terms, 71, 64)
+        terms = fourier._terms(seq, ExactRational(t))
+        lo, hi, s = terms.head(71, 64)
         assert lo == hi and s == 71 and F(lo, 1 << s) == F(1, 1 << 71)
-        lo, hi, s = fourier._geometric_head(terms, 75, 64)
-        old_lo, old_hi, old_s = fourier._factor_product(
-            [terms[k] for k in range(1, 76)], 64)
+        lo, hi, s = terms.head(75, 64)
+        old_lo, old_hi, old_s = fourier._factor_product(terms.reduced(75), 64)
         assert lo < hi
         assert F(old_lo, 1 << old_s) <= F(lo, 1 << s) <= F(hi, 1 << s)
         assert F(hi, 1 << s) <= F(old_hi, 1 << old_s)
@@ -341,14 +344,13 @@ class TestGeometricChain:
         # tight)
         b = 8
         m = fourier.MATERIALIZE_BITS // b.bit_length() + 1
-        terms = fourier._GeometricTerms(CoefficientSequence("geometric", b),
-                                        ExactRational(F(b) ** m))
-        assert all(isinstance(terms[k], ReducedSmall) for k in (m, m + 1))
-        assert fourier._unexpanded_upper(terms[m + 1], 64)
-        for product, args in (
-                (fourier._factor_product,
-                 ([terms[k] for k in range(1, m + 2)], 64)),
-                (fourier._geometric_head, (terms, m + 1, 64))):
+        terms = fourier._terms(CoefficientSequence("geometric", b),
+                               ExactRational(F(b) ** m))
+        factors = terms.reduced(m + 1)
+        assert all(isinstance(r, ReducedSmall) for r in factors[m - 1:])
+        assert fourier._unexpanded_upper(factors[m], 64)
+        for product, args in ((fourier._factor_product, (factors, 64)),
+                              (terms.head, (m + 1, 64))):
             with pytest.raises(TailNotCertified, match="too large"):
                 product(*args)
 

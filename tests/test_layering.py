@@ -8,6 +8,9 @@ before it.  ``class_algebra`` and ``oracle`` are narrower, and the package
 Outside the package only the standard library is imported at module level,
 so ``import tau3`` loads no third-party module; ``THIRD_PARTY`` names the
 few a module may import inside its functions.
+
+In ``fourier`` one constructor, ``_terms``, picks the term reader of a
+sequence kind, and no other code there reads the kind.
 """
 
 import ast
@@ -111,3 +114,18 @@ def test_traced_names_resolve():
         module = importlib.import_module(f"tau3.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"{layer}.{name}"
+
+
+def test_only_terms_reads_the_sequence_kind():
+    tree = ast.parse((PACKAGE / "fourier.py").read_text())
+    terms = [fn for fn in tree.body
+             if isinstance(fn, ast.FunctionDef) and fn.name == "_terms"]
+    assert len(terms) == 1
+    inside = {id(node) for node in ast.walk(terms[0])}
+    reads = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "kind"
+             or isinstance(node, ast.Name)
+             and node.id in ("EXPLICIT", "FACTORIAL", "GEOMETRIC")]
+    outside = [f"line {node.lineno}: {ast.unparse(node)}"
+               for node in reads if id(node) not in inside]
+    assert reads and not outside, outside

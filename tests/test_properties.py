@@ -28,10 +28,9 @@ from tau3.errors import (BudgetExceeded, SnapError, SymmetryViolation,
 from tau3.fourier import (CHAIN_MAX_BASE, MATERIALIZE_BITS, TAIL_CUTOFF_CAP,
                           TAIL_WIDTH_TARGET, ExactRational, ReducedExact,
                           ReducedSmall, ScaledPower, _chebyshev,
-                          _cutoff_index, _factor_product, _geometric_head,
-                          _GeometricTerms, _log2_lower, _reductions,
-                          _structural_decay, arg_reduce, as_argument,
-                          atom_part, choose_cutoff, ft_point, tail_bound)
+                          _factor_product, _log2_lower, _terms, arg_reduce,
+                          as_argument, atom_part, choose_cutoff, ft_point,
+                          tail_bound)
 from tau3.intervals import (_EXACT_COS_TWELFTHS, PRECISION_PROFILES,
                             QUADRATIC_COS_COEFF, IntervalValue, _cos_series,
                             cos2pi, cos2pi_fixed, cos2pi_interval, exp_neg,
@@ -574,10 +573,10 @@ def test_integer_reduction_equals_the_fraction_reduction(seq, t, n):
     n = min(n, seq.length or n)
     old, old_refusal = reductions_until_refused(
         lambda k: fraction_reduce(seq.term(k), t), n)
-    terms = _reductions(seq, as_argument(t), 1)
-    readers = [lambda k: arg_reduce(seq.term(k), t), lambda k: next(terms)]
-    if seq.kind == "geometric":
-        readers.append(_GeometricTerms(seq, as_argument(t)).__getitem__)
+    # the reader of each kind, explicit lists included, read in index order
+    reader = _terms(seq, as_argument(t))
+    readers = [lambda k: arg_reduce(seq.term(k), t),
+               lambda k: reader.reduced(k)[-1]]
     for new, refusal in (reductions_until_refused(read, n)
                          for read in readers):
         assert refusal == old_refusal
@@ -587,8 +586,7 @@ def test_integer_reduction_equals_the_fraction_reduction(seq, t, n):
 
 def head_product(seq, n, t, bits):
     """``_factor_product`` of the first n reductions as an interval."""
-    lo, hi, s = _factor_product(
-        list(islice(_reductions(seq, as_argument(t), 1), n)), bits)
+    lo, hi, s = _factor_product(_terms(seq, as_argument(t)).reduced(n), bits)
     return IntervalValue(F(lo, 1 << s), F(hi, 1 << s))
 
 
@@ -689,7 +687,10 @@ def log_space_tail(seq, cutoff, t, bits) -> IntervalValue:
     """``tail_bound`` for the infinite kinds at t != 0 as a sum of
     ``log1m`` enclosures in ``Fraction``s, closed with ``exp_neg`` and a
     slack of 4 ulps per rounded step."""
-    if not _structural_decay(seq, t):
+    # values shrink by >= base once they are values, unless t is a power of
+    # another base beyond the materialization budget
+    if (isinstance(t, ScaledPower) and t.base != seq.base
+            and t.exponent * t.base.bit_length() > MATERIALIZE_BITS):
         raise TailNotCertified(
             "tail decay is only certified for the structured families")
     omega = quadratic_cos_threshold()
@@ -941,18 +942,17 @@ def geometric_values(seq, t):
 
 
 def geometric_head(seq, t, tail_cutoff):
-    """(terms, n): the factors ``ft_point`` hands to the head for this
+    """(terms, n): the reader ``ft_point`` takes the head from for this
     cutoff, and the head length."""
-    terms = _GeometricTerms(seq, as_argument(t))
-    return terms, (_cutoff_index(seq.base, terms.bounds)
-                   if tail_cutoff is None else tail_cutoff)
+    terms = _terms(seq, as_argument(t))
+    return terms, terms.cutoff() if tail_cutoff is None else tail_cutoff
 
 
 def chain_encloses_head(seq, t, tail_cutoff, bits) -> bool:
-    """``_geometric_head``'s integer enclosure at scale 2**s contains the
-    mpmath product of its cosines, worked 64 bits beyond s."""
+    """The geometric reader's integer head enclosure at scale 2**s contains
+    the mpmath product of its cosines, worked 64 bits beyond s."""
     terms, n = geometric_head(seq, t, tail_cutoff)
-    lo, hi, s = _geometric_head(terms, n, bits)
+    lo, hi, s = terms.head(n, bits)
     with mp.workprec(s + 64):
         truth = mp.ldexp(mp.fprod(
             cos_truth(v % 1)
