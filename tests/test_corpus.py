@@ -260,11 +260,7 @@ def draw_case(rng, op: str) -> str:
     t = draw_argument(rng, base_of(seq), seq.startswith("factorial"))
     if op == "choose_cutoff":
         return f"choose_cutoff {seq} {t}"
-    if op == "head":
-        return f"head {seq} {t} {draw_cutoff(rng, none=False)} " \
-               f"{rng.choice(BITS)}"
-    return f"tail_bound {seq} {t} {draw_cutoff(rng, none=False)} " \
-           f"{rng.choice(BITS)}"
+    return f"{op} {seq} {t} {draw_cutoff(rng, none=False)} {rng.choice(BITS)}"
 
 
 def draw_sequence_case(rng) -> str:
