@@ -17,20 +17,21 @@ rational give the same enclosure; beyond it only a magnitude bound is kept.
 
 Infinite products are split into an exactly evaluated head and a certified
 tail.  ``_terms`` gives one reader of the factors c_k * t per sequence kind,
-and the cutoff walk, the head and the tail all read through it, so no c_k * t
-is reduced twice in one call.  The geometric reader reads factor k by its
-index: for k >= e it is exactly p / (q * b**(k - e)), with t = p/q * b**e a
-rational (e = 0) or a power of the sequence's own base (a power of another
-base within the budget is folded into p), so its walks step through that
-value regime by one multiplication per index and reduce only outside it.
-The factorial reader keeps its reductions in a list that its head reads; an
-explicit list's head is the whole list unless cut, and its tail the finite
-rest.  Every head starts from one exact prefix, the leading factors whose
-cosine is 0, +-1/2 or +-1, multiplied as one integer over 2**j.  After it, a
-head is one integer factor loop on ``intervals.product_fixed``, floored onto
-2**-bits, except a geometric head of base b <= CHAIN_MAX_BASE: c_(k-1) * t =
-b * c_k * t, so factor k-1 is T_b(factor k), and one Chebyshev chain reads one
-factor, and makes one ``cos2pi_fixed`` call, per block of CHAIN_BLOCK + 1,
+and ``ft_point`` takes the cutoff, the head and the tail from one reader, so
+no c_k * t is reduced twice in one call.  The geometric reader reads factor k
+by its index: for k >= e it is exactly p / (q * b**(k - e)), with t = p/q *
+b**e a rational (e = 0) or a power of the sequence's own base (a power of
+another base within the budget is folded into p).  Its cutoff is one integer
+loop over that value regime, one multiplication per index and no reduction,
+and its tail walk steps through the regime alike and reduces only outside it.
+The factorial reader's cutoff walk keeps its reductions in a list that its
+head reads; an explicit list's head is the whole list unless cut, and its tail
+the finite rest.  Every head starts from one exact prefix, the leading factors
+whose cosine is 0, +-1/2 or +-1, multiplied as one integer over 2**j.  After
+it, a head is one integer factor loop on ``intervals.product_fixed``, floored
+onto 2**-bits, except a geometric head of base b <= CHAIN_MAX_BASE: c_(k-1) *
+t = b * c_k * t, so factor k-1 is T_b(factor k), and one Chebyshev chain reads
+one factor, and makes one ``cos2pi_fixed`` call, per block of CHAIN_BLOCK + 1,
 with Chebyshev steps in between (a step is a degree-b Horner evaluation, so
 larger bases keep the factor loop).  An infinite tail uses cos(2*pi*x) >= 1 -
 49*x**2 (certified on [0, omega] by ``intervals``) in one floored integer
@@ -45,7 +46,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import count, islice, repeat
-from math import factorial, lcm
+from math import factorial
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import (NotPointwiseEvaluable, ParameterError, TailNotCertified,
@@ -133,16 +134,31 @@ class ReducedSmall(Value):
         object.__setattr__(self, "neg_exp", neg_exp)
 
     @property
+    def _mantissa_log2_hi(self) -> int:
+        """M with num/den < 2**M <= 4 * num/den, from the bit lengths."""
+        return self.num.bit_length() - self.den.bit_length() + 1
+
+    @property
     def upper_exp(self) -> int:
-        """An integer e with 2**e certainly >= the represented value."""
-        m_log2_hi = self.num.bit_length() - self.den.bit_length() + 1
-        lg = _log2_lower(self.base)
-        return ((m_log2_hi * lg.denominator - self.neg_exp * lg.numerator)
-                // lg.denominator + 1)
+        """An integer e with 2**e certainly >= the represented value v, and
+        e < log2(v) + 3 + 1/32: neg_exp * log2(base) is bounded from below
+        within 6 * neg_exp / 2**m < 1/32, m = neg_exp.bit_length() + 8."""
+        m = self.neg_exp.bit_length() + 8
+        return (((self._mantissa_log2_hi << m)
+                 - self.neg_exp * _log2_lower(self.base, m)) >> m) + 1
 
     def dyadic_upper(self, floor_exp: int) -> tuple[int, int]:
         """(1, 2**-e), e = ``upper_exp`` clamped to [floor_exp, 0]: callers'
-        tests treat values below 2**floor_exp alike, and all values >= 1."""
+        tests treat values below 2**floor_exp alike, and all values >= 1.
+
+        log2(base) >= its bit length - 1, so ``upper_exp`` <= M + 1 - neg_exp
+        * (base.bit_length() - 1), M = ``_mantissa_log2_hi``; when that is at
+        most floor_exp, e is floor_exp without the m-bit logarithm, whose
+        cost grows with the square of neg_exp's length (a factorial exponent
+        may have thousands of digits)."""
+        if (self._mantissa_log2_hi - self.neg_exp * (self.base.bit_length() - 1)
+                < floor_exp):
+            return 1, 1 << -floor_exp
         return 1, 1 << -max(floor_exp, min(self.upper_exp, 0))
 
 
@@ -150,15 +166,24 @@ Reduced = Union[ReducedExact, ReducedSmall]
 
 
 @cache
-def _log2_lower(base: int) -> Fraction:
-    """Rational lower bound on log2(base), certified by integer comparison."""
-    if base & (base - 1) == 0:
-        return Fraction(base.bit_length() - 1)
-    # best p/48: log2(base) >= p/48 iff base**48 >= 2**p
-    b48 = base ** 48
-    p = b48.bit_length() - 1
-    assert b48 >= 1 << p
-    return Fraction(p, 48)
+def _log2_lower(base: int, m: int) -> int:
+    """L with L / 2**m <= log2(base) < (L + 6) / 2**m, for m >= 8.
+
+    The bits of log2(z), z = base / 2**n in [1, 2), by repeated squaring:
+    squaring z doubles its log2, and a square >= 2 gives bit 1 and is
+    halved.  x holds z at scale 2**m, every product floored, so x <= z and a
+    bit is 1 only if it certainly is: with the bits so far, log2(base) =
+    (n * 2**m + bits + log2(z)) / 2**m for a z that stays >= 1.  Each floor
+    loses a factor of at most 1 - 2**-m, so z / x <= (1 - 2**-m)**(-3 *
+    2**m) < 2**4.35 at the end, and z < 2**5.35.
+    """
+    n = base.bit_length() - 1
+    x, two, bits = base << m >> n, 2 << m, 0
+    for _ in range(m):
+        x, bits = x * x >> m, bits << 1
+        if x >= two:
+            x, bits = x >> 1, bits | 1
+    return n << m | bits
 
 
 def _materializable(base: int, exponent: int) -> bool:
@@ -401,7 +426,9 @@ def _terms(seq: CoefficientSequence, t: ArgumentSpec):
     """The reader of the factors c_k * t of ``seq`` for one call, the one
     place that reads the kind: ``cutoff()`` for ``choose_cutoff``, ``head(n,
     bits)`` -> (lo, hi, s) as ``_factor_product`` of factors 1 .. n,
-    ``tail(cutoff, bits)`` for ``tail_bound`` at t != 0, and ``reduced(n)``."""
+    ``tail(cutoff, bits)`` -> (lo, hi, s) of the factors after the cutoff at
+    t != 0, and ``reduced(n)``.  ``ft_point`` reads its head and its tail
+    from one reader."""
     if seq.kind == GEOMETRIC:
         return _GeometricTerms(seq, t)
     if seq.kind == FACTORIAL:
@@ -410,20 +437,24 @@ def _terms(seq: CoefficientSequence, t: ArgumentSpec):
 
 
 class _InfiniteTerms:
-    """The cutoff and tail of the geometric and factorial readers: one walk
+    """The cutoff walk and the tail of the geometric and factorial readers,
     over their ``bounds(floor_exp, start)``, the ``_tail_term_bound`` of
-    factors start, start + 1, ..."""
+    factors start, start + 1, ...  The factorial cutoff is the whole walk;
+    the geometric cutoff runs only its last steps, from the cap or from the
+    end of the value regime."""
 
     __slots__ = ()
 
     def head(self, n: int, bits: int) -> tuple[int, int, int]:
         return _factor_product(self.reduced(n), bits)
 
-    def cutoff(self) -> int:
+    def _cutoff_walk(self, start: int) -> int:
+        """The cutoff the walk over factors 1 .. TAIL_CUTOFF_CAP picks, when
+        no factor before ``start`` passes its tests."""
         omega, target, floor_exp = _cutoff_constants(self.base)
         small = False
-        for k, (n, q, is_value, _) in zip(range(1, TAIL_CUTOFF_CAP + 1),
-                                          self.bounds(floor_exp)):
+        for k, (n, q, is_value, _) in zip(range(start, TAIL_CUTOFF_CAP + 1),
+                                          self.bounds(floor_exp, start)):
             small = _at_most(n, q, omega)
             # conclude only from value-form terms: those certify the decay of
             # everything beyond; estimated remaining width ~ 200 * (d/base)^2
@@ -434,7 +465,7 @@ class _InfiniteTerms:
                                    f"{TAIL_CUTOFF_CAP} factors")
         return TAIL_CUTOFF_CAP
 
-    def tail(self, cutoff: int, bits: int) -> IntervalValue:
+    def tail(self, cutoff: int, bits: int) -> tuple[int, int, int]:
         # decay: t rational, a power of the own base, or one within budget
         _, _, b, e = self.fold
         if b != self.base and not _materializable(b, e):
@@ -461,7 +492,7 @@ class _InfiniteTerms:
                     and _at_most(y_n, y_d, y_close)):
                 lo = (lo * (one + (-y_n * bb << bits) // (y_d * (bb - 1)))
                       >> bits)
-                return IntervalValue(Fraction(lo, one), Fraction(1))
+                return lo, one, bits
             lo = lo * (one + (-y_n << bits) // y_d) >> bits
         raise TailNotCertified(
             f"tail arguments after index {cutoff} do not certifiably "
@@ -473,8 +504,8 @@ class _GeometricTerms(_InfiniteTerms, dict):
     filled on first read, so no index is reduced twice.
 
     ``regime`` is (p, q, lo, end): for lo <= k < end that reduction is the
-    value p / (q * base**(k - lo)) itself, which ``bounds`` reads without
-    reducing; ``end`` is the first index ``_reduce`` leaves unexpanded or
+    value p / (q * base**(k - lo)) itself, which ``cutoff`` and ``bounds``
+    read without reducing; ``end`` is the first index ``_reduce`` leaves unexpanded or
     refuses, and lo = end when no index has that form.
     """
 
@@ -495,6 +526,33 @@ class _GeometricTerms(_InfiniteTerms, dict):
 
     def reduced(self, n: int) -> list:
         return [self[k] for k in range(1, n + 1)]
+
+    def cutoff(self) -> int:
+        """The walk's cutoff by one integer loop over the value regime.
+
+        For lo <= k < end factor k is the value p / den, den = q * base**(k
+        - lo), so the walk's three tests (a value, at most omega, and 200 *
+        (p/den)**2 at most the target) hold exactly when p/den <= omega and
+        200 * (p/den)**2 <= target: omega <= 1/2, and from den >= 2p on the
+        distance to the integers is p/den itself.  No other index passes
+        before ``end``: below lo ``_reduce`` marks nothing as a value.  So
+        the loop steps den by one multiplication per index from max(lo, 1),
+        and without a pass up to the cap the walk's answer is its read at
+        the cap alone, also for an empty regime.  The walk goes on from
+        ``end`` itself only when that comes first, for bases of 410 bits or
+        more.
+        """
+        (o_n, o_d), (t_n, t_d), _ = _cutoff_constants(self.base)
+        p, q, lo, end = self.regime
+        k = max(lo, 1)
+        den = q * self.base ** (k - lo)
+        p_omega, p_target = p * o_d, 200 * p * p * t_d
+        while k < min(end, TAIL_CUTOFF_CAP + 1):
+            if p_omega <= o_n * den and p_target <= t_n * den * den:
+                return k
+            den *= self.base
+            k += 1
+        return self._cutoff_walk(min(k, TAIL_CUTOFF_CAP))
 
     def bounds(self, floor_exp: int, start: int = 1) -> Iterator[tuple]:
         """One multiplication by the base per index in the value regime."""
@@ -552,6 +610,9 @@ class _FactorialTerms(_InfiniteTerms):
         done = self.done
         return done[:n] if n <= len(done) else list(islice(self._walk(1), n))
 
+    def cutoff(self) -> int:
+        return self._cutoff_walk(1)
+
     def bounds(self, floor_exp: int, start: int = 1) -> Iterator[tuple]:
         return map(_tail_term_bound, self._walk(start), repeat(floor_exp))
 
@@ -577,10 +638,8 @@ class _ExplicitTerms:
     def head(self, n: int, bits: int) -> tuple[int, int, int]:
         return _factor_product(self.reduced(n), bits)
 
-    def tail(self, cutoff: int, bits: int) -> IntervalValue:
-        lo, hi, s = _factor_product(self.reduced(len(self.values), cutoff),
-                                    bits)
-        return IntervalValue(Fraction(lo, 1 << s), Fraction(hi, 1 << s))
+    def tail(self, cutoff: int, bits: int) -> tuple[int, int, int]:
+        return _factor_product(self.reduced(len(self.values), cutoff), bits)
 
 
 def tail_bound(seq: CoefficientSequence, cutoff: int, t,
@@ -605,7 +664,8 @@ def tail_bound(seq: CoefficientSequence, cutoff: int, t,
     t = as_argument(t)
     if isinstance(t, ExactRational) and t.value == 0:
         return IntervalValue.point(1)
-    return _terms(seq, t).tail(cutoff, bits)
+    lo, hi, s = _terms(seq, t).tail(cutoff, bits)
+    return IntervalValue(Fraction(lo, 1 << s), Fraction(hi, 1 << s))
 
 
 def choose_cutoff(seq: CoefficientSequence, t) -> int:
@@ -646,18 +706,15 @@ def atom_part(expr: MeasureExpr, t: ArgumentSpec, bits: int) -> IntervalValue:
 def _bernoulli_part(seq: CoefficientSequence, t: ArgumentSpec,
                     tail_cutoff: Optional[int],
                     bits: int) -> tuple[int, int, int]:
-    """(lo, hi, den): the head product times ``tail_bound``, clamped to
-    [-1, 1], over den; each c_k * t is reduced at most once."""
+    """(lo, hi, den): the head product times the tail (``tail_bound``'s
+    enclosure), clamped to [-1, 1], over den; both come from one reader, so
+    each c_k * t is reduced at most once."""
     terms = _terms(seq, t)
     n = terms.cutoff() if tail_cutoff is None else tail_cutoff
     h_lo, h_hi, s = terms.head(n, bits)
-    tail = tail_bound(seq, n, t, bits)
-    (t_lo, lo_den), (t_hi, hi_den) = (tail.lo.as_integer_ratio(),
-                                      tail.hi.as_integer_ratio())
-    den = lcm(lo_den, hi_den)
-    lo, hi = product_fixed(((h_lo, h_hi), (t_lo * (den // lo_den),
-                                           t_hi * (den // hi_den))), den << s)
-    return lo, hi, den << s
+    t_lo, t_hi, u = terms.tail(n, bits)
+    den = 1 << (s + u)
+    return (*product_fixed(((h_lo, h_hi), (t_lo, t_hi)), den), den)
 
 
 def ft_point(expr: MeasureExpr, t, tail_cutoff: Optional[int] = None,

@@ -390,6 +390,12 @@ class TestMalformedArguments:
         assert err.startswith("error: "), err
         assert "Traceback" not in err
 
+    def test_negative_cutoff_is_the_library_message(self, specs):
+        code, out, err = run_cli("eval", "--measure", specs["fact"],
+                                 "--t", "1/3", "--cutoff", "-5")
+        assert (code, out) == (1, "")
+        assert err == "error: ParameterError: tail cutoff -5 is negative\n"
+
 
 @pytest.mark.parametrize("tol", ["3/2", "1", "0", "-1/2"])
 def test_converge_rejects_a_tolerance_outside_0_1(tmp_path, tol):

@@ -154,6 +154,13 @@ class TestTailBound:
         assert tb.lo <= prod
         assert prod - tb.lo <= F(1, 10 ** 9)
 
+    def test_unexpanded_factor_with_a_long_mantissa(self):
+        # factor 8193 is exactly 1/1024 but held unexpanded: a lower bound
+        # on log2(12) off by 0.0016 bits per unit of neg_exp refused it
+        seq = CoefficientSequence("geometric", 12)
+        tb = tail_bound(seq, 8192, F(12 ** 8193, 1024), 64)
+        assert tb.hi == 1 and 1 - tb.lo < F(1, 1000)
+
     def test_not_certified_when_arguments_stay_large(self):
         # the first factor reduces to 1/3, above the certified threshold
         with pytest.raises(TailNotCertified):
@@ -210,11 +217,26 @@ def test_negative_cutoff_raises(m):
 
 
 class TestOneReductionPerFactor:
-    """``ft_point`` reduces each c_k * t at most once: the head takes the
-    reductions of ``choose_cutoff``'s pass and the tail goes on from there.
-    A geometric chain head reduces only its exact prefix, its block tops
-    and the index that ends the prefix; the value regime of the walks,
-    c_k * t = p / (q * b**(k - e)), is read without reducing."""
+    """``ft_point`` reduces each c_k * t at most once: one reader gives the
+    cutoff, the head and the tail.  A factorial head takes the reductions of
+    the cutoff walk and the tail goes on from there.  The geometric cutoff
+    reduces nothing in the value regime c_k * t = p / (q * b**(k - e)),
+    which it steps through with one integer per index, and the tail reads
+    that regime without reducing either; a geometric chain head reduces
+    only its exact prefix, its block tops and the index that ends the
+    prefix."""
+
+    @pytest.mark.parametrize("m", [
+        MeasureExpr.bernoulli_geometric(3), MeasureExpr.bernoulli_factorial(3),
+        MeasureExpr(bernoulli=CoefficientSequence(
+            "explicit", values=(F(1, 2), F(1, 5), F(1, 7))))],
+        ids=["geometric", "factorial", "explicit"])
+    def test_one_reader_per_call(self, m):
+        with mock.patch.object(fourier, "_terms", wraps=fourier._terms) as \
+                terms, mock.patch.object(fourier, "tail_bound",
+                                         side_effect=AssertionError):
+            ft_point(m, F(7, 5))
+        assert terms.call_count == 1
 
     @staticmethod
     def reduced_exponents(m, t, tail_cutoff, bits=None) -> list:

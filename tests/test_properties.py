@@ -28,7 +28,7 @@ from tau3.errors import (BudgetExceeded, SnapError, SymmetryViolation,
 from tau3.fourier import (CHAIN_MAX_BASE, MATERIALIZE_BITS, TAIL_CUTOFF_CAP,
                           TAIL_WIDTH_TARGET, ExactRational, ReducedExact,
                           ReducedSmall, ScaledPower, _chebyshev,
-                          _factor_product, _log2_lower, _terms, arg_reduce,
+                          _factor_product, _terms, arg_reduce,
                           as_argument, atom_part, choose_cutoff, ft_point,
                           tail_bound)
 from tau3.intervals import (_EXACT_COS_TWELFTHS, PRECISION_PROFILES,
@@ -475,11 +475,10 @@ class FractionSmall(NamedTuple):
 
     @property
     def upper_exp(self) -> int:
-        m = self.mantissa
-        m_log2_hi = m.numerator.bit_length() - m.denominator.bit_length() + 1
-        lg = _log2_lower(self.base)
-        return ((m_log2_hi * lg.denominator - self.neg_exp * lg.numerator)
-                // lg.denominator + 1)
+        """``ReducedSmall.upper_exp`` of the same value, which
+        ``test_upper_exp_is_a_tight_log2_bound`` checks against it."""
+        return ReducedSmall(*self.mantissa.as_integer_ratio(), self.base,
+                            self.neg_exp).upper_exp
 
 
 def fraction_reduce(c, t):
@@ -539,6 +538,24 @@ def same_reduction(new, old) -> bool:
             and (new.num, new.den) == old.mantissa.as_integer_ratio()
             and (new.base, new.neg_exp, new.upper_exp)
             == (old.base, old.neg_exp, old.upper_exp))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.integers(1, 10 ** 40), st.integers(1, 10 ** 40),
+       st.one_of(st.integers(2, 1000), st.integers(2, 40).map(lambda n: 1 << n),
+                 st.integers(2, 10 ** 12)),
+       st.integers(0, 3000), st.integers(-600, -1))
+def test_upper_exp_is_a_tight_log2_bound(num, den, base, neg_exp, floor_exp):
+    # log2(v) <= e < log2(v) + 3 + 1/32 for v = num / (den * base**neg_exp),
+    # checked in integers: v <= 2**e, and 2**(32 * (e - 3)) < 2 * v**32
+    g = math.gcd(num, den)
+    r = ReducedSmall(num // g, den // g, base, neg_exp)
+    e, below = r.upper_exp, den // g * base ** neg_exp
+    assert num // g << max(-e, 0) <= below << max(e, 0)
+    assert (below ** 32 << max(32 * (e - 3), 0)
+            < 2 * (num // g) ** 32 << max(-32 * (e - 3), 0))
+    # the short way for values far below 2**floor_exp clamps alike
+    assert r.dyadic_upper(floor_exp) == (1, 1 << -max(floor_exp, min(e, 0)))
 
 
 def reductions_until_refused(reduce_k, n):
@@ -770,9 +787,10 @@ def test_tail_product_lies_inside_the_log_space_tail(seq, t, cutoff, bits):
         assert new == old
 
 
-# every branch of the geometric index walk: the factor-loop bases 13-16,
+# every branch of the geometric cutoff loop: the factor-loop bases 13-16,
 # exponents past the cap (a head that never reaches its value regime, and
-# the refusal at 3**100), and arguments of another base
+# the refusal at 3**100), and arguments of another base, within the
+# materialization budget and beyond it (an empty value regime)
 cutoff_sequences = st.one_of(tail_sequences, st.builds(
     CoefficientSequence, st.just("geometric"), st.integers(13, 16),
     st.sampled_from((F(1), F(1, 3), F(5, 2)))))
@@ -780,7 +798,9 @@ cutoff_arguments = st.one_of(tail_arguments, st.builds(
     ScaledPower, st.builds(F, st.integers(1, 30), st.integers(1, 9)),
     st.integers(2, 16), st.integers(0, 120)), st.builds(
     ScaledPower, st.builds(F, st.integers(1, 30), st.integers(1, 9)),
-    st.just(3), st.integers(81, 120)))
+    st.just(3), st.integers(81, 120)), st.builds(
+    ScaledPower, st.builds(F, st.integers(1, 30), st.integers(1, 9)),
+    st.integers(2, 7), st.integers(40000, 40100)))
 
 
 @settings(max_examples=300, deadline=None, database=None)
