@@ -548,12 +548,12 @@ def same_reduction(new, old) -> bool:
 def test_upper_exp_is_a_tight_log2_bound(num, den, base, neg_exp, floor_exp):
     # log2(v) <= e < log2(v) + 3 + 1/32 for v = num / (den * base**neg_exp),
     # checked in integers: v <= 2**e, and 2**(32 * (e - 3)) < 2 * v**32
-    g = math.gcd(num, den)
-    r = ReducedSmall(num // g, den // g, base, neg_exp)
-    e, below = r.upper_exp, den // g * base ** neg_exp
-    assert num // g << max(-e, 0) <= below << max(e, 0)
+    num, den = F(num, den).as_integer_ratio()
+    r = ReducedSmall(num, den, base, neg_exp)
+    e, below = r.upper_exp, den * base ** neg_exp
+    assert num << max(-e, 0) <= below << max(e, 0)
     assert (below ** 32 << max(32 * (e - 3), 0)
-            < 2 * (num // g) ** 32 << max(-32 * (e - 3), 0))
+            < 2 * num ** 32 << max(-32 * (e - 3), 0))
     # the short way for values far below 2**floor_exp clamps alike
     assert r.dyadic_upper(floor_exp) == (1, 1 << -max(floor_exp, min(e, 0)))
 
