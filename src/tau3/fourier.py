@@ -58,7 +58,8 @@ from .measures import (FACTORIAL, GEOMETRIC, CoeffTerm,
                        CoefficientSequence, MeasureExpr, atom_plan, normalize,
                        plan_mass)
 
-#: beyond this many bits, powers of the base are never expanded to integers
+#: beyond this many bits ``_reduce`` does not expand a power of the base;
+#: ``ReducedSmall.dyadic_upper`` expands one only to compare it exactly
 MATERIALIZE_BITS = 1 << 15
 
 #: certified tail width target and head-length cap of ``choose_cutoff``
@@ -121,8 +122,10 @@ class ReducedSmall(Value):
     """|c*t| = num/den * base**(-neg_exp), held unexpanded; num/den is the
     mantissa in lowest terms.
 
-    base**neg_exp is beyond the materialization budget, so only magnitude
-    bounds are ever taken from it.
+    base**neg_exp is beyond the materialization budget, so ``_reduce``
+    does not expand it.  ``dyadic_upper`` alone reads the value, and it
+    expands the power only where that has at most 2 * (M - floor_exp)
+    bits, M = num.bit_length() - den.bit_length() + 1.
     """
 
     __slots__ = ("num", "den", "base", "neg_exp")
@@ -133,57 +136,30 @@ class ReducedSmall(Value):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "neg_exp", neg_exp)
 
-    @property
-    def _mantissa_log2_hi(self) -> int:
-        """M with num/den < 2**M <= 4 * num/den, from the bit lengths."""
-        return self.num.bit_length() - self.den.bit_length() + 1
-
-    @property
-    def upper_exp(self) -> int:
-        """An integer e with 2**e certainly >= the represented value v, and
-        e < log2(v) + 3 + 1/32: neg_exp * log2(base) is bounded from below
-        within 6 * neg_exp / 2**m < 1/32, m = neg_exp.bit_length() + 8."""
-        m = self.neg_exp.bit_length() + 8
-        return (((self._mantissa_log2_hi << m)
-                 - self.neg_exp * _log2_lower(self.base, m)) >> m) + 1
-
     def dyadic_upper(self, floor_exp: int) -> tuple[int, int]:
-        """(1, 2**-e), e = ``upper_exp`` clamped to [floor_exp, 0]: callers'
-        tests treat values below 2**floor_exp alike, and all values >= 1.
+        """(1, 2**-e) for the least e in [floor_exp, 0] with v <= 2**e, or
+        e = 0 for v > 1: callers' tests treat values below 2**floor_exp
+        alike, and all values >= 1.
 
-        log2(base) >= its bit length - 1, so ``upper_exp`` <= M + 1 - neg_exp
-        * (base.bit_length() - 1), M = ``_mantissa_log2_hi``; when that is at
-        most floor_exp, e is floor_exp without the m-bit logarithm, whose
-        cost grows with the square of neg_exp's length (a factorial exponent
-        may have thousands of digits)."""
-        if (self._mantissa_log2_hi - self.neg_exp * (self.base.bit_length() - 1)
-                < floor_exp):
+        num/den < 2**M and base >= 2**(base.bit_length() - 1), so v <
+        2**floor_exp when M - neg_exp * (base.bit_length() - 1) < floor_exp.
+        Otherwise neg_exp * (base.bit_length() - 1) <= M - floor_exp, and
+        base**neg_exp has at most twice that many bits: v is compared with
+        powers of two exactly, 2**(e - 2) < v < 2**e from the bit lengths
+        and one step down when v <= 2**(e - 1).
+        """
+        num, den = self.num, self.den
+        m = num.bit_length() - den.bit_length() + 1
+        if m - self.neg_exp * (self.base.bit_length() - 1) < floor_exp:
             return 1, 1 << -floor_exp
-        return 1, 1 << -max(floor_exp, min(self.upper_exp, 0))
+        den *= self.base ** self.neg_exp
+        e = num.bit_length() - den.bit_length() + 1
+        if _at_most(num, den, (1 << max(e - 1, 0), 1 << max(1 - e, 0))):
+            e -= 1
+        return 1, 1 << -max(floor_exp, min(e, 0))
 
 
 Reduced = Union[ReducedExact, ReducedSmall]
-
-
-@cache
-def _log2_lower(base: int, m: int) -> int:
-    """L with L / 2**m <= log2(base) < (L + 6) / 2**m, for m >= 8.
-
-    The bits of log2(z), z = base / 2**n in [1, 2), by repeated squaring:
-    squaring z doubles its log2, and a square >= 2 gives bit 1 and is
-    halved.  x holds z at scale 2**m, every product floored, so x <= z and a
-    bit is 1 only if it certainly is: with the bits so far, log2(base) =
-    (n * 2**m + bits + log2(z)) / 2**m for a z that stays >= 1.  Each floor
-    loses a factor of at most 1 - 2**-m, so z / x <= (1 - 2**-m)**(-3 *
-    2**m) < 2**4.35 at the end, and z < 2**5.35.
-    """
-    n = base.bit_length() - 1
-    x, two, bits = base << m >> n, 2 << m, 0
-    for _ in range(m):
-        x, bits = x * x >> m, bits << 1
-        if x >= two:
-            x, bits = x >> 1, bits | 1
-    return n << m | bits
 
 
 def _materializable(base: int, exponent: int) -> bool:
@@ -260,8 +236,8 @@ def _log2_floor(x: Fraction) -> int:
 
 def _unexpanded_upper(r: ReducedSmall, bits: int) -> tuple[int, int]:
     """``dyadic_upper`` of an unexpanded reduction, for the one-sided
-    cosine [cos(2*pi*v), 1]; raises TailNotCertified when v may exceed 1/2
-    (whatever ``bits`` is, since that needs ``upper_exp`` >= 0)."""
+    cosine [cos(2*pi*v), 1]; raises TailNotCertified when v > 1/2, at any
+    ``bits``."""
     # the kernel reads v only via ceil(2*pi*2**bits * v), which is 1 for
     # all v <= 2**-(bits+3)
     n, q = r.dyadic_upper(-(bits + 3))
@@ -397,8 +373,8 @@ def _tail_term_bound(r: Reduced, floor_exp: int) -> tuple[int, int, bool, bool]:
 @cache
 def _tail_constants(base: int, bits: int) -> tuple[tuple[int, int],
                                                    tuple[int, int], int]:
-    """(omega, y_close, floor_exp) of ``tail_bound``, the two thresholds as
-    integer pairs (numerator, denominator)."""
+    """(omega, y_close, floor_exp) of ``_InfiniteTerms.tail``, the two
+    thresholds as integer pairs (numerator, denominator)."""
     omega = quadratic_cos_threshold()
     bb = base * base
     y_close = min(Fraction(1, 1 << (bits // 2)), TAIL_WIDTH_TARGET / 16)

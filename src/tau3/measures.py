@@ -208,15 +208,6 @@ class MeasureExpr(Value):
     def is_zero(self) -> bool:
         return not self.atoms and not self.lebesgue and self.bernoulli is None
 
-    def mass(self) -> Fraction:
-        """Total mass; the Lebesgue component makes it infinite (raises)."""
-        if self.lebesgue:
-            raise ValueError("infinite-mass measure")
-        total = sum((w for _, w in self.atoms), Fraction(0))
-        if self.bernoulli is not None:
-            total += Fraction(1)
-        return total
-
     def describe(self) -> str:
         parts = []
         for p, w in self.atoms:
@@ -317,7 +308,10 @@ def atom_plan(expr: MeasureExpr) -> tuple[int, tuple]:
 
 
 def plan_mass(expr: MeasureExpr) -> Fraction:
-    """Finite mass of ``expr``: plan weights over D, +1 for a two-point part."""
+    """Total mass of ``expr``: plan weights over D, +1 for a two-point part.
+    Raises ValueError for a Lebesgue component, whose mass is infinite."""
+    if expr.lebesgue:
+        raise ValueError("infinite-mass measure")
     den, pairs = atom_plan(expr)
     two_point = expr.bernoulli is not None
     return Fraction(sum(v for *_, v in pairs) + two_point * den, den)

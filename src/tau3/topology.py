@@ -305,9 +305,21 @@ def _rises_to_1(tol: Fraction):
                         and all(b.lo >= a.lo for a, b in zip(ivs, ivs[1:])))
 
 
-def _per_index(seq: SequenceSpec, value) -> tuple:
-    """(n, description, value(n)) for every index of the sequence."""
-    return tuple((n, seq.describe(n), value(n)) for n in seq.indices())
+def _per_index(seq: SequenceSpec, value):
+    """(n, description, value(n)) for every index of the sequence, or an
+    Undetermined verdict on the indices before the first whose evaluation
+    is refused."""
+    per_n = []
+    for n in seq.indices():
+        try:
+            iv = value(n)
+        except (TailNotCertified, UnsupportedArgument) as exc:
+            return ConvergenceVerdict(
+                tuple(per_n), Conclusion.UNDETERMINED,
+                reason=f"{type(exc).__name__}: {exc}",
+                claim="evaluation failed before a conclusion was reached")
+        per_n.append((n, seq.describe(n), iv))
+    return tuple(per_n)
 
 
 def _conclude_generic(per_n, tol: Fraction) -> ConvergenceVerdict:
@@ -340,8 +352,10 @@ def test_sequence(expr: MeasureExpr, seq: SequenceSpec, tol=DEFAULT_TOLERANCE,
     The measure must have finite mass; enclosures are normalized to total
     mass 1.  Family-level reasoning (uniform single-factor bounds, window
     bounds) is applied for the structured catalog pairs, otherwise the
-    verdict is drawn from the per-index enclosures alone.  Raises
-    ParameterError unless 0 < tol < 1.
+    verdict is drawn from the per-index enclosures alone.  On every route
+    an index whose evaluation is refused ends the enclosures with an
+    Undetermined verdict that names the refusal.  Raises ParameterError
+    unless 0 < tol < 1.
     """
     bits = precision_bits(bits)
     tol = Fraction(tol)
@@ -365,17 +379,11 @@ def test_sequence(expr: MeasureExpr, seq: SequenceSpec, tol=DEFAULT_TOLERANCE,
         # other bases go through the generic per-index route
         return _test_window_bounded(expr, seq, tol, mass, bits)
 
-    per_n = []
-    for n in seq.indices():
-        try:
-            iv = _normalized_ft(expr, seq.argument(n), mass, bits)
-        except (TailNotCertified, UnsupportedArgument) as exc:
-            return ConvergenceVerdict(
-                tuple(per_n), Conclusion.UNDETERMINED,
-                reason=f"{type(exc).__name__}: {exc}",
-                claim="evaluation failed before a conclusion was reached")
-        per_n.append((n, seq.describe(n), iv))
-    return _conclude_generic(tuple(per_n), tol)
+    per_n = _per_index(
+        seq, lambda n: _normalized_ft(expr, seq.argument(n), mass, bits))
+    if isinstance(per_n, ConvergenceVerdict):
+        return per_n
+    return _conclude_generic(per_n, tol)
 
 
 def _test_factorial_matched(expr, seq, tol, mass, bits) -> ConvergenceVerdict:
@@ -392,6 +400,8 @@ def _test_factorial_matched(expr, seq, tol, mass, bits) -> ConvergenceVerdict:
 
     per_n = _per_index(
         seq, lambda n: _normalized_ft(expr, seq.argument(n), mass, bits))
+    if isinstance(per_n, ConvergenceVerdict):
+        return per_n
 
     if frac == 0:
         if not _atoms_witness_compatible(expr, seq.lam, seq.base):
@@ -466,6 +476,8 @@ def _test_window_bounded(expr, seq, tol, mass, bits) -> ConvergenceVerdict:
         return out.clamp(-1, 1).round_out(bits)
 
     per_n = _per_index(seq, value)
+    if isinstance(per_n, ConvergenceVerdict):
+        return per_n
     start = next((n for n in seq.indices() if seq.exponent(n) + r >= 2),
                  None)
     if start is None:

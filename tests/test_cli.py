@@ -151,6 +151,18 @@ class TestConverge:
         assert code == 2
         assert "conclusion: Undetermined" in out
 
+    def test_refused_evaluation_exits_undetermined(self, spec_writer):
+        # the matched factorial route reports the refusal as its reason
+        spec = spec_writer("fact_8_3.json", dict(
+            FACT, bernoulli={"kind": "factorial", "base": 3, "scale": "8/3"}))
+        code, out, err = run_cli(
+            "converge", "--measure", spec, "--family", "factorial",
+            "--lambda", "1/5", "--n", "80..81")
+        assert (code, err) == (2, "")
+        assert "conclusion: Undetermined" in out
+        assert ("reason: TailNotCertified: no certified tail start within "
+                "the first 80 factors") in out
+
     def test_explicit_points(self, specs, tmp_path):
         pair = tmp_path / "pair.json"
         pair.write_text(json.dumps({

@@ -64,16 +64,24 @@ class TestArgReduce:
         r = arg_reduce(FACT.term(8), t)
         assert isinstance(r, ReducedSmall)
         assert (r.base, r.neg_exp) == (3, factorial(8) - factorial(5))
-        # 2**e > 3**-40200, i.e. 3**40200 > 2**-e
-        e = r.upper_exp
-        assert e >= 0 or 3 ** 40200 > 1 << -e
+        # 1/q is the least power of two >= 3**-40200: q <= 3**40200 < 2q
+        one, q = r.dyadic_upper(-100000)
+        assert one == 1 and q <= 3 ** 40200 < 2 * q
 
     def test_huge_exponents_never_materialize(self):
         t = ScaledPower(F(1), 3, factorial(8))
         r = arg_reduce(FACT.term(9), t)
         assert isinstance(r, ReducedSmall)
-        # 2**e < 2**-100000
-        assert r.upper_exp < -100000
+        # 3**-322560 < 2**-100001, settled without expanding the power
+        assert r.dyadic_upper(-100001) == (1, 1 << 100001)
+
+    def test_dyadic_upper_at_the_boundary_of_the_short_test(self):
+        # 1 - 39 * (131.bit_length() - 1) = -272 is not below the floor, so
+        # the power is expanded: 131**-39 < 2**-274, clamped to the floor
+        r = ReducedSmall(1, 1, 131, 39)
+        assert r.dyadic_upper(-272) == (1, 1 << 272)
+        assert r.dyadic_upper(-300) == (1, 1 << 274)
+        assert 1 << 274 <= 131 ** 39 < 1 << 275
 
     def test_fractional_via_modular_exponentiation(self):
         # (2/5) * 3^4 = 162/5: fractional part 2/5

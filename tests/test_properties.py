@@ -17,7 +17,7 @@ from unittest import mock
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tau3.class_algebra import (LEBESGUE_CLASS, ClassExpr, RelationKind,
@@ -238,7 +238,7 @@ def test_ft_point_encloses_the_truth_under_each_profile(profile, m, t):
     with mp.workdps(digits_for(bits)):
         assert encloses(iv, transform_truth(m, t), digits_for(bits))
     # the profile's precision shows in the width
-    assert iv.width <= m.mass() * F(1, 1 << (bits - 16))
+    assert iv.width <= plan_mass(m) * F(1, 1 << (bits - 16))
 
 
 def evaluate_or_refuse(m, t):
@@ -473,12 +473,15 @@ class FractionSmall(NamedTuple):
     base: int
     neg_exp: int
 
-    @property
-    def upper_exp(self) -> int:
-        """``ReducedSmall.upper_exp`` of the same value, which
-        ``test_upper_exp_is_a_tight_log2_bound`` checks against it."""
-        return ReducedSmall(*self.mantissa.as_integer_ratio(), self.base,
-                            self.neg_exp).upper_exp
+    def bound(self, floor_exp: int) -> Fraction:
+        """The least 2**e with e in [floor_exp, 0] and v <= 2**e, or 1 for v
+        > 1, v = mantissa / base**neg_exp.  Past ``cap`` the power exceeds
+        2**cap > mantissa * 2**-floor_exp, so a shorter one decides alike."""
+        cap = self.mantissa.numerator.bit_length() - floor_exp
+        v = self.mantissa / F(self.base) ** min(self.neg_exp, cap)
+        k = fraction_log2_floor(v)
+        e = k if v == F(2) ** k else k + 1
+        return F(2) ** max(floor_exp, min(e, 0))
 
 
 def fraction_reduce(c, t):
@@ -536,26 +539,26 @@ def same_reduction(new, old) -> bool:
                 and F(new.num, new.den) == old.frac)
     return (isinstance(new, ReducedSmall)
             and (new.num, new.den) == old.mantissa.as_integer_ratio()
-            and (new.base, new.neg_exp, new.upper_exp)
-            == (old.base, old.neg_exp, old.upper_exp))
+            and (new.base, new.neg_exp) == (old.base, old.neg_exp))
 
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(st.integers(1, 10 ** 40), st.integers(1, 10 ** 40),
        st.one_of(st.integers(2, 1000), st.integers(2, 40).map(lambda n: 1 << n),
                  st.integers(2, 10 ** 12)),
-       st.integers(0, 3000), st.integers(-600, -1))
-def test_upper_exp_is_a_tight_log2_bound(num, den, base, neg_exp, floor_exp):
-    # log2(v) <= e < log2(v) + 3 + 1/32 for v = num / (den * base**neg_exp),
-    # checked in integers: v <= 2**e, and 2**(32 * (e - 3)) < 2 * v**32
+       st.one_of(st.integers(0, 40), st.integers(0, 3000)),
+       st.integers(-600, -1))
+@example(1, 1, 131, 39, -272)       # the short test's boundary, expanded
+@example(1, 1, 131, 40, -272)       # one step past it, settled short
+@example(10 ** 40, 1, 2, 0, -1)     # a value above 1
+@example(1, 1, 2, 5, -600)          # a value that is a power of two
+def test_dyadic_upper_is_the_least_power_of_two_above(num, den, base, neg_exp,
+                                                       floor_exp):
+    # both branches: the short test for values far below 2**floor_exp and
+    # the exact comparison, against the Fraction reference
     num, den = F(num, den).as_integer_ratio()
-    r = ReducedSmall(num, den, base, neg_exp)
-    e, below = r.upper_exp, den * base ** neg_exp
-    assert num << max(-e, 0) <= below << max(e, 0)
-    assert (below ** 32 << max(32 * (e - 3), 0)
-            < 2 * num ** 32 << max(-32 * (e - 3), 0))
-    # the short way for values far below 2**floor_exp clamps alike
-    assert r.dyadic_upper(floor_exp) == (1, 1 << -max(floor_exp, min(e, 0)))
+    n, q = ReducedSmall(num, den, base, neg_exp).dyadic_upper(floor_exp)
+    assert F(n, q) == FractionSmall(F(num, den), base, neg_exp).bound(floor_exp)
 
 
 def reductions_until_refused(reduce_k, n):
@@ -616,7 +619,7 @@ def fraction_head(seq, n, t, bits):
         if isinstance(r, FractionExact):
             factor = cos2pi(r.frac, bits)
         else:
-            v = F(2) ** max(-(bits + 3), min(r.upper_exp, 0))
+            v = r.bound(-(bits + 3))
             assert v <= F(1, 2)
             factor = IntervalValue(cos2pi(v, bits).lo, F(1))
         out = (out * factor).clamp(-1, 1)
@@ -675,7 +678,7 @@ def fraction_log2_floor(x: Fraction) -> int:
 def fraction_term_bound(r, floor_exp):
     """(d, is_value, unexpanded) for a reduced factor, d a ``Fraction``."""
     if isinstance(r, FractionSmall):
-        return F(2) ** max(floor_exp, min(r.upper_exp, 0)), True, True
+        return r.bound(floor_exp), True, True
     d = min(r.frac, 1 - r.frac)
     return d, r.is_value and r.frac == d, False
 
@@ -1248,7 +1251,8 @@ def test_plan_mass_equals_the_fraction_sum(pairs, kind, scale):
     atoms = [a for p, w in pairs for a in ((p, w), (-p, w))]
     bern = CoefficientSequence(kind, 3) if kind else None
     m = MeasureExpr(atoms=tuple(atoms), bernoulli=bern, scale=scale)
-    assert plan_mass(m) == m.mass() == normalize(m).mass()
+    total = sum((w for _, w in atoms), F(0)) + (bern is not None)
+    assert plan_mass(m) == plan_mass(normalize(m)) == total
 
 
 def test_plan_mass_on_the_zero_measure_an_atom_at_0_and_a_two_point_part():
@@ -1258,7 +1262,15 @@ def test_plan_mass_on_the_zero_measure_an_atom_at_0_and_a_two_point_part():
     assert plan_mass(MeasureExpr(atoms=((F(0), F(2, 3)),))) == F(2, 3)
     m = MeasureExpr(atoms=((F(0), F(1, 5)), (F(-1), F(1, 7)), (F(1), F(1, 7))),
                     bernoulli=CoefficientSequence("geometric", 3))
-    assert plan_mass(m) == m.mass() == F(1, 5) + F(2, 7) + 1
+    assert plan_mass(m) == F(1, 5) + F(2, 7) + 1
+
+
+def test_plan_mass_refuses_a_lebesgue_component():
+    for m in (MeasureExpr.lebesgue_measure(),
+              MeasureExpr.lebesgue_measure().plus(
+                  MeasureExpr.symmetric_pair(1))):
+        with pytest.raises(ValueError, match="infinite-mass measure"):
+            plan_mass(m)
 
 
 signed_weights = st.builds(F, st.integers(-2, 5), st.integers(1, 4))

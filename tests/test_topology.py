@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from tau3.errors import (NotPointwiseEvaluable, ParameterError,
-                         SymmetryViolation, UndeterminedError)
+                         SymmetryViolation, TailNotCertified,
+                         UndeterminedError)
 from tau3.intervals import cos2pi
 from tau3.measures import CoefficientSequence, MeasureExpr, scale_measure
 from tau3 import topology
@@ -223,6 +224,46 @@ class TestWeightSymmetry:
         seq = SequenceSpec("geometric", base=base, n_min=3, n_max=5)
         with pytest.raises(SymmetryViolation):
             run_test_sequence(self.LOPSIDED, seq)
+
+
+class TestRefusedEvaluation:
+    def test_matched_factorial_refusal_is_undetermined(self):
+        # factor k = n is (8/3) * (1/5) = 8/15 for every n, above omega, and
+        # at n = 80 the cap leaves no later factor to start the tail
+        m = MeasureExpr.bernoulli_factorial(3, F(8, 3))
+        v = run_test_sequence(m, seq_factorial(F(1, 5), 80, 81))
+        assert v.conclusion is Conclusion.UNDETERMINED
+        assert v.per_n == ()
+        assert v.reason == ("TailNotCertified: no certified tail start "
+                            "within the first 80 factors")
+
+    @pytest.mark.parametrize("route", ["factorial", "window", "generic"])
+    def test_every_route_stops_at_the_first_refusal(self, monkeypatch, route):
+        measure, seq = {
+            "factorial": (MeasureExpr.bernoulli_factorial(3),
+                          seq_factorial(1, 3, 6)),
+            # j_n = n - 5 < 1, so the window route evaluates every index
+            "window": (MeasureExpr.bernoulli_geometric(3),
+                       SequenceSpec("geometric", lam=F(1, 81), n_min=1,
+                                    n_max=5)),
+            "generic": (MeasureExpr.symmetric_pair(1, F(1)),
+                        SequenceSpec("explicit", values=(F(1), F(2), F(3)))),
+        }[route]
+        calls = []
+        evaluate = topology._normalized_ft
+
+        def refuse_second(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise TailNotCertified("refused")
+            return evaluate(*args)
+
+        monkeypatch.setattr(topology, "_normalized_ft", refuse_second)
+        v = run_test_sequence(measure, seq)
+        assert v.conclusion is Conclusion.UNDETERMINED
+        assert [n for n, _, _ in v.per_n] == [seq.indices()[0]]
+        assert v.reason == "TailNotCertified: refused"
+        assert len(calls) == 2
 
 
 class TestGenericSequences:
