@@ -38,7 +38,9 @@ larger bases keep the factor loop).  An infinite tail uses cos(2*pi*x) >= 1 -
 product at scale 2**bits; its upper bound is 1.  ``ft_point`` adds the atom
 sum and head times tail as integers over one denominator, and clamps and
 rounds once.  No flag records exactness: equal integer ends give the point
-itself.
+itself.  The atom sum makes one ``cos2pi_fixed`` call per distinct angle:
+pairs whose p * t mod 1 folds to the same value add their integer weights
+first, which gives the same integers as one call per pair.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import count, islice, repeat
-from math import factorial
+from math import factorial, gcd
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import (NotPointwiseEvaluable, ParameterError, TailNotCertified,
@@ -661,14 +663,30 @@ def choose_cutoff(seq: CoefficientSequence, t) -> int:
 def _atom_sum(expr: MeasureExpr, t: ArgumentSpec,
               bits: int) -> tuple[int, int, int]:
     """(lo, hi, D * 2**bits): integer ends of the atom sum over D * 2**bits,
-    one kernel call per atom pair +-p of the ``atom_plan``."""
+    one kernel call per distinct angle of the atom pairs +-p of the
+    ``atom_plan``.
+
+    ``cos2pi_fixed(r, q, bits)`` reads only the value of r/q mod 1 up to
+    reflection: ``niven_twice``, its fold into [0, 1/4] and the series'
+    x = ceil(r*tp_hi/q) all do.  So pairs whose p*t mod 1 folds to the same
+    min(r, q - r)/q in lowest terms share one call, and as the weights v
+    are integers, sum(v_i * k) = (sum v_i) * k gives the same ends exactly.
+    """
     den, pairs = atom_plan(expr)
     sn, sd, b, e = _fold(1, t)
-    lo = hi = 0
+    weights = {}
     for pn, pd, v in pairs:
         # p*t mod 1 over the denominator pd*sd, where pow reduces b**e
         q = pd * sd
-        k_lo, k_hi = cos2pi_fixed(pn * sn * pow(b, e, q), q, bits)
+        r = pn * sn * pow(b, e, q) % q
+        if 2 * r > q:
+            r = q - r
+        g = gcd(r, q)
+        key = r // g, q // g
+        weights[key] = weights.get(key, 0) + v
+    lo = hi = 0
+    for (r, q), v in weights.items():
+        k_lo, k_hi = cos2pi_fixed(r, q, bits)
         lo, hi = lo + v * k_lo, hi + v * k_hi
     return lo, hi, den << bits
 

@@ -22,7 +22,9 @@ the benchmark tracer and the tests' log-space reference tail use them.
 Soundness contract: the true value always lies inside the returned interval.
 ``log1m`` and ``exp_neg`` run floored and ceiled series chains with one ulp of
 slack per step.  The cosine runs one floored Taylor chain with guard bits and
-an a-priori error bound (_cos_series), so its ends are at most 2 ulps apart.
+an a-priori error bound (_cos_series), so its ends are at most 2 ulps apart;
+the chain takes two terms per pass from one table of divisors, sized for
+every scale up to KERNEL_MAX_BITS.
 A term x / (j * 2**s) is floored (ceiled) as (x >> s) // j, equal for x >= 0.
 
 No flag records exactness: an enclosure of width zero is the value itself,
@@ -46,6 +48,7 @@ import os
 from fractions import Fraction
 from functools import cache
 from itertools import count
+from math import log2
 from typing import Union
 
 from .errors import ParameterError, PrecisionSettingError, Value
@@ -228,10 +231,41 @@ def _coerce(x) -> IntervalValue:
 _EXACT_COS_TWELFTHS = {0: 2, 2: 1, 3: 0, 4: -1, 6: -2, 8: -1, 9: 0, 10: 1}
 
 
+#: highest scale the cosine kernel serves, above MAX_BITS plus the extra
+#: bits of a geometric chain, 16 * ceil(log2 b**2) + 16 = 144 at its largest
+#: base 12 (``fourier._chain_product``; tested)
+KERNEL_MAX_BITS = 4400
+
+
+def _series_divisors(bits: int) -> tuple[tuple[int, int, int], ...]:
+    """(e, k_j, k_(j+1)) for j = 1, 3, 5, ...: the divisors k_j = (2j-1)*2j
+    of ``_cos_series`` in (subtracted, added) pairs, with its error bound
+    e = 4j + 8 for a chain whose first zero term is t_j (e + 4 for t_(j+1)).
+
+    At scale w = bits + g every term obeys t_j <= T_j < 2**w * (5/2)**j /
+    (2j)!, so the table runs to the first pair after which the log2 of that
+    bound is below 0: the chain stops within it for every ``bits`` up to the
+    given one.  The log2 is summed in floats; were the table ever a pair
+    short, ``_cos_series`` would raise, not return a short sum."""
+    table, log2_t = [], bits + bits.bit_length() + 4
+    while log2_t >= 0:
+        j = 2 * len(table) + 1
+        k_sub, k_add = (2 * j - 1) * 2 * j, (2 * j + 1) * (2 * j + 2)
+        table.append((4 * j + 8, k_sub, k_add))
+        log2_t += log2(6.25 / (k_sub * k_add))
+    return tuple(table)
+
+
+_COS_DIVISORS = _series_divisors(KERNEL_MAX_BITS)
+
+
 def _cos_series(r: int, q: int, bits: int) -> tuple[int, int, int]:
     """(s, e, g): |s - 2**w * cos(2*pi*r/q)| < e at scale w = bits + g, for
     0 < r/q <= 1/4, from one floored Taylor chain at the upper argument; the
-    g guard bits keep e < 2**(g-4) at every precision up to 4096 (tested).
+    g guard bits keep e < 2**(g-4) at every precision up to KERNEL_MAX_BITS
+    (tested).  The chain takes two terms per pass, with the divisors of
+    ``_COS_DIVISORS``; a ``bits`` beyond what that table covers raises
+    ParameterError, never a short sum.
 
     U = 2*pi*r/q * 2**w is below x = ceil(r*tp_hi/q), tp_hi > 2*pi*2**w, by
     less than r/q + 1; cos is 1-Lipschitz, so 2**w * cos(x/2**w) is within 2
@@ -252,11 +286,17 @@ def _cos_series(r: int, q: int, bits: int) -> tuple[int, int, int]:
     x = _ceil_div(r * two_pi_bounds(w)[1], q)
     x2 = x * x >> w
     t = s = 1 << w
-    for n in count(1):
-        t = (t * x2 >> w) // ((2 * n - 1) * 2 * n)
+    for e, k_sub, k_add in _COS_DIVISORS:
+        t = (t * x2 >> w) // k_sub
         if not t:
-            return s, 4 * n + 8, g
-        s = s - t if n & 1 else s + t
+            return s, e, g
+        s -= t
+        t = (t * x2 >> w) // k_add
+        if not t:
+            return s, e + 4, g
+        s += t
+    raise ParameterError(f"the cosine series at bits={bits} needs more than "
+                         f"{2 * len(_COS_DIVISORS)} terms")
 
 
 def niven_twice(p: int, q: int) -> int | None:

@@ -353,9 +353,10 @@ def test_sequence(expr: MeasureExpr, seq: SequenceSpec, tol=DEFAULT_TOLERANCE,
     mass 1.  Family-level reasoning (uniform single-factor bounds, window
     bounds) is applied for the structured catalog pairs, otherwise the
     verdict is drawn from the per-index enclosures alone.  On every route
-    an index whose evaluation is refused ends the enclosures with an
-    Undetermined verdict that names the refusal.  Raises ParameterError
-    unless 0 < tol < 1.
+    an index whose evaluation is refused ends the enclosures, and its
+    reason names the refusal; the verdict is Undetermined unless a uniform
+    single-factor bound holds without them.  Raises ParameterError unless
+    0 < tol < 1.
     """
     bits = precision_bits(bits)
     tol = Fraction(tol)
@@ -392,7 +393,9 @@ def _test_factorial_matched(expr, seq, tol, mass, bits) -> ConvergenceVerdict:
     The factor at k = n has constant argument m = scale * lam for every n,
     which yields either a uniform single-factor bound (fractional m away
     from 0 and 1/2) or, for integer m with compatible atoms, a certified
-    convergence claim whose tail bound improves monotonically in n.
+    convergence claim whose tail bound improves monotonically in n.  The
+    uniform bound holds at every n, evaluated or not, so there a refused
+    index only ends the enclosures; elsewhere it ends in Undetermined.
     """
     bern = expr.bernoulli
     m = bern.scale * seq.lam
@@ -400,6 +403,28 @@ def _test_factorial_matched(expr, seq, tol, mass, bits) -> ConvergenceVerdict:
 
     per_n = _per_index(
         seq, lambda n: _normalized_ft(expr, seq.argument(n), mass, bits))
+    if frac not in (0, Fraction(1, 2)):
+        refusal = None
+        if isinstance(per_n, ConvergenceVerdict):
+            refusal = (f"per-n ends at n={seq.indices()[len(per_n.per_n)]}: "
+                       f"{per_n.reason}")
+            per_n = per_n.per_n
+        bmag = cos2pi(frac, bits).mag_hi()
+        # the analytic uniform gap, additionally clipped by the per-index
+        # enclosures so one rounding ulp can never violate the verdict
+        # contract
+        gap = min([(1 - bmag) / mass] + [1 - iv.hi for _, _, iv in per_n])
+        if gap <= 0:
+            return ConvergenceVerdict(
+                per_n, Conclusion.UNDETERMINED,
+                reason="single-factor bound not separated from 1",
+                claim="factor enclosure too wide")
+        return ConvergenceVerdict(
+            per_n, Conclusion.BOUNDED_AWAY_FROM_1, gap=gap,
+            from_index=seq.n_min, reason=refusal, beyond_horizon=True,
+            claim=(f"|FT(t_n)| <= (atoms + |cos(2*pi*{frac})|)/mass "
+                   f"uniformly in n via the factor k = n; certified gap "
+                   f"{float(gap):.6g}"))
     if isinstance(per_n, ConvergenceVerdict):
         return per_n
 
@@ -423,28 +448,11 @@ def _test_factorial_matched(expr, seq, tol, mass, bits) -> ConvergenceVerdict:
                    f"n={start} and the closing-term exponent n*n! grows "
                    f"strictly, so the bound improves beyond the horizon"))
 
-    if frac == Fraction(1, 2):
-        return ConvergenceVerdict(
-            per_n, Conclusion.UNDETERMINED,
-            reason="half-integer factor ratio: the single-factor bound "
-                   "degenerates to |cos(pi)| = 1",
-            claim="no verdict at the degenerate ratio 1/2")
-
-    factor = cos2pi(frac, bits)
-    bmag = factor.mag_hi()
-    # the analytic uniform gap, additionally clipped by the per-index
-    # enclosures so one rounding ulp can never violate the verdict contract
-    gap = min([(1 - bmag) / mass] + [1 - iv.hi for _, _, iv in per_n])
-    if gap <= 0:
-        return ConvergenceVerdict(
-            per_n, Conclusion.UNDETERMINED,
-            reason="single-factor bound not separated from 1",
-            claim="factor enclosure too wide")
     return ConvergenceVerdict(
-        per_n, Conclusion.BOUNDED_AWAY_FROM_1, gap=gap,
-        from_index=seq.n_min, beyond_horizon=True,
-        claim=(f"|FT(t_n)| <= (atoms + |cos(2*pi*{frac})|)/mass uniformly "
-               f"in n via the factor k = n; certified gap {float(gap):.6g}"))
+        per_n, Conclusion.UNDETERMINED,
+        reason="half-integer factor ratio: the single-factor bound "
+               "degenerates to |cos(pi)| = 1",
+        claim="no verdict at the degenerate ratio 1/2")
 
 
 def _test_window_bounded(expr, seq, tol, mass, bits) -> ConvergenceVerdict:

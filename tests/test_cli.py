@@ -151,17 +151,20 @@ class TestConverge:
         assert code == 2
         assert "conclusion: Undetermined" in out
 
-    def test_refused_evaluation_exits_undetermined(self, spec_writer):
-        # the matched factorial route reports the refusal as its reason
+    def test_refused_evaluation_keeps_the_uniform_bound(self, spec_writer):
+        # the matched factorial route concludes from the factor k = n alone
+        # and reports where the refusal ended the enclosures
         spec = spec_writer("fact_8_3.json", dict(
             FACT, bernoulli={"kind": "factorial", "base": 3, "scale": "8/3"}))
         code, out, err = run_cli(
             "converge", "--measure", spec, "--family", "factorial",
             "--lambda", "1/5", "--n", "80..81")
-        assert (code, err) == (2, "")
-        assert "conclusion: Undetermined" in out
-        assert ("reason: TailNotCertified: no certified tail start within "
-                "the first 80 factors") in out
+        assert (code, err) == (0, "")
+        assert "conclusion: BoundedAwayFrom1" in out
+        assert "beyond-horizon: true" in out
+        assert ("reason: per-n ends at n=80: TailNotCertified: no certified "
+                "tail start within the first 80 factors") in out
+        assert out.endswith("per-n:\nEND\n")
 
     def test_explicit_points(self, specs, tmp_path):
         pair = tmp_path / "pair.json"

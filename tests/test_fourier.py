@@ -17,6 +17,7 @@ from tau3.errors import (NotPointwiseEvaluable, ParameterError,
 from tau3.fourier import (ExactRational, ReducedExact, ReducedSmall,
                           ScaledPower, arg_reduce, choose_cutoff, ft_point,
                           tail_bound)
+from tau3.intervals import KERNEL_MAX_BITS, MAX_BITS
 from tau3.measures import (CoefficientSequence, MeasureExpr,
                            bernoulli_partial, convolve_atoms, normalize,
                            scale_measure)
@@ -354,6 +355,11 @@ class TestGeometricChain:
         if cutoff == 300:       # the tail is negligible there
             assert iv.width <= F(1, 1 << 250)
 
+    def test_kernel_serves_every_chain_precision(self):
+        for b in range(2, fourier.CHAIN_MAX_BASE + 1):
+            w = fourier._chain_product([], 0, b, MAX_BITS)[2]
+            assert w <= KERNEL_MAX_BITS, b
+
     def test_exact_prefix_is_one_integer(self):
         # c_k * t = 2**(70-k)/3: the first 71 factors are exact
         seq, t = CoefficientSequence("geometric", 2), F(2 ** 70, 3)
@@ -383,6 +389,19 @@ class TestGeometricChain:
                               (terms.head, (m + 1, 64))):
             with pytest.raises(TailNotCertified, match="too large"):
                 product(*args)
+
+
+class TestAtomSum:
+    def test_one_kernel_call_per_distinct_angle(self, monkeypatch):
+        # at t = 1 the angles k/7 fold to 0, 1/7, 2/7 and 3/7
+        atoms = tuple(a for k in range(1, 71)
+                      for a in ((F(k, 7), F(1)), (F(-k, 7), F(1))))
+        kernel = mock.Mock(wraps=fourier.cos2pi_fixed)
+        monkeypatch.setattr(fourier, "cos2pi_fixed", kernel)
+        iv = fourier.atom_part(MeasureExpr(atoms=atoms), F(1), 128)
+        assert kernel.call_count == 4
+        # ten full turns of the seventh roots of unity sum to 0
+        assert iv.lo < 0 < iv.hi and iv.width <= F(1, 1 << 110)
 
 
 class TestFtPoint:

@@ -9,9 +9,10 @@ import pytest
 from tau3 import topology
 from tau3.errors import ParameterError, PrecisionSettingError
 from tau3.fourier import ft_point
-from tau3.intervals import (IntervalValue, _cos_series, cos2pi,
-                            cos2pi_interval, exp_neg, log1m, precision_bits,
-                            quadratic_cos_threshold, two_pi_bounds)
+from tau3.intervals import (KERNEL_MAX_BITS, IntervalValue, _cos_series,
+                            cos2pi, cos2pi_interval, exp_neg, log1m,
+                            precision_bits, quadratic_cos_threshold,
+                            two_pi_bounds)
 from tau3.invariants import FactorSpec, distinguish
 from tau3.measures import MeasureExpr
 
@@ -60,9 +61,17 @@ class TestCosine:
         # and with the working scale; the guard is constant on each
         # bit-length band of the precision, so e is largest for its guard at
         # the top of a band
-        for bits in (64, 127, 255, 511, 1023, 2047, 4095, 4096):
+        for bits in (64, 127, 255, 511, 1023, 2047, 4095, 4096,
+                     KERNEL_MAX_BITS):
             _, e, g = _cos_series(1, 4, bits)
             assert e < 1 << (g - 4), bits
+
+    def test_series_beyond_its_table_raises(self):
+        # twice the table's precision needs about 550 terms, not 308: the
+        # series raises rather than return a short sum
+        with pytest.raises(ParameterError,
+                           match="bits=8800 needs more than 308 terms"):
+            _cos_series(1, 4, 2 * KERNEL_MAX_BITS)
 
     def test_requested_bits_control_width(self):
         q = Fraction(1, 7)

@@ -31,14 +31,15 @@ from tau3.fourier import (CHAIN_MAX_BASE, MATERIALIZE_BITS, TAIL_CUTOFF_CAP,
                           _factor_product, _terms, arg_reduce,
                           as_argument, atom_part, choose_cutoff, ft_point,
                           tail_bound)
-from tau3.intervals import (_EXACT_COS_TWELFTHS, PRECISION_PROFILES,
+from tau3.intervals import (_EXACT_COS_TWELFTHS, KERNEL_MAX_BITS, MAX_BITS,
+                            MIN_BITS, PRECISION_PROFILES,
                             QUADRATIC_COS_COEFF, IntervalValue, _cos_series,
                             cos2pi, cos2pi_fixed, cos2pi_interval, exp_neg,
                             log1m, niven_twice, quadratic_cos_threshold,
                             two_pi_bounds)
 from tau3.measures import (CoeffTerm, CoefficientSequence, MeasureExpr,
-                           bernoulli_partial, convolve_atoms, normalize,
-                           plan_mass, scale_measure)
+                           atom_plan, bernoulli_partial, convolve_atoms,
+                           normalize, plan_mass, scale_measure)
 from tau3.oracle import discretize
 from tau3 import fourier, topology
 from tau3.topology import (WINDOW_THRESHOLD, Conclusion, ConvergenceVerdict,
@@ -122,6 +123,37 @@ def test_cos_series_error_is_below_its_bound(rq, bits):
     with mp.workprec(bits + g + 40):
         truth = mp.cos(2 * mp.pi * r / q) * mp.mpf(2) ** (bits + g)
         assert abs(s - truth) < e
+
+
+def one_term_cos_series(r, q, bits):
+    """``_cos_series`` as one term per loop pass: the divisor (2n-1)*2n and
+    the sign of each term computed in the pass."""
+    g = bits.bit_length() + 4
+    w = bits + g
+    x = -(-r * two_pi_bounds(w)[1] // q)
+    x2 = x * x >> w
+    t = s = 1 << w
+    for n in count(1):
+        t = (t * x2 >> w) // ((2 * n - 1) * 2 * n)
+        if not t:
+            return s, 4 * n + 8, g
+        s = s - t if n & 1 else s + t
+
+
+#: the working precision of a base-12 geometric chain at MAX_BITS
+CHAIN_BITS_12 = fourier._chain_product([], 0, 12, MAX_BITS)[2]
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(folded_arguments, st.integers(MIN_BITS, KERNEL_MAX_BITS))
+@example((1, 4), 4096)
+@example((1, 4), CHAIN_BITS_12)
+@example((1, 4), KERNEL_MAX_BITS)
+@example((3, 13), 4096)
+@example((10 ** 12 - 1, 4 * 10 ** 12), CHAIN_BITS_12)
+def test_cos_series_equals_the_one_term_loop(rq, bits):
+    # both parities of the first zero term occur: the two exits of a pass
+    assert _cos_series(*rq, bits) == one_term_cos_series(*rq, bits)
 
 
 @PROPERTY_SETTINGS
@@ -303,6 +335,57 @@ def test_atom_part_equals_the_naive_fraction_sum(profile, m, arg):
     t, value = arg
     iv = atom_part(m, t, bits)
     assert (iv.lo, iv.hi, iv.exact) == naive_atom_sum(m, value, bits)
+
+
+@st.composite
+def atoms_sharing_angles(draw):
+    """Mirrored pairs at k/d with small d, so that at a small-denominator t
+    many pairs share an angle or its reflection; k = 0 puts an atom at 0."""
+    pairs = draw(st.lists(st.tuples(st.integers(0, 24), st.integers(1, 12),
+                                    weights), min_size=1, max_size=12))
+    return MeasureExpr(atoms=tuple(a for k, d, w in pairs
+                                   for a in ((F(k, d), w), (F(-k, d), w))))
+
+
+def per_pair_atom_sum(m: MeasureExpr, t, bits: int):
+    """The integer atom sum with one kernel call per pair of the atom plan,
+    at the angle p * s * b**e mod 1 over the denominator of p * s."""
+    den, pairs = atom_plan(m)
+    s, b, e = ((t.scale, t.base, t.exponent) if isinstance(t, ScaledPower)
+               else (abs(t), 1, 0))
+    lo = hi = 0
+    for pn, pd, v in pairs:
+        q = pd * s.denominator
+        k_lo, k_hi = cos2pi_fixed(pn * s.numerator * pow(b, e, q), q, bits)
+        lo, hi = lo + v * k_lo, hi + v * k_hi
+    return lo, hi, den << bits
+
+
+def one_third(k):
+    return MeasureExpr(atoms=((F(k, 3), F(1)), (F(-k, 3), F(1))))
+
+
+@pytest.mark.parametrize("bits", (64, 256))
+@PROPERTY_SETTINGS
+@given(m=atoms_sharing_angles(),
+       t=st.one_of(small_rationals,
+                   st.builds(ScaledPower,
+                             st.builds(F, st.integers(1, 40),
+                                       st.integers(1, 12)),
+                             st.integers(2, 5),
+                             st.one_of(st.integers(0, 30),
+                                       st.just(math.factorial(8))))))
+@example(m=one_third(1).plus(one_third(2)), t=F(1))   # Niven, 1/3 and 2/3
+@example(m=MeasureExpr(atoms=((F(1, 5), F(1)), (F(-1, 5), F(1)),
+                              (F(3, 10), F(2)), (F(-3, 10), F(2)))),
+         t=F(2))                          # 2/5 and 3/5: one non-Niven angle
+@example(m=MeasureExpr(atoms=((F(0), F(1)), (F(2, 7), F(1)),
+                              (F(-2, 7), F(1)))),
+         t=ScaledPower(F(1, 5), 3, math.factorial(8)))   # unexpanded n!
+def test_atom_sum_equals_the_per_pair_loop(bits, m, t):
+    m = normalize(m)
+    assert (fourier._atom_sum(m, as_argument(t), bits)
+            == per_pair_atom_sum(m, t, bits))
 
 
 @PROPERTY_SETTINGS

@@ -227,15 +227,44 @@ class TestWeightSymmetry:
 
 
 class TestRefusedEvaluation:
-    def test_matched_factorial_refusal_is_undetermined(self):
+    def test_matched_factorial_refusal_keeps_the_uniform_bound(self):
         # factor k = n is (8/3) * (1/5) = 8/15 for every n, above omega, and
-        # at n = 80 the cap leaves no later factor to start the tail
+        # at n = 80 the cap leaves no later factor to start the tail; the
+        # bound |FT(t_n)| <= |cos(2*pi*8/15)| needs no enclosure
         m = MeasureExpr.bernoulli_factorial(3, F(8, 3))
         v = run_test_sequence(m, seq_factorial(F(1, 5), 80, 81))
-        assert v.conclusion is Conclusion.UNDETERMINED
+        assert v.conclusion is Conclusion.BOUNDED_AWAY_FROM_1
         assert v.per_n == ()
-        assert v.reason == ("TailNotCertified: no certified tail start "
-                            "within the first 80 factors")
+        assert v.from_index == 80 and v.beyond_horizon
+        assert v.gap == 1 - cos2pi(F(8, 15)).mag_hi()
+        assert v.reason == ("per-n ends at n=80: TailNotCertified: no "
+                            "certified tail start within the first 80 "
+                            "factors")
+
+    def test_refusal_clips_the_uniform_gap_by_the_evaluated_indices(
+            self, monkeypatch):
+        # m = 3/8: the gap is the smaller of the analytic bound and the
+        # enclosures before the refused index
+        measure = MeasureExpr.bernoulli_factorial(3, F(3, 8))
+        seq = seq_factorial(1, 3, 6)
+        whole = run_test_sequence(measure, seq)
+        calls = []
+        evaluate = topology._normalized_ft
+
+        def refuse_third(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise TailNotCertified("refused")
+            return evaluate(*args)
+
+        monkeypatch.setattr(topology, "_normalized_ft", refuse_third)
+        v = run_test_sequence(measure, seq)
+        assert v.conclusion is Conclusion.BOUNDED_AWAY_FROM_1
+        assert v.per_n == whole.per_n[:2]
+        assert v.reason == "per-n ends at n=5: TailNotCertified: refused"
+        bound = 1 - cos2pi(F(3, 8)).mag_hi()
+        assert v.gap == min([bound] + [1 - iv.hi for _, _, iv in v.per_n])
+        assert v.gap >= whole.gap
 
     @pytest.mark.parametrize("route", ["factorial", "window", "generic"])
     def test_every_route_stops_at_the_first_refusal(self, monkeypatch, route):
