@@ -17,15 +17,15 @@ rational give the same enclosure; beyond it only a magnitude bound is kept.
 
 Infinite products are split into an exactly evaluated head and a certified
 tail.  ``_terms`` gives one reader of the factors c_k * t per sequence kind,
-and ``ft_point`` takes the cutoff, the head and the tail from one reader, so
-no c_k * t is reduced twice in one call.  The geometric reader reads factor k
-by its index: for k >= e it is exactly p / (q * b**(k - e)), with t = p/q *
-b**e a rational (e = 0) or a power of the sequence's own base (a power of
-another base within the budget is folded into p).  Its cutoff is one integer
-loop over that value regime, one multiplication per index and no reduction,
-and its tail walk steps through the regime alike and reduces only outside it.
-The factorial reader's cutoff walk keeps its reductions in a list that its
-head reads; an explicit list's head is the whole list unless cut, and its tail
+and ``ft_point`` takes the cutoff, the head and the tail from one reader.
+Every reader is a dict from k to the reduction of c_k * t that lives for the
+call, so no c_k * t is reduced twice in one call.  The geometric reader reads
+factor k by its index: for k >= e it is exactly p / (q * b**(k - e)), with t
+= p/q * b**e a rational (e = 0) or a power of the sequence's own base (a
+power of another base within the budget is folded into p).  Its cutoff is
+one integer loop over that value regime, one multiplication per index and no
+reduction, and its tail walk steps through the regime alike and reduces only
+outside it.  An explicit list's head is the whole list unless cut, and its tail
 the finite rest.  Every head starts from one exact prefix, the leading factors
 whose cosine is 0, +-1/2 or +-1, multiplied as one integer over 2**j.  After
 it, a head is one integer factor loop on ``intervals.product_fixed``, floored
@@ -47,8 +47,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import count, islice, repeat
-from math import factorial, gcd
+from itertools import count
+from math import gcd
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import (NotPointwiseEvaluable, ParameterError, TailNotCertified,
@@ -375,7 +375,7 @@ def _tail_term_bound(r: Reduced, floor_exp: int) -> tuple[int, int, bool, bool]:
 @cache
 def _tail_constants(base: int, bits: int) -> tuple[tuple[int, int],
                                                    tuple[int, int], int]:
-    """(omega, y_close, floor_exp) of ``_InfiniteTerms.tail``, the two
+    """(omega, y_close, floor_exp) of ``_Terms.tail``, the two
     thresholds as integer pairs (numerator, denominator)."""
     omega = quadratic_cos_threshold()
     bb = base * base
@@ -405,26 +405,49 @@ def _terms(seq: CoefficientSequence, t: ArgumentSpec):
     place that reads the kind: ``cutoff()`` for ``choose_cutoff``, ``head(n,
     bits)`` -> (lo, hi, s) as ``_factor_product`` of factors 1 .. n,
     ``tail(cutoff, bits)`` -> (lo, hi, s) of the factors after the cutoff at
-    t != 0, and ``reduced(n)``.  ``ft_point`` reads its head and its tail
-    from one reader."""
+    t != 0, and ``reduced(n, start)``.  ``ft_point`` reads its head and its
+    tail from one reader."""
     if seq.kind == GEOMETRIC:
         return _GeometricTerms(seq, t)
     if seq.kind == FACTORIAL:
-        return _FactorialTerms(seq, t)
+        return _Terms(seq, t)
     return _ExplicitTerms(seq, t)
 
 
-class _InfiniteTerms:
-    """The cutoff walk and the tail of the geometric and factorial readers,
-    over their ``bounds(floor_exp, start)``, the ``_tail_term_bound`` of
-    factors start, start + 1, ...  The factorial cutoff is the whole walk;
-    the geometric cutoff runs only its last steps, from the cap or from the
-    end of the value regime."""
+class _Terms(dict):
+    """The base of every reader, and the factorial reader itself: a dict
+    from k to ``_reduce`` of c_k * t that lives for one call, filled on
+    first read by ``__missing__``, so no index is reduced twice.
 
-    __slots__ = ()
+    Its cutoff walk and its tail read ``bounds(floor_exp, start)``, the
+    ``_tail_term_bound`` of factors start, start + 1, ...  The factorial
+    cutoff is the whole walk; the geometric cutoff runs only its last
+    steps, from the cap or from the end of the value regime.
+    """
+
+    __slots__ = ("seq", "base", "fold")
+
+    def __init__(self, seq: CoefficientSequence, t: ArgumentSpec):
+        self.seq, self.base, self.fold = seq, seq.base, _fold(seq.scale, t)
+
+    def __missing__(self, k: int) -> Reduced:
+        r = self[k] = _reduce(self.fold, self.base, self.seq.exponent(k))
+        return r
+
+    def reduced(self, n: int, start: int = 0) -> list:
+        """The reductions of factors start + 1 .. n, n clamped to the length
+        of a finite list."""
+        n = min(n, self.seq.length or n)
+        return [self[k] for k in range(start + 1, n + 1)]
 
     def head(self, n: int, bits: int) -> tuple[int, int, int]:
         return _factor_product(self.reduced(n), bits)
+
+    def cutoff(self) -> int:
+        return self._cutoff_walk(1)
+
+    def bounds(self, floor_exp: int, start: int = 1) -> Iterator[tuple]:
+        return (_tail_term_bound(self[k], floor_exp) for k in count(start))
 
     def _cutoff_walk(self, start: int) -> int:
         """The cutoff the walk over factors 1 .. TAIL_CUTOFF_CAP picks, when
@@ -477,33 +500,25 @@ class _InfiniteTerms:
             f"decay within {guard} consecutive factors")
 
 
-class _GeometricTerms(_InfiniteTerms, dict):
-    """The geometric reader: a dict from k to ``_reduce`` of c_k * t,
-    filled on first read, so no index is reduced twice.
+class _GeometricTerms(_Terms):
+    """The geometric reader.
 
-    ``regime`` is (p, q, lo, end): for lo <= k < end that reduction is the
-    value p / (q * base**(k - lo)) itself, which ``cutoff`` and ``bounds``
-    read without reducing; ``end`` is the first index ``_reduce`` leaves unexpanded or
-    refuses, and lo = end when no index has that form.
+    ``regime`` is (p, q, lo, end): for lo <= k < end the reduction of c_k *
+    t is the value p / (q * base**(k - lo)) itself, which ``cutoff`` and
+    ``bounds`` read without reducing; ``end`` is the first index ``_reduce``
+    leaves unexpanded or refuses, and lo = end when no index has that form.
     """
 
-    __slots__ = ("base", "fold", "regime")
+    __slots__ = ("regime",)
 
     def __init__(self, seq: CoefficientSequence, t: ArgumentSpec):
-        self.base, self.fold = seq.base, _fold(seq.scale, t)
+        super().__init__(seq, t)
         p, q, b, e = self.fold
         # the first k with base**k beyond _materializable
         end = MATERIALIZE_BITS // self.base.bit_length() + 1
         self.regime = ((p, q, e, e + end) if b == self.base else
                        (p * b ** e, q, 0, end) if _materializable(b, e)
                        else (p, q, end, end))
-
-    def __missing__(self, k: int) -> Reduced:
-        r = self[k] = _reduce(self.fold, self.base, k)
-        return r
-
-    def reduced(self, n: int) -> list:
-        return [self[k] for k in range(1, n + 1)]
 
     def cutoff(self) -> int:
         """The walk's cutoff by one integer loop over the value regime.
@@ -552,7 +567,7 @@ class _GeometricTerms(_InfiniteTerms, dict):
         first unexpanded factor: unexpanded values fall as k grows, so the
         first refuses if any does, as ``_factor_product`` would."""
         if self.base > CHAIN_MAX_BASE:
-            return _factor_product(self.reduced(n), bits)
+            return super().head(n, bits)
         num, j = _niven_prefix(self[k] for k in range(1, n + 1))
         tops = [self[k] for k in range(n, j, -(CHAIN_BLOCK + 1))]
         *_, first = self.regime          # the first unexpanded index
@@ -565,59 +580,24 @@ class _GeometricTerms(_InfiniteTerms, dict):
         return lo, hi, j + w
 
 
-class _FactorialTerms(_InfiniteTerms):
-    """The factorial reader.  Its walks are short and its head reads every
-    factor, so ``done`` keeps the reductions of c_1, c_2, ... in a list."""
-
-    __slots__ = ("base", "fold", "done")
-
-    def __init__(self, seq: CoefficientSequence, t: ArgumentSpec):
-        self.base, self.fold, self.done = seq.base, _fold(seq.scale, t), []
-
-    def _walk(self, start: int) -> Iterator[Reduced]:
-        """Reductions of c_k, k >= start; each extending ``done`` is kept."""
-        done, fold, base = self.done, self.fold, self.base
-        for k in count(start):
-            r = (done[k - 1] if k <= len(done) else
-                 _reduce(fold, base, factorial(k)))
-            if k == len(done) + 1:
-                done.append(r)
-            yield r
-
-    def reduced(self, n: int) -> list:
-        done = self.done
-        return done[:n] if n <= len(done) else list(islice(self._walk(1), n))
-
-    def cutoff(self) -> int:
-        return self._cutoff_walk(1)
-
-    def bounds(self, floor_exp: int, start: int = 1) -> Iterator[tuple]:
-        return map(_tail_term_bound, self._walk(start), repeat(floor_exp))
-
-
-class _ExplicitTerms:
+class _ExplicitTerms(_Terms):
     """The reader of a finite list: its cutoff is the whole list, and its
     tail the product of the factors after the cutoff."""
 
-    __slots__ = ("values", "fold")
+    __slots__ = ()
 
-    def __init__(self, seq: CoefficientSequence, t: ArgumentSpec):
-        self.values, self.fold = seq.values, _fold(seq.scale, t)
-
-    def reduced(self, n: int, start: int = 0) -> list:
-        """The reductions of factors start + 1 .. n."""
+    def __missing__(self, k: int) -> Reduced:
         p, q, b, e = self.fold
-        return [_reduce((p * v.numerator, q * v.denominator, b, e), None, 0)
-                for v in self.values[start:n]]
+        v = self.seq.values[k - 1]
+        r = self[k] = _reduce((p * v.numerator, q * v.denominator, b, e),
+                              None, 0)
+        return r
 
     def cutoff(self) -> int:
-        return len(self.values)
-
-    def head(self, n: int, bits: int) -> tuple[int, int, int]:
-        return _factor_product(self.reduced(n), bits)
+        return self.seq.length
 
     def tail(self, cutoff: int, bits: int) -> tuple[int, int, int]:
-        return _factor_product(self.reduced(len(self.values), cutoff), bits)
+        return _factor_product(self.reduced(self.seq.length, cutoff), bits)
 
 
 def tail_bound(seq: CoefficientSequence, cutoff: int, t,

@@ -138,14 +138,15 @@ def s_bounds(spec: FactorSpec,
     table = table or AxiomTable.default()
     m = spec.spectral_measure
     rules: list[str] = []
-    aug = _augment_with_unit(class_of(m))
+    cls = class_of(m)
+    aug = _augment_with_unit(cls)
     upper = series_class(aug).with_note("series of unit-augmented measure")
     rules.append("rule:SeriesUpperBound")
 
     lower = None
     w_exact = None
     tau_bar = None
-    if class_of(m).ac_lebesgue and table.has("R-CORE"):
+    if cls.ac_lebesgue and table.has("R-CORE"):
         lower = LEBESGUE_CLASS
         w_exact = LEBESGUE_CLASS
         rules.append("axiom:R-CORE")
@@ -155,9 +156,8 @@ def s_bounds(spec: FactorSpec,
             tau_bar = "usual topology of the line"
             rules.append("axiom:TauBarFromFullCore")
     if _is_exact_lebesgue_plus_unit(m) and table.has("R-EXACT"):
-        exact = class_of(m)
-        lower = exact
-        upper = exact.with_note("exact value by the state-form core rule")
+        lower = cls
+        upper = cls.with_note("exact value by the state-form core rule")
         rules.append("axiom:R-EXACT")
 
     if w_exact is not None:

@@ -306,20 +306,24 @@ def _rises_to_1(tol: Fraction):
 
 
 def _per_index(seq: SequenceSpec, value):
-    """(n, description, value(n)) for every index of the sequence, or an
-    Undetermined verdict on the indices before the first whose evaluation
-    is refused."""
+    """(per_n, refusal): (n, description, value(n)) for the indices of the
+    sequence before the first whose evaluation is refused, and that refusal
+    as "<Exception>: <message>", or None when no index is refused."""
     per_n = []
     for n in seq.indices():
         try:
             iv = value(n)
         except (TailNotCertified, UnsupportedArgument) as exc:
-            return ConvergenceVerdict(
-                tuple(per_n), Conclusion.UNDETERMINED,
-                reason=f"{type(exc).__name__}: {exc}",
-                claim="evaluation failed before a conclusion was reached")
+            return tuple(per_n), f"{type(exc).__name__}: {exc}"
         per_n.append((n, seq.describe(n), iv))
-    return tuple(per_n)
+    return tuple(per_n), None
+
+
+def _refused(per_n, refusal: str) -> ConvergenceVerdict:
+    """The Undetermined verdict on the enclosures before a refused index."""
+    return ConvergenceVerdict(
+        per_n, Conclusion.UNDETERMINED, reason=refusal,
+        claim="evaluation failed before a conclusion was reached")
 
 
 def _conclude_generic(per_n, tol: Fraction) -> ConvergenceVerdict:
@@ -380,10 +384,10 @@ def test_sequence(expr: MeasureExpr, seq: SequenceSpec, tol=DEFAULT_TOLERANCE,
         # other bases go through the generic per-index route
         return _test_window_bounded(expr, seq, tol, mass, bits)
 
-    per_n = _per_index(
+    per_n, refusal = _per_index(
         seq, lambda n: _normalized_ft(expr, seq.argument(n), mass, bits))
-    if isinstance(per_n, ConvergenceVerdict):
-        return per_n
+    if refusal is not None:
+        return _refused(per_n, refusal)
     return _conclude_generic(per_n, tol)
 
 
@@ -401,14 +405,11 @@ def _test_factorial_matched(expr, seq, tol, mass, bits) -> ConvergenceVerdict:
     m = bern.scale * seq.lam
     frac = m % 1
 
-    per_n = _per_index(
+    per_n, refusal = _per_index(
         seq, lambda n: _normalized_ft(expr, seq.argument(n), mass, bits))
     if frac not in (0, Fraction(1, 2)):
-        refusal = None
-        if isinstance(per_n, ConvergenceVerdict):
-            refusal = (f"per-n ends at n={seq.indices()[len(per_n.per_n)]}: "
-                       f"{per_n.reason}")
-            per_n = per_n.per_n
+        if refusal is not None:
+            refusal = f"per-n ends at n={seq.n_min + len(per_n)}: {refusal}"
         bmag = cos2pi(frac, bits).mag_hi()
         # the analytic uniform gap, additionally clipped by the per-index
         # enclosures so one rounding ulp can never violate the verdict
@@ -425,8 +426,8 @@ def _test_factorial_matched(expr, seq, tol, mass, bits) -> ConvergenceVerdict:
             claim=(f"|FT(t_n)| <= (atoms + |cos(2*pi*{frac})|)/mass "
                    f"uniformly in n via the factor k = n; certified gap "
                    f"{float(gap):.6g}"))
-    if isinstance(per_n, ConvergenceVerdict):
-        return per_n
+    if refusal is not None:
+        return _refused(per_n, refusal)
 
     if frac == 0:
         if not _atoms_witness_compatible(expr, seq.lam, seq.base):
@@ -483,9 +484,9 @@ def _test_window_bounded(expr, seq, tol, mass, bits) -> ConvergenceVerdict:
             Fraction(1) / mass)
         return out.clamp(-1, 1).round_out(bits)
 
-    per_n = _per_index(seq, value)
-    if isinstance(per_n, ConvergenceVerdict):
-        return per_n
+    per_n, refusal = _per_index(seq, value)
+    if refusal is not None:
+        return _refused(per_n, refusal)
     start = next((n for n in seq.indices() if seq.exponent(n) + r >= 2),
                  None)
     if start is None:

@@ -290,6 +290,33 @@ class TestOneReductionPerFactor:
         block = fourier.CHAIN_BLOCK + 1
         assert len(head) <= j + -(-(cutoff - j) // block) + 1
 
+    @pytest.mark.parametrize("m, t, tail_cutoff", [
+        (MeasureExpr.bernoulli_factorial(3),
+         ScaledPower(F(1, 5), 3, factorial(5)), None),
+        (MeasureExpr.bernoulli_factorial(3), F(7, 5), None),
+        (MeasureExpr.bernoulli_geometric(13), F(7, 5), 30),
+        (MeasureExpr(bernoulli=CoefficientSequence(
+            "explicit", values=(F(1, 2), F(1, 5), F(1, 7), F(1, 11)))),
+         F(7, 5), 2),
+    ], ids=["fact-5!", "fact-7/5", "geo13-factor-loop", "explicit-cut"])
+    def test_no_reduction_repeats(self, m, t, tail_cutoff):
+        # whole argument tuples: an explicit list reduces (None, 0) at
+        # every index, so its exponents alone would repeat
+        with mock.patch.object(fourier, "_reduce",
+                               wraps=fourier._reduce) as reduce:
+            ft_point(m, t, tail_cutoff=tail_cutoff)
+        calls = [c.args for c in reduce.call_args_list]
+        assert calls and len(set(calls)) == len(calls)
+
+    def test_explicit_reader_ends_at_its_list(self):
+        # a cutoff beyond the list cuts nothing: the head is the whole list
+        # and the tail the empty product
+        seq = CoefficientSequence("explicit", values=(F(1, 2), F(1, 5),
+                                                      F(1, 7)))
+        terms = fourier._terms(seq, ExactRational(F(7, 5)))
+        assert terms.head(5, 64) == terms.head(3, 64)
+        assert terms.tail(5, 64) == (1, 1, 0)
+
     def test_a_long_head_reads_its_block_tops(self):
         # 3,000 head factors: 178 reductions, the factor ending the (empty)
         # exact prefix and the 177 block tops; the tail is in the value

@@ -10,7 +10,8 @@ so ``import tau3`` loads no third-party module; ``THIRD_PARTY`` names the
 few a module may import inside its functions.
 
 In ``fourier`` one constructor, ``_terms``, picks the term reader of a
-sequence kind, and no other code there reads the kind.
+sequence kind, and no other code there reads the kind; an index is reduced
+only in a reader's ``__missing__``, the fill of its per-call memo.
 """
 
 import ast
@@ -129,3 +130,19 @@ def test_only_terms_reads_the_sequence_kind():
     outside = [f"line {node.lineno}: {ast.unparse(node)}"
                for node in reads if id(node) not in inside]
     assert reads and not outside, outside
+
+
+def test_only_the_memo_reduces_an_index():
+    # arg_reduce is the public one-off reduction; every reader reduces in
+    # its __missing__ alone
+    tree = ast.parse((PACKAGE / "fourier.py").read_text())
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef)
+              and fn.name in ("arg_reduce", "__missing__")
+              for node in ast.walk(fn)}
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "_reduce"]
+    outside = [f"line {node.lineno}: {ast.unparse(node)}"
+               for node in calls if id(node) not in inside]
+    assert calls and not outside, outside
