@@ -408,7 +408,21 @@ def bernoulli_partial(seq: CoefficientSequence, n: int,
     Total mass is exactly 1 and the support is symmetric.
     """
     den, counts = bernoulli_lattice(seq, n, atom_budget)
-    total = 1 << n
+    return lattice_measure(den, 1 << n, counts)
+
+
+def lattice_measure(den: int, total: int, counts: dict) -> MeasureExpr:
+    """The canonical atomic measure with an atom at p/den of weight
+    w/total for each item p: w of ``counts``.
+
+    Raises SymmetryViolation unless every w is positive and equal to the
+    weight at -p.
+    """
+    for p, w in counts.items():
+        if w <= 0 or counts.get(-p) != w:
+            raise SymmetryViolation(
+                f"atom at {Fraction(p, den)} of weight {Fraction(w, total)} "
+                f"is not positive with a mirror of equal weight")
     return _canonical(MeasureExpr(atoms=tuple(
         (Fraction(p, den), Fraction(w, total))
         for p, w in sorted(counts.items()))))

@@ -21,7 +21,8 @@ from .errors import (NotPointwiseEvaluable, ParameterError, RangeError,
                      SnapError, StepMismatch, Value)
 from .fourier import ft_point
 from .measures import (CoefficientSequence, MeasureExpr, bernoulli_lattice,
-                       check_atom_budget, convolve_atoms, normalize)
+                       check_atom_budget, convolve_atoms, lattice_measure,
+                       normalize)
 
 #: |t| * extent cap keeping cos arguments accurate to ~1e-12
 FLOAT_SAFETY = float(1 << 20)
@@ -68,44 +69,55 @@ def discretize(expr: MeasureExpr, step, bernoulli_depth: int = 8,
     expansion, read as integers off ``bernoulli_lattice``.  Atoms must land
     on grid points when ``strict_snap`` is set; otherwise they snap to the
     nearest point, ties to even.  Mass is preserved exactly up to float
-    summation (well within 1e-12).
+    summation (well within 1e-12).  Raises ParameterError for a step <= 0,
+    or a depth < 1 with a two-point part.
     """
     step = Fraction(step)
+    if step <= 0:
+        raise ParameterError(f"grid step must be positive, got {step}")
+    if expr.bernoulli is not None and bernoulli_depth < 1:
+        raise ParameterError(
+            f"bernoulli depth must be at least 1, got {bernoulli_depth}")
     expr = normalize(expr)
     if expr.lebesgue:
         raise NotPointwiseEvaluable(
             "the Lebesgue component cannot be discretized without a window")
-    # (point numerator, point denominator, weight), accumulated in this
-    # order: the partial expansion by ascending point, then the atoms
-    placed = []
+    # runs (den, [(p, weight)]) of points p/den ascending, summed in order
+    runs = []
     if expr.bernoulli is not None:
-        depth = bernoulli_depth
-        if expr.bernoulli.length is not None:
-            depth = min(depth, expr.bernoulli.length)
+        depth = min(bernoulli_depth, expr.bernoulli.length or bernoulli_depth)
         den, counts = bernoulli_lattice(expr.bernoulli, depth)
         total = 1 << depth
-        placed = [(p, den, w / total) for p, w in sorted(counts.items())]
-    placed += [(p.numerator, p.denominator, float(w)) for p, w in expr.atoms]
-    if not placed:
-        return GridMeasure(Fraction(0), step, [0.0])
-
-    idx = []
-    for p, den, w in placed:
-        # p/den = (i + r/d) * step
-        d = den * step.numerator
-        i, r = divmod(p * step.denominator, d)
-        if r:
-            if strict_snap:
-                raise SnapError(f"atom at {Fraction(p, den)} is off the grid "
-                                f"of step {step}")
-            if 2 * r > d or (2 * r == d and i % 2):  # round half to even
-                i += 1
-        idx.append((i, w))
-    lo = min(i for i, _ in idx)
-    hi = max(i for i, _ in idx)
-    weights = [0.0] * (hi - lo + 1)
-    for i, w in idx:
-        weights[i - lo] += w
+        runs.append((den, [(p, w / total) for p, w in sorted(counts.items())]))
+    if expr.atoms:
+        den = math.lcm(*(p.denominator for p, _ in expr.atoms))
+        runs.append((den, [(p.numerator * (den // p.denominator),
+                            w.numerator / w.denominator)  # exactly float(w)
+                           for p, w in expr.atoms]))
+    num, dnm = step.numerator, step.denominator
+    placed = []
+    for den, pairs in runs:
+        d = den * num  # p/den = (i + r/d) * step
+        q, r = divmod(dnm, d)
+        if not r:  # the whole run lies on the grid
+            placed.append([(p * q, w) for p, w in pairs])
+            continue
+        placed.append([])
+        for p, w in pairs:
+            i, r = divmod(p * dnm, d)
+            if r:
+                if strict_snap:
+                    raise SnapError(f"atom at {Fraction(p, den)} is off the "
+                                    f"grid of step {step}")
+                if 2 * r > d or (2 * r == d and i % 2):  # round half to even
+                    i += 1
+            placed[-1].append((i, w))
+    # rounding keeps order, so each run's ends bound its indices
+    lo = min((run[0][0] for run in placed), default=0)
+    weights = [0.0] * (max((run[-1][0] for run in placed), default=0) - lo + 1)
+    for run in placed:
+        for i, w in run:
+            weights[i - lo] += w
     return GridMeasure(step * lo, step, weights)
 
 
@@ -155,16 +167,17 @@ class OracleReport(Value):
 
 def _random_atom_measure(rng, max_atoms: int = 12,
                          dyadic: bool = False) -> MeasureExpr:
-    atoms = {}
     denoms = (1, 2, 4, 8) if dyadic else (1, 2, 3, 4, 6, 9, 27)
+    pden, wden = (8, 8) if dyadic else (108, 840)  # lcms of the denominators
+    counts = {}
     for _ in range(rng.randint(1, max_atoms)):
-        p = Fraction(rng.randint(0, 24), rng.choice(denoms))
-        w = Fraction(rng.randint(1, 8),
-                     rng.choice((2, 4, 8)) if dyadic else rng.randint(1, 8))
-        atoms[p] = atoms.get(p, 0) + w
-        if p != 0:
-            atoms[-p] = atoms.get(-p, 0) + w
-    return normalize(MeasureExpr(atoms=tuple(atoms.items())))
+        p = rng.randint(0, 24) * (pden // rng.choice(denoms))
+        w = rng.randint(1, 8) * (wden // (rng.choice((2, 4, 8)) if dyadic
+                                          else rng.randint(1, 8)))
+        counts[p] = counts.get(p, 0) + w
+        if p:
+            counts[-p] = counts.get(-p, 0) + w
+    return lattice_measure(pden, wden, counts)
 
 
 def _random_truncated_bernoulli(rng, max_depth: int = 12) -> MeasureExpr:
@@ -257,7 +270,5 @@ def oracle_suite(cases: int = 1000, seed: int = 20240, depth: int = 12,
 
 
 def _finest_step(seq) -> Fraction:
-    den = 1
-    for v in seq.values:
-        den = math.lcm(den, (Fraction(v) * seq.scale).denominator)
-    return Fraction(1, den)
+    return Fraction(1, math.lcm(*(seq.c(k).denominator
+                                  for k in range(1, len(seq.values) + 1))))

@@ -1,17 +1,19 @@
 """Grid oracle: discretization, convolution, transforms, agreement suite."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from tau3.errors import (NotPointwiseEvaluable, RangeError, SnapError,
-                         StepMismatch)
+from tau3 import oracle
+from tau3.errors import (NotPointwiseEvaluable, ParameterError, RangeError,
+                         SnapError, StepMismatch)
 from tau3.measures import (CoefficientSequence, MeasureExpr, bernoulli_partial,
-                           convolve_atoms, plan_mass)
-from tau3.oracle import (GridMeasure, discretize, grid_convolve, grid_ft,
-                         oracle_suite)
+                           convolve_atoms, normalize, plan_mass)
+from tau3.oracle import (GridMeasure, _finest_step, _random_atom_measure,
+                         discretize, grid_convolve, grid_ft, oracle_suite)
 
 F = Fraction
 
@@ -43,6 +45,28 @@ class TestDiscretize:
     def test_lebesgue_rejected(self, lebesgue):
         with pytest.raises(NotPointwiseEvaluable):
             discretize(lebesgue, F(1, 2))
+
+    @pytest.mark.parametrize("step", [0, F(-1, 2)])
+    def test_step_must_be_positive(self, geometric, monkeypatch, step):
+        # refused before the partial expansion is built
+        monkeypatch.setattr(oracle, "bernoulli_lattice", None)
+        with pytest.raises(ParameterError,
+                           match=f"grid step must be positive, got {step}$"):
+            discretize(geometric, step, bernoulli_depth=12)
+
+    def test_depth_must_be_positive_with_a_two_point_part(self, geometric,
+                                                          half_pair):
+        with pytest.raises(ParameterError,
+                           match="bernoulli depth must be at least 1, got 0$"):
+            discretize(geometric, F(1, 9), bernoulli_depth=0)
+        # an atomic measure has no expansion, so its depth is never read
+        g = discretize(half_pair, F(1, 2), bernoulli_depth=0)
+        assert list(g.weights) == [0.5, 0, 0, 0, 0.5]
+
+    def test_empty_measure_is_one_zero_point(self):
+        g = discretize(MeasureExpr(), F(1, 3))
+        assert g.origin == 0 and g.step == F(1, 3)
+        assert list(g.weights) == [0.0]
 
 
 class TestGridConvolve:
@@ -125,3 +149,44 @@ class TestOracleSuite:
         assert r1.failures == r2.failures
         assert r1.containment_checked == 60
         assert r1.convolution_checked > 0
+
+
+def fraction_atom_measure(rng, max_atoms=12, dyadic=False):
+    """The atomic case generator in Fraction arithmetic, atoms merged by
+    ``normalize``: the reference for the integer-lattice one."""
+    atoms = {}
+    denoms = (1, 2, 4, 8) if dyadic else (1, 2, 3, 4, 6, 9, 27)
+    for _ in range(rng.randint(1, max_atoms)):
+        p = Fraction(rng.randint(0, 24), rng.choice(denoms))
+        w = Fraction(rng.randint(1, 8),
+                     rng.choice((2, 4, 8)) if dyadic else rng.randint(1, 8))
+        atoms[p] = atoms.get(p, 0) + w
+        if p != 0:
+            atoms[-p] = atoms.get(-p, 0) + w
+    return normalize(MeasureExpr(atoms=tuple(atoms.items())))
+
+
+class TestCaseGenerator:
+    @pytest.mark.parametrize("max_atoms, dyadic", [(12, False), (6, True)])
+    def test_draws_the_fraction_generator_cases(self, max_atoms, dyadic):
+        for seed in range(200):
+            ref, rng = random.Random(seed), random.Random(seed)
+            want = fraction_atom_measure(ref, max_atoms, dyadic)
+            got = _random_atom_measure(rng, max_atoms, dyadic)
+            assert got.atoms == want.atoms, seed
+            assert normalize(got) is got
+            # the same draws, so every later case of a suite is the same
+            assert rng.getstate() == ref.getstate()
+
+    def test_finest_step_is_the_lcm_of_the_coefficient_denominators(self):
+        rng = random.Random(3)
+        for _ in range(50):
+            values = sorted({F(rng.randint(1, 40), rng.randint(1, 40))
+                             for _ in range(rng.randint(1, 8))}, reverse=True)
+            seq = CoefficientSequence("explicit", values=values,
+                                      scale=F(rng.randint(1, 9),
+                                              rng.randint(1, 9)))
+            den = 1
+            for v in values:
+                den = math.lcm(den, (v * seq.scale).denominator)
+            assert _finest_step(seq) == F(1, den)

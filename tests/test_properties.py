@@ -39,7 +39,8 @@ from tau3.intervals import (_EXACT_COS_TWELFTHS, KERNEL_MAX_BITS, MAX_BITS,
                             two_pi_bounds)
 from tau3.measures import (CoeffTerm, CoefficientSequence, MeasureExpr,
                            atom_plan, bernoulli_partial, convolve_atoms,
-                           normalize, plan_mass, scale_measure)
+                           lattice_measure, normalize, plan_mass,
+                           scale_measure)
 from tau3.oracle import discretize
 from tau3 import fourier, topology
 from tau3.topology import (WINDOW_THRESHOLD, Conclusion, ConvergenceVerdict,
@@ -1389,6 +1390,30 @@ def test_convolve_atoms_drops_zero_weights_and_rejects_negative_ones():
     negative = MeasureExpr(atoms=((F(2), F(-1, 2)),))
     with pytest.raises(ValueError, match=r"negative atom weight -1/2 at 1"):
         convolve_atoms(a, negative)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 12), st.integers(1, 24),
+       st.dictionaries(st.integers(0, 40), st.integers(1, 60), max_size=8))
+def test_lattice_measure_equals_normalize(den, total, half):
+    counts = {}
+    for p, w in half.items():
+        counts[p] = counts[-p] = w
+    got = lattice_measure(den, total, counts)
+    want = normalize(MeasureExpr(atoms=tuple(
+        (F(p, den), F(w, total)) for p, w in counts.items())))
+    assert got.atoms == want.atoms
+    assert all(type(p) is F and type(w) is F for p, w in got.atoms)
+    assert not got.lebesgue and got.bernoulli is None and got.scale == 1
+    assert normalize(got) is got
+
+
+@pytest.mark.parametrize("counts", [
+    {1: 2}, {-1: 2, 1: 3}, {0: 0}, {-2: 0, 0: 1, 2: 0}, {-1: -1, 1: -1}])
+def test_lattice_measure_rejects_asymmetric_or_non_positive_weights(counts):
+    with pytest.raises(SymmetryViolation,
+                       match="is not positive with a mirror of equal weight"):
+        lattice_measure(3, 4, counts)
 
 
 @st.composite
