@@ -52,7 +52,7 @@ class Support(Value):
 
     @staticmethod
     def finite(points) -> "Support":
-        return Support("finite", points=tuple(sorted(set(
+        return Support("finite", points=tuple(sorted(dict.fromkeys(
             Fraction(p) for p in points))))
 
     @staticmethod

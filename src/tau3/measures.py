@@ -9,7 +9,8 @@ statements about the positive half-line are mapped through the logarithm,
 so the multiplicative unit corresponds to an atom at 0.
 
 Points and weights are exact rationals.  All values are immutable and every
-operation is a pure function.
+operation is a pure function.  ``lattice_measure``, the one symmetry check,
+builds every canonical atom list from integer counts on one lattice.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import (BudgetExceeded, SpecFormatError, SymmetryViolation,
                      Value)
@@ -52,14 +53,8 @@ def format_rational(x: Fraction) -> str:
 
 def rational_gcd(values) -> Fraction:
     """gcd of rationals: the generator of the group they generate."""
-    vals = [abs(Fraction(v)) for v in values]
-    den = 1
-    for v in vals:
-        den = lcm(den, v.denominator)
-    num = 0
-    for v in vals:
-        num = gcd(num, v.numerator * (den // v.denominator))
-    return Fraction(num, den)
+    den, nums = _on_lattice([_exact(v) for v in values])
+    return Fraction(gcd(*nums), den)
 
 
 class CoeffTerm(Value):
@@ -172,16 +167,6 @@ def _exact(x) -> Fraction:
     return x if type(x) is Fraction else Fraction(x)
 
 
-def _merge_atoms(pairs: Iterable[tuple[Fraction, Fraction]]) -> tuple:
-    acc: dict[Fraction, Fraction] = {}
-    for p, w in pairs:
-        p, w = _exact(p), _exact(w)
-        if w.numerator < 0:
-            raise ValueError(f"negative atom weight {w} at {p}")
-        acc[p] = acc[p] + w if p in acc else w
-    return tuple(sorted((p, w) for p, w in acc.items() if w))
-
-
 class MeasureExpr(Value):
     """Symbolic symmetric measure; see the module docstring.  The private
     slots are the caches of ``normalize`` and ``atom_plan``."""
@@ -259,25 +244,30 @@ def normalize(expr: MeasureExpr) -> MeasureExpr:
     """Canonical form: duplicates merged, scale pushed inward.
 
     Idempotent; class-equal expressions built from the same components in a
-    different order come out byte-identical.  Raises SymmetryViolation
-    unless every merged atom at p has an atom of equal weight at -p.
-    The result is marked canonical and comes back unchanged; any other
+    different order come out byte-identical.  Raises ValueError at the
+    first negative weight; merges the rest as integer counts on one lattice
+    and returns through ``lattice_measure``, the one symmetry check.  The
+    result is marked canonical and comes back unchanged; any other
     argument keeps its canonical form, so a second call is a lookup.
     """
     known = getattr(expr, "_normal", None)
     if known is not None:
         return expr if known is True else known
     s = expr.scale
-    atoms = _merge_atoms((p / s if s != 1 else p, w) for p, w in expr.atoms)
-    table = dict(atoms)
-    for p, w in atoms:
-        if table.get(-p) != w:
-            raise SymmetryViolation(
-                f"atom at {p} of weight {w} lacks a mirror of equal weight "
-                f"at {-p}")
+    # the atom at p/den moves to p/(den*s) = p*s.denominator/(den*s.numerator)
+    den, points = _on_lattice([p for p, _ in expr.atoms])
+    total, weights = _on_lattice([w for _, w in expr.atoms])
+    counts: dict[int, int] = {}
+    for p, w in zip(points, weights):
+        if w < 0:
+            raise ValueError(f"negative atom weight {Fraction(w, total)} "
+                             f"at {Fraction(p, den) / s}")
+        if w:
+            p *= s.denominator
+            counts[p] = counts.get(p, 0) + w
     bern = expr.bernoulli.rescaled(Fraction(1) / s) if expr.bernoulli else None
-    out = _canonical(MeasureExpr(atoms=atoms, lebesgue=expr.lebesgue,
-                                 bernoulli=bern))
+    out = lattice_measure(den * s.numerator, total, counts, expr.lebesgue,
+                          bern)
     # out is another instance, so holding it here makes no reference cycle
     object.__setattr__(expr, "_normal", out)
     return out
@@ -411,21 +401,22 @@ def bernoulli_partial(seq: CoefficientSequence, n: int,
     return lattice_measure(den, 1 << n, counts)
 
 
-def lattice_measure(den: int, total: int, counts: dict) -> MeasureExpr:
-    """The canonical atomic measure with an atom at p/den of weight
-    w/total for each item p: w of ``counts``.
+def lattice_measure(den: int, total: int, counts: dict, lebesgue=False,
+                    bernoulli=None) -> MeasureExpr:
+    """The canonical measure with an atom at p/den of weight w/total per
+    item p: w of ``counts``, and the given Lebesgue flag and two-point part.
 
-    Raises SymmetryViolation unless every w is positive and equal to the
-    weight at -p.
+    The one symmetry check: raises SymmetryViolation unless every w is
+    positive and equal to the weight at -p.
     """
     for p, w in counts.items():
         if w <= 0 or counts.get(-p) != w:
             raise SymmetryViolation(
                 f"atom at {Fraction(p, den)} of weight {Fraction(w, total)} "
                 f"is not positive with a mirror of equal weight")
-    return _canonical(MeasureExpr(atoms=tuple(
-        (Fraction(p, den), Fraction(w, total))
-        for p, w in sorted(counts.items()))))
+    atoms = tuple((Fraction(p, den), Fraction(w, total))
+                  for p, w in sorted(counts.items()))
+    return _canonical(MeasureExpr(atoms, lebesgue, bernoulli))
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +427,13 @@ _SPEC_KEYS = {"atoms", "lebesgue", "bernoulli", "scale"}
 _BERN_KINDS = {FACTORIAL, GEOMETRIC, EXPLICIT}
 
 
+def _spec_list(doc: dict, key: str) -> list:
+    entries = doc.get(key, [])
+    if not isinstance(entries, (list, tuple)):
+        raise SpecFormatError(f"'{key}' must be a list")
+    return entries
+
+
 def measure_from_dict(doc: dict) -> MeasureExpr:
     if not isinstance(doc, dict):
         raise SpecFormatError("measure spec must be a JSON object")
@@ -443,7 +441,7 @@ def measure_from_dict(doc: dict) -> MeasureExpr:
     if unknown:
         raise SpecFormatError(f"unknown spec fields: {sorted(unknown)}")
     atoms = []
-    for entry in doc.get("atoms", []):
+    for entry in _spec_list(doc, "atoms"):
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
             raise SpecFormatError(f"atom entry {entry!r} is not [point, weight]")
         atoms.append((parse_rational(entry[0]), parse_rational(entry[1])))
@@ -456,12 +454,13 @@ def measure_from_dict(doc: dict) -> MeasureExpr:
         if not isinstance(bdoc, dict) or "kind" not in bdoc:
             raise SpecFormatError("'bernoulli' must be an object with a 'kind'")
         kind = bdoc["kind"]
-        if kind not in _BERN_KINDS:
+        if not isinstance(kind, str) or kind not in _BERN_KINDS:
             raise SpecFormatError(f"unknown bernoulli kind {kind!r}")
         scale = parse_rational(bdoc.get("scale", 1))
         try:
             if kind == EXPLICIT:
-                values = tuple(parse_rational(v) for v in bdoc.get("values", ()))
+                values = tuple(parse_rational(v)
+                               for v in _spec_list(bdoc, "values"))
                 bern = CoefficientSequence(EXPLICIT, scale=scale, values=values)
             else:
                 base = bdoc.get("base", 3)

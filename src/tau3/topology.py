@@ -637,7 +637,7 @@ def classify_completion(expr: MeasureExpr,
             f"the classification catalog")
 
     # purely atomic
-    magnitudes = sorted({abs(p) for p, _ in expr.atoms if p != 0})
+    magnitudes = sorted(dict.fromkeys(abs(p) for p, _ in expr.atoms if p != 0))
     if not magnitudes:
         return CompletionClass(
             kind=CompletionKind.NOT_HAUSDORFF,

@@ -319,6 +319,21 @@ class TestErrors:
             assert out == "", argv
             assert err.startswith("error: invalid measure:"), (argv, err)
 
+    @pytest.mark.parametrize("doc", [
+        {"atoms": 5},
+        {"atoms": None},
+        {"bernoulli": {"kind": "explicit", "values": 5}},
+        {"bernoulli": {"kind": ["x"]}},
+    ])
+    def test_malformed_spec_is_one_error_line(self, tmp_path, doc):
+        bad = tmp_path / "malformed.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run_cli("classify", "--measure", str(bad))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: "), err
+        assert "Traceback" not in err
+
     def test_library_error_names_its_type(self):
         leb = os.path.join(os.path.dirname(__file__), "golden", "specs",
                            "lebesgue.json")

@@ -216,6 +216,14 @@ class TestCertificates:
         tampered2 = text.replace("Disjoint", "Unknown")
         assert not replay_certificate(tampered2).ok
 
+    def test_replay_rejects_a_malformed_measure(self, m1, m2):
+        text = distinguish(m1, m2).to_text()
+        start = text.index("A.measure: ") + len("A.measure: ")
+        end = text.index("\n", start)
+        report = replay_certificate(text[:start] + '{"atoms": 5}' + text[end:])
+        assert not report.ok
+        assert report.notes[-1] == "replay failed: 'atoms' must be a list"
+
     def test_replay_rejects_other_table(self, m1, m2):
         table = AxiomTable.parse(
             "AtomsVsLebesgue | countable sets are null | standard\n")

@@ -12,6 +12,9 @@ few a module may import inside its functions.
 In ``fourier`` one constructor, ``_terms``, picks the term reader of a
 sequence kind, and no other code there reads the kind; an index is reduced
 only in a reader's ``__missing__``, the fill of its per-call memo.
+
+``measures.lattice_measure`` builds every canonical atom list and holds
+the one ``raise SymmetryViolation`` in the package.
 """
 
 import ast
@@ -146,3 +149,21 @@ def test_only_the_memo_reduces_an_index():
     outside = [f"line {node.lineno}: {ast.unparse(node)}"
                for node in calls if id(node) not in inside]
     assert calls and not outside, outside
+
+
+def test_only_lattice_measure_raises_symmetry_violation():
+    # one builder of canonical atoms holds the one symmetry check
+    raises = []
+    for module in MODULES:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        owner = {id(node): fn.name for fn in ast.walk(tree)
+                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            exc = exc.func if isinstance(exc, ast.Call) else exc
+            name = getattr(exc, "id", getattr(exc, "attr", None))
+            if name == "SymmetryViolation":
+                raises.append((module, owner.get(id(node)), node.lineno))
+    assert [r[:2] for r in raises] == [("measures", "lattice_measure")], \
+        raises

@@ -1416,6 +1416,63 @@ def test_lattice_measure_rejects_asymmetric_or_non_positive_weights(counts):
         lattice_measure(3, 4, counts)
 
 
+def fraction_normalize(expr):
+    """The former ``normalize``: a merge through a dict keyed by Fraction
+    points, then a mirror check over Fractions."""
+    s = expr.scale
+    acc: dict[Fraction, Fraction] = {}
+    for p, w in expr.atoms:
+        p = p / s if s != 1 else p
+        if w.numerator < 0:
+            raise ValueError(f"negative atom weight {w} at {p}")
+        acc[p] = acc[p] + w if p in acc else w
+    atoms = tuple(sorted((p, w) for p, w in acc.items() if w))
+    table = dict(atoms)
+    for p, w in atoms:
+        if table.get(-p) != w:
+            raise SymmetryViolation(f"atom at {p} of weight {w} lacks a "
+                                    f"mirror of equal weight at {-p}")
+    bern = expr.bernoulli.rescaled(F(1) / s) if expr.bernoulli else None
+    return MeasureExpr(atoms=atoms, lebesgue=expr.lebesgue, bernoulli=bern)
+
+
+@PROPERTY_SETTINGS
+@given(raw_atomic(), st.booleans(),
+       st.builds(F, st.integers(1, 6), st.integers(1, 6)), st.booleans(),
+       st.sampled_from([None, CoefficientSequence("geometric", 3),
+                        CoefficientSequence("explicit",
+                                            values=(F(1, 2), F(1, 7)))]))
+@example(MeasureExpr(atoms=((F(1, 2), F(1, 3)), (F(0), F(0)))), True, F(3, 2),
+         True, None)
+@example(MeasureExpr(atoms=((F(1), F(1)), (F(-1), F(2)))), False, F(2),
+         False, CoefficientSequence("geometric", 3))
+@example(MeasureExpr(atoms=((F(1), F(1)), (F(2), F(-1, 2)))), True, F(5, 3),
+         False, None)
+def test_normalize_equals_the_fraction_merge(raw, mirror, scale, lebesgue,
+                                             bern):
+    """On raw atom lists, mirrored or not, ``normalize`` agrees with the
+    Fraction merge: the same canonical measure, the same ValueError message
+    for a negative weight, or a SymmetryViolation on both sides."""
+    atoms = raw.atoms + tuple((-p, w) for p, w in raw.atoms if mirror)
+    expr = MeasureExpr(atoms=atoms, lebesgue=lebesgue, bernoulli=bern,
+                       scale=scale)
+    try:
+        want = fraction_normalize(expr)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            normalize(expr)
+        assert str(got.value) == str(exc)
+    except SymmetryViolation:
+        with pytest.raises(SymmetryViolation):
+            normalize(expr)
+    else:
+        got = normalize(expr)
+        assert got.atoms == want.atoms
+        assert all(type(p) is F and type(w) is F for p, w in got.atoms)
+        assert got.lebesgue == want.lebesgue
+        assert got.bernoulli == want.bernoulli
+
+
 @st.composite
 def grid_cases(draw):
     """A measure, a step, a depth and a snapping mode for ``discretize``.
