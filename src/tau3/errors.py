@@ -10,18 +10,19 @@ from operator import attrgetter
 class Value:
     """Immutable value whose public ``__slots__`` are its fields.
 
-    Subclasses list their fields in constructor order and set them in
-    ``__init__`` with ``object.__setattr__``.  Equality and hashing follow
-    the fields not named in ``_uncompared``; ``repr`` shows every field.
-    Slots starting with ``_`` are private caches, outside all three.
-    Values can be weakly referenced.
+    Subclasses list their fields in constructor order, in ``_fields`` when
+    one is a property, and set them with ``object.__setattr__``.  Equality
+    and hashing follow the fields not named in ``_uncompared``; ``repr``
+    shows every field.  Slots starting with ``_`` are private caches,
+    outside all three.  Values can be weakly referenced.
     """
 
     __slots__ = ("__weakref__",)
     _uncompared = ()
 
     def __init_subclass__(cls):
-        cls._fields = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+        if "_fields" not in cls.__dict__:
+            cls._fields = tuple(n for n in cls.__slots__ if n[0] != "_")
         compared = [n for n in cls._fields if n not in cls._uncompared]
         cls._key = attrgetter(*compared)
 

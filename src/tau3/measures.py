@@ -8,9 +8,10 @@ descriptor.  Convolution powers are handled at the class level (see
 statements about the positive half-line are mapped through the logarithm,
 so the multiplicative unit corresponds to an atom at 0.
 
-Points and weights are exact rationals.  All values are immutable and every
-operation is a pure function.  ``lattice_measure``, the one symmetry check,
-builds every canonical atom list from integer counts on one lattice.
+A canonical measure holds its atoms as one integer lattice ``(den, total,
+((p, w), ...))``, points p/den and weights w/total sorted by p, which only
+``lattice_measure``, the one symmetry check, sets; ``atoms``, the exact
+rational pairs, is built from it when first read.  All values are immutable.
 """
 
 from __future__ import annotations
@@ -169,29 +170,40 @@ def _exact(x) -> Fraction:
 
 class MeasureExpr(Value):
     """Symbolic symmetric measure; see the module docstring.  The private
-    slots are the caches of ``normalize`` and ``atom_plan``."""
+    slots: the canonical lattice, caches of atoms, normalize and atom_plan."""
 
-    __slots__ = ("atoms", "lebesgue", "bernoulli", "scale",
+    __slots__ = ("_atoms", "lebesgue", "bernoulli", "scale", "_lattice",
                  "_normal", "_atom_plan")
+    _fields = ("atoms", "lebesgue", "bernoulli", "scale")
 
     def __init__(self, atoms: tuple[tuple[Fraction, Fraction], ...] = (),
                  lebesgue: bool = False,
                  bernoulli: Optional[CoefficientSequence] = None,
                  scale: Fraction = Fraction(1)):
         scale = _exact(scale)
-        object.__setattr__(self, "atoms", tuple(
+        object.__setattr__(self, "_atoms", tuple(
             (_exact(p), _exact(w)) for p, w in atoms))
         object.__setattr__(self, "lebesgue", lebesgue)
         object.__setattr__(self, "bernoulli", bernoulli)
         object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "_lattice", None)
         if scale <= 0:
             raise ValueError("measure scale must be positive")
+
+    @property
+    def atoms(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        if self._atoms is None:
+            den, total, pairs = self._lattice
+            object.__setattr__(self, "_atoms", tuple(
+                (Fraction(p, den), Fraction(w, total)) for p, w in pairs))
+        return self._atoms
 
     # -- structure helpers -------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.atoms and not self.lebesgue and self.bernoulli is None
+        atoms = self._lattice[2] if self._lattice else self._atoms
+        return not atoms and not self.lebesgue and self.bernoulli is None
 
     def describe(self) -> str:
         parts = []
@@ -246,37 +258,30 @@ def normalize(expr: MeasureExpr) -> MeasureExpr:
     Idempotent; class-equal expressions built from the same components in a
     different order come out byte-identical.  Raises ValueError at the
     first negative weight; merges the rest as integer counts on one lattice
-    and returns through ``lattice_measure``, the one symmetry check.  The
-    result is marked canonical and comes back unchanged; any other
-    argument keeps its canonical form, so a second call is a lookup.
+    and returns through ``lattice_measure``, the one symmetry check.  A
+    measure holding its lattice comes back unchanged; any other argument
+    keeps its canonical form, so a second call is a lookup.
     """
-    known = getattr(expr, "_normal", None)
+    known = expr if expr._lattice else getattr(expr, "_normal", None)
     if known is not None:
-        return expr if known is True else known
+        return known
     s = expr.scale
     # the atom at p/den moves to p/(den*s) = p*s.denominator/(den*s.numerator)
-    den, points = _on_lattice([p for p, _ in expr.atoms])
-    total, weights = _on_lattice([w for _, w in expr.atoms])
+    den, total, pairs = atom_lattice(expr)
     counts: dict[int, int] = {}
-    for p, w in zip(points, weights):
+    for p, w in pairs:
         if w < 0:
             raise ValueError(f"negative atom weight {Fraction(w, total)} "
                              f"at {Fraction(p, den) / s}")
-        if w:
-            p *= s.denominator
-            counts[p] = counts.get(p, 0) + w
-    bern = expr.bernoulli.rescaled(Fraction(1) / s) if expr.bernoulli else None
+        p *= s.denominator
+        counts[p] = counts.get(p, 0) + w
+    bern = (expr.bernoulli.rescaled(1 / s) if expr.bernoulli and s != 1
+            else expr.bernoulli)
     out = lattice_measure(den * s.numerator, total, counts, expr.lebesgue,
                           bern)
     # out is another instance, so holding it here makes no reference cycle
     object.__setattr__(expr, "_normal", out)
     return out
-
-
-def _canonical(expr: MeasureExpr) -> MeasureExpr:
-    """Mark ``expr``, which must be in canonical form, as canonical."""
-    object.__setattr__(expr, "_normal", True)
-    return expr
 
 
 def atom_plan(expr: MeasureExpr) -> tuple[int, tuple]:
@@ -286,13 +291,14 @@ def atom_plan(expr: MeasureExpr) -> tuple[int, tuple]:
     atoms at +-p adding v/D * cos(2*pi*p*t); v/D is twice the weight at p,
     or the weight itself at 0.
     """
-    expr = expr if getattr(expr, "_normal", None) is True else normalize(expr)
+    expr = expr if expr._lattice else normalize(expr)
     plan = getattr(expr, "_atom_plan", None)
     if plan is None:
-        pairs = [(p, w if p == 0 else 2 * w) for p, w in expr.atoms if p >= 0]
-        den, nums = _on_lattice([w for _, w in pairs])
-        plan = den, tuple((p.numerator, p.denominator, v)
-                          for (p, _), v in zip(pairs, nums))
+        den, total, pairs = expr._lattice
+        pairs = [(p, w if p == 0 else 2 * w) for p, w in pairs if p >= 0]
+        g = gcd(total, *(v for _, v in pairs))  # D: lowest terms of v/total
+        plan = total // g, tuple((p // (h := gcd(p, den)), den // h, v // g)
+                                 for p, v in pairs)
         object.__setattr__(expr, "_atom_plan", plan)
     return plan
 
@@ -328,31 +334,41 @@ def _on_lattice(values) -> tuple[int, list[int]]:
     return den, [v.numerator * (den // v.denominator) for v in values]
 
 
+def atom_lattice(m: MeasureExpr) -> tuple[int, int, tuple]:
+    """(den, total, pairs) of the atoms of ``m``: the canonical lattice, or
+    else the nonzero ones in their order over the lcms of the denominators."""
+    if m._lattice:
+        return m._lattice
+    den, points = _on_lattice([p for p, _ in m.atoms])
+    total, weights = _on_lattice([w for _, w in m.atoms])
+    return den, total, tuple((p, w) for p, w in zip(points, weights) if w)
+
+
 def convolve_atoms(a: MeasureExpr, b: MeasureExpr) -> MeasureExpr:
     """Exact convolution of two unscaled finite atomic measures.
 
-    Runs on one integer lattice: points over the lcm of all point
-    denominators, weights over the product of the two weight denominators.
+    Runs on one integer lattice: points over the lcm of the two point
+    denominators, weights over the product of the two weight totals.
+    Canonical arguments give a canonical result through ``lattice_measure``.
     """
     if any(m.lebesgue or m.bernoulli or m.scale != 1 for m in (a, b)):
         raise ValueError("convolve_atoms takes unscaled purely atomic measures")
-    den, points = _on_lattice([p for m in (a, b) for p, _ in m.atoms])
-    pa, pb = points[:len(a.atoms)], points[len(a.atoms):]
-    da, wa = _on_lattice([w for _, w in a.atoms])
-    db, wb = _on_lattice([w for _, w in b.atoms])
+    (da, ta, pa), (db, tb, pb) = atom_lattice(a), atom_lattice(b)
+    den = lcm(da, db)
+    pb = [(q * (den // db), u) for q, u in pb]
     acc: dict[int, int] = {}
-    for p, v in zip(pa, wa):
-        for q, u in zip(pb, wb):
+    for p, v in pa:
+        p *= den // da
+        for q, u in pb:
             w = v * u
             if w < 0:
-                raise ValueError(f"negative atom weight {Fraction(w, da * db)} "
+                raise ValueError(f"negative atom weight {Fraction(w, ta * tb)} "
                                  f"at {Fraction(p + q, den)}")
             acc[p + q] = acc.get(p + q, 0) + w
-    out = MeasureExpr(atoms=tuple((Fraction(p, den), Fraction(w, da * db))
-                                  for p, w in sorted(acc.items()) if w))
-    # canonical inputs have positive mirrored weights, and so has the result
-    canonical = all(getattr(m, "_normal", None) is True for m in (a, b))
-    return _canonical(out) if canonical else out
+    if a._lattice and b._lattice:
+        return lattice_measure(den, ta * tb, acc)
+    return MeasureExpr(atoms=tuple((Fraction(p, den), Fraction(w, ta * tb))
+                                   for p, w in sorted(acc.items())))
 
 
 def check_atom_budget(n: int, atom_budget: int = DEFAULT_ATOM_BUDGET) -> None:
@@ -414,9 +430,11 @@ def lattice_measure(den: int, total: int, counts: dict, lebesgue=False,
             raise SymmetryViolation(
                 f"atom at {Fraction(p, den)} of weight {Fraction(w, total)} "
                 f"is not positive with a mirror of equal weight")
-    atoms = tuple((Fraction(p, den), Fraction(w, total))
-                  for p, w in sorted(counts.items()))
-    return _canonical(MeasureExpr(atoms, lebesgue, bernoulli))
+    out = MeasureExpr((), lebesgue, bernoulli)
+    object.__setattr__(out, "_atoms", None)  # built from the lattice on read
+    object.__setattr__(out, "_lattice", (den, total,
+                                         tuple(sorted(counts.items()))))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +474,11 @@ def measure_from_dict(doc: dict) -> MeasureExpr:
         kind = bdoc["kind"]
         if not isinstance(kind, str) or kind not in _BERN_KINDS:
             raise SpecFormatError(f"unknown bernoulli kind {kind!r}")
+        extra = set(bdoc) - {"kind", "scale",
+                             "values" if kind == EXPLICIT else "base"}
+        if extra:
+            raise SpecFormatError(f"unknown {kind} bernoulli fields: "
+                                  f"{sorted(extra)}")
         scale = parse_rational(bdoc.get("scale", 1))
         try:
             if kind == EXPLICIT:

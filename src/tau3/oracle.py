@@ -2,7 +2,8 @@
 
 Everything here is plain floating point on purpose: the grid oracle is the
 independent, low-tech counterpart that certified results are validated
-against.  Grid convolution is the direct O(n*m) sum.
+against.  Grid convolution is the direct O(n*m) sum.  ``discretize``
+reads a measure's atoms as integers off its lattice.
 
 numpy is imported inside the functions that use it, not at module level,
 so ``import tau3`` and every command but ``oracle-check`` start without
@@ -20,9 +21,9 @@ from typing import Optional
 from .errors import (NotPointwiseEvaluable, ParameterError, RangeError,
                      SnapError, StepMismatch, Value)
 from .fourier import ft_point
-from .measures import (CoefficientSequence, MeasureExpr, bernoulli_lattice,
-                       check_atom_budget, convolve_atoms, lattice_measure,
-                       normalize)
+from .measures import (CoefficientSequence, MeasureExpr, atom_lattice,
+                       bernoulli_lattice, check_atom_budget, convolve_atoms,
+                       lattice_measure, normalize)
 
 #: |t| * extent cap keeping cos arguments accurate to ~1e-12
 FLOAT_SAFETY = float(1 << 20)
@@ -65,14 +66,15 @@ def discretize(expr: MeasureExpr, step, bernoulli_depth: int = 8,
                strict_snap: bool = True) -> GridMeasure:
     """Sample a finite-mass symbolic measure onto a uniform grid.
 
-    The two-point-convolution part is replaced by its depth-fold partial
-    expansion, read as integers off ``bernoulli_lattice``.  Atoms must land
-    on grid points when ``strict_snap`` is set; otherwise they snap to the
-    nearest point, ties to even.  Mass is preserved exactly up to float
+    The atoms are read as integers off ``atom_lattice``; the
+    two-point-convolution part is replaced by its depth-fold partial
+    expansion, read off ``bernoulli_lattice``.  Atoms must land on grid
+    points when ``strict_snap`` is set; otherwise they snap to the nearest
+    point, ties to even.  Mass is preserved exactly up to float
     summation (well within 1e-12).  Raises ParameterError for a step <= 0,
     or a depth < 1 with a two-point part.
     """
-    step = Fraction(step)
+    step = step if type(step) is Fraction else Fraction(step)
     if step <= 0:
         raise ParameterError(f"grid step must be positive, got {step}")
     if expr.bernoulli is not None and bernoulli_depth < 1:
@@ -89,11 +91,9 @@ def discretize(expr: MeasureExpr, step, bernoulli_depth: int = 8,
         den, counts = bernoulli_lattice(expr.bernoulli, depth)
         total = 1 << depth
         runs.append((den, [(p, w / total) for p, w in sorted(counts.items())]))
-    if expr.atoms:
-        den = math.lcm(*(p.denominator for p, _ in expr.atoms))
-        runs.append((den, [(p.numerator * (den // p.denominator),
-                            w.numerator / w.denominator)  # exactly float(w)
-                           for p, w in expr.atoms]))
+    den, total, pairs = atom_lattice(expr)
+    if pairs:  # int / int rounds correctly: each weight is float(w/total)
+        runs.append((den, [(p, w / total) for p, w in pairs]))
     num, dnm = step.numerator, step.denominator
     placed = []
     for den, pairs in runs:

@@ -334,6 +334,22 @@ class TestErrors:
         assert err.startswith("error: "), err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("bernoulli, field", [
+        ({"kind": "geometric", "bas": 5}, "bas"),
+        ({"kind": "explicit", "values": ["1/2"], "base": 3}, "base"),
+        ({"kind": "geometric", "base": 3, "values": ["1/2"]}, "values"),
+        ({"kind": "factorial", "base": 3, "values": ["1/2"]}, "values"),
+    ])
+    def test_unknown_bernoulli_field_is_one_error_line(self, tmp_path,
+                                                       bernoulli, field):
+        bad = tmp_path / "extra.json"
+        bad.write_text(json.dumps({"bernoulli": bernoulli}))
+        code, out, err = run_cli("classify", "--measure", str(bad))
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: unknown {bernoulli['kind']} bernoulli "
+                       f"fields: ['{field}']\n"), err
+
     def test_library_error_names_its_type(self):
         leb = os.path.join(os.path.dirname(__file__), "golden", "specs",
                            "lebesgue.json")

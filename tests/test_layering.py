@@ -13,8 +13,11 @@ In ``fourier`` one constructor, ``_terms``, picks the term reader of a
 sequence kind, and no other code there reads the kind; an index is reduced
 only in a reader's ``__missing__``, the fill of its per-call memo.
 
-``measures.lattice_measure`` builds every canonical atom list and holds
-the one ``raise SymmetryViolation`` in the package.
+``measures.lattice_measure`` builds every canonical atom list, is the only
+code that sets a measure's integer lattice and holds the one
+``raise SymmetryViolation`` in the package.  ``oracle`` reads no
+``Fraction`` atoms: ``ft_point``, ``discretize`` and ``convolve_atoms``
+leave them unbuilt.
 """
 
 import ast
@@ -167,3 +170,46 @@ def test_only_lattice_measure_raises_symmetry_violation():
                 raises.append((module, owner.get(id(node)), node.lineno))
     assert [r[:2] for r in raises] == [("measures", "lattice_measure")], \
         raises
+
+
+def test_only_lattice_measure_sets_a_lattice():
+    # __init__ stores None; every canonical lattice comes from one builder
+    tree = ast.parse((PACKAGE / "measures.py").read_text())
+    owners = [fn.name for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef)
+              for node in ast.walk(fn)
+              if isinstance(node, ast.Call)
+              and ast.unparse(node.func) == "object.__setattr__"
+              and ast.unparse(node.args[1]) == "'_lattice'"]
+    assert sorted(owners) == ["__init__", "lattice_measure"], owners
+
+
+def test_oracle_reads_no_fraction_atoms():
+    tree = ast.parse((PACKAGE / "oracle.py").read_text())
+    reads = [f"line {node.lineno}: {ast.unparse(node)}"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "atoms"]
+    assert not reads, reads
+
+
+def test_integer_paths_leave_the_fraction_atoms_unbuilt():
+    # ft_point, discretize and convolve_atoms read the integer lattice; a
+    # measure builds its Fraction atoms only when a caller reads .atoms
+    from fractions import Fraction
+
+    from tau3.fourier import ft_point
+    from tau3.measures import convolve_atoms, lattice_measure
+    from tau3.oracle import discretize
+
+    a = lattice_measure(8, 840, {-4: 210, 0: 420, 4: 210})
+    b = lattice_measure(108, 8, {-27: 3, 0: 2, 27: 3})
+    conv = convolve_atoms(a, b)
+    for m, step in ((a, Fraction(1, 8)), (b, Fraction(1, 4)),
+                    (conv, Fraction(1, 8))):
+        ft_point(m, Fraction(2, 7))
+        discretize(m, step)
+    assert [m._atoms for m in (a, b, conv)] == [None] * 3
+    half = ((Fraction(-3, 4), Fraction(3, 32)), (Fraction(-1, 2),
+            Fraction(1, 16)), (Fraction(-1, 4), Fraction(9, 32)))
+    assert conv.atoms == (*half, (Fraction(0), Fraction(1, 8)),
+                          *((-p, w) for p, w in reversed(half)))

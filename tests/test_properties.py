@@ -2,8 +2,8 @@
 and its tail, ``normalize``, the window route of ``test_sequence``, the
 integer-lattice expansions behind the grid oracle and the laws of the
 measure-class algebra, checked on generated inputs against mpmath, against
-naive ``Fraction`` references (the log-space tail and the per-index window
-evaluation among them) and against each other."""
+naive ``Fraction`` references (the log-space tail, the per-index window
+evaluation and the former atom plan among them) and against each other."""
 
 import inspect
 import math
@@ -1382,6 +1382,35 @@ def test_convolve_atoms_equals_the_naive_double_loop(a, b):
         assert convolve_atoms(a, b).atoms == expected
 
 
+@st.composite
+def lattice_atomic(draw, den):
+    """A canonical measure on the lattice p/den, weights over 8 or 840."""
+    half = draw(st.dictionaries(st.integers(0, 3 * den), st.integers(1, 8),
+                                min_size=1, max_size=6))
+    counts = {}
+    for p, w in half.items():
+        counts[p] = counts[-p] = w
+    return lattice_measure(den, draw(st.sampled_from((8, 840))), counts)
+
+
+@PROPERTY_SETTINGS
+@given(lattice_atomic(108), lattice_atomic(8), raw_atomic())
+def test_convolve_atoms_across_point_denominators(a, b, raw):
+    # the oracle's two lattices, 108 and 8, and a lattice against raw atoms
+    conv = convolve_atoms(a, b)
+    assert normalize(conv) is conv
+    assert conv.atoms == naive_convolve(a, b)
+    assert convolve_atoms(b, a) == conv
+    try:
+        expected = naive_convolve(a, raw)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            convolve_atoms(a, raw)
+        assert str(got.value) == str(exc)
+    else:
+        assert convolve_atoms(a, raw).atoms == expected
+
+
 def test_convolve_atoms_drops_zero_weights_and_rejects_negative_ones():
     a = MeasureExpr(atoms=((F(-1), F(1)), (F(1), F(1))))
     zero = MeasureExpr(atoms=((F(0), F(0)), (F(1, 2), F(1, 3))))
@@ -1414,6 +1443,37 @@ def test_lattice_measure_rejects_asymmetric_or_non_positive_weights(counts):
     with pytest.raises(SymmetryViolation,
                        match="is not positive with a mirror of equal weight"):
         lattice_measure(3, 4, counts)
+
+
+def fraction_atom_plan(expr):
+    """The former ``atom_plan``: the atoms at p >= 0 as Fractions, twice
+    the weight off 0, over the lcm of the weight denominators."""
+    pairs = [(p, w if p == 0 else 2 * w) for p, w in normalize(expr).atoms
+             if p >= 0]
+    den = math.lcm(*(v.denominator for _, v in pairs))
+    return den, tuple((p.numerator, p.denominator,
+                       v.numerator * (den // v.denominator))
+                      for p, v in pairs)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 12), st.integers(1, 6), st.integers(1, 24),
+       st.integers(1, 6),
+       st.dictionaries(st.integers(1, 40), st.integers(1, 60), max_size=8),
+       st.one_of(st.none(), st.integers(1, 60)))
+@example(1, 1, 1, 1, {}, None)      # the zero measure: D = 1, no pairs
+@example(4, 3, 6, 5, {2: 3}, 1)     # den 12 and total 30, neither minimal
+def test_atom_plan_equals_the_fraction_reference(den, k, total, j, half,
+                                                 at_zero):
+    # points p*k/(den*k) and weights w*j/(total*j): the lattice is not in
+    # lowest terms, yet the plan is the one the Fraction atoms give
+    counts = {} if at_zero is None else {0: at_zero * j}
+    for p, w in half.items():
+        counts[p * k] = counts[-p * k] = w * j
+    m = lattice_measure(den * k, total * j, counts)
+    plan = atom_plan(m)
+    assert m._atoms is None
+    assert plan == fraction_atom_plan(m)
 
 
 def fraction_normalize(expr):

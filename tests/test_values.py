@@ -6,11 +6,13 @@ the class and every field, the constructor takes the fields by position
 and by keyword, copies compare equal and values can be weakly referenced.
 Fields that carry provenance (``ClassExpr.provenance``,
 ``CompletionClass.witness_verdict`` and ``CompletionClass.trace``) stay out
-of equality and hashing.
+of equality and hashing.  ``MeasureExpr.atoms``, built from an integer
+lattice when first read, keeps the same contract.
 """
 
 import copy
 import inspect
+import pickle
 import weakref
 from fractions import Fraction
 
@@ -24,6 +26,7 @@ from tau3 import (Axiom, Certificate, ClassExpr, CoefficientSequence,
                   RelationKind, SBounds, ScaledPower, SequenceSpec,
                   SingularTag, Support, TauDescriptor, distinguish)
 from tau3.errors import Value
+from tau3.measures import lattice_measure
 
 F = Fraction
 
@@ -134,6 +137,28 @@ def test_value_contract(cls):
         other = UNCOMPARED[cls]()
         assert repr(other) != repr(a)
         assert other == a and hash(other) == hash(a)
+
+
+def test_lazily_built_atoms_behave_like_constructed_ones():
+    """A canonical measure builds its ``atoms`` from its integer lattice
+    when first read; every reader of the field sees the same value."""
+    built = MeasureExpr(((F(-1, 2), F(1, 3)), (F(0), F(1, 3)),
+                         (F(1, 2), F(1, 3))))
+
+    def lazy():     # den 4 and total 6 are not in lowest terms
+        m = lattice_measure(4, 6, {-2: 2, 0: 2, 2: 2})
+        assert m._atoms is None
+        return m
+
+    def pickled(m):
+        return pickle.loads(pickle.dumps(m))
+
+    for copied in (lambda m: m, copy.copy, copy.deepcopy, pickled,
+                   lambda m: m.replace(scale=F(1))):
+        assert copied(lazy()) == built and built == copied(lazy())
+        assert hash(copied(lazy())) == hash(built)
+        assert repr(copied(lazy())) == repr(built)
+    assert lazy().atoms == built.atoms
 
 
 def test_every_exported_value_class_is_covered():
