@@ -105,7 +105,7 @@ class CoefficientSequence(Value):
             if values:
                 raise ValueError(f"{kind} sequence takes no explicit values")
         elif kind == EXPLICIT:
-            values = tuple(Fraction(v) for v in values)
+            values = tuple(map(_exact, values))
             if not values:
                 raise ValueError("explicit sequence must be non-empty")
             if any(v <= 0 for v in values):

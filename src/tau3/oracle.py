@@ -3,7 +3,8 @@
 Everything here is plain floating point on purpose: the grid oracle is the
 independent, low-tech counterpart that certified results are validated
 against.  Grid convolution is the direct O(n*m) sum.  ``discretize``
-reads a measure's atoms as integers off its lattice.
+reads a measure's atoms as integers off its lattice into one ``bincount``,
+and ``grid_ft`` takes cosines at occupied cells only.
 
 numpy is imported inside the functions that use it, not at module level,
 so ``import tau3`` and every command but ``oracle-check`` start without
@@ -47,11 +48,6 @@ class GridMeasure(Value):
     def mass(self) -> float:
         return float(self.weights.sum())
 
-    def points(self) -> np.ndarray:
-        import numpy as np
-        n = len(self.weights)
-        return np.float64(self.origin) + np.float64(self.step) * np.arange(n)
-
     def trimmed(self) -> "GridMeasure":
         """Drop zero-weight margins (canonical form for comparisons)."""
         nz = self.weights.nonzero()[0]
@@ -70,9 +66,10 @@ def discretize(expr: MeasureExpr, step, bernoulli_depth: int = 8,
     two-point-convolution part is replaced by its depth-fold partial
     expansion, read off ``bernoulli_lattice``.  Atoms must land on grid
     points when ``strict_snap`` is set; otherwise they snap to the nearest
-    point, ties to even.  Mass is preserved exactly up to float
-    summation (well within 1e-12).  Raises ParameterError for a step <= 0,
-    or a depth < 1 with a two-point part.
+    point, ties to even.  One ``np.bincount`` adds each cell's weights in
+    input order, the ascending two-point points and then the atoms; mass
+    is preserved up to float summation (well within 1e-12).  Raises
+    ParameterError for a step <= 0, or a depth < 1 with a two-point part.
     """
     step = step if type(step) is Fraction else Fraction(step)
     if step <= 0:
@@ -84,26 +81,24 @@ def discretize(expr: MeasureExpr, step, bernoulli_depth: int = 8,
     if expr.lebesgue:
         raise NotPointwiseEvaluable(
             "the Lebesgue component cannot be discretized without a window")
-    # runs (den, [(p, weight)]) of points p/den ascending, summed in order
+    # runs (den, total, [(p, w)]): points p/den ascending, weights w/total
     runs = []
     if expr.bernoulli is not None:
         depth = min(bernoulli_depth, expr.bernoulli.length or bernoulli_depth)
         den, counts = bernoulli_lattice(expr.bernoulli, depth)
-        total = 1 << depth
-        runs.append((den, [(p, w / total) for p, w in sorted(counts.items())]))
-    den, total, pairs = atom_lattice(expr)
-    if pairs:  # int / int rounds correctly: each weight is float(w/total)
-        runs.append((den, [(p, w / total) for p, w in pairs]))
+        runs.append((den, 1 << depth, sorted(counts.items())))
+    runs.append(atom_lattice(expr))
     num, dnm = step.numerator, step.denominator
-    placed = []
-    for den, pairs in runs:
+    index, weight = [], []
+    for den, total, pairs in runs:
+        # int / int rounds correctly: each weight is float(w/total)
+        weight += [w / total for _, w in pairs]
         d = den * num  # p/den = (i + r/d) * step
         q, r = divmod(dnm, d)
         if not r:  # the whole run lies on the grid
-            placed.append([(p * q, w) for p, w in pairs])
+            index += [p * q for p, _ in pairs]
             continue
-        placed.append([])
-        for p, w in pairs:
+        for p, _ in pairs:
             i, r = divmod(p * dnm, d)
             if r:
                 if strict_snap:
@@ -111,14 +106,13 @@ def discretize(expr: MeasureExpr, step, bernoulli_depth: int = 8,
                                     f"grid of step {step}")
                 if 2 * r > d or (2 * r == d and i % 2):  # round half to even
                     i += 1
-            placed[-1].append((i, w))
-    # rounding keeps order, so each run's ends bound its indices
-    lo = min((run[0][0] for run in placed), default=0)
-    weights = [0.0] * (max((run[-1][0] for run in placed), default=0) - lo + 1)
-    for run in placed:
-        for i, w in run:
-            weights[i - lo] += w
-    return GridMeasure(step * lo, step, weights)
+            index.append(i)
+    if not index:
+        return GridMeasure(Fraction(0), step, [0.0])
+    import numpy as np
+    lo = min(index)
+    return GridMeasure(step * lo, step, np.bincount(np.subtract(index, lo),
+                                                    weights=weight))
 
 
 def grid_convolve(a: GridMeasure, b: GridMeasure) -> GridMeasure:
@@ -131,16 +125,20 @@ def grid_convolve(a: GridMeasure, b: GridMeasure) -> GridMeasure:
 
 
 def grid_ft(g: GridMeasure, t: float) -> float:
-    """Direct transform value sum_j w_j * cos(2*pi*x_j*t) at a float t."""
+    """Direct transform value sum_j w_j * cos(2*pi*x_j*t) at a float t,
+    summed over occupied cells; the extent guard reads the dense ends."""
     import numpy as np
     t = float(t)
-    pts = g.points()
-    extent = max(abs(pts[0]), abs(pts[-1])) if len(pts) else 0.0
+    n = len(g.weights)
+    x0, h = np.float64(g.origin), np.float64(g.step)
+    extent = max(abs(x0), abs(x0 + h * (n - 1))) if n else 0.0
     if abs(t) * extent > FLOAT_SAFETY:
         raise RangeError(
             f"|t|*extent = {abs(t) * extent:.3g} exceeds the float "
             f"safety bound {FLOAT_SAFETY:.3g}")
-    return float(np.sum(g.weights * np.cos(2.0 * math.pi * pts * t)))
+    k = g.weights.nonzero()[0]
+    return float(np.sum(g.weights[k]
+                        * np.cos(2.0 * math.pi * (x0 + h * k) * t)))
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,23 @@ class TestGridFt:
         with pytest.raises(RangeError):
             grid_ft(g, 1e30)
 
+    def test_cosines_only_at_occupied_cells(self, monkeypatch):
+        weights = np.zeros(100_001)
+        weights[[7, 90_000]] = (0.25, 0.75)
+        g = GridMeasure(F(-50_000), F(1, 4), weights)
+        sizes = []
+        cos = np.cos
+
+        def counted(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return cos(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "cos", counted)
+        x = np.array([7, 90_000]) / 4 - 50_000
+        want = 0.25 * math.cos(math.pi * x[0]) + 0.75 * math.cos(math.pi * x[1])
+        assert abs(grid_ft(g, 0.5) - want) < 1e-12
+        assert sizes == [2]
+
 
 class TestOracleSuite:
     def test_small_deterministic_run(self):

@@ -23,8 +23,9 @@ from hypothesis import strategies as st
 from tau3.class_algebra import (LEBESGUE_CLASS, ClassExpr, RelationKind,
                                 SingularTag, Support, convolve, relation,
                                 series_class)
-from tau3.errors import (BudgetExceeded, SnapError, SymmetryViolation,
-                         TailNotCertified, UnsupportedArgument)
+from tau3.errors import (BudgetExceeded, RangeError, SnapError,
+                         SymmetryViolation, TailNotCertified,
+                         UnsupportedArgument)
 from tau3.fourier import (CHAIN_MAX_BASE, MATERIALIZE_BITS, TAIL_CUTOFF_CAP,
                           TAIL_WIDTH_TARGET, ExactRational, ReducedExact,
                           ReducedSmall, ScaledPower, _chebyshev,
@@ -41,7 +42,7 @@ from tau3.measures import (CoeffTerm, CoefficientSequence, MeasureExpr,
                            atom_plan, bernoulli_partial, convolve_atoms,
                            lattice_measure, normalize, plan_mass,
                            scale_measure)
-from tau3.oracle import discretize
+from tau3.oracle import FLOAT_SAFETY, GridMeasure, discretize, grid_ft
 from tau3 import fourier, topology
 from tau3.topology import (WINDOW_THRESHOLD, Conclusion, ConvergenceVerdict,
                            SequenceSpec, cached_window_scan, window_product)
@@ -1594,6 +1595,49 @@ def test_discretize_keeps_the_atom_budget():
     m = MeasureExpr(bernoulli=CoefficientSequence("geometric", 3))
     with pytest.raises(BudgetExceeded):
         discretize(m, F(1, 3 ** 13), bernoulli_depth=13)
+
+
+def dense_ft(g, t):
+    """``grid_ft`` over every cell: extent from the dense ends, one fsum."""
+    x = [float(g.origin) + float(g.step) * j for j in range(len(g.weights))]
+    if abs(t) * max(abs(x[0]), abs(x[-1])) > FLOAT_SAFETY:
+        raise RangeError("beyond the float safety bound")
+    return math.fsum(w * math.cos(2.0 * math.pi * xj * t)
+                     for w, xj in zip(g.weights, x))
+
+
+@st.composite
+def sparse_grids(draw):
+    """A grid with zero margins and interior zeros, and a float argument."""
+    cells = draw(st.lists(st.one_of(st.just(0.0), st.floats(-8, 8)),
+                          min_size=1, max_size=30))
+    weights = ([0.0] * draw(st.integers(0, 20)) + cells
+               + [0.0] * draw(st.integers(0, 20)))
+    origin = draw(st.builds(F, st.integers(-400, 400), st.integers(1, 8)))
+    step = draw(st.builds(F, st.integers(1, 12), st.integers(1, 16)))
+    t = draw(st.one_of(st.floats(-100, 100), st.floats(-2.0 ** 18, 2.0 ** 18)))
+    return GridMeasure(origin, step, weights), t
+
+
+@PROPERTY_SETTINGS
+@given(sparse_grids())
+def test_grid_ft_equals_the_dense_sum(case):
+    g, t = case
+    try:
+        want = dense_ft(g, t)
+    except RangeError:
+        with pytest.raises(RangeError):
+            grid_ft(g, t)
+        return
+    assert abs(grid_ft(g, t) - want) <= 1e-12 * math.fsum(map(abs, g.weights))
+
+
+def test_grid_ft_guards_the_dense_extent():
+    # only the zero margin puts |t| * extent = 3 * 2**19 past 2**20
+    g = GridMeasure(F(0), F(1), [1, 0, 0, 0])
+    assert grid_ft(g.trimmed(), 2.0 ** 19) == 1.0
+    with pytest.raises(RangeError):
+        grid_ft(g, 2.0 ** 19)
 
 
 # ---------------------------------------------------------------------------
