@@ -21,116 +21,125 @@ from __future__ import annotations
 import hashlib
 from enum import Enum
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Union
 
 from .errors import SpecFormatError, Value
 from .measures import (EXPLICIT, GEOMETRIC, CoefficientSequence,
-                       MeasureExpr, bernoulli_partial, format_rational,
-                       normalize, parse_rational, rational_gcd)
+                       MeasureExpr, format_rational, normalize, on_lattice,
+                       parse_rational, support_lattice)
 
 # ---------------------------------------------------------------------------
 # Countable supports: finite sets and rational lattices with offsets
 # ---------------------------------------------------------------------------
 
-class Support(Value):
-    """Countable subset of the line: finite points or g*Z + offsets.
+def _classes(residues, period: int) -> set:
+    """The residues modulo period, or the points themselves at period 0."""
+    return {r % period for r in residues} if period else set(residues)
 
-    kind "finite": ``points`` lists the members.
-    kind "lattice": generator g > 0 with residue offsets in [0, g); g is the
-    smallest period of the set, so each set has one form.
+
+class Support(Value):
+    """Countable subset of the line: the points (r + k*period)/den for r in
+    ``residues`` and every integer k.
+
+    period 0 is a finite set and period > 0 a lattice, its residues in
+    [0, period).  den is the least common denominator and period the
+    smallest period, so each set has one form.
     """
 
-    __slots__ = ("kind", "points", "generator", "residues")
+    __slots__ = ("den", "period", "residues")
 
-    def __init__(self, kind: str, points: tuple[Fraction, ...] = (),
-                 generator: Fraction = Fraction(0),
-                 residues: tuple[Fraction, ...] = (Fraction(0),)):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "generator", generator)
-        object.__setattr__(self, "residues", residues)
+    def __init__(self, den: int, period: int, residues):
+        rs = _classes(residues, period)
+        if period:
+            # the periods are (period/m)Z for the largest m that maps rs
+            # onto itself
+            period //= next((m for m in range(len(rs), 1, -1)
+                             if len(rs) % m == period % m == 0 and all(
+                                 (r + period // m) % period in rs
+                                 for r in rs)), 1)
+            rs = {r % period for r in rs}
+        g = gcd(den, period, *rs)
+        object.__setattr__(self, "den", den // g)
+        object.__setattr__(self, "period", period // g)
+        object.__setattr__(self, "residues", tuple(sorted(r // g
+                                                          for r in rs)))
 
     @staticmethod
     def finite(points) -> "Support":
-        return Support("finite", points=tuple(sorted(dict.fromkeys(
-            Fraction(p) for p in points))))
+        den, nums = on_lattice([Fraction(p) for p in points])
+        return Support(den, 0, nums)
 
     @staticmethod
-    def lattice(generator, residues=(Fraction(0),)) -> "Support":
-        g = Fraction(generator)
-        if g <= 0:
+    def lattice(generator, residues=(0,)) -> "Support":
+        if generator <= 0:
             raise ValueError("lattice generator must be positive")
-        rs = {Fraction(r) % g for r in residues}
-        # the periods are (g/m)Z for the largest m that maps rs onto itself
-        m = next((m for m in range(len(rs), 1, -1) if len(rs) % m == 0
-                  and all((r + g / m) % g in rs for r in rs)), 1)
-        g /= m
-        rs = tuple(sorted({r % g for r in rs}))
-        return Support("lattice", generator=g, residues=rs)
+        den, (period, *rs) = on_lattice([Fraction(generator),
+                                         *map(Fraction, residues)])
+        return Support(den, period, rs)
 
-    @staticmethod
-    def group_generated(points) -> "Support":
-        pts = [Fraction(p) for p in points if p != 0]
-        if not pts:
-            return ORIGIN
-        return Support.lattice(rational_gcd(pts))
+    @property
+    def points(self) -> tuple[Fraction, ...]:
+        """The members of a finite set, () for a lattice."""
+        return () if self.period else tuple(
+            Fraction(r, self.den) for r in self.residues)
 
-    def is_finite(self) -> bool:
-        return self.kind == "finite"
+    @property
+    def generator(self) -> Fraction:
+        """The smallest period, 0 for a finite set."""
+        return Fraction(self.period, self.den)
+
+    def _with(self, other: "Support"):
+        """(den, (period, residues) of self, of other), both over the lcm
+        den of the two denominators."""
+        den = lcm(self.den, other.den)
+        return den, *((s.period * (den // s.den),
+                       [r * (den // s.den) for r in s.residues])
+                      for s in (self, other))
+
+    def group(self) -> "Support":
+        """The group the set generates: (gcd of its points)Z, or {0}."""
+        return Support(self.den, gcd(self.period, *self.residues), (0,))
 
     def members_include(self, x: Fraction) -> bool:
-        if self.is_finite():
-            return x in self.points
-        return (x % self.generator) in self.residues
+        n, rest = divmod(x.numerator * self.den, x.denominator)
+        return not rest and (n % self.period if self.period
+                             else n) in self.residues
 
     def subset_of(self, other: "Support") -> bool:
-        if self.is_finite():
-            return all(other.members_include(p) for p in self.points)
-        if other.is_finite():
+        _, (pa, ra), (pb, rb) = self._with(other)
+        # r + j*pa for j < steps are the distinct classes of r + pa*Z
+        # modulo pb
+        steps = pb // gcd(pa, pb) if pa else 1
+        if pa and (not pb or steps > len(rb)):
             return False
-        # r + j*g for j < steps are the distinct classes of r + gZ modulo
-        # the other generator
-        g = self.generator
-        steps = other.generator / rational_gcd([g, other.generator])
-        return steps <= len(other.residues) and all(
-            other.members_include(r + j * g)
-            for r in self.residues for j in range(int(steps)))
+        rb = set(rb)
+        return all(((r + j * pa) % pb if pb else r) in rb
+                   for r in ra for j in range(steps))
 
     def intersects(self, other: "Support") -> bool:
-        if self.is_finite():
-            return any(other.members_include(p) for p in self.points)
-        if other.is_finite():
-            return other.intersects(self)
-        g = rational_gcd([self.generator, other.generator])
-        return any((ra - rb) % g == 0
-                   for ra in self.residues for rb in other.residues)
+        _, (pa, ra), (pb, rb) = self._with(other)
+        p = gcd(pa, pb)
+        return not _classes(ra, p).isdisjoint(_classes(rb, p))
 
     def sumset(self, other: "Support") -> "Support":
-        if self.is_finite() and other.is_finite():
-            return Support.finite([a + b for a in self.points
-                                   for b in other.points])
-        if self.is_finite():
-            return other.sumset(self)
-        if other.is_finite():
-            return Support.lattice(self.generator,
-                                   [r + p for r in self.residues
-                                    for p in other.points])
-        g = rational_gcd([self.generator, other.generator])
-        return Support.lattice(g, [ra + rb for ra in self.residues
-                                   for rb in other.residues])
+        den, (pa, ra), (pb, rb) = self._with(other)
+        return Support(den, gcd(pa, pb), [x + y for x in ra for y in rb])
 
     def describe(self) -> str:
-        if self.is_finite():
-            return "{" + ",".join(format_rational(p)
-                                  for p in self.points) + "}"
+        pts = ",".join(format_rational(Fraction(r, self.den))
+                       for r in self.residues)
+        if not self.period:
+            return "{" + pts + "}"
         g = format_rational(self.generator)
-        if self.residues == (Fraction(0),):
-            return f"lattice({g})"
-        rs = ",".join(format_rational(r) for r in self.residues)
-        return f"lattice({g};+{{{rs}}})"
+        return (f"lattice({g})" if self.residues == (0,)
+                else f"lattice({g};+{{{pts}}})")
 
     def sort_key(self):
-        return (self.kind, self.points, self.generator, self.residues)
+        # orders as (kind, points, generator, residues) did with Fraction
+        # members: finite sets first, by their points
+        return (self.period > 0, self.generator,
+                tuple(Fraction(r, self.den) for r in self.residues))
 
 
 #: the support {0}: an untranslated tag, the unit of the sumset
@@ -336,34 +345,23 @@ def class_of(m: Union[MeasureExpr, ClassExpr]) -> ClassExpr:
     if isinstance(m, ClassExpr):
         return m.canonical()
     m = normalize(m)
-    atoms = Support.finite([p for p, _ in m.atoms]) if m.atoms else None
+    den, nums = support_lattice(m)
+    atoms = Support(den, 0, nums) if nums else None
     tags: tuple[SingularTag, ...] = ()
-    if m.bernoulli is not None:
-        if m.bernoulli.kind == EXPLICIT:
-            partial = bernoulli_partial(m.bernoulli, len(m.bernoulli.values))
-            pts = Support.finite([p for p, _ in partial.atoms])
-            atoms = pts if atoms is None else atom_union(atoms, pts)
-        else:
-            tags = (SingularTag.of(m.bernoulli),)
+    if m.bernoulli is not None and m.bernoulli.kind != EXPLICIT:
+        tags = (SingularTag.of(m.bernoulli),)
     return ClassExpr(atoms=atoms, ac_lebesgue=m.lebesgue, tags=tags,
                      provenance=(f"class of {m.describe()}",)).canonical()
 
 
 def atom_union(a: Support, b: Support) -> Support:
     """A ``Support`` containing both a and b; a lattice if either is one."""
-    if a.is_finite() and b.is_finite():
-        return Support.finite(a.points + b.points)
     if a.subset_of(b):
         return b
     if b.subset_of(a):
         return a
-    if not a.is_finite() and not b.is_finite():
-        g = rational_gcd([a.generator, b.generator])
-        return Support.lattice(g, a.residues + b.residues)
-    fin, lat = (a, b) if a.is_finite() else (b, a)
-    return Support.lattice(lat.generator,
-                           lat.residues + tuple(p % lat.generator
-                                                for p in fin.points))
+    den, (pa, ra), (pb, rb) = a._with(b)
+    return Support(den, gcd(pa, pb), ra + rb)
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +430,7 @@ def series_class(a: Union[MeasureExpr, ClassExpr]) -> ClassExpr:
     trace = ["rule:SeriesClosure"]
     # the union of the n-fold sumsets of a lattice g*Z + residues is the
     # group generated by g and the residues
-    group = None if c.atoms is None else Support.group_generated(
-        c.atoms.points if c.atoms.is_finite()
-        else (c.atoms.generator, *c.atoms.residues))
+    group = None if c.atoms is None else c.atoms.group()
     leb = c.ac_lebesgue
     if leb:
         trace.append("axiom:LebesgueAbsorption")

@@ -52,12 +52,6 @@ def format_rational(x: Fraction) -> str:
     return str(Fraction(x))
 
 
-def rational_gcd(values) -> Fraction:
-    """gcd of rationals: the generator of the group they generate."""
-    den, nums = _on_lattice([_exact(v) for v in values])
-    return Fraction(gcd(*nums), den)
-
-
 class CoeffTerm(Value):
     """One coefficient c_k in mantissa * base**(-neg_exp) form.
 
@@ -96,7 +90,7 @@ class CoefficientSequence(Value):
     def __init__(self, kind: str, base: Optional[int] = None,
                  scale: Fraction = Fraction(1),
                  values: tuple[Fraction, ...] = ()):
-        scale = Fraction(scale)
+        scale = _exact(scale)
         if scale <= 0:
             raise ValueError("coefficient scale must be positive")
         if kind in (FACTORIAL, GEOMETRIC):
@@ -328,7 +322,7 @@ def scale_measure(expr: MeasureExpr, s) -> MeasureExpr:
                        bernoulli=expr.bernoulli, scale=expr.scale * s)
 
 
-def _on_lattice(values) -> tuple[int, list[int]]:
+def on_lattice(values) -> tuple[int, list[int]]:
     """(den, [v * den]): rationals as integers over their common denominator."""
     den = lcm(*(v.denominator for v in values))
     return den, [v.numerator * (den // v.denominator) for v in values]
@@ -339,8 +333,8 @@ def atom_lattice(m: MeasureExpr) -> tuple[int, int, tuple]:
     else the nonzero ones in their order over the lcms of the denominators."""
     if m._lattice:
         return m._lattice
-    den, points = _on_lattice([p for p, _ in m.atoms])
-    total, weights = _on_lattice([w for _, w in m.atoms])
+    den, points = on_lattice([p for p, _ in m.atoms])
+    total, weights = on_lattice([w for _, w in m.atoms])
     return den, total, tuple((p, w) for p, w in zip(points, weights) if w)
 
 
@@ -365,10 +359,30 @@ def convolve_atoms(a: MeasureExpr, b: MeasureExpr) -> MeasureExpr:
                 raise ValueError(f"negative atom weight {Fraction(w, ta * tb)} "
                                  f"at {Fraction(p + q, den)}")
             acc[p + q] = acc.get(p + q, 0) + w
+    total = ta * tb
     if a._lattice and b._lattice:
-        return lattice_measure(den, ta * tb, acc)
-    return MeasureExpr(atoms=tuple((Fraction(p, den), Fraction(w, ta * tb))
+        g = gcd(total, *acc.values())  # the total in lowest terms
+        return lattice_measure(den, total // g,
+                               {p: w // g for p, w in acc.items()})
+    return MeasureExpr(atoms=tuple((Fraction(p, den), Fraction(w, total))
                                    for p, w in sorted(acc.items())))
+
+
+def support_lattice(m: MeasureExpr) -> tuple[int, list[int]]:
+    """(den, nums): the atom points of the canonical form of ``m`` as
+    p/den, then, for an explicit two-point part, the points of its full
+    expansion.  Raises BudgetExceeded when that expansion is too large."""
+    m = normalize(m)
+    den, _, pairs = m._lattice
+    nums = [p for p, _ in pairs]
+    seq = m.bernoulli
+    if seq is not None and seq.kind == EXPLICIT:
+        bden, counts = bernoulli_lattice(seq, len(seq.values))
+        d = lcm(den, bden)
+        nums = [p * (d // den) for p in nums] + [q * (d // bden)
+                                                  for q in counts]
+        den = d
+    return den, nums
 
 
 def check_atom_budget(n: int, atom_budget: int = DEFAULT_ATOM_BUDGET) -> None:
@@ -393,7 +407,7 @@ def bernoulli_lattice(seq: CoefficientSequence, n: int,
     if seq.length is not None and n > seq.length:
         raise IndexError(f"depth {n} beyond explicit list of {seq.length}")
     check_atom_budget(n, atom_budget)
-    den, steps = _on_lattice([seq.c(k) for k in range(1, n + 1)])
+    den, steps = on_lattice([seq.c(k) for k in range(1, n + 1)])
     counts = {0: 1}
     for c in steps:
         nxt: dict[int, int] = {}

@@ -246,11 +246,10 @@ def oracle_suite(cases: int = 1000, seed: int = 20240, depth: int = 12,
 
         if mode == 2:
             other = _random_atom_measure(rng, max_atoms=6, dyadic=True)
-            ga = g
             gb = discretize(other, step)
-            conv = grid_convolve(ga, gb)
+            conv = grid_convolve(g, gb)
             lhs = grid_ft(conv, float(t))
-            rhs = grid_ft(ga, float(t)) * grid_ft(gb, float(t))
+            rhs = val * grid_ft(gb, float(t))
             convolved += 1
             if abs(lhs - rhs) > 1e-9 * max(1.0, abs(rhs)):
                 failures.append(

@@ -27,7 +27,7 @@ import heapq
 from enum import Enum
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, gcd
 from typing import Optional
 
 from .errors import (BudgetExceeded, NotPointwiseEvaluable, ParameterError,
@@ -38,7 +38,7 @@ from .intervals import (IntervalValue, cos2pi, cos2pi_fixed, precision_bits,
 from .fourier import (ArgumentSpec, ExactRational, ScaledPower, atom_part,
                       ft_point)
 from .measures import (EXPLICIT, FACTORIAL, GEOMETRIC, MeasureExpr,
-                       bernoulli_partial, normalize, plan_mass, rational_gcd)
+                       normalize, plan_mass, support_lattice)
 
 DEFAULT_TOLERANCE = Fraction(1, 10 ** 6)
 #: split cap of ``f_gap_scan``, whose stop rule ends it after 62 splits
@@ -623,29 +623,27 @@ def classify_completion(expr: MeasureExpr,
                 "the completion is not compact; hence not locally compact",
             ))
 
-    if bern is not None:
-        if bern.kind == EXPLICIT:
-            try:
-                atoms = bernoulli_partial(bern, len(bern.values)).atoms
-            except BudgetExceeded as exc:
-                raise UndeterminedError(
-                    f"explicit convolution not expandable: {exc}") from None
-            flat = normalize(MeasureExpr(atoms=atoms + expr.atoms))
-            return classify_completion(flat, bits)
+    if bern is not None and bern.kind != EXPLICIT:
         raise UndeterminedError(
             f"two-point convolution family {bern.describe()} is outside "
             f"the classification catalog")
 
-    # purely atomic
-    magnitudes = sorted(dict.fromkeys(abs(p) for p, _ in expr.atoms if p != 0))
-    if not magnitudes:
+    # atomic, an explicit two-point part expanded to its atoms
+    try:
+        den, nums = support_lattice(expr)
+    except BudgetExceeded as exc:
+        raise UndeterminedError(
+            f"explicit convolution not expandable: {exc}") from None
+    nums = sorted({abs(p) for p in nums} - {0})
+    if not nums:
         return CompletionClass(
             kind=CompletionKind.NOT_HAUSDORFF,
             canonical_generator=Fraction(0),
             trace=("support is {0}: every character is trivial on it, the "
                    "topology is indiscrete",))
-    g = rational_gcd(magnitudes)
-    if g in magnitudes:
+    magnitudes = [Fraction(p, den) for p in nums]
+    g = Fraction(gcd(*nums), den)
+    if g == magnitudes[0]:  # g divides every magnitude
         return CompletionClass(
             kind=CompletionKind.NOT_HAUSDORFF,
             canonical_generator=g,

@@ -41,8 +41,11 @@ class TestSupport:
         assert evens.sumset(odds) == odds
 
     def test_group_generated(self):
-        g = Support.group_generated([F(1, 2), F(1, 3)])
+        g = Support.finite([F(1, 2), F(1, 3)]).group()
         assert g.generator == F(1, 6)
+        assert Support.lattice(2, [F(1, 3)]).group() == Support.lattice(
+            F(1, 3))
+        assert Support.finite([0]).group() == Support.finite([0])
 
     def test_lattice_reduces_to_its_smallest_period(self):
         # 2Z + {0, 1} is Z, and 6Z + {0, 2, 4} is 2Z: one form per set

@@ -10,8 +10,9 @@ import pytest
 from tau3.errors import BudgetExceeded, SpecFormatError, SymmetryViolation
 from tau3.measures import (CoefficientSequence, MeasureExpr, atom_plan,
                            bernoulli_partial, convolve_atoms,
-                           dump_measure_spec, measure_from_dict, normalize,
-                           parse_measure_spec, plan_mass, scale_measure)
+                           dump_measure_spec, lattice_measure,
+                           measure_from_dict, normalize, parse_measure_spec,
+                           plan_mass, scale_measure, support_lattice)
 
 F = Fraction
 
@@ -68,6 +69,8 @@ class TestNormalize:
         assert e.atoms == ((F(1), F(1, 2)), (F(-1), F(1, 2)))
         assert all(type(x) is Fraction for atom in e.atoms for x in atom)
         assert type(e.scale) is Fraction and e.scale == F(3, 2)
+        assert CoefficientSequence("geometric", 3, w).scale is w
+        assert type(CoefficientSequence("geometric", 3, 2).scale) is Fraction
 
     def test_scale_pushed_into_components(self):
         e = MeasureExpr(atoms=((F(2), F(1)), (F(-2), F(1))), scale=F(2))
@@ -87,6 +90,31 @@ class TestNormalize:
                               (F(1), F(3, 8)), (F(3), F(1, 8)))
         delta0 = MeasureExpr(atoms=((F(0), F(1)),))
         assert convolve_atoms(delta0, cube) == cube
+
+    def test_support_lattice_expands_an_explicit_part(self):
+        seq = CoefficientSequence("explicit", values=(F(1, 2), F(1, 3)))
+        m = MeasureExpr(atoms=((F(1, 4), F(1)), (F(-1, 4), F(1))),
+                        bernoulli=seq)
+        den, nums = support_lattice(m)
+        assert sorted(F(p, den) for p in nums) == [
+            F(-5, 6), F(-1, 4), F(-1, 6), F(1, 6), F(1, 4), F(5, 6)]
+        assert support_lattice(MeasureExpr(atoms=m.atoms, scale=F(2))) == (
+            8, [-1, 1])
+        with pytest.raises(BudgetExceeded):
+            support_lattice(MeasureExpr(bernoulli=CoefficientSequence(
+                "explicit", values=tuple(F(1, 2 ** k) for k in range(1, 14)))))
+
+    def test_convolution_totals_stay_in_lowest_terms(self):
+        # weights 1/4, 1/2, 1/4 over 840: the fifth power's total is
+        # 4**5, not 840**5
+        base = lattice_measure(8, 840, {-4: 210, 0: 420, 4: 210})
+        power = base
+        for _ in range(4):
+            power = convolve_atoms(power, base)
+        den, total, pairs = power._lattice
+        assert (den, total) == (8, 1024)
+        assert sum(w for _, w in pairs) == 1024
+        assert power.atoms[0] == (F(-20, 8), F(1, 1024))
 
 
 class TestCanonicalMark:

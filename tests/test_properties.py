@@ -21,8 +21,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tau3.class_algebra import (LEBESGUE_CLASS, ClassExpr, RelationKind,
-                                SingularTag, Support, convolve, relation,
-                                series_class)
+                                SingularTag, Support, atom_union, convolve,
+                                relation, series_class)
 from tau3.errors import (BudgetExceeded, RangeError, SnapError,
                          SymmetryViolation, TailNotCertified,
                          UnsupportedArgument)
@@ -1730,3 +1730,159 @@ def test_relation_agrees_both_ways(pair):
     else:
         assert ba.kind is ab.kind
         assert set(ba.trace) == set(ab.trace)
+
+
+# ---------------------------------------------------------------------------
+# Integer supports against the former Fraction supports
+# ---------------------------------------------------------------------------
+
+def _fraction_gcd(values):
+    den = math.lcm(*(v.denominator for v in values))
+    return F(math.gcd(*(v.numerator * (den // v.denominator)
+                        for v in values)), den)
+
+
+class FractionSupport(NamedTuple):
+    """The former ``Support``: Fraction points, and a kind that every
+    operation branches on."""
+
+    kind: str
+    points: tuple = ()
+    generator: Fraction = F(0)
+    residues: tuple = (F(0),)
+
+    @staticmethod
+    def finite(points):
+        return FractionSupport("finite", tuple(sorted(set(map(F, points)))))
+
+    @staticmethod
+    def lattice(generator, residues=(F(0),)):
+        g = F(generator)
+        rs = {F(r) % g for r in residues}
+        m = next((m for m in range(len(rs), 1, -1) if len(rs) % m == 0
+                  and all((r + g / m) % g in rs for r in rs)), 1)
+        g /= m
+        return FractionSupport("lattice", generator=g,
+                               residues=tuple(sorted({r % g for r in rs})))
+
+    @staticmethod
+    def group_generated(points):
+        pts = [F(p) for p in points if p != 0]
+        if not pts:
+            return FractionSupport.finite([0])
+        return FractionSupport.lattice(_fraction_gcd(pts))
+
+    def group(self):
+        return FractionSupport.group_generated(
+            self.points if self.kind == "finite"
+            else (self.generator, *self.residues))
+
+    def members_include(self, x):
+        if self.kind == "finite":
+            return x in self.points
+        return (x % self.generator) in self.residues
+
+    def subset_of(self, other):
+        if self.kind == "finite":
+            return all(other.members_include(p) for p in self.points)
+        if other.kind == "finite":
+            return False
+        g = self.generator
+        steps = other.generator / _fraction_gcd([g, other.generator])
+        return steps <= len(other.residues) and all(
+            other.members_include(r + j * g)
+            for r in self.residues for j in range(int(steps)))
+
+    def intersects(self, other):
+        if self.kind == "finite":
+            return any(other.members_include(p) for p in self.points)
+        if other.kind == "finite":
+            return other.intersects(self)
+        g = _fraction_gcd([self.generator, other.generator])
+        return any((ra - rb) % g == 0
+                   for ra in self.residues for rb in other.residues)
+
+    def sumset(self, other):
+        if self.kind == "finite" and other.kind == "finite":
+            return FractionSupport.finite([a + b for a in self.points
+                                           for b in other.points])
+        if self.kind == "finite":
+            return other.sumset(self)
+        if other.kind == "finite":
+            return FractionSupport.lattice(
+                self.generator,
+                [r + p for r in self.residues for p in other.points])
+        g = _fraction_gcd([self.generator, other.generator])
+        return FractionSupport.lattice(g, [ra + rb for ra in self.residues
+                                           for rb in other.residues])
+
+    def union(self, other):
+        a, b = self, other
+        if a.kind == b.kind == "finite":
+            return FractionSupport.finite(a.points + b.points)
+        if a.subset_of(b):
+            return b
+        if b.subset_of(a):
+            return a
+        if a.kind == b.kind == "lattice":
+            return FractionSupport.lattice(
+                _fraction_gcd([a.generator, b.generator]),
+                a.residues + b.residues)
+        fin, lat = (a, b) if a.kind == "finite" else (b, a)
+        return FractionSupport.lattice(
+            lat.generator,
+            lat.residues + tuple(p % lat.generator for p in fin.points))
+
+    def describe(self):
+        if self.kind == "finite":
+            return "{" + ",".join(map(str, self.points)) + "}"
+        g = str(self.generator)
+        if self.residues == (F(0),):
+            return f"lattice({g})"
+        return f"lattice({g};+{{{','.join(map(str, self.residues))}}})"
+
+    def sort_key(self):
+        return (self.kind, self.points, self.generator, self.residues)
+
+
+support_rationals = st.builds(F, st.integers(-30, 30),
+                              st.sampled_from((1, 2, 3, 4, 6, 9, 12)))
+
+
+@st.composite
+def support_pairs(draw):
+    """(integer Support, FractionSupport) for one drawn set: a finite set,
+    or a lattice whose residues are sometimes whole cosets of a finer
+    period, so the period search has work to do."""
+    if draw(st.booleans()):
+        pts = draw(st.lists(support_rationals, min_size=1, max_size=6))
+        return Support.finite(pts), FractionSupport.finite(pts)
+    g = draw(st.builds(F, st.integers(1, 6), st.sampled_from((1, 2, 3, 4))))
+    rs = draw(st.lists(support_rationals, min_size=1, max_size=3))
+    m = draw(st.sampled_from((1, 1, 2, 3)))
+    rs = [r + k * g / m for r in rs for k in range(m)]
+    return Support.lattice(g, rs), FractionSupport.lattice(g, rs)
+
+
+def same_support(new, old):
+    return new.describe() == old.describe() and new.points == old.points \
+        and new.generator == old.generator
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(support_pairs(), support_pairs(), st.lists(support_rationals,
+                                                  max_size=6))
+def test_integer_supports_agree_with_fraction_supports(a, b, probes):
+    (na, oa), (nb, ob) = a, b
+    assert same_support(na, oa) and same_support(nb, ob)
+    assert same_support(na.group(), oa.group())
+    for x in probes + list(oa.points + ob.points + oa.residues
+                           + ob.residues) + [oa.generator / 2]:
+        assert na.members_include(x) == oa.members_include(x)
+    assert na.subset_of(nb) == oa.subset_of(ob)
+    assert nb.subset_of(na) == ob.subset_of(oa)
+    assert na.intersects(nb) == oa.intersects(ob)
+    assert same_support(na.sumset(nb), oa.sumset(ob))
+    assert same_support(atom_union(na, nb), oa.union(ob))
+    assert (na.sort_key() < nb.sort_key()) == (oa.sort_key() < ob.sort_key())
+    assert (na.sort_key() == nb.sort_key()) == (na == nb) == (oa == ob)

@@ -399,10 +399,10 @@ class TestClassifyCompletion:
         assert "depth 13" in exc.value.reason
 
     def test_explicit_expansion_passes_other_errors_on(self, monkeypatch):
-        def broken(seq, n):
+        def broken(m):
             raise RuntimeError("not a budget refusal")
 
-        monkeypatch.setattr(topology, "bernoulli_partial", broken)
+        monkeypatch.setattr(topology, "support_lattice", broken)
         m = MeasureExpr(bernoulli=CoefficientSequence(
             "explicit", values=(F(1, 2), F(1, 4))))
         with pytest.raises(RuntimeError, match="not a budget refusal"):

@@ -67,7 +67,7 @@ CASES = {
         ("kind", "dual_generators", "canonical_generator", "witness",
          "witness_verdict", "trace"), True),
     Support: (lambda: Support.lattice(F(1, 2), (F(0), F(1, 4))),
-              ("kind", "points", "generator", "residues"), True),
+              ("den", "period", "residues"), True),
     SingularTag: (lambda: SingularTag(((GEO.key(), 2),), False, (),
                                       Support.finite([0, 1])),
                   ("components", "closed", "opaque", "translates"), True),
