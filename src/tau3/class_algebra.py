@@ -58,7 +58,7 @@ class Support(Value):
                              if len(rs) % m == period % m == 0 and all(
                                  (r + period // m) % period in rs
                                  for r in rs)), 1)
-            rs = {r % period for r in rs}
+            rs = _classes(rs, period)
         g = gcd(den, period, *rs)
         object.__setattr__(self, "den", den // g)
         object.__setattr__(self, "period", period // g)

@@ -1865,8 +1865,11 @@ def support_pairs(draw):
 
 
 def same_support(new, old):
-    return new.describe() == old.describe() and new.points == old.points \
-        and new.generator == old.generator
+    """``new`` is the one integer form of the set ``old`` names."""
+    rebuilt = (Support.finite(old.points) if old.kind == "finite"
+               else Support.lattice(old.generator, old.residues))
+    return new == rebuilt and new.describe() == old.describe() \
+        and new.points == old.points and new.generator == old.generator
 
 
 @settings(PROPERTY_SETTINGS, max_examples=300)
