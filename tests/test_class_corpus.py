@@ -191,8 +191,12 @@ def draw_scale(rng) -> F:
                        F(rng.randint(1, 30), rng.randint(1, 9))))
 
 
+#: atom point denominators, all at most 27
+ATOM_DENS = (1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 18, 24, 27)
+
+
 def draw_atoms(rng, zero=True) -> str:
-    pairs = [f"{F(rng.randint(1, 60), rng.choice((1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 18, 24, 27)))}:"
+    pairs = [f"{F(rng.randint(1, 60), rng.choice(ATOM_DENS))}:"
              f"{F(1, rng.choice((2, 4, 8, 16)))}"
              for _ in range(rng.randint(1, 4))]
     if zero and rng.random() < 0.3:
@@ -273,7 +277,9 @@ def draw_case(rng, op: str) -> str:
     if op == "distinguish":
         a = nontrivial(rng)
         b = related(rng, a)
-        return f"distinguish {a} {b if b != a or rng.random() < 0.3 else nontrivial(rng)}"
+        if b == a and rng.random() >= 0.3:
+            b = nontrivial(rng)
+        return f"distinguish {a} {b}"
     a = draw_measure(rng)
     b = related(rng, a)
     return (f"relation {rng.choice(tuple(TABLES))} {draw_operand(rng, a)} "
@@ -311,7 +317,8 @@ def regenerate() -> None:
     for case in cases:
         new = as_recorded(run(case))
         if case in old and new != old[case]:
-            print(f"changed: {case[:200]}\n  {first_difference(old[case], new)}")
+            print(f"changed: {case[:200]}\n  "
+                  f"{first_difference(old[case], new)}")
         lines.append(f"{case} => {new}\n")
     CORPUS.write_text("".join(lines))
     print(f"wrote {len(lines)} cases to {CORPUS.name}")
