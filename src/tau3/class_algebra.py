@@ -26,8 +26,8 @@ from typing import Optional, Union
 
 from .errors import SpecFormatError, Value
 from .measures import (EXPLICIT, GEOMETRIC, CoefficientSequence,
-                       MeasureExpr, format_rational, normalize, on_lattice,
-                       parse_rational, support_lattice)
+                       MeasureExpr, format_rational, on_lattice, parse_rational,
+                       support_lattice)
 
 # ---------------------------------------------------------------------------
 # Countable supports: finite sets and rational lattices with offsets
@@ -344,7 +344,6 @@ def class_of(m: Union[MeasureExpr, ClassExpr]) -> ClassExpr:
     """Measure class of a symbolic measure; weights are forgotten."""
     if isinstance(m, ClassExpr):
         return m.canonical()
-    m = normalize(m)
     den, nums = support_lattice(m)
     atoms = Support(den, 0, nums) if nums else None
     tags: tuple[SingularTag, ...] = ()

@@ -57,8 +57,7 @@ from .intervals import (QUADRATIC_COS_COEFF, IntervalValue, Rational,
                         cos2pi_fixed, niven_twice, precision_bits,
                         product_fixed, quadratic_cos_threshold)
 from .measures import (FACTORIAL, GEOMETRIC, CoeffTerm,
-                       CoefficientSequence, MeasureExpr, atom_plan, normalize,
-                       plan_mass)
+                       CoefficientSequence, MeasureExpr, atom_plan, plan_mass)
 
 #: beyond this many bits ``_reduce`` does not expand a power of the base;
 #: ``ReducedSmall.dyadic_upper`` expands one only to compare it exactly
@@ -702,7 +701,6 @@ def ft_point(expr: MeasureExpr, t, tail_cutoff: Optional[int] = None,
     if tail_cutoff is not None and tail_cutoff < 0:
         raise ParameterError(f"tail cutoff {tail_cutoff} is negative")
     t = as_argument(t)
-    expr = normalize(expr)
     if expr.lebesgue:
         raise NotPointwiseEvaluable(
             "the Lebesgue component has no pointwise transform")

@@ -33,7 +33,7 @@ from .class_algebra import (ORIGIN, AxiomTable, ClassExpr, LEBESGUE_CLASS,
                             relation, series_class)
 from .intervals import precision_bits
 from .measures import (EXPLICIT, MeasureExpr, measure_from_dict,
-                       measure_to_dict, normalize)
+                       measure_to_dict)
 from .topology import (CompletionClass, CompletionKind, Conclusion,
                        ConvergenceVerdict, SequenceSpec, classify_completion,
                        test_sequence)
@@ -52,7 +52,7 @@ class FactorSpec(Value):
     __slots__ = ("label", "spectral_measure")
 
     def __init__(self, label: str, spectral_measure: MeasureExpr):
-        m = normalize(spectral_measure)
+        m = spectral_measure
         if m.is_zero:
             raise ValueError("spectral measure must be nontrivial")
         if not m.lebesgue and m.bernoulli is None \

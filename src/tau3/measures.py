@@ -8,10 +8,13 @@ descriptor.  Convolution powers are handled at the class level (see
 statements about the positive half-line are mapped through the logarithm,
 so the multiplicative unit corresponds to an atom at 0.
 
-A canonical measure holds its atoms as one integer lattice ``(den, total,
-((p, w), ...))``, points p/den and weights w/total sorted by p, which only
-``lattice_measure``, the one symmetry check, sets; ``atoms``, the exact
-rational pairs, is built from it when first read.  All values are immutable.
+Every measure is canonical from construction: it holds its atoms as one
+integer lattice ``(den, total, ((p, w), ...))``, points p/den and weights
+w/total sorted by p, which only ``lattice_measure``, the one builder and the
+one symmetry check, sets.  The constructor merges its atoms onto that
+lattice and returns through it; ``scale_measure`` is the one scaling path.
+``atoms``, the exact rational pairs, is built from the lattice when first
+read.  All values are immutable.
 """
 
 from __future__ import annotations
@@ -164,25 +167,28 @@ def _exact(x) -> Fraction:
 
 class MeasureExpr(Value):
     """Symbolic symmetric measure; see the module docstring.  The private
-    slots: the canonical lattice, caches of atoms, normalize and atom_plan."""
+    slots: the canonical lattice and caches of atoms and atom_plan."""
 
-    __slots__ = ("_atoms", "lebesgue", "bernoulli", "scale", "_lattice",
-                 "_normal", "_atom_plan")
-    _fields = ("atoms", "lebesgue", "bernoulli", "scale")
+    __slots__ = ("_atoms", "lebesgue", "bernoulli", "_lattice", "_atom_plan")
+    _fields = ("atoms", "lebesgue", "bernoulli")
 
-    def __init__(self, atoms: tuple[tuple[Fraction, Fraction], ...] = (),
-                 lebesgue: bool = False,
-                 bernoulli: Optional[CoefficientSequence] = None,
-                 scale: Fraction = Fraction(1)):
-        scale = _exact(scale)
-        object.__setattr__(self, "_atoms", tuple(
-            (_exact(p), _exact(w)) for p, w in atoms))
-        object.__setattr__(self, "lebesgue", lebesgue)
-        object.__setattr__(self, "bernoulli", bernoulli)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "_lattice", None)
-        if scale <= 0:
-            raise ValueError("measure scale must be positive")
+    def __new__(cls, atoms: tuple[tuple[Fraction, Fraction], ...] = (),
+                lebesgue: bool = False,
+                bernoulli: Optional[CoefficientSequence] = None):
+        """Merge the atoms as integer counts on one lattice, dropping zero
+        weights; raise ValueError at the first negative weight, and return
+        through ``lattice_measure``, the one symmetry check."""
+        atoms = [(_exact(p), _exact(w)) for p, w in atoms]
+        den, points = on_lattice([p for p, _ in atoms])
+        total, weights = on_lattice([w for _, w in atoms])
+        counts: dict[int, int] = {}
+        for p, w in zip(points, weights):
+            if w < 0:
+                raise ValueError(f"negative atom weight {Fraction(w, total)} "
+                                 f"at {Fraction(p, den)}")
+            if w:
+                counts[p] = counts.get(p, 0) + w
+        return lattice_measure(den, total, counts, lebesgue, bernoulli)
 
     @property
     def atoms(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -196,8 +202,8 @@ class MeasureExpr(Value):
 
     @property
     def is_zero(self) -> bool:
-        atoms = self._lattice[2] if self._lattice else self._atoms
-        return not atoms and not self.lebesgue and self.bernoulli is None
+        return (not self._lattice[2] and not self.lebesgue
+                and self.bernoulli is None)
 
     def describe(self) -> str:
         parts = []
@@ -207,10 +213,7 @@ class MeasureExpr(Value):
             parts.append("lebesgue")
         if self.bernoulli is not None:
             parts.append(f"bernoulli[{self.bernoulli.describe()}]")
-        body = " + ".join(parts) if parts else "zero"
-        if self.scale != 1:
-            return f"scale({format_rational(self.scale)}; {body})"
-        return body
+        return " + ".join(parts) if parts else "zero"
 
     # -- constructors -------------------------------------------------------
 
@@ -237,55 +240,26 @@ class MeasureExpr(Value):
 
     def plus(self, other: "MeasureExpr") -> "MeasureExpr":
         """Componentwise sum of two measures, each symmetric on its own."""
-        a = normalize(self)
-        b = normalize(other)
-        if a.bernoulli is not None and b.bernoulli is not None:
+        if self.bernoulli is not None and other.bernoulli is not None:
             raise ValueError("at most one infinite-convolution summand")
-        return normalize(MeasureExpr(atoms=a.atoms + b.atoms,
-                                     lebesgue=a.lebesgue or b.lebesgue,
-                                     bernoulli=a.bernoulli or b.bernoulli))
+        return MeasureExpr(atoms=self.atoms + other.atoms,
+                           lebesgue=self.lebesgue or other.lebesgue,
+                           bernoulli=self.bernoulli or other.bernoulli)
 
 
 def normalize(expr: MeasureExpr) -> MeasureExpr:
-    """Canonical form: duplicates merged, scale pushed inward.
-
-    Idempotent; class-equal expressions built from the same components in a
-    different order come out byte-identical.  Raises ValueError at the
-    first negative weight; merges the rest as integer counts on one lattice
-    and returns through ``lattice_measure``, the one symmetry check.  A
-    measure holding its lattice comes back unchanged; any other argument
-    keeps its canonical form, so a second call is a lookup.
-    """
-    known = expr if expr._lattice else getattr(expr, "_normal", None)
-    if known is not None:
-        return known
-    s = expr.scale
-    # the atom at p/den moves to p/(den*s) = p*s.denominator/(den*s.numerator)
-    den, total, pairs = atom_lattice(expr)
-    counts: dict[int, int] = {}
-    for p, w in pairs:
-        if w < 0:
-            raise ValueError(f"negative atom weight {Fraction(w, total)} "
-                             f"at {Fraction(p, den) / s}")
-        p *= s.denominator
-        counts[p] = counts.get(p, 0) + w
-    bern = (expr.bernoulli.rescaled(1 / s) if expr.bernoulli and s != 1
-            else expr.bernoulli)
-    out = lattice_measure(den * s.numerator, total, counts, expr.lebesgue,
-                          bern)
-    # out is another instance, so holding it here makes no reference cycle
-    object.__setattr__(expr, "_normal", out)
-    return out
+    """The identity: every ``MeasureExpr`` is canonical from construction.
+    Kept by name for callers outside the package."""
+    return expr
 
 
 def atom_plan(expr: MeasureExpr) -> tuple[int, tuple]:
-    """The atom sum of ``expr`` as integers, cached on its canonical form.
+    """The atom sum of ``expr`` as integers, cached on the measure.
 
     (D, pairs): one (p.numerator, p.denominator, v) per atom at p >= 0, the
     atoms at +-p adding v/D * cos(2*pi*p*t); v/D is twice the weight at p,
     or the weight itself at 0.
     """
-    expr = expr if expr._lattice else normalize(expr)
     plan = getattr(expr, "_atom_plan", None)
     if plan is None:
         den, total, pairs = expr._lattice
@@ -310,16 +284,20 @@ def plan_mass(expr: MeasureExpr) -> Fraction:
 def scale_measure(expr: MeasureExpr, s) -> MeasureExpr:
     """Rescale: the result assigns to a set X the mass of s*X.
 
-    Atoms at a move to a/s; coefficient sequences divide their scale by s;
-    the Lebesgue component is invariant as a class.
+    Atoms at a move to a/s, p/den to p*s.denominator/(den*s.numerator) on
+    the lattice; coefficient sequences divide their scale by s; the
+    Lebesgue component is invariant as a class.
     """
     s = Fraction(s)
     if s <= 0:
         raise ValueError("scaling factor must be positive")
     if s == 1:
         return expr
-    return MeasureExpr(atoms=expr.atoms, lebesgue=expr.lebesgue,
-                       bernoulli=expr.bernoulli, scale=expr.scale * s)
+    den, total, pairs = expr._lattice
+    bern = expr.bernoulli.rescaled(1 / s) if expr.bernoulli else None
+    return lattice_measure(den * s.numerator, total,
+                           {p * s.denominator: w for p, w in pairs},
+                           expr.lebesgue, bern)
 
 
 def on_lattice(values) -> tuple[int, list[int]]:
@@ -328,51 +306,32 @@ def on_lattice(values) -> tuple[int, list[int]]:
     return den, [v.numerator * (den // v.denominator) for v in values]
 
 
-def atom_lattice(m: MeasureExpr) -> tuple[int, int, tuple]:
-    """(den, total, pairs) of the atoms of ``m``: the canonical lattice, or
-    else the nonzero ones in their order over the lcms of the denominators."""
-    if m._lattice:
-        return m._lattice
-    den, points = on_lattice([p for p, _ in m.atoms])
-    total, weights = on_lattice([w for _, w in m.atoms])
-    return den, total, tuple((p, w) for p, w in zip(points, weights) if w)
-
-
 def convolve_atoms(a: MeasureExpr, b: MeasureExpr) -> MeasureExpr:
-    """Exact convolution of two unscaled finite atomic measures.
+    """Exact convolution of two finite atomic measures.
 
     Runs on one integer lattice: points over the lcm of the two point
-    denominators, weights over the product of the two weight totals.
-    Canonical arguments give a canonical result through ``lattice_measure``.
+    denominators, weights over the product of the two weight totals, in
+    lowest terms.
     """
-    if any(m.lebesgue or m.bernoulli or m.scale != 1 for m in (a, b)):
-        raise ValueError("convolve_atoms takes unscaled purely atomic measures")
-    (da, ta, pa), (db, tb, pb) = atom_lattice(a), atom_lattice(b)
+    if any(m.lebesgue or m.bernoulli for m in (a, b)):
+        raise ValueError("convolve_atoms takes purely atomic measures")
+    (da, ta, pa), (db, tb, pb) = a._lattice, b._lattice
     den = lcm(da, db)
     pb = [(q * (den // db), u) for q, u in pb]
     acc: dict[int, int] = {}
     for p, v in pa:
         p *= den // da
         for q, u in pb:
-            w = v * u
-            if w < 0:
-                raise ValueError(f"negative atom weight {Fraction(w, ta * tb)} "
-                                 f"at {Fraction(p + q, den)}")
-            acc[p + q] = acc.get(p + q, 0) + w
-    total = ta * tb
-    if a._lattice and b._lattice:
-        g = gcd(total, *acc.values())  # the total in lowest terms
-        return lattice_measure(den, total // g,
-                               {p: w // g for p, w in acc.items()})
-    return MeasureExpr(atoms=tuple((Fraction(p, den), Fraction(w, total))
-                                   for p, w in sorted(acc.items())))
+            acc[p + q] = acc.get(p + q, 0) + v * u
+    g = gcd(ta * tb, *acc.values())  # the total in lowest terms
+    return lattice_measure(den, ta * tb // g,
+                           {p: w // g for p, w in acc.items()})
 
 
 def support_lattice(m: MeasureExpr) -> tuple[int, list[int]]:
-    """(den, nums): the atom points of the canonical form of ``m`` as
-    p/den, then, for an explicit two-point part, the points of its full
-    expansion.  Raises BudgetExceeded when that expansion is too large."""
-    m = normalize(m)
+    """(den, nums): the atom points of ``m`` as p/den, then, for an
+    explicit two-point part, the points of its full expansion.  Raises
+    BudgetExceeded when that expansion is too large."""
     den, _, pairs = m._lattice
     nums = [p for p, _ in pairs]
     seq = m.bernoulli
@@ -444,8 +403,10 @@ def lattice_measure(den: int, total: int, counts: dict, lebesgue=False,
             raise SymmetryViolation(
                 f"atom at {Fraction(p, den)} of weight {Fraction(w, total)} "
                 f"is not positive with a mirror of equal weight")
-    out = MeasureExpr((), lebesgue, bernoulli)
+    out = object.__new__(MeasureExpr)
     object.__setattr__(out, "_atoms", None)  # built from the lattice on read
+    object.__setattr__(out, "lebesgue", lebesgue)
+    object.__setattr__(out, "bernoulli", bernoulli)
     object.__setattr__(out, "_lattice", (den, total,
                                          tuple(sorted(counts.items()))))
     return out
@@ -508,14 +469,12 @@ def measure_from_dict(doc: dict) -> MeasureExpr:
             raise SpecFormatError(f"bad bernoulli descriptor: {exc}") from None
     scale = parse_rational(doc.get("scale", 1))
     try:
-        return normalize(MeasureExpr(atoms=tuple(atoms), lebesgue=lebesgue,
-                                     bernoulli=bern, scale=scale))
+        return scale_measure(MeasureExpr(atoms, lebesgue, bern), scale)
     except (ValueError, SymmetryViolation) as exc:
         raise SpecFormatError(f"invalid measure: {exc}") from None
 
 
 def measure_to_dict(expr: MeasureExpr) -> dict:
-    expr = normalize(expr)
     doc: dict = {
         "atoms": [[format_rational(p), format_rational(w)]
                   for p, w in expr.atoms],

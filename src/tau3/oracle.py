@@ -22,9 +22,8 @@ from typing import Optional
 from .errors import (NotPointwiseEvaluable, ParameterError, RangeError,
                      SnapError, StepMismatch, Value)
 from .fourier import ft_point
-from .measures import (CoefficientSequence, MeasureExpr, atom_lattice,
-                       bernoulli_lattice, check_atom_budget, convolve_atoms,
-                       lattice_measure, normalize)
+from .measures import (CoefficientSequence, MeasureExpr, bernoulli_lattice,
+                       check_atom_budget, convolve_atoms, lattice_measure)
 
 #: |t| * extent cap keeping cos arguments accurate to ~1e-12
 FLOAT_SAFETY = float(1 << 20)
@@ -62,7 +61,7 @@ def discretize(expr: MeasureExpr, step, bernoulli_depth: int = 8,
                strict_snap: bool = True) -> GridMeasure:
     """Sample a finite-mass symbolic measure onto a uniform grid.
 
-    The atoms are read as integers off ``atom_lattice``; the
+    The atoms are read as integers off the measure's lattice; the
     two-point-convolution part is replaced by its depth-fold partial
     expansion, read off ``bernoulli_lattice``.  Atoms must land on grid
     points when ``strict_snap`` is set; otherwise they snap to the nearest
@@ -77,7 +76,6 @@ def discretize(expr: MeasureExpr, step, bernoulli_depth: int = 8,
     if expr.bernoulli is not None and bernoulli_depth < 1:
         raise ParameterError(
             f"bernoulli depth must be at least 1, got {bernoulli_depth}")
-    expr = normalize(expr)
     if expr.lebesgue:
         raise NotPointwiseEvaluable(
             "the Lebesgue component cannot be discretized without a window")
@@ -87,7 +85,7 @@ def discretize(expr: MeasureExpr, step, bernoulli_depth: int = 8,
         depth = min(bernoulli_depth, expr.bernoulli.length or bernoulli_depth)
         den, counts = bernoulli_lattice(expr.bernoulli, depth)
         runs.append((den, 1 << depth, sorted(counts.items())))
-    runs.append(atom_lattice(expr))
+    runs.append(expr._lattice)
     num, dnm = step.numerator, step.denominator
     index, weight = [], []
     for den, total, pairs in runs:

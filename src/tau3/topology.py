@@ -38,7 +38,7 @@ from .intervals import (IntervalValue, cos2pi, cos2pi_fixed, precision_bits,
 from .fourier import (ArgumentSpec, ExactRational, ScaledPower, atom_part,
                       ft_point)
 from .measures import (EXPLICIT, FACTORIAL, GEOMETRIC, MeasureExpr,
-                       normalize, plan_mass, support_lattice)
+                       plan_mass, support_lattice)
 
 DEFAULT_TOLERANCE = Fraction(1, 10 ** 6)
 #: split cap of ``f_gap_scan``, whose stop rule ends it after 62 splits
@@ -366,7 +366,6 @@ def test_sequence(expr: MeasureExpr, seq: SequenceSpec, tol=DEFAULT_TOLERANCE,
     tol = Fraction(tol)
     if not 0 < tol < 1:
         raise ParameterError(f"tolerance {tol} outside (0, 1)")
-    expr = normalize(expr)
     if expr.lebesgue:
         raise NotPointwiseEvaluable(
             "sequence testing needs a finite-mass measure")
@@ -569,7 +568,6 @@ def classify_completion(expr: MeasureExpr,
     with rational scalings.
     """
     bits = precision_bits(bits)
-    expr = normalize(expr)
     if expr.is_zero:
         raise UndeterminedError("the zero measure induces no topology")
 

@@ -155,17 +155,18 @@ def test_criterion_5_oracle_equivalence():
 def test_criterion_6_invariant_suites():
     rng = random.Random(616)
 
-    # normalize idempotence
+    # normalize idempotence: a scaled measure rebuilds to itself
     for _ in range(100):
         atoms = []
         for _ in range(rng.randint(0, 5)):
             p = F(rng.randint(0, 9), rng.randint(1, 5))
             w = F(rng.randint(1, 5))
             atoms += [(p, w), (-p, w)]
-        e = MeasureExpr(atoms=tuple(atoms), lebesgue=rng.random() < 0.3,
-                        scale=F(rng.randint(1, 6), rng.randint(1, 6)))
+        e = scale_measure(MeasureExpr(atoms=tuple(atoms),
+                                      lebesgue=rng.random() < 0.3),
+                          F(rng.randint(1, 6), rng.randint(1, 6)))
         n1 = normalize(e)
-        assert normalize(n1) == n1
+        assert n1 is e and MeasureExpr(n1.atoms, n1.lebesgue) == n1
 
     # scaling law on 500 cases: intervals of FT(scale(e,s), t) and
     # FT(e, t/s) intersect

@@ -35,8 +35,8 @@ class TestFactorSpec:
             FactorSpec("X", MeasureExpr(atoms=((F(0), F(1)),)))
 
     def test_normalizes_on_construction(self):
-        spec = FactorSpec("X", MeasureExpr(
-            atoms=((F(2), F(1)), (F(-2), F(1))), scale=F(2)))
+        spec = FactorSpec("X", scale_measure(MeasureExpr(
+            atoms=((F(2), F(1)), (F(-2), F(1)))), 2))
         assert spec.spectral_measure.atoms == ((F(-1), F(1)), (F(1), F(1)))
 
 

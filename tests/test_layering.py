@@ -13,11 +13,13 @@ In ``fourier`` one constructor, ``_terms``, picks the term reader of a
 sequence kind, and no other code there reads the kind; an index is reduced
 only in a reader's ``__missing__``, the fill of its per-call memo.
 
-``measures.lattice_measure`` builds every canonical atom list, is the only
-code that sets a measure's integer lattice and holds the one
-``raise SymmetryViolation`` in the package.  ``oracle`` reads no
-``Fraction`` atoms: ``ft_point``, ``discretize`` and ``convolve_atoms``
-leave them unbuilt.
+``measures.lattice_measure`` builds every measure, the constructor's
+included, is the only code that sets a measure's integer lattice and holds
+the one ``raise SymmetryViolation`` in the package.  Every measure is
+canonical from construction, so no module of the package calls
+``normalize``, the identity kept by name.  ``oracle`` reads no ``Fraction``
+atoms: ``ft_point``, ``discretize`` and ``convolve_atoms`` leave them
+unbuilt.
 """
 
 import ast
@@ -173,7 +175,8 @@ def test_only_lattice_measure_raises_symmetry_violation():
 
 
 def test_only_lattice_measure_sets_a_lattice():
-    # __init__ stores None; every canonical lattice comes from one builder
+    # every lattice comes from one builder: the constructor returns through
+    # it, and only the builder makes an instance without the constructor
     tree = ast.parse((PACKAGE / "measures.py").read_text())
     owners = [fn.name for fn in ast.walk(tree)
               if isinstance(fn, ast.FunctionDef)
@@ -181,7 +184,27 @@ def test_only_lattice_measure_sets_a_lattice():
               if isinstance(node, ast.Call)
               and ast.unparse(node.func) == "object.__setattr__"
               and ast.unparse(node.args[1]) == "'_lattice'"]
-    assert sorted(owners) == ["__init__", "lattice_measure"], owners
+    assert owners == ["lattice_measure"], owners
+    bare = [fn.name for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call)
+            and ast.unparse(node) == "object.__new__(MeasureExpr)"]
+    assert bare == ["lattice_measure"], bare
+    new = next(fn for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) and fn.name == "__new__")
+    assert [ast.unparse(node.value.func) for node in ast.walk(new)
+            if isinstance(node, ast.Return)] == ["lattice_measure"]
+
+
+def test_no_module_calls_normalize():
+    calls = [f"{module} line {node.lineno}"
+             for module in MODULES
+             for node in ast.walk(ast.parse(
+                 (PACKAGE / f"{module}.py").read_text()))
+             if isinstance(node, ast.Call)
+             and ast.unparse(node.func).split(".")[-1] == "normalize"]
+    assert not calls, calls
 
 
 def test_oracle_reads_no_fraction_atoms():

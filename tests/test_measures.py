@@ -55,31 +55,27 @@ class TestNormalize:
                 p = F(rng.randint(0, 9), rng.randint(1, 4))
                 w = F(rng.randint(1, 5))
                 atoms += [(p, w), (-p, w)]
-            e = MeasureExpr(atoms=tuple(atoms),
-                            lebesgue=rng.random() < 0.3,
-                            scale=F(rng.randint(1, 5), rng.randint(1, 5)))
-            n1 = normalize(e)
-            assert normalize(n1) == n1
+            e = scale_measure(MeasureExpr(atoms=tuple(atoms),
+                                          lebesgue=rng.random() < 0.3),
+                              F(rng.randint(1, 5), rng.randint(1, 5)))
+            assert normalize(e) is e
+            assert MeasureExpr(e.atoms, e.lebesgue, e.bernoulli) == e
 
     def test_fields_become_fractions_without_rewrapping(self):
-        p, w = F(1, 3), F(1, 2)
-        e = MeasureExpr(atoms=((p, w), (-p, w)), scale=F(2))
-        assert e.atoms[0][1] is w and e.scale == 2
-        e = MeasureExpr(atoms=((1, "1/2"), (-1, F(1, 2))), scale="3/2")
-        assert e.atoms == ((F(1), F(1, 2)), (F(-1), F(1, 2)))
+        w = F(1, 2)
+        e = MeasureExpr(atoms=((1, "1/2"), (-1, F(1, 2))))
+        assert e.atoms == ((F(-1), F(1, 2)), (F(1), F(1, 2)))
         assert all(type(x) is Fraction for atom in e.atoms for x in atom)
-        assert type(e.scale) is Fraction and e.scale == F(3, 2)
         assert CoefficientSequence("geometric", 3, w).scale is w
         assert type(CoefficientSequence("geometric", 3, 2).scale) is Fraction
 
     def test_scale_pushed_into_components(self):
-        e = MeasureExpr(atoms=((F(2), F(1)), (F(-2), F(1))), scale=F(2))
-        n = normalize(e)
-        assert n.scale == 1
+        e = MeasureExpr(atoms=((F(2), F(1)), (F(-2), F(1))))
+        n = scale_measure(e, 2)
+        assert n._lattice == (2, 1, ((-2, 1), (2, 1)))
         assert n.atoms == ((F(-1), F(1)), (F(1), F(1)))
-        b = MeasureExpr(bernoulli=CoefficientSequence("geometric", 3),
-                        scale=F(3))
-        nb = normalize(b)
+        b = MeasureExpr(bernoulli=CoefficientSequence("geometric", 3))
+        nb = scale_measure(b, 3)
         assert nb.bernoulli.scale == F(1, 3)
 
     def test_convolution_of_atomics_expands(self):
@@ -98,8 +94,8 @@ class TestNormalize:
         den, nums = support_lattice(m)
         assert sorted(F(p, den) for p in nums) == [
             F(-5, 6), F(-1, 4), F(-1, 6), F(1, 6), F(1, 4), F(5, 6)]
-        assert support_lattice(MeasureExpr(atoms=m.atoms, scale=F(2))) == (
-            8, [-1, 1])
+        assert support_lattice(scale_measure(MeasureExpr(atoms=m.atoms),
+                                             2)) == (8, [-1, 1])
         with pytest.raises(BudgetExceeded):
             support_lattice(MeasureExpr(bernoulli=CoefficientSequence(
                 "explicit", values=tuple(F(1, 2 ** k) for k in range(1, 14)))))
@@ -118,7 +114,8 @@ class TestNormalize:
 
 
 class TestCanonicalMark:
-    """Canonical measures carry that fact; normalize then does no work."""
+    """Every measure is canonical from construction; normalize is the
+    identity."""
 
     def canonical_measures(self):
         pair = normalize(MeasureExpr.symmetric_pair(F(2, 3), F(1, 2)))
@@ -134,24 +131,24 @@ class TestCanonicalMark:
             assert normalize(c) is c
 
     def test_other_arguments_keep_their_canonical_form(self):
-        e = MeasureExpr(atoms=((F(2), F(1)), (F(-2), F(1))), scale=F(2))
-        n = normalize(e)
-        assert n is not e and normalize(e) is n and normalize(n) is n
+        # unmerged atoms with a zero weight, then scaled: already canonical
+        e = scale_measure(MeasureExpr(atoms=((F(2), F(1)), (F(-2), F(1)),
+                                             (F(2, 3), F(0)))), 2)
+        assert e._lattice == (6, 1, ((-6, 1), (6, 1)))
+        assert normalize(e) is e and normalize(normalize(e)) is e
 
     def test_convolution_is_marked_only_for_canonical_inputs(self):
-        pair = normalize(MeasureExpr.symmetric_pair(1, F(1, 2)))
-        unmarked = MeasureExpr(atoms=pair.atoms)
-        out = convolve_atoms(unmarked, pair)
-        assert normalize(out) == out and normalize(out) is not out
-        lopsided = MeasureExpr(atoms=((F(1), F(1)),))
+        pair = MeasureExpr.symmetric_pair(1, F(1, 2))
+        rebuilt = MeasureExpr(atoms=pair.atoms)
+        out = convolve_atoms(rebuilt, pair)
+        assert normalize(out) is out and out == convolve_atoms(pair, pair)
         with pytest.raises(SymmetryViolation):
-            normalize(convolve_atoms(lopsided, pair))
+            convolve_atoms(MeasureExpr(atoms=((F(1), F(1)),)), pair)
 
     def test_lopsided_measure_raises_on_every_call(self):
-        e = MeasureExpr(atoms=((F(1), F(1)), (F(-1), F(2))))
         for _ in range(3):
             with pytest.raises(SymmetryViolation):
-                normalize(e)
+                MeasureExpr(atoms=((F(1), F(1)), (F(-1), F(2))))
 
     def test_marked_and_unmarked_equal_measures_compare_equal(self):
         for c in self.canonical_measures():
@@ -166,9 +163,9 @@ class TestCanonicalMark:
         # a cycle through a mark or a cached plan would keep them alive
         gc.disable()
         try:
-            e = MeasureExpr(atoms=((F(2), F(1)), (F(-2), F(1))), scale=F(2))
-            c = normalize(e)
-            atom_plan(e)
+            e = MeasureExpr(atoms=((F(2), F(1)), (F(-2), F(1))))
+            c = scale_measure(e, 2)
+            atom_plan(e), atom_plan(c), e.atoms, c.atoms
             refs = [weakref.ref(e), weakref.ref(c)]
             del e, c
             assert all(r() is None for r in refs)
@@ -286,7 +283,11 @@ class TestConvolveAtoms:
 
     def test_rejects_components_it_would_drop(self):
         pair = MeasureExpr(atoms=((F(-1), F(1, 2)), (F(1), F(1, 2))))
-        for other in (scale_measure(pair, 2), pair.plus(
+        # a scaled measure is a plain atomic one and convolves as such
+        assert convolve_atoms(pair, scale_measure(pair, 2)).atoms == (
+            (F(-3, 2), F(1, 4)), (F(-1, 2), F(1, 4)), (F(1, 2), F(1, 4)),
+            (F(3, 2), F(1, 4)))
+        for other in (pair.plus(
                 MeasureExpr.lebesgue_measure()), bernoulli_partial(
                 CoefficientSequence("geometric", 3), 2).plus(
                 MeasureExpr.bernoulli_geometric(3))):

@@ -1,5 +1,5 @@
 """Property tests: the cosine kernel, atomic convolution, the transform
-and its tail, ``normalize``, the window route of ``test_sequence``, the
+and its tail, measure construction, the window route of ``test_sequence``, the
 integer-lattice expansions behind the grid oracle and the laws of the
 measure-class algebra, checked on generated inputs against mpmath, against
 naive ``Fraction`` references (the log-space tail, the per-index window
@@ -429,9 +429,9 @@ def test_convolution_theorem_on_atomic_measures(a, b, t):
 @given(symmetric_atomic(), st.booleans(),
        st.builds(F, st.integers(1, 6), st.integers(1, 6)))
 def test_normalize_idempotent(m, lebesgue, scale):
-    e = MeasureExpr(atoms=m.atoms, lebesgue=lebesgue, scale=scale)
-    once = normalize(e)
-    assert normalize(once) == once
+    once = scale_measure(MeasureExpr(atoms=m.atoms, lebesgue=lebesgue), scale)
+    assert normalize(once) is once
+    assert MeasureExpr(once.atoms, once.lebesgue, once.bernoulli) == once
 
 
 @st.composite
@@ -451,12 +451,12 @@ def test_normalize_rejects_exactly_the_lopsided(atoms):
     for p, w in atoms:
         merged[p] = merged.get(p, F(0)) + w
     lopsided = any(merged.get(-p) != w for p, w in merged.items())
-    e = MeasureExpr(atoms=tuple(atoms))
     if lopsided:
         with pytest.raises(SymmetryViolation):
-            normalize(e)
+            MeasureExpr(atoms=tuple(atoms))
     else:
-        assert normalize(e).atoms == tuple(sorted(merged.items()))
+        assert MeasureExpr(atoms=tuple(atoms)).atoms == tuple(
+            sorted(merged.items()))
 
 
 # -- the integer lattice against naive Fraction references ------------------
@@ -479,10 +479,7 @@ def naive_convolve(a, b):
     acc: dict[Fraction, Fraction] = {}
     for pa, wa in a.atoms:
         for pb, wb in b.atoms:
-            w = wa * wb
-            if w < 0:
-                raise ValueError(f"negative atom weight {w} at {pa + pb}")
-            acc[pa + pb] = acc.get(pa + pb, F(0)) + w
+            acc[pa + pb] = acc.get(pa + pb, F(0)) + wa * wb
     return tuple(sorted((p, w) for p, w in acc.items() if w != 0))
 
 
@@ -1336,7 +1333,7 @@ def test_plan_mass_equals_the_fraction_sum(pairs, kind, scale):
     # empty lists give the zero measure; points include 0
     atoms = [a for p, w in pairs for a in ((p, w), (-p, w))]
     bern = CoefficientSequence(kind, 3) if kind else None
-    m = MeasureExpr(atoms=tuple(atoms), bernoulli=bern, scale=scale)
+    m = scale_measure(MeasureExpr(atoms=tuple(atoms), bernoulli=bern), scale)
     total = sum((w for _, w in atoms), F(0)) + (bern is not None)
     assert plan_mass(m) == plan_mass(normalize(m)) == total
 
@@ -1364,23 +1361,23 @@ signed_weights = st.builds(F, st.integers(-2, 5), st.integers(1, 4))
 
 @st.composite
 def raw_atomic(draw):
-    """Unnormalized atom lists: repeated points, zero and negative weights."""
-    atoms = draw(st.lists(st.tuples(small_rationals, signed_weights),
-                          max_size=6))
-    return MeasureExpr(atoms=tuple(atoms))
+    """Unmerged atom lists: repeated points, zero and negative weights."""
+    return tuple(draw(st.lists(st.tuples(small_rationals, signed_weights),
+                               max_size=6)))
+
+
+@st.composite
+def mirrored_atomic(draw):
+    """Measures built from unmerged mirrored atom lists: repeated points
+    and zero weights, which the constructor merges and drops."""
+    atoms = [(p, abs(w)) for p, w in draw(raw_atomic())]
+    return MeasureExpr(atoms=tuple(atoms + [(-p, w) for p, w in atoms]))
 
 
 @PROPERTY_SETTINGS
-@given(raw_atomic(), raw_atomic())
+@given(mirrored_atomic(), mirrored_atomic())
 def test_convolve_atoms_equals_the_naive_double_loop(a, b):
-    try:
-        expected = naive_convolve(a, b)
-    except ValueError as exc:
-        with pytest.raises(ValueError) as got:
-            convolve_atoms(a, b)
-        assert str(got.value) == str(exc)
-    else:
-        assert convolve_atoms(a, b).atoms == expected
+    assert convolve_atoms(a, b).atoms == naive_convolve(a, b)
 
 
 @st.composite
@@ -1395,31 +1392,29 @@ def lattice_atomic(draw, den):
 
 
 @PROPERTY_SETTINGS
-@given(lattice_atomic(108), lattice_atomic(8), raw_atomic())
+@given(lattice_atomic(108), lattice_atomic(8), mirrored_atomic())
 def test_convolve_atoms_across_point_denominators(a, b, raw):
-    # the oracle's two lattices, 108 and 8, and a lattice against raw atoms
+    # the oracle's two lattices, 108 and 8, and a lattice against a
+    # measure built from unmerged atoms
     conv = convolve_atoms(a, b)
     assert normalize(conv) is conv
     assert conv.atoms == naive_convolve(a, b)
     assert convolve_atoms(b, a) == conv
-    try:
-        expected = naive_convolve(a, raw)
-    except ValueError as exc:
-        with pytest.raises(ValueError) as got:
-            convolve_atoms(a, raw)
-        assert str(got.value) == str(exc)
-    else:
-        assert convolve_atoms(a, raw).atoms == expected
+    assert convolve_atoms(a, raw).atoms == naive_convolve(a, raw)
 
 
 def test_convolve_atoms_drops_zero_weights_and_rejects_negative_ones():
+    # the constructor drops zero weights and refuses negative ones, so
+    # neither reaches the convolution
     a = MeasureExpr(atoms=((F(-1), F(1)), (F(1), F(1))))
-    zero = MeasureExpr(atoms=((F(0), F(0)), (F(1, 2), F(1, 3))))
+    zero = MeasureExpr(atoms=((F(0), F(0)), (F(1, 2), F(1, 3)),
+                              (F(-1, 2), F(1, 3))))
+    assert zero.atoms == ((F(-1, 2), F(1, 3)), (F(1, 2), F(1, 3)))
     assert convolve_atoms(a, zero).atoms == (
-        (F(-1, 2), F(1, 3)), (F(3, 2), F(1, 3)))
-    negative = MeasureExpr(atoms=((F(2), F(-1, 2)),))
-    with pytest.raises(ValueError, match=r"negative atom weight -1/2 at 1"):
-        convolve_atoms(a, negative)
+        (F(-3, 2), F(1, 3)), (F(-1, 2), F(1, 3)), (F(1, 2), F(1, 3)),
+        (F(3, 2), F(1, 3)))
+    with pytest.raises(ValueError, match=r"negative atom weight -1/2 at 2"):
+        MeasureExpr(atoms=((F(2), F(-1, 2)), (F(-2), F(-1, 2))))
 
 
 @PROPERTY_SETTINGS
@@ -1434,7 +1429,7 @@ def test_lattice_measure_equals_normalize(den, total, half):
         (F(p, den), F(w, total)) for p, w in counts.items())))
     assert got.atoms == want.atoms
     assert all(type(p) is F and type(w) is F for p, w in got.atoms)
-    assert not got.lebesgue and got.bernoulli is None and got.scale == 1
+    assert not got.lebesgue and got.bernoulli is None
     assert normalize(got) is got
 
 
@@ -1477,15 +1472,16 @@ def test_atom_plan_equals_the_fraction_reference(den, k, total, j, half,
     assert plan == fraction_atom_plan(m)
 
 
-def fraction_normalize(expr):
-    """The former ``normalize``: a merge through a dict keyed by Fraction
-    points, then a mirror check over Fractions."""
-    s = expr.scale
+def fraction_normalize(atoms, lebesgue, bernoulli, s):
+    """The former ``normalize`` of ``atoms`` scaled by s: a merge through a
+    dict keyed by Fraction points, then a mirror check over Fractions.  A
+    negative weight is reported at its point as written, since construction
+    comes before scaling."""
     acc: dict[Fraction, Fraction] = {}
-    for p, w in expr.atoms:
-        p = p / s if s != 1 else p
+    for p, w in atoms:
         if w.numerator < 0:
             raise ValueError(f"negative atom weight {w} at {p}")
+        p = p / s if s != 1 else p
         acc[p] = acc[p] + w if p in acc else w
     atoms = tuple(sorted((p, w) for p, w in acc.items() if w))
     table = dict(atoms)
@@ -1493,8 +1489,8 @@ def fraction_normalize(expr):
         if table.get(-p) != w:
             raise SymmetryViolation(f"atom at {p} of weight {w} lacks a "
                                     f"mirror of equal weight at {-p}")
-    bern = expr.bernoulli.rescaled(F(1) / s) if expr.bernoulli else None
-    return MeasureExpr(atoms=atoms, lebesgue=expr.lebesgue, bernoulli=bern)
+    bern = bernoulli.rescaled(F(1) / s) if bernoulli else None
+    return atoms, lebesgue, bern
 
 
 @PROPERTY_SETTINGS
@@ -1503,35 +1499,35 @@ def fraction_normalize(expr):
        st.sampled_from([None, CoefficientSequence("geometric", 3),
                         CoefficientSequence("explicit",
                                             values=(F(1, 2), F(1, 7)))]))
-@example(MeasureExpr(atoms=((F(1, 2), F(1, 3)), (F(0), F(0)))), True, F(3, 2),
-         True, None)
-@example(MeasureExpr(atoms=((F(1), F(1)), (F(-1), F(2)))), False, F(2),
-         False, CoefficientSequence("geometric", 3))
-@example(MeasureExpr(atoms=((F(1), F(1)), (F(2), F(-1, 2)))), True, F(5, 3),
-         False, None)
+@example(((F(1, 2), F(1, 3)), (F(0), F(0))), True, F(3, 2), True, None)
+@example(((F(1), F(1)), (F(-1), F(2))), False, F(2), False,
+         CoefficientSequence("geometric", 3))
+@example(((F(1), F(1)), (F(2), F(-1, 2))), True, F(5, 3), False, None)
 def test_normalize_equals_the_fraction_merge(raw, mirror, scale, lebesgue,
                                              bern):
-    """On raw atom lists, mirrored or not, ``normalize`` agrees with the
-    Fraction merge: the same canonical measure, the same ValueError message
-    for a negative weight, or a SymmetryViolation on both sides."""
-    atoms = raw.atoms + tuple((-p, w) for p, w in raw.atoms if mirror)
-    expr = MeasureExpr(atoms=atoms, lebesgue=lebesgue, bernoulli=bern,
-                       scale=scale)
+    """On raw atom lists, mirrored or not, construction then
+    ``scale_measure`` agrees with the Fraction merge: the same canonical
+    measure, the same ValueError message for a negative weight, or a
+    SymmetryViolation on both sides."""
+    atoms = raw + tuple((-p, w) for p, w in raw if mirror)
+
+    def build():
+        return scale_measure(MeasureExpr(atoms, lebesgue, bern), scale)
+
     try:
-        want = fraction_normalize(expr)
+        want = fraction_normalize(atoms, lebesgue, bern, scale)
     except ValueError as exc:
         with pytest.raises(ValueError) as got:
-            normalize(expr)
+            build()
         assert str(got.value) == str(exc)
     except SymmetryViolation:
         with pytest.raises(SymmetryViolation):
-            normalize(expr)
+            build()
     else:
-        got = normalize(expr)
-        assert got.atoms == want.atoms
+        got = build()
+        assert normalize(got) is got
+        assert (got.atoms, got.lebesgue, got.bernoulli) == want
         assert all(type(p) is F and type(w) is F for p, w in got.atoms)
-        assert got.lebesgue == want.lebesgue
-        assert got.bernoulli == want.bernoulli
 
 
 @st.composite

@@ -215,15 +215,15 @@ class TestWindowBound:
 
 
 class TestWeightSymmetry:
-    LOPSIDED = MeasureExpr(atoms=((F(1), F(1)), (F(-1), F(2))),
-                           bernoulli=CoefficientSequence("geometric", 3))
-
     @pytest.mark.parametrize("base", [3, 5])
     def test_lopsided_weights_rejected_on_every_route(self, base):
-        # base 3 takes the window route, base 5 the generic per-index one
+        # base 3 takes the window route, base 5 the generic per-index one;
+        # a lopsided measure is refused before either route can start
         seq = SequenceSpec("geometric", base=base, n_min=3, n_max=5)
         with pytest.raises(SymmetryViolation):
-            run_test_sequence(self.LOPSIDED, seq)
+            run_test_sequence(MeasureExpr(
+                atoms=((F(1), F(1)), (F(-1), F(2))),
+                bernoulli=CoefficientSequence("geometric", 3)), seq)
 
 
 class TestRefusedEvaluation:
