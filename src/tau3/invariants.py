@@ -33,7 +33,7 @@ from .class_algebra import (ORIGIN, AxiomTable, ClassExpr, LEBESGUE_CLASS,
                             relation, series_class)
 from .intervals import precision_bits
 from .measures import (EXPLICIT, MeasureExpr, measure_from_dict,
-                       measure_to_dict)
+                       measure_to_dict, support_lattice)
 from .topology import (CompletionClass, CompletionKind, Conclusion,
                        ConvergenceVerdict, SequenceSpec, classify_completion,
                        test_sequence)
@@ -179,16 +179,18 @@ def _atomic_progression_witness(gen_conv: Fraction, other: MeasureExpr
     """Sequence converging in the topology of an atomic measure with group
     generator ``gen_conv`` while staying bounded away under ``other``.
 
-    Picks an atom b of ``other`` outside the first group and an arithmetic
+    Picks a support point b of ``other`` (an explicit two-point part's
+    expansion included) outside the first group and an arithmetic
     progression t = (c + j*q)/g on which b*t keeps a fixed non-integer
     fractional part.
     """
     if gen_conv == 0:
         return None
-    for p_pt, _ in sorted(other.atoms):
+    den, nums = support_lattice(other)
+    for p_pt in sorted(nums):
         if p_pt == 0:
             continue
-        r = abs(Fraction(p_pt)) / gen_conv
+        r = Fraction(abs(p_pt), den) / gen_conv
         if r.denominator == 1:
             continue
         q = r.denominator

@@ -25,7 +25,7 @@ from tau3.class_algebra import (LEBESGUE_CLASS, ClassExpr, RelationKind,
                                 relation, series_class)
 from tau3.errors import (BudgetExceeded, RangeError, SnapError,
                          SymmetryViolation, TailNotCertified,
-                         UnsupportedArgument)
+                         UndeterminedError, UnsupportedArgument)
 from tau3.fourier import (CHAIN_MAX_BASE, MATERIALIZE_BITS, TAIL_CUTOFF_CAP,
                           TAIL_WIDTH_TARGET, ExactRational, ReducedExact,
                           ReducedSmall, ScaledPower, _chebyshev,
@@ -38,14 +38,16 @@ from tau3.intervals import (_EXACT_COS_TWELFTHS, KERNEL_MAX_BITS, MAX_BITS,
                             cos2pi, cos2pi_fixed, cos2pi_interval, exp_neg,
                             log1m, niven_twice, quadratic_cos_threshold,
                             two_pi_bounds)
+from tau3.invariants import FactorSpec, distinguish, s_bounds
 from tau3.measures import (CoeffTerm, CoefficientSequence, MeasureExpr,
-                           atom_plan, bernoulli_partial, convolve_atoms,
-                           lattice_measure, normalize, plan_mass,
-                           scale_measure)
+                           atom_plan, bernoulli_lattice, bernoulli_partial,
+                           convolve_atoms, lattice_measure, normalize,
+                           plan_mass, scale_measure)
 from tau3.oracle import FLOAT_SAFETY, GridMeasure, discretize, grid_ft
 from tau3 import fourier, topology
 from tau3.topology import (WINDOW_THRESHOLD, Conclusion, ConvergenceVerdict,
-                           SequenceSpec, cached_window_scan, window_product)
+                           SequenceSpec, cached_window_scan,
+                           classify_completion, window_product)
 
 F = Fraction
 
@@ -1885,3 +1887,82 @@ def test_integer_supports_agree_with_fraction_supports(a, b, probes):
     assert same_support(atom_union(na, nb), oa.union(ob))
     assert (na.sort_key() < nb.sort_key()) == (oa.sort_key() < ob.sort_key())
     assert (na.sort_key() == nb.sort_key()) == (na == nb) == (oa == ob)
+
+
+# -- verdicts that do not depend on how an atomic measure is written --------
+
+explicit_values = st.builds(F, st.integers(1, 12), st.integers(1, 12))
+
+
+@st.composite
+def explicit_measures(draw):
+    """Up to two mirrored atom pairs plus an explicit two-point part of 1-6
+    values, some of them scaled."""
+    values = sorted(draw(st.sets(explicit_values, min_size=1, max_size=6)),
+                    reverse=True)
+    seq = CoefficientSequence("explicit", values=values,
+                              scale=draw(st.sampled_from((1, F(1, 2),
+                                                          F(2, 3)))))
+    atoms = []
+    for p, w in draw(st.lists(st.tuples(points, weights), max_size=2)):
+        atoms += [(p, w), (-p, w)]
+    return MeasureExpr(atoms=tuple(atoms), bernoulli=seq)
+
+
+def expanded(m: MeasureExpr) -> MeasureExpr:
+    """``m`` with its explicit part written as the atoms of its full
+    ``bernoulli_lattice`` expansion, added to its own atoms."""
+    seq = m.bernoulli
+    n = len(seq.values)
+    den, counts = bernoulli_lattice(seq, n)
+    return MeasureExpr(atoms=m.atoms + tuple(
+        (F(p, den), F(w, 1 << n)) for p, w in counts.items()))
+
+
+def tau_lines(cert) -> tuple[list[str], list[Fraction]]:
+    """The TAU section of a certificate, whose INPUTS differ by form, with
+    its cross-test gaps apart: they rest on enclosures of the atom sum or
+    of the two-point product, whose widths differ."""
+    lines = cert.to_text().splitlines()
+    lines = lines[lines.index("TAU") + 1:lines.index("S-BOUNDS")]
+    gaps = [F(line.rsplit(" gap=", 1)[1]) for line in lines
+            if " gap=" in line]
+    return [line.split(" gap=")[0] for line in lines], gaps
+
+
+def completion_or_refusal(m: MeasureExpr):
+    try:
+        return classify_completion(m, bits=128)
+    except UndeterminedError as exc:
+        return exc.reason
+
+
+@PROPERTY_SETTINGS
+@given(explicit_measures(),
+       st.one_of(explicit_measures(), symmetric_atomic().filter(
+           lambda m: any(p for p, _ in m.atoms))),
+       st.lists(small_rationals, min_size=1, max_size=3))
+@example(MeasureExpr(bernoulli=CoefficientSequence("explicit",
+                                                   values=(F(1, 2),))),
+         MeasureExpr(bernoulli=CoefficientSequence("explicit",
+                                                   values=(F(1, 3),))),
+         [F(1, 3)])          # Undetermined while the witness read .atoms
+def test_an_explicit_part_and_its_expansion_are_one_measure(m, other, ts):
+    """Metamorphic: writing an explicit two-point part as the atoms of its
+    expansion changes neither the transform nor any class, completion,
+    bracket or verdict computed from the measure."""
+    e = expanded(m)
+    assert plan_mass(e) == plan_mass(m)
+    for t in ts:
+        assert ft_point(e, t, bits=128).intersects(ft_point(m, t, bits=128))
+    assert completion_or_refusal(e) == completion_or_refusal(m)
+    assert s_bounds(FactorSpec("A", e)) == s_bounds(FactorSpec("A", m))
+    b = FactorSpec("B", other)
+    got = distinguish(FactorSpec("A", e), b, bits=128)
+    want = distinguish(FactorSpec("A", m), b, bits=128)
+    assert got.verdict == want.verdict
+    (got_lines, got_gaps), (want_lines, want_gaps) = map(tau_lines,
+                                                         (got, want))
+    assert got_lines == want_lines and len(got_gaps) == len(want_gaps)
+    assert all(abs(g - w) < F(1, 2 ** 100)
+               for g, w in zip(got_gaps, want_gaps))
