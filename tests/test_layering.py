@@ -31,7 +31,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = ROOT / "src" / "tau3"
+#: the package ``import tau3`` finds, so that a copy of src/ on PYTHONPATH,
+#: such as a mutant of ``tests/mutants.py``, is the one checked
+PACKAGE = Path(importlib.util.find_spec("tau3").origin).parent
 CHAIN = ("intervals", "measures", "fourier", "topology", "class_algebra",
          "invariants", "cli")
 
