@@ -5,7 +5,7 @@ exactly once in it, the replacement that makes the mistake, the tests that
 must fail under it and its origin, the commit whose tests first killed it.
 Run as a script from the repository root:
 
-    python tests/mutants.py [name ...]
+    python tests/mutants.py
 
 For each mutant it copies ``src/`` into a temporary directory, applies the
 mutant there, runs only the named tests with ``PYTHONPATH`` on the copy and
@@ -146,24 +146,19 @@ def run(mutant: Mutant, scratch: Path) -> tuple[bool, str]:
                            else f"killed by {len(mutant.kills)} tests")
 
 
-def main(names) -> int:
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {sorted(unknown)}")
-        return 2
-    chosen = [m for m in MUTANTS if not names or m.name in names]
+def main() -> int:
     start = time.perf_counter()
     survived = 0
     with tempfile.TemporaryDirectory(prefix="tau3-mutants-") as scratch:
-        for mutant in chosen:
+        for mutant in MUTANTS:
             killed, detail = run(mutant, Path(scratch))
             survived += not killed
             print(f"{'ok  ' if killed else 'FAIL'} {mutant.name}: {detail}",
                   flush=True)
-    print(f"{len(chosen) - survived} of {len(chosen)} mutants killed in "
+    print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} mutants killed in "
           f"{time.perf_counter() - start:.1f} s")
     return 1 if survived else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -170,7 +170,7 @@ class TestOracleSuite:
 
 def fraction_atom_measure(rng, max_atoms=12, dyadic=False):
     """The atomic case generator in Fraction arithmetic, atoms merged by
-    ``normalize``: the reference for the integer-lattice one."""
+    the constructor: the reference for the integer-lattice one."""
     atoms = {}
     denoms = (1, 2, 4, 8) if dyadic else (1, 2, 3, 4, 6, 9, 27)
     for _ in range(rng.randint(1, max_atoms)):
