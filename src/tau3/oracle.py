@@ -1,15 +1,12 @@
 """Brute-force numerical cross-checks on uniform grids.
 
-Everything here is plain floating point on purpose: the grid oracle is the
-independent, low-tech counterpart that certified results are validated
-against.  Grid convolution is the direct O(n*m) sum.  ``discretize``
-reads a measure's atoms as integers off its lattice into one ``bincount``,
-and ``grid_ft`` takes cosines at occupied cells only.
-
-numpy is imported inside the functions that use it, not at module level,
-so ``import tau3`` and every command but ``oracle-check`` start without
-it; the first grid built loads it once for the process.  The ``np.ndarray``
-annotations are never evaluated (``from __future__ import annotations``).
+Everything here is plain floating point and the standard library on
+purpose: the grid oracle is the independent, low-tech counterpart that
+certified results are validated against.  A grid is a dict from a cell
+index to its float weight, holding the occupied cells only.
+``discretize`` reads a measure's atoms as integers off its lattice,
+``grid_convolve`` is the direct double loop over occupied cells and
+``grid_ft`` one ``math.fsum`` over them.
 """
 
 from __future__ import annotations
@@ -30,31 +27,20 @@ FLOAT_SAFETY = float(1 << 20)
 
 
 class GridMeasure(Value):
-    """Finite measure sampled on origin + step * k, weights as floats."""
+    """Finite measure on the grid step * i: ``cells`` maps an index i to
+    the float weight at i * step, for the cells given only."""
 
-    __slots__ = ("origin", "step", "weights")
+    __slots__ = ("step", "cells")
 
-    def __init__(self, origin: Fraction, step: Fraction, weights: np.ndarray):
-        import numpy as np
-        object.__setattr__(self, "origin", origin)
+    def __init__(self, step: Fraction, cells: dict[int, float]):
         object.__setattr__(self, "step", step)
-        object.__setattr__(self, "weights",
-                           np.asarray(weights, dtype=np.float64))
+        object.__setattr__(self, "cells", dict(cells))
         if step <= 0:
             raise ValueError("grid step must be positive")
 
     @property
     def mass(self) -> float:
-        return float(self.weights.sum())
-
-    def trimmed(self) -> "GridMeasure":
-        """Drop zero-weight margins (canonical form for comparisons)."""
-        nz = self.weights.nonzero()[0]
-        if len(nz) == 0:
-            return GridMeasure(Fraction(0), self.step, [0.0])
-        lo, hi = int(nz[0]), int(nz[-1])
-        return GridMeasure(self.origin + self.step * lo, self.step,
-                           self.weights[lo:hi + 1].copy())
+        return math.fsum(self.cells.values())
 
 
 def discretize(expr: MeasureExpr, step, bernoulli_depth: int = 8,
@@ -65,9 +51,10 @@ def discretize(expr: MeasureExpr, step, bernoulli_depth: int = 8,
     two-point-convolution part is replaced by its depth-fold partial
     expansion, read off ``bernoulli_lattice``.  Atoms must land on grid
     points when ``strict_snap`` is set; otherwise they snap to the nearest
-    point, ties to even.  One ``np.bincount`` adds each cell's weights in
-    input order, the ascending two-point points and then the atoms; mass
-    is preserved up to float summation (well within 1e-12).  Raises
+    point, ties to even.  Each cell adds its weights in input order, the
+    two-point points and then the ascending atoms; the two-point weights
+    are k/2**depth, so their sums are exact in any order, and mass is
+    preserved up to float summation (well within 1e-12).  Raises
     ParameterError for a step <= 0, or a depth < 1 with a two-point part.
     """
     step = step if type(step) is Fraction else Fraction(step)
@@ -79,64 +66,64 @@ def discretize(expr: MeasureExpr, step, bernoulli_depth: int = 8,
     if expr.lebesgue:
         raise NotPointwiseEvaluable(
             "the Lebesgue component cannot be discretized without a window")
-    # runs (den, total, [(p, w)]): points p/den ascending, weights w/total
+    # runs (den, total, [(p, w)]): points p/den, weights w/total
     runs = []
     if expr.bernoulli is not None:
         depth = min(bernoulli_depth, expr.bernoulli.length or bernoulli_depth)
         den, counts = bernoulli_lattice(expr.bernoulli, depth)
-        runs.append((den, 1 << depth, sorted(counts.items())))
+        runs.append((den, 1 << depth, counts.items()))
     runs.append(expr._lattice)
     num, dnm = step.numerator, step.denominator
-    index, weight = [], []
+    cells: dict[int, float] = {}
+    get = cells.get
     for den, total, pairs in runs:
         # int / int rounds correctly: each weight is float(w/total)
-        weight += [w / total for _, w in pairs]
         d = den * num  # p/den = (i + r/d) * step
         q, r = divmod(dnm, d)
         if not r:  # the whole run lies on the grid
-            index += [p * q for p, _ in pairs]
+            for p, w in pairs:
+                i = p * q
+                cells[i] = get(i, 0.0) + w / total
             continue
-        for p, _ in pairs:
+        for p, w in pairs:
             i, r = divmod(p * dnm, d)
             if r:
-                if strict_snap:
+                if strict_snap:  # name the lowest point off the grid
+                    p = min(p for p, _ in pairs if p * dnm % d)
                     raise SnapError(f"atom at {Fraction(p, den)} is off the "
                                     f"grid of step {step}")
                 if 2 * r > d or (2 * r == d and i % 2):  # round half to even
                     i += 1
-            index.append(i)
-    if not index:
-        return GridMeasure(Fraction(0), step, [0.0])
-    import numpy as np
-    lo = min(index)
-    return GridMeasure(step * lo, step, np.bincount(np.subtract(index, lo),
-                                                    weights=weight))
+            cells[i] = get(i, 0.0) + w / total
+    return GridMeasure(step, cells)
 
 
 def grid_convolve(a: GridMeasure, b: GridMeasure) -> GridMeasure:
     """Convolution of two grid measures with equal steps (direct sum)."""
-    import numpy as np
     if a.step != b.step:
         raise StepMismatch(f"steps differ: {a.step} vs {b.step}")
-    return GridMeasure(a.origin + b.origin, a.step,
-                       np.convolve(a.weights, b.weights))
+    cells: dict[int, float] = {}
+    get = cells.get
+    for i, v in a.cells.items():
+        for j, w in b.cells.items():
+            cells[i + j] = get(i + j, 0.0) + v * w
+    return GridMeasure(a.step, cells)
 
 
 def grid_ft(g: GridMeasure, t: float) -> float:
-    """Direct transform value sum_j w_j * cos(2*pi*x_j*t) at a float t,
-    summed over occupied cells; the extent guard reads the dense ends."""
-    import numpy as np
+    """Direct transform value sum_i w_i * cos(2*pi*i*step*t) at a float
+    t, summed over occupied cells; the extent guard reads the lowest
+    and highest stored index, zero-weight cells included."""
     t = float(t)
-    n = len(g.weights)
-    x0, h = np.float64(g.origin), np.float64(g.step)
-    extent = max(abs(x0), abs(x0 + h * (n - 1))) if n else 0.0
+    cells = g.cells
+    h = float(g.step)
+    extent = h * max(-min(cells), max(cells)) if cells else 0.0
     if abs(t) * extent > FLOAT_SAFETY:
         raise RangeError(
             f"|t|*extent = {abs(t) * extent:.3g} exceeds the float "
             f"safety bound {FLOAT_SAFETY:.3g}")
-    k = g.weights.nonzero()[0]
-    return float(np.sum(g.weights[k]
-                        * np.cos(2.0 * math.pi * (x0 + h * k) * t)))
+    a, cos = 2.0 * math.pi * h * t, math.cos
+    return math.fsum([w * cos(a * i) for i, w in cells.items() if w])
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +164,8 @@ def _random_atom_measure(rng, max_atoms: int = 12,
 
 
 def _random_truncated_bernoulli(rng, max_depth: int = 12) -> MeasureExpr:
-    # dyadic coefficients keep the commensurate grid step coarse enough
-    # for dense arrays: the finest step is 2**-(k0+depth)
+    # dyadic coefficients keep the commensurate grid step coarse: the
+    # finest step is 2**-(k0+depth)
     depth = rng.randint(2, max_depth)
     k0 = rng.randint(0, 2)
     num = rng.choice((1, 3))
@@ -199,7 +186,6 @@ def oracle_suite(cases: int = 1000, seed: int = 20240, depth: int = 12,
     depth >= 2, and BudgetExceeded unless 2**depth atoms fit the default
     atom budget.
     """
-    import numpy as np
     if cases < 1:
         raise ParameterError(f"cases must be at least 1, got {cases}")
     if depth < 2:
@@ -254,12 +240,12 @@ def oracle_suite(cases: int = 1000, seed: int = 20240, depth: int = 12,
                     f"case {i}: convolution theorem off by {abs(lhs-rhs)!r}")
             gs = discretize(convolve_atoms(expr, other), step)
             atom_exact += 1
-            if not np.array_equal(gs.trimmed().weights,
-                                  conv.trimmed().weights):
-                diff = np.abs(gs.trimmed().weights - conv.trimmed().weights)
+            if gs.cells != conv.cells:
+                diff = max(abs(gs.cells.get(k, 0.0) - conv.cells.get(k, 0.0))
+                           for k in gs.cells.keys() | conv.cells.keys())
                 failures.append(
                     f"case {i}: delta convolution mismatch, max diff "
-                    f"{diff.max()!r}")
+                    f"{diff!r}")
     return OracleReport(cases, contained, convolved, atom_exact,
                         tuple(failures))
 

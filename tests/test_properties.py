@@ -15,7 +15,6 @@ from typing import NamedTuple
 from unittest import mock
 
 import mpmath as mp
-import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -494,19 +493,13 @@ def fraction_route(expr, step, depth, strict_snap):
             depth = min(depth, expr.bernoulli.length)
         pairs = [(p, float(w)) for p, w in naive_partial(expr.bernoulli,
                                                          depth)] + pairs
-    if not pairs:
-        return F(0), np.zeros(1)
-    idx = []
+    cells = {}
     for p, w in pairs:
         q = p / step
         if q.denominator != 1 and strict_snap:
             raise SnapError(f"atom at {p} is off the grid of step {step}")
-        idx.append((round(q), w))
-    lo = min(i for i, _ in idx)
-    weights = np.zeros(max(i for i, _ in idx) - lo + 1)
-    for i, w in idx:
-        weights[i - lo] += w
-    return step * lo, weights
+        cells[round(q)] = cells.get(round(q), 0.0) + w
+    return cells
 
 
 positive = st.builds(F, st.integers(1, 60), st.integers(1, 16))
@@ -1565,7 +1558,7 @@ def grid_cases(draw):
 def test_discretize_equals_the_fraction_division_route(case):
     expr, step, depth, strict_snap = case
     try:
-        origin, weights = fraction_route(expr, step, depth, strict_snap)
+        cells = fraction_route(expr, step, depth, strict_snap)
     except SnapError as exc:
         with pytest.raises(SnapError) as got:
             discretize(expr, step, bernoulli_depth=depth,
@@ -1573,8 +1566,8 @@ def test_discretize_equals_the_fraction_division_route(case):
         assert str(got.value) == str(exc)
         return
     g = discretize(expr, step, bernoulli_depth=depth, strict_snap=strict_snap)
-    assert g.origin == origin and g.step == step
-    assert np.array_equal(g.weights, weights)
+    assert g.step == step
+    assert g.cells == cells
 
 
 def test_discretize_rounds_half_way_atoms_to_even():
@@ -1583,8 +1576,7 @@ def test_discretize_rounds_half_way_atoms_to_even():
     m = MeasureExpr(atoms=((F(1, 3), F(1)), (F(-1, 3), F(1)),
                            (F(1), F(1)), (F(-1), F(1))))
     g = discretize(m, step, strict_snap=False)
-    assert g.origin == -2 * step
-    assert list(g.weights) == [1.0, 0.0, 2.0, 0.0, 1.0]
+    assert g.cells == {-2: 1.0, 0: 2.0, 2: 1.0}
     with pytest.raises(SnapError):
         discretize(m, step)
 
@@ -1596,12 +1588,15 @@ def test_discretize_keeps_the_atom_budget():
 
 
 def dense_ft(g, t):
-    """``grid_ft`` over every cell: extent from the dense ends, one fsum."""
-    x = [float(g.origin) + float(g.step) * j for j in range(len(g.weights))]
+    """``grid_ft`` over every cell from the lowest stored index to the
+    highest, absent ones as zeros: extent from the dense ends, one fsum."""
+    lo, hi = min(g.cells), max(g.cells)
+    x = [float(g.step) * j for j in range(lo, hi + 1)]
     if abs(t) * max(abs(x[0]), abs(x[-1])) > FLOAT_SAFETY:
         raise RangeError("beyond the float safety bound")
-    return math.fsum(w * math.cos(2.0 * math.pi * xj * t)
-                     for w, xj in zip(g.weights, x))
+    a = 2.0 * math.pi * float(g.step) * t
+    return math.fsum(g.cells.get(j, 0.0) * math.cos(a * j)
+                     for j in range(lo, hi + 1))
 
 
 @st.composite
@@ -1613,8 +1608,9 @@ def sparse_grids(draw):
                + [0.0] * draw(st.integers(0, 20)))
     origin = draw(st.builds(F, st.integers(-400, 400), st.integers(1, 8)))
     step = draw(st.builds(F, st.integers(1, 12), st.integers(1, 16)))
+    lo = math.floor(origin / step)
     t = draw(st.one_of(st.floats(-100, 100), st.floats(-2.0 ** 18, 2.0 ** 18)))
-    return GridMeasure(origin, step, weights), t
+    return GridMeasure(step, {lo + j: w for j, w in enumerate(weights)}), t
 
 
 @PROPERTY_SETTINGS
@@ -1627,15 +1623,18 @@ def test_grid_ft_equals_the_dense_sum(case):
         with pytest.raises(RangeError):
             grid_ft(g, t)
         return
-    assert abs(grid_ft(g, t) - want) <= 1e-12 * math.fsum(map(abs, g.weights))
+    assert abs(grid_ft(g, t) - want) <= 1e-12 * math.fsum(
+        map(abs, g.cells.values()))
 
 
 def test_grid_ft_guards_the_dense_extent():
-    # only the zero margin puts |t| * extent = 3 * 2**19 past 2**20
-    g = GridMeasure(F(0), F(1), [1, 0, 0, 0])
-    assert grid_ft(g.trimmed(), 2.0 ** 19) == 1.0
-    with pytest.raises(RangeError):
-        grid_ft(g, 2.0 ** 19)
+    # only the zero margin puts |t| * extent = 3 * 2**19 past 2**20, at
+    # either end of the grid
+    for margin in (3, -3):
+        g = GridMeasure(F(1), {0: 1, margin: 0})
+        assert grid_ft(GridMeasure(F(1), {0: 1}), 2.0 ** 19) == 1.0
+        with pytest.raises(RangeError):
+            grid_ft(g, 2.0 ** 19)
 
 
 # ---------------------------------------------------------------------------
