@@ -111,10 +111,12 @@ def grid_convolve(a: GridMeasure, b: GridMeasure) -> GridMeasure:
 
 
 def grid_ft(g: GridMeasure, t: float) -> float:
-    """Direct transform value sum_i w_i * cos(2*pi*i*step*t) at a float
-    t, summed over occupied cells; the extent guard reads the lowest
+    """Direct transform value sum_i w_i * cos(2*pi*i*step*t) at a finite
+    float t, summed over occupied cells; the extent guard reads the lowest
     and highest stored index, zero-weight cells included."""
     t = float(t)
+    if not math.isfinite(t):
+        raise ParameterError(f"t must be finite, got {t}")
     cells = g.cells
     h = float(g.step)
     extent = h * max(-min(cells), max(cells)) if cells else 0.0

@@ -139,6 +139,18 @@ class TestGridFt:
         with pytest.raises(RangeError):
             grid_ft(g, 1e30)
 
+    def test_nan_t_is_rejected(self, half_pair):
+        g = discretize(half_pair, F(1, 2))
+        with pytest.raises(ParameterError, match="t must be finite, got nan$"):
+            grid_ft(g, float("nan"))
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf])
+    def test_infinite_t_is_rejected_on_a_delta_at_zero(self, t):
+        # the extent is 0, so |t| * extent is nan and passes the guard
+        delta0 = discretize(MeasureExpr(atoms=((F(0), F(1)),)), F(1, 2))
+        with pytest.raises(ParameterError, match="t must be finite"):
+            grid_ft(delta0, t)
+
     def test_cosines_only_at_occupied_cells(self, monkeypatch):
         # zero-weight margins at both dense ends, two occupied cells
         cells = {-200_000: 0.0, -199_993: 0.25, -110_000: 0.75, -100_000: 0.0}
