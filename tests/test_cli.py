@@ -503,13 +503,18 @@ assert not loaded & {"dataclasses", "inspect"}, sorted(loaded)
 spec = sys.argv[1]
 assert tau3.cli.main(["eval", "--measure", spec, "--t", "1/3"]) == 0
 assert tau3.cli.main(["classify", "--measure", spec]) == 0
-assert "numpy" not in sys.modules
 assert tau3.cli.main(["oracle-check", "--cases", "3", "--depth", "4"]) == 0
+foreign = sorted(m for m in set(sys.modules) - before if m.partition(".")[0]
+                 not in {"tau3", *sys.stdlib_module_names})
+assert not foreign, foreign[:5]
+assert "numpy" not in sys.modules
 """
 
 
-def test_only_the_grid_oracle_loads_numpy():
-    """Also: ``import tau3`` loads neither ``dataclasses`` nor ``inspect``."""
+def test_no_command_loads_a_third_party_module():
+    """``import tau3`` and the ``eval``, ``classify`` and ``oracle-check``
+    commands load nothing outside the standard library, numpy included;
+    the import loads neither ``dataclasses`` nor ``inspect``."""
     geometric = os.path.join(os.path.dirname(__file__), "golden", "specs",
                              "geometric.json")
     proc = subprocess.run([sys.executable, "-c", IMPORT_FOOTPRINT, geometric],

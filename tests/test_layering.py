@@ -5,9 +5,8 @@ The chain is intervals -> measures -> fourier -> topology -> class_algebra
 before it.  ``class_algebra`` and ``oracle`` are narrower, and the package
 ``__init__`` re-exports everything.
 
-Outside the package only the standard library is imported at module level,
-so ``import tau3`` loads no third-party module; ``THIRD_PARTY`` names the
-few a module may import inside its functions.
+Outside the package only the standard library is imported, at module
+level or inside a function, so no tau3 code loads a third-party module.
 
 In ``fourier`` one constructor, ``_terms``, picks the term reader of a
 sequence kind, and no other code there reads the kind; an index is reduced
@@ -46,9 +45,6 @@ ALLOWED["__init__"] = {*CHAIN, "errors", "oracle"}
 
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
 
-#: third-party modules each module may import, inside function bodies only
-THIRD_PARTY = {"oracle": {"numpy"}}
-
 
 def relative_imports(tree):
     """(module imported, node) for every ``from .x import`` in the tree."""
@@ -65,13 +61,6 @@ def absolute_imports(tree):
                 yield alias.name.partition(".")[0], node
         elif isinstance(node, ast.ImportFrom) and not node.level:
             yield node.module.partition(".")[0], node
-
-
-def function_nodes(tree):
-    """ids of every node inside a function body."""
-    return {id(node) for fn in ast.walk(tree)
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-            for node in ast.walk(fn)}
 
 
 def test_every_module_has_a_rule():
@@ -97,12 +86,11 @@ def test_no_function_local_relative_imports(module):
 
 @pytest.mark.parametrize("module", MODULES)
 def test_third_party_imports_follow_the_table(module):
+    # the rule outside the package: the standard library only, anywhere
     tree = ast.parse((PACKAGE / f"{module}.py").read_text())
-    local = function_nodes(tree)
-    bad = [name if id(node) in local else f"{name} at module level"
+    bad = [f"line {node.lineno}: {name}"
            for name, node in absolute_imports(tree)
-           if name not in sys.stdlib_module_names
-           and not (name in THIRD_PARTY.get(module, ()) and id(node) in local)]
+           if name not in sys.stdlib_module_names]
     assert not bad
 
 
