@@ -114,6 +114,25 @@ MUTANTS = (
             "tests/test_class_corpus.py::"
             "test_every_case_has_its_recorded_outcome"),
            "7368310: the progression witness reads the whole support"),
+    Mutant("grid-extent-from-the-highest-index", "oracle.py",
+           "extent = h * max(-min(cells), max(cells)) if cells else 0.0",
+           "extent = h * abs(max(cells)) if cells else 0.0",
+           ("tests/test_properties.py::test_grid_ft_guards_the_dense_extent",),
+           "3611b02: sparse dict grids"),
+    Mutant("snap-ties-round-up", "oracle.py",
+           "if 2 * r > d or (2 * r == d and i % 2):  # round half to even",
+           "if 2 * r >= d:  # round half up",
+           ("tests/test_properties.py::"
+            "test_discretize_rounds_half_way_atoms_to_even",
+            "tests/test_properties.py::"
+            "test_discretize_equals_the_fraction_division_route"),
+           "8ae7bca: integer-lattice partial convolutions"),
+    Mutant("case-weights-over-420", "oracle.py",
+           "pden, wden = (8, 8) if dyadic else (108, 840)",
+           "pden, wden = (8, 8) if dyadic else (108, 420)",
+           ("tests/test_oracle.py::TestCaseGenerator::"
+            "test_draws_the_fraction_generator_cases",),
+           "fa90401: the case generator on integer lattices"),
 )
 
 
