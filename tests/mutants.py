@@ -117,7 +117,8 @@ MUTANTS = (
     Mutant("grid-extent-from-the-highest-index", "oracle.py",
            "extent = h * max(-min(cells), max(cells)) if cells else 0.0",
            "extent = h * abs(max(cells)) if cells else 0.0",
-           ("tests/test_properties.py::test_grid_ft_guards_the_dense_extent",),
+           ("tests/test_properties.py::test_grid_ft_guards_the_dense_extent",
+            "tests/test_properties.py::test_grid_ft_equals_the_dense_sum"),
            "3611b02: sparse dict grids"),
     Mutant("snap-ties-round-up", "oracle.py",
            "if 2 * r > d or (2 * r == d and i % 2):  # round half to even",

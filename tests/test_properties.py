@@ -1609,12 +1609,19 @@ def sparse_grids(draw):
     origin = draw(st.builds(F, st.integers(-400, 400), st.integers(1, 8)))
     step = draw(st.builds(F, st.integers(1, 12), st.integers(1, 16)))
     lo = math.floor(origin / step)
-    t = draw(st.one_of(st.floats(-100, 100), st.floats(-2.0 ** 18, 2.0 ** 18)))
+    # t moderate, large, or just past or just inside the guard at one end
+    end = draw(st.sampled_from((lo, lo + len(weights) - 1)))
+    edge = FLOAT_SAFETY / (float(step) * max(1, abs(end)))
+    near = st.sampled_from((1 - 2 ** -20, 1 + 2 ** -20, -1 - 2 ** -20))
+    t = draw(st.one_of(st.floats(-100, 100), st.floats(-2.0 ** 18, 2.0 ** 18),
+                       near.map(lambda u: u * edge)))
     return GridMeasure(step, {lo + j: w for j, w in enumerate(weights)}), t
 
 
 @PROPERTY_SETTINGS
 @given(sparse_grids())
+@example((GridMeasure(F(1), {-3: 0.0, 0: 1.0}), 2.0 ** 19))
+@example((GridMeasure(F(1), {0: 1.0, 3: 0.0}), -(2.0 ** 19)))
 def test_grid_ft_equals_the_dense_sum(case):
     g, t = case
     try:
