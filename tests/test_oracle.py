@@ -10,7 +10,8 @@ from tau3 import oracle
 from tau3.errors import (NotPointwiseEvaluable, ParameterError, RangeError,
                          SnapError, StepMismatch)
 from tau3.measures import (CoefficientSequence, MeasureExpr, bernoulli_partial,
-                           convolve_atoms, normalize, plan_mass)
+                           convolve_atoms, lattice_measure, normalize,
+                           plan_mass)
 from tau3.oracle import (GridMeasure, _finest_step, _random_atom_measure,
                          discretize, grid_convolve, grid_ft, oracle_suite)
 
@@ -177,6 +178,26 @@ class TestOracleSuite:
         assert r1.failures == r2.failures
         assert r1.containment_checked == 60
         assert r1.convolution_checked > 0
+
+    @pytest.mark.parametrize("skew", ["weights", "points"])
+    def test_delta_convolution_mismatch_is_reported(self, monkeypatch, skew):
+        # the same number of cells at other weights or other points: the
+        # exact check compares every cell and reports the largest difference
+        real = oracle.convolve_atoms
+
+        def skewed(a, b):
+            den, total, pairs = real(a, b)._lattice
+            if skew == "weights":
+                return lattice_measure(den, total, {p: 2 * w for p, w in pairs})
+            return lattice_measure(den, total, {2 * p: w for p, w in pairs})
+
+        monkeypatch.setattr(oracle, "convolve_atoms", skewed)
+        report = oracle_suite(cases=30, seed=5)
+        assert report.atom_exact_checked > 0
+        assert len(report.failures) == report.atom_exact_checked
+        for failure in report.failures:
+            assert "delta convolution mismatch, max diff " in failure
+            assert float(failure.rpartition(" ")[2]) > 0
 
 
 def fraction_atom_measure(rng, max_atoms=12, dyadic=False):
