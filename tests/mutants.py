@@ -134,6 +134,12 @@ MUTANTS = (
            ("tests/test_oracle.py::TestCaseGenerator::"
             "test_draws_the_fraction_generator_cases",),
            "fa90401: the case generator on integer lattices"),
+    Mutant("delta-check-compares-cell-counts", "oracle.py",
+           "            if gs.cells != conv.cells:\n",
+           "            if len(gs.cells) != len(conv.cells):\n",
+           ("tests/test_oracle.py::TestOracleSuite::"
+            "test_delta_convolution_mismatch_is_reported",),
+           "cf442bb: the exact check's mismatch test"),
 )
 
 
