@@ -22,7 +22,8 @@ from .fourier import ft_point
 from .measures import (CoefficientSequence, MeasureExpr, bernoulli_lattice,
                        check_atom_budget, convolve_atoms, lattice_measure)
 
-#: |t| * extent cap keeping cos arguments accurate to ~1e-12
+#: |t| * extent cap: cos arguments stay below 2*pi*2**20, where floats
+#: lie 2**-30 (about 1e-9) apart
 FLOAT_SAFETY = float(1 << 20)
 
 
@@ -106,7 +107,8 @@ def grid_convolve(a: GridMeasure, b: GridMeasure) -> GridMeasure:
     get = cells.get
     for i, v in a.cells.items():
         for j, w in b.cells.items():
-            cells[i + j] = get(i + j, 0.0) + v * w
+            k = i + j
+            cells[k] = get(k, 0.0) + v * w
     return GridMeasure(a.step, cells)
 
 
