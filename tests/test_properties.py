@@ -498,7 +498,8 @@ def fraction_route(expr, step, depth, strict_snap):
         q = p / step
         if q.denominator != 1 and strict_snap:
             raise SnapError(f"atom at {p} is off the grid of step {step}")
-        cells[round(q)] = cells.get(round(q), 0.0) + w
+        i = round(q)
+        cells[i] = cells.get(i, 0.0) + w
     return cells
 
 
@@ -1591,8 +1592,7 @@ def dense_ft(g, t):
     """``grid_ft`` over every cell from the lowest stored index to the
     highest, absent ones as zeros: extent from the dense ends, one fsum."""
     lo, hi = min(g.cells), max(g.cells)
-    x = [float(g.step) * j for j in range(lo, hi + 1)]
-    if abs(t) * max(abs(x[0]), abs(x[-1])) > FLOAT_SAFETY:
+    if abs(t) * max(abs(float(g.step) * j) for j in (lo, hi)) > FLOAT_SAFETY:
         raise RangeError("beyond the float safety bound")
     a = 2.0 * math.pi * float(g.step) * t
     return math.fsum(g.cells.get(j, 0.0) * math.cos(a * j)
