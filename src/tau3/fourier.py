@@ -5,42 +5,45 @@ For a symmetric probability measure the transform is real:
     FT(t) = sum_a w_a * cos(2*pi*a*t)          (atomic part)
           * / +  prod_k cos(2*pi*c_k*t)        (infinite two-point part)
 
-The interesting arguments have the shape t = lam * base**e with e as large
-as 720! worth of digits, so arguments are reduced without ever materializing
-the huge powers: fractional parts come from modular exponentiation, and
-magnitudes of tiny products are kept in mantissa/exponent form.  Every
-reduction is integer-only: |scale * t| is folded into one integer pair per
-call, and each factor costs at most one ``pow(base, d, q)``.  ``_reduce``
-alone decides whether a reduction is expanded: within the materialization
-budget it is an exact fraction, so a ``ScaledPower`` argument and the same
-rational give the same enclosure; beyond it only a magnitude bound is kept.
+The interesting arguments have the shape t = lam * base**e with e as large as
+720! worth of digits, so arguments are reduced without ever materializing the
+huge powers: fractional parts come from modular exponentiation, and magnitudes
+of tiny products are kept in mantissa/exponent form.  Every reduction is
+integer-only: |scale * t| is folded into one integer pair per call by one gcd,
+each factor costs at most one ``pow(base, d, q)``, and a call builds no
+``Fraction`` but its result.  ``_reduce`` alone decides whether a reduction is
+expanded: within the materialization budget it is an exact fraction, so a
+``ScaledPower`` argument and the same rational give the same enclosure; beyond
+it only a magnitude bound is kept.
 
 Infinite products are split into an exactly evaluated head and a certified
 tail.  ``_terms`` gives one reader of the factors c_k * t per sequence kind,
 and ``ft_point`` takes the cutoff, the head and the tail from one reader.
 Every reader is a dict from k to the reduction of c_k * t that lives for the
 call, so no c_k * t is reduced twice in one call.  The geometric reader reads
-factor k by its index: for k >= e it is exactly p / (q * b**(k - e)), with t
-= p/q * b**e a rational (e = 0) or a power of the sequence's own base (a
-power of another base within the budget is folded into p).  Its cutoff is
-one integer loop over that value regime, one multiplication per index and no
-reduction, and its tail walk steps through the regime alike and reduces only
-outside it.  An explicit list's head is the whole list unless cut, and its tail
-the finite rest.  Every head starts from one exact prefix, the leading factors
-whose cosine is 0, +-1/2 or +-1, multiplied as one integer over 2**j.  After
-it, a head is one integer factor loop on ``intervals.product_fixed``, floored
-onto 2**-bits, except a geometric head of base b <= CHAIN_MAX_BASE: c_(k-1) *
-t = b * c_k * t, so factor k-1 is T_b(factor k), and one Chebyshev chain reads
-one factor, and makes one ``cos2pi_fixed`` call, per block of CHAIN_BLOCK + 1,
-with Chebyshev steps in between (a step is a degree-b Horner evaluation, so
-larger bases keep the factor loop).  An infinite tail uses cos(2*pi*x) >= 1 -
-49*x**2 (certified on [0, omega] by ``intervals``) in one floored integer
-product at scale 2**bits; its upper bound is 1.  ``ft_point`` adds the atom
-sum and head times tail as integers over one denominator, and clamps and
-rounds once.  No flag records exactness: equal integer ends give the point
-itself.  The atom sum makes one ``cos2pi_fixed`` call per distinct angle:
-pairs whose p * t mod 1 folds to the same value add their integer weights
-first, which gives the same integers as one call per pair.
+factor k by its index: for k >= e it is exactly p / (q * b**(k - e)), with t =
+p/q * b**e a rational (e = 0) or a power of the sequence's own base (a power of
+another base within the budget is folded into p).  Its cutoff jumps past the
+indices whose bit lengths fail its tests, then is one integer loop over that
+value regime, one multiplication per index and no reduction, and its tail walk
+steps through the regime alike and reduces only outside it.  An explicit list's
+head is the whole list unless cut, and its tail the finite rest.  Every head
+starts from one exact prefix, the leading factors whose cosine is 0, +-1/2 or
++-1, multiplied as one integer over 2**j.  After it, a head is one integer
+factor loop on ``intervals.product_fixed``, floored onto 2**-bits, except a
+geometric head of base b <= CHAIN_MAX_BASE: c_(k-1) * t = b * c_k * t, so
+factor k-1 is T_b(factor k), and one Chebyshev chain reads one factor, and
+makes one ``cos2pi_fixed`` call, per block of CHAIN_BLOCK + 1, with Chebyshev
+steps in between (a step is a degree-b Horner evaluation from its known second
+step, m << (b - 1), without the zero coefficients, so larger bases keep the
+factor loop).  An infinite tail uses cos(2*pi*x) >= 1 - 49*x**2 (certified on
+[0, omega] by ``intervals``) in one floored integer product at scale 2**bits;
+its upper bound is 1.  ``ft_point`` adds the atom sum and head times tail as
+integers over one denominator, and clamps and rounds once.  No flag records
+exactness: equal integer ends give the point itself.  The atom sum makes one
+``cos2pi_fixed`` call per distinct angle: pairs whose p * t mod 1 folds to the
+same value add their integer weights first, which gives the same integers as
+one call per pair.
 """
 
 from __future__ import annotations
@@ -74,7 +77,8 @@ class ExactRational(Value):
     __slots__ = ("value",)
 
     def __init__(self, value: Fraction):
-        object.__setattr__(self, "value", Fraction(value))
+        object.__setattr__(self, "value", value if type(value) is Fraction
+                           else Fraction(value))
 
 
 class ScaledPower(Value):
@@ -97,9 +101,8 @@ ArgumentSpec = Union[ExactRational, ScaledPower]
 
 
 def as_argument(t) -> ArgumentSpec:
-    if isinstance(t, (ExactRational, ScaledPower)):
-        return t
-    return ExactRational(Fraction(t))
+    return (t if isinstance(t, (ExactRational, ScaledPower))
+            else ExactRational(t))
 
 
 class ReducedExact(Value):
@@ -168,11 +171,13 @@ def _materializable(base: int, exponent: int) -> bool:
 
 
 def _fold(c: Rational, t: ArgumentSpec) -> tuple[int, int, int, int]:
-    """(p, q, b, e) with |c * t| = p/q * b**e, p/q in lowest terms; b = 1 and
-    e = 0 for a rational t."""
-    if isinstance(t, ExactRational):
-        return (*abs(c * t.value).as_integer_ratio(), 1, 0)
-    return (*(c * t.scale).as_integer_ratio(), t.base, t.exponent)
+    """(p, q, b, e) with |c * t| = p/q * b**e, p/q in lowest terms by one
+    gcd of the integer products; b = 1 and e = 0 for a rational t."""
+    (c_n, c_d), rational = c.as_integer_ratio(), isinstance(t, ExactRational)
+    t_n, t_d = (t.value if rational else t.scale).as_integer_ratio()
+    p, q = abs(c_n * t_n) if rational else c_n * t_n, c_d * t_d
+    g = gcd(p, q)
+    return p // g, q // g, *((1, 0) if rational else (t.base, t.exponent))
 
 
 def _reduce(fold: tuple[int, int, int, int], c_base: Optional[int],
@@ -333,18 +338,17 @@ def _chain_product(tops: list, n: int, b: int,
     ((|P|*r + |m|*R + R*r) >> w) + 2, which covers both floors.
     """
     w = bits + CHAIN_BLOCK * (b * b - 1).bit_length() + CHAIN_GUARD
-    one, bb = 1 << w, b * b
-    horner = _chebyshev(b, w)
+    one, bb, rest = 1 << w, b * b, _chebyshev(b, w)[2:]
     p_mid, p_rad = one, 0
     for r, top in zip(tops, range(n - 1, -1, -(CHAIN_BLOCK + 1))):
         lo, hi = _cos_of_reduced(r, w)
         m, r = (lo + hi) >> 1, (hi - lo + 1) >> 1
         for step in range(min(CHAIN_BLOCK, top) + 1):
             if step:
-                h = 0
-                for c in horner:
-                    h = (h * m >> w) + c
-                m, r = max(-one, min(h, one)), bb * r + b
+                h = m << (b - 1)    # Horner's first two steps: c_(b-1) = 0
+                for c in rest:      # adding nothing for c = 0
+                    h = (h * m >> w) + c if c else h * m >> w
+                m, r = one if h > one else -one if h < -one else h, bb * r + b
             p_mid, p_rad = (p_mid * m >> w,
                             (abs(p_mid) * r + abs(m) * p_rad + p_rad * r
                              >> w) + 2)
@@ -522,23 +526,26 @@ class _GeometricTerms(_Terms):
     def cutoff(self) -> int:
         """The walk's cutoff by one integer loop over the value regime.
 
-        For lo <= k < end factor k is the value p / den, den = q * base**(k
-        - lo), so the walk's three tests (a value, at most omega, and 200 *
+        For lo <= k < end factor k is the value p / den, den = q * base**(k -
+        lo), so the walk's three tests (a value, at most omega, and 200 *
         (p/den)**2 at most the target) hold exactly when p/den <= omega and
         200 * (p/den)**2 <= target: omega <= 1/2, and from den >= 2p on the
         distance to the integers is p/den itself.  No other index passes
-        before ``end``: below lo ``_reduce`` marks nothing as a value.  So
-        the loop steps den by one multiplication per index from max(lo, 1),
-        and without a pass up to the cap the walk's answer is its read at
-        the cap alone, also for an empty regime.  The walk goes on from
-        ``end`` itself only when that comes first, for bases of 410 bits or
-        more.
+        before ``end``: below lo ``_reduce`` marks nothing as a value.  So the
+        loop skips every j with 2**(len(t_n) + 2 * len(q) + 2 * j * ceil(log2
+        base)) at most p_target, where the second test fails at k = lo + j,
+        then steps den by one multiplication per index; without a pass up to
+        the cap the walk's answer is its read at the cap alone, also for an
+        empty regime.  The walk goes on from ``end`` itself only when that
+        comes first, for bases of 410 bits or more.
         """
         (o_n, o_d), (t_n, t_d), _ = _cutoff_constants(self.base)
         p, q, lo, end = self.regime
-        k = max(lo, 1)
-        den = q * self.base ** (k - lo)
         p_omega, p_target = p * o_d, 200 * p * p * t_d
+        fail = ((p_target.bit_length() - t_n.bit_length() - 2 * q.bit_length()
+                 - 1) // (2 * (self.base - 1).bit_length()))
+        k = max(lo, 1, min(lo + fail + 1, end, TAIL_CUTOFF_CAP + 1))
+        den = q * self.base ** (k - lo)
         while k < min(end, TAIL_CUTOFF_CAP + 1):
             if p_omega <= o_n * den and p_target <= t_n * den * den:
                 return k

@@ -167,9 +167,10 @@ def _exact(x) -> Fraction:
 
 class MeasureExpr(Value):
     """Symbolic symmetric measure; see the module docstring.  The private
-    slots: the canonical lattice and caches of atoms and atom_plan."""
+    slots: the canonical lattice and caches of atoms, atom_plan and mass."""
 
-    __slots__ = ("_atoms", "lebesgue", "bernoulli", "_lattice", "_atom_plan")
+    __slots__ = ("_atoms", "lebesgue", "bernoulli", "_lattice", "_atom_plan",
+                 "_mass")
     _fields = ("atoms", "lebesgue", "bernoulli")
 
     def __new__(cls, atoms: tuple[tuple[Fraction, Fraction], ...] = (),
@@ -254,7 +255,7 @@ def normalize(expr: MeasureExpr) -> MeasureExpr:
 
 
 def atom_plan(expr: MeasureExpr) -> tuple[int, tuple]:
-    """The atom sum of ``expr`` as integers, cached on the measure.
+    """The atom sum of ``expr`` as integers, cached with the mass on expr.
 
     (D, pairs): one (p.numerator, p.denominator, v) per atom at p >= 0, the
     atoms at +-p adding v/D * cos(2*pi*p*t); v/D is twice the weight at p,
@@ -267,6 +268,8 @@ def atom_plan(expr: MeasureExpr) -> tuple[int, tuple]:
         g = gcd(total, *(v for _, v in pairs))  # D: lowest terms of v/total
         plan = total // g, tuple((p // (h := gcd(p, den)), den // h, v // g)
                                  for p, v in pairs)
+        object.__setattr__(expr, "_mass", Fraction(sum(v for *_, v in plan[1])
+                           + (expr.bernoulli is not None) * plan[0], plan[0]))
         object.__setattr__(expr, "_atom_plan", plan)
     return plan
 
@@ -276,9 +279,8 @@ def plan_mass(expr: MeasureExpr) -> Fraction:
     Raises ValueError for a Lebesgue component, whose mass is infinite."""
     if expr.lebesgue:
         raise ValueError("infinite-mass measure")
-    den, pairs = atom_plan(expr)
-    two_point = expr.bernoulli is not None
-    return Fraction(sum(v for *_, v in pairs) + two_point * den, den)
+    atom_plan(expr)
+    return expr._mass
 
 
 def scale_measure(expr: MeasureExpr, s) -> MeasureExpr:
@@ -352,6 +354,18 @@ def check_atom_budget(n: int, atom_budget: int = DEFAULT_ATOM_BUDGET) -> None:
                              f"{atom_budget}")
 
 
+def coefficient_lattice(seq: CoefficientSequence, n: int) -> tuple[int, list]:
+    """(den, steps): c_k = steps[k - 1] / den for k = 1 .. n, by one integer
+    pass over the scale and the values or the powers of the base."""
+    m, d = seq.scale.as_integer_ratio()
+    pairs = ([(m * v.numerator, d * v.denominator) for v in seq.values[:n]]
+             if seq.kind == EXPLICIT else
+             [(m, d * seq.base ** seq.exponent(k)) for k in range(1, n + 1)])
+    ratios = [(p // (g := gcd(p, q)), q // g) for p, q in pairs]
+    den = lcm(*(q for _, q in ratios))  # of the denominators in lowest terms
+    return den, [p * (den // q) for p, q in ratios]
+
+
 def bernoulli_lattice(seq: CoefficientSequence, n: int,
                       atom_budget: int = DEFAULT_ATOM_BUDGET
                       ) -> tuple[int, dict[int, int]]:
@@ -366,7 +380,7 @@ def bernoulli_lattice(seq: CoefficientSequence, n: int,
     if seq.length is not None and n > seq.length:
         raise IndexError(f"depth {n} beyond explicit list of {seq.length}")
     check_atom_budget(n, atom_budget)
-    den, steps = on_lattice([seq.c(k) for k in range(1, n + 1)])
+    den, steps = coefficient_lattice(seq, n)
     counts = {0: 1}
     for c in steps:
         nxt: dict[int, int] = {}

@@ -20,7 +20,8 @@ from .errors import (NotPointwiseEvaluable, ParameterError, RangeError,
                      SnapError, StepMismatch, Value)
 from .fourier import ft_point
 from .measures import (CoefficientSequence, MeasureExpr, bernoulli_lattice,
-                       check_atom_budget, convolve_atoms, lattice_measure)
+                       check_atom_budget, coefficient_lattice, convolve_atoms,
+                       lattice_measure)
 
 #: |t| * extent cap: cos arguments stay below 2*pi*2**20, where floats
 #: lie 2**-30 (about 1e-9) apart
@@ -255,5 +256,4 @@ def oracle_suite(cases: int = 1000, seed: int = 20240, depth: int = 12,
 
 
 def _finest_step(seq) -> Fraction:
-    return Fraction(1, math.lcm(*(seq.c(k).denominator
-                                  for k in range(1, len(seq.values) + 1))))
+    return Fraction(1, coefficient_lattice(seq, len(seq.values))[0])

@@ -354,6 +354,15 @@ class TestOneReductionPerFactor:
                 == self.fraction_constructions(ft_point, m, F(7, 5),
                                                tail_cutoff=60))
 
+    @pytest.mark.parametrize("t", [F(7, 5), F(-37, 11),
+                                   ScaledPower(F(2, 3), 3, 20)])
+    def test_only_the_two_ends_are_fractions(self, t):
+        # the argument is kept, |c * t| and the mass are integer pairs
+        m = MeasureExpr.bernoulli_geometric(3).plus(
+            MeasureExpr.symmetric_pair(F(1, 3), F(1, 4)))
+        ft_point(m, t)              # fills the atom plan and kernel caches
+        assert self.fraction_constructions(ft_point, m, t) == 2
+
 
 class TestGeometricChain:
     """A geometric head makes one kernel call per block of CHAIN_BLOCK + 1

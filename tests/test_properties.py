@@ -1111,6 +1111,149 @@ def test_chain_with_radius_growth_b_misses_the_truth(monkeypatch):
     assert not all(chain_encloses_head(*case) for case in NEAR_ONE_HEADS)
 
 
+def horner_chain_product(tops, n, b, bits):
+    """The former ``_chain_product``: every Chebyshev step a full Horner
+    loop over ``_chebyshev(b, w)``, clamped by ``max`` and ``min``."""
+    w = bits + fourier.CHAIN_BLOCK * (b * b - 1).bit_length() \
+        + fourier.CHAIN_GUARD
+    one, bb = 1 << w, b * b
+    horner = _chebyshev(b, w)
+    p_mid, p_rad = one, 0
+    for r, top in zip(tops, range(n - 1, -1, -(fourier.CHAIN_BLOCK + 1))):
+        lo, hi = fourier._cos_of_reduced(r, w)
+        m, r = (lo + hi) >> 1, (hi - lo + 1) >> 1
+        for step in range(min(fourier.CHAIN_BLOCK, top) + 1):
+            if step:
+                h = 0
+                for c in horner:
+                    h = (h * m >> w) + c
+                m, r = max(-one, min(h, one)), bb * r + b
+            p_mid, p_rad = (p_mid * m >> w,
+                            (abs(p_mid) * r + abs(m) * p_rad + p_rad * r
+                             >> w) + 2)
+    return p_mid, p_rad, w
+
+
+@st.composite
+def chain_blocks(draw):
+    """(tops, n, b, bits): the block tops of an n-factor head of base b,
+    each exact (Niven points among them, where the kernel is exact) or
+    unexpanded (values above 1/2 among them, which refuse)."""
+    b = draw(st.integers(2, CHAIN_MAX_BASE))
+    n = draw(st.integers(1, 300))
+    tops = []
+    for _ in range(n - 1, -1, -(fourier.CHAIN_BLOCK + 1)):
+        if draw(st.integers(0, 3)):
+            den = draw(st.one_of(st.sampled_from((1, 2, 3, 4, 6, 12)),
+                                 st.integers(1, 10 ** 30)))
+            tops.append(ReducedExact(draw(st.integers(0, den - 1)), den))
+        else:
+            num, den = F(draw(st.integers(1, 10 ** 6)),
+                         draw(st.integers(1, 10 ** 6))).as_integer_ratio()
+            tops.append(ReducedSmall(num, den, draw(st.integers(2, 12)),
+                                     draw(st.integers(1, 40000))))
+    return tops, n, b, draw(st.integers(64, 1024))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(chain_blocks())
+def test_chain_product_equals_the_horner_loop(case):
+    # the known first Horner steps, the skipped zero coefficients and the
+    # comparison clamp change no integer, and no refusal
+    assert (outcome(fourier._chain_product, *case)
+            == outcome(horner_chain_product, *case))
+
+
+def walk_geometric_cutoff(terms):
+    """The former ``_GeometricTerms.cutoff``: one multiplication per index
+    from max(lo, 1), with no jump."""
+    (o_n, o_d), (t_n, t_d), _ = fourier._cutoff_constants(terms.base)
+    p, q, lo, end = terms.regime
+    k = max(lo, 1)
+    den = q * terms.base ** (k - lo)
+    p_omega, p_target = p * o_d, 200 * p * p * t_d
+    while k < min(end, TAIL_CUTOFF_CAP + 1):
+        if p_omega <= o_n * den and p_target <= t_n * den * den:
+            return k
+        den *= terms.base
+        k += 1
+    return terms._cutoff_walk(min(k, TAIL_CUTOFF_CAP))
+
+
+# regimes (p, q, lo, end) with lo, end and the cap in every order: lo <
+# cap < end for rational t and bases up to 12; cap < lo for powers of the
+# own base past the cap; end <= cap + 1 for bases of 405 bits and more;
+# lo = end for powers of another base beyond the materialization budget
+jump_sequences = st.builds(
+    CoefficientSequence, st.just("geometric"),
+    st.one_of(st.integers(2, CHAIN_MAX_BASE),
+              st.sampled_from((2, 4, 8)),
+              st.integers(1 << 404, 1 << 420)),
+    st.one_of(st.sampled_from((F(1), F(1, 3), F(5, 2))),
+              st.builds(F, st.integers(1, 10 ** 9), st.integers(1, 10 ** 9))))
+
+
+@st.composite
+def jump_cases(draw):
+    """(seq, t): a rational t of either sign, or a power of the own base,
+    of another base or of another base beyond the budget."""
+    seq = draw(jump_sequences)
+    kind = draw(st.sampled_from(("rational", "own", "other", "beyond")))
+    s = draw(st.builds(F, st.integers(1, 10 ** 12), st.integers(1, 10 ** 6)))
+    if kind == "rational":
+        return seq, draw(st.one_of(st.just(s), st.just(-s),
+                                   st.builds(F, st.integers(1, 1 << 200),
+                                             st.integers(1, 1 << 64))))
+    if kind == "own":
+        return seq, ScaledPower(s, seq.base, draw(st.integers(0, 120)))
+    other = draw(st.integers(2, 16))
+    return seq, ScaledPower(s, other, draw(st.integers(0, 40)) if
+                            kind == "other" else
+                            draw(st.integers(40000, 40100)))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(jump_cases())
+# the first pass lies exactly at the jump's target: its bound is tight
+@example((CoefficientSequence("geometric", 2), F(263293, 31)))
+@example((CoefficientSequence("geometric", 8), F(52711, 3)))
+def test_cutoff_jump_equals_the_per_index_walk(case):
+    seq, t = case
+    t = as_argument(t)
+    assert (outcome(lambda: _terms(seq, t).cutoff())
+            == outcome(lambda: walk_geometric_cutoff(_terms(seq, t))))
+
+
+def fraction_fold(c, t):
+    """The former ``_fold``: |c * t| and c * scale as ``Fraction``s."""
+    if isinstance(t, ExactRational):
+        return (*abs(c * t.value).as_integer_ratio(), 1, 0)
+    return (*(c * t.scale).as_integer_ratio(), t.base, t.exponent)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.one_of(st.integers(-10 ** 12, 10 ** 12),
+                 st.builds(F, st.integers(-10 ** 30, 10 ** 30),
+                           st.integers(1, 10 ** 30))),
+       st.one_of(st.just(F(0)), st.just(0),
+                 st.builds(F, st.integers(-10 ** 30, -1),
+                           st.integers(1, 10 ** 30)),
+                 st.integers(-10 ** 6, -1),
+                 st.builds(F, st.integers(1, 10 ** 30),
+                           st.integers(1, 10 ** 30)),
+                 st.builds(ScaledPower,
+                           st.builds(F, st.integers(1, 10 ** 30),
+                                     st.integers(1, 10 ** 30)),
+                           st.integers(2, 16), st.integers(0, 10 ** 6))))
+def test_integer_fold_equals_the_fraction_fold(c, t):
+    arg = as_argument(t)
+    if isinstance(t, F):            # a Fraction argument is kept, not copied
+        assert arg.value is t
+    new = fourier._fold(c, arg)
+    assert new == fraction_fold(c, arg)
+    assert all(type(x) is int for x in new)
+
+
 @pytest.mark.parametrize("b", range(2, 13))
 def test_chebyshev_table_maps_cos_2pi_x_to_cos_2pi_bx(b):
     coefficients = _chebyshev(b)          # highest degree first
