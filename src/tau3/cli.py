@@ -217,7 +217,7 @@ MEASURE_FLAG = {"measure": {"required": True}}
 COMMANDS = {
     "eval": (_cmd_eval, "certified transform value at one point", {
         **MEASURE_FLAG,
-        "t": {"help": "exact rational argument 'p/q'"},
+        "t": {"help": "exact rational 'p/q'; a negative one as --t=-p/q"},
         "t-power": {"help": "huge argument 'scale,base,exponent' (exponent "
                             "may be 'n!')"},
         "cutoff": {"type": int,
@@ -312,23 +312,22 @@ def _write_report(args, table: AxiomTable, lines: list[str],
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_out(args.out)
         table = (AxiomTable.load(args.axioms) if args.axioms
                  else AxiomTable.default())
         lines, code, *certificate = COMMANDS[args.command][0](args, table)
         _write_report(args, table, lines, *certificate)
         return code
-    except SpecFormatError as exc:
+    except SystemExit as exc:   # argparse's usage errors exit 2, not 1
+        return EXIT_ERROR if exc.code == 2 else exc.code
+    except (SpecFormatError, OSError) as exc:   # OSError: a path
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
     except UndeterminedError as exc:
         sys.stderr.write(f"undetermined: {exc.reason}\n")
         return EXIT_UNDETERMINED
-    except OSError as exc:            # an input or output path
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_ERROR
     except Tau3Error as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return EXIT_ERROR

@@ -443,6 +443,43 @@ class TestMalformedArguments:
         assert err == "error: ParameterError: tail cutoff -5 is negative\n"
 
 
+class TestUsageErrors:
+    """argparse's usage errors exit 1, as every input error, not 2, the
+    Undetermined code; --help and --version exit 0."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("eval",), "the following arguments are required: --measure"),
+        (("eval", "--measure", "{expl}", "--bogus"),
+         "unrecognized arguments: --bogus"),
+        (("oracle-check", "--cases", "x"),
+         "argument --cases: invalid int value: 'x'"),
+        # argparse reads -37/11 as a flag: write --t=-37/11
+        (("eval", "--measure", "{expl}", "--t", "-37/11"),
+         "argument --t: expected one argument"),
+    ], ids=["no-measure", "unknown-flag", "non-integer-cases",
+            "negative-rational-as-a-flag"])
+    def test_exits_1_with_usage(self, specs, argv, message):
+        code, out, err = run_cli(*(a.format(**specs) for a in argv))
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: tau3") and message in err, err
+
+    @pytest.mark.parametrize("argv", [("--help",), ("--version",),
+                                      ("eval", "--help")])
+    def test_help_and_version_exit_0(self, argv):
+        code, out, err = run_cli(*argv)
+        assert (code, err) == (0, "") and out
+
+    def test_negative_rationals_evaluate(self, specs):
+        # FT is even: -37/11 gives the value at 37/11; --t -3 is a number
+        values = []
+        for argv in (("--t=-37/11",), ("--t", "37/11"), ("--t", "-3"),
+                     ("--t", "3")):
+            code, out, _ = run_cli("eval", "--measure", specs["expl"], *argv)
+            assert code == 0
+            values.append(out.split("value: ")[1].splitlines()[0])
+        assert values[0] == values[1] and values[2] == values[3]
+
+
 @pytest.mark.parametrize("tol", ["3/2", "1", "0", "-1/2"])
 def test_converge_rejects_a_tolerance_outside_0_1(tmp_path, tol):
     # every value is exactly -1/2; --tol 3/2 used to conclude ConvergesTo1
