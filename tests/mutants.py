@@ -140,6 +140,35 @@ MUTANTS = (
            ("tests/test_oracle.py::TestOracleSuite::"
             "test_delta_convolution_mismatch_is_reported",),
            "cf442bb: the exact check's mismatch test"),
+    Mutant("chain-radius-growth-b", "fourier.py",
+           "bb * r + b",
+           "b * r + b",
+           ("tests/test_corpus.py::test_every_case_has_its_recorded_outcome",
+            "tests/test_properties.py::"
+            "test_chain_product_equals_the_horner_loop"),
+           "6871f47: the chain step's Horner start, b**2 radius growth"),
+    Mutant("chain-step-without-plus-b", "fourier.py",
+           "bb * r + b",
+           "bb * r",
+           ("tests/test_corpus.py::test_every_case_has_its_recorded_outcome",
+            "tests/test_properties.py::"
+            "test_chain_product_equals_the_horner_loop"),
+           "6871f47: the chain step's Horner start, + b for the floors"),
+    Mutant("chain-leading-shift-by-b", "fourier.py",
+           "h = m << (b - 1)",
+           "h = m << b",
+           ("tests/test_corpus.py::test_every_case_has_its_recorded_outcome",
+            "tests/test_golden.py::test_golden",
+            "tests/test_properties.py::"
+            "test_chain_product_equals_the_horner_loop"),
+           "6871f47: the chain step's Horner start"),
+    Mutant("cutoff-jump-one-index-too-long", "fourier.py",
+           "min(lo + fail + 1, end",
+           "min(lo + fail + 2, end",
+           ("tests/test_corpus.py::test_every_case_has_its_recorded_outcome",
+            "tests/test_properties.py::"
+            "test_cutoff_jump_equals_the_per_index_walk"),
+           "6871f47: the geometric cutoff's bit-length jump"),
 )
 
 
