@@ -314,14 +314,15 @@ def _write_report(args, table: AxiomTable, lines: list[str],
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse's usage errors exit 2, not 1
+        return EXIT_ERROR if exc.code == 2 else exc.code
+    try:
         _check_out(args.out)
         table = (AxiomTable.load(args.axioms) if args.axioms
                  else AxiomTable.default())
         lines, code, *certificate = COMMANDS[args.command][0](args, table)
         _write_report(args, table, lines, *certificate)
         return code
-    except SystemExit as exc:   # argparse's usage errors exit 2, not 1
-        return EXIT_ERROR if exc.code == 2 else exc.code
     except (SpecFormatError, OSError) as exc:   # OSError: a path
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR

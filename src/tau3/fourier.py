@@ -23,27 +23,26 @@ Every reader is a dict from k to the reduction of c_k * t that lives for the
 call, so no c_k * t is reduced twice in one call.  The geometric reader reads
 factor k by its index: for k >= e it is exactly p / (q * b**(k - e)), with t =
 p/q * b**e a rational (e = 0) or a power of the sequence's own base (a power of
-another base within the budget is folded into p).  Its cutoff jumps past the
-indices whose bit lengths fail its tests, then is one integer loop over that
-value regime, one multiplication per index and no reduction, and its tail walk
-steps through the regime alike and reduces only outside it.  An explicit list's
-head is the whole list unless cut, and its tail the finite rest.  Every head
-starts from one exact prefix, the leading factors whose cosine is 0, +-1/2 or
-+-1, multiplied as one integer over 2**j.  After it, a head is one integer
-factor loop on ``intervals.product_fixed``, floored onto 2**-bits, except a
-geometric head of base b <= CHAIN_MAX_BASE: c_(k-1) * t = b * c_k * t, so
-factor k-1 is T_b(factor k), and one Chebyshev chain reads one factor, and
-makes one ``cos2pi_fixed`` call, per block of CHAIN_BLOCK + 1, with Chebyshev
-steps in between (a step is a degree-b Horner evaluation from its known second
-step, m << (b - 1), without the zero coefficients, so larger bases keep the
-factor loop).  An infinite tail uses cos(2*pi*x) >= 1 - 49*x**2 (certified on
-[0, omega] by ``intervals``) in one floored integer product at scale 2**bits;
-its upper bound is 1.  ``ft_point`` adds the atom sum and head times tail as
-integers over one denominator, and clamps and rounds once.  No flag records
-exactness: equal integer ends give the point itself.  The atom sum makes one
-``cos2pi_fixed`` call per distinct angle: pairs whose p * t mod 1 folds to the
-same value add their integer weights first, which gives the same integers as
-one call per pair.
+another base within the budget is folded into p).  Its cutoff is one integer
+loop over that value regime, one multiplication per index and no reduction past
+a jump by bit lengths, and its tail walk steps through the regime alike and
+reduces only outside it.  An explicit list's head is the whole list unless cut,
+and its tail the finite rest.  Every head starts from one exact prefix, the
+leading factors whose cosine is 0, +-1/2 or +-1, multiplied as one integer over
+2**j.  After it, a head is one integer factor loop on
+``intervals.product_fixed``, floored onto 2**-bits, except a geometric head of
+base b <= CHAIN_MAX_BASE: c_(k-1) * t = b * c_k * t, so factor k-1 is
+T_b(factor k), and one Chebyshev chain reads one factor, and makes one
+``cos2pi_fixed`` call, per block of CHAIN_BLOCK + 1, with Chebyshev steps in
+between (a step is a degree-b Horner evaluation from m << (b - 1) on, so larger
+bases keep the factor loop).  An infinite tail uses cos(2*pi*x) >= 1 - 49*x**2
+(certified on [0, omega] by ``intervals``) in one floored integer product at
+scale 2**bits; its upper bound is 1.  ``ft_point`` adds the atom sum and head
+times tail as integers over one denominator, and clamps and rounds once.  No
+flag records exactness: equal integer ends give the point itself.  The atom sum
+makes one ``cos2pi_fixed`` call per distinct angle: pairs whose p * t mod 1
+folds to the same value add their integer weights first, which gives the same
+integers as one call per pair.
 """
 
 from __future__ import annotations

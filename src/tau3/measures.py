@@ -361,9 +361,8 @@ def coefficient_lattice(seq: CoefficientSequence, n: int) -> tuple[int, list]:
     pairs = ([(m * v.numerator, d * v.denominator) for v in seq.values[:n]]
              if seq.kind == EXPLICIT else
              [(m, d * seq.base ** seq.exponent(k)) for k in range(1, n + 1)])
-    ratios = [(p // (g := gcd(p, q)), q // g) for p, q in pairs]
-    den = lcm(*(q for _, q in ratios))  # of the denominators in lowest terms
-    return den, [p * (den // q) for p, q in ratios]
+    den = lcm(*(q // gcd(p, q) for p, q in pairs))  # in lowest terms
+    return den, [p * den // q for p, q in pairs]
 
 
 def bernoulli_lattice(seq: CoefficientSequence, n: int,
