@@ -344,7 +344,7 @@ def _chain_product(tops: list, n: int, b: int,
         m, r = (lo + hi) >> 1, (hi - lo + 1) >> 1
         for step in range(min(CHAIN_BLOCK, top) + 1):
             if step:
-                h = m << (b - 1)    # Horner's first two steps: c_(b-1) = 0
+                h = m << (b - 1)    # c_b * m: Horner's first two steps
                 for c in rest:      # adding nothing for c = 0
                     h = (h * m >> w) + c if c else h * m >> w
                 m, r = one if h > one else -one if h < -one else h, bb * r + b
@@ -525,17 +525,17 @@ class _GeometricTerms(_Terms):
     def cutoff(self) -> int:
         """The walk's cutoff by one integer loop over the value regime.
 
-        For lo <= k < end factor k is the value p / den, den = q * base**(k -
-        lo), so the walk's three tests (a value, at most omega, and 200 *
+        For lo <= k < end factor k is the value p / den, den = q * base**(k
+        - lo), so the walk's three tests (a value, at most omega, and 200 *
         (p/den)**2 at most the target) hold exactly when p/den <= omega and
         200 * (p/den)**2 <= target: omega <= 1/2, and from den >= 2p on the
         distance to the integers is p/den itself.  No other index passes
-        before ``end``: below lo ``_reduce`` marks nothing as a value.  So the
-        loop skips every j with 2**(len(t_n) + 2 * len(q) + 2 * j * ceil(log2
-        base)) at most p_target, where the second test fails at k = lo + j,
-        then steps den by one multiplication per index; without a pass up to
-        the cap the walk's answer is its read at the cap alone, also for an
-        empty regime.  The walk goes on from ``end`` itself only when that
+        before ``end``: below lo ``_reduce`` marks nothing as a value.  So
+        the loop skips every j with 2**(len(t_n) + 2 * len(q) + 2 * j *
+        ceil(log2 base)) at most p_target, where the second test fails at k =
+        lo + j, then steps den by one multiplication per index; without a pass
+        up to the cap the walk's answer is its read at the cap alone, also for
+        an empty regime.  The walk goes on from ``end`` itself only when that
         comes first, for bases of 410 bits or more.
         """
         (o_n, o_d), (t_n, t_d), _ = _cutoff_constants(self.base)

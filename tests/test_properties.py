@@ -1114,8 +1114,8 @@ def test_chain_with_radius_growth_b_misses_the_truth(monkeypatch):
 def horner_chain_product(tops, n, b, bits):
     """The former ``_chain_product``: every Chebyshev step a full Horner
     loop over ``_chebyshev(b, w)``, clamped by ``max`` and ``min``."""
-    w = bits + fourier.CHAIN_BLOCK * (b * b - 1).bit_length() \
-        + fourier.CHAIN_GUARD
+    w = (bits + fourier.CHAIN_BLOCK * (b * b - 1).bit_length()
+         + fourier.CHAIN_GUARD)
     one, bb = 1 << w, b * b
     horner = _chebyshev(b, w)
     p_mid, p_rad = one, 0
@@ -1206,10 +1206,9 @@ def jump_cases(draw):
                                              st.integers(1, 1 << 64))))
     if kind == "own":
         return seq, ScaledPower(s, seq.base, draw(st.integers(0, 120)))
-    other = draw(st.integers(2, 16))
-    return seq, ScaledPower(s, other, draw(st.integers(0, 40)) if
-                            kind == "other" else
-                            draw(st.integers(40000, 40100)))
+    e = draw(st.integers(0, 40) if kind == "other" else
+             st.integers(40000, 40100))
+    return seq, ScaledPower(s, draw(st.integers(2, 16)), e)
 
 
 @settings(max_examples=300, deadline=None, database=None)
