@@ -35,14 +35,19 @@ base b <= CHAIN_MAX_BASE: c_(k-1) * t = b * c_k * t, so factor k-1 is
 T_b(factor k), and one Chebyshev chain reads one factor, and makes one
 ``cos2pi_fixed`` call, per block of CHAIN_BLOCK + 1, with Chebyshev steps in
 between (a step is a degree-b Horner evaluation from m << (b - 1) on, so larger
-bases keep the factor loop).  An infinite tail uses cos(2*pi*x) >= 1 - 49*x**2
-(certified on [0, omega] by ``intervals``) in one floored integer product at
-scale 2**bits; its upper bound is 1.  ``ft_point`` adds the atom sum and head
-times tail as integers over one denominator, and clamps and rounds once.  No
-flag records exactness: equal integer ends give the point itself.  The atom sum
-makes one ``cos2pi_fixed`` call per distinct angle: pairs whose p * t mod 1
-folds to the same value add their integer weights first, which gives the same
-integers as one call per pair.
+bases keep the factor loop).  At t = p/q * b**e the chain's prefix reads its
+leading run in one step: with q = q1 * q2, q1 | b**a and q2 prime to b,
+factors 1 .. e - a are units over q2, so all share the cosine of e - a when
+that is rational.  A chain whose product straddles 0 gives way to the factor
+loop, so a geometric head never takes a sign the factor loop excludes.  An
+infinite tail uses cos(2*pi*x) >= 1 - 49*x**2 (certified on [0, omega] by
+``intervals``) in one floored integer product at scale 2**bits; its upper bound
+is 1.  ``ft_point`` adds the atom sum and head times tail as integers over one
+denominator, and clamps and rounds once.  No flag records exactness: equal
+integer ends give the point itself.  The atom sum makes one ``cos2pi_fixed``
+call per distinct angle: pairs whose p * t mod 1 folds to the same value add
+their integer weights first, which gives the same integers as one call per
+pair.
 """
 
 from __future__ import annotations
@@ -174,7 +179,7 @@ def _fold(c: Rational, t: ArgumentSpec) -> tuple[int, int, int, int]:
     gcd of the integer products; b = 1 and e = 0 for a rational t."""
     (c_n, c_d), rational = c.as_integer_ratio(), isinstance(t, ExactRational)
     t_n, t_d = (t.value if rational else t.scale).as_integer_ratio()
-    p, q = abs(c_n * t_n) if rational else c_n * t_n, c_d * t_d
+    p, q = abs(c_n * t_n), c_d * t_d
     g = gcd(p, q)
     return p // g, q // g, *((1, 0) if rational else (t.base, t.exponent))
 
@@ -565,15 +570,38 @@ class _GeometricTerms(_Terms):
             else:
                 yield _tail_term_bound(self[k], floor_exp)
 
+    def prefix(self, n: int) -> tuple[int, int]:
+        """``_niven_prefix`` of factors 1 .. n, its leading run in one step
+        at t = p/q * b**lo, b the own base.
+
+        There q = q1 * q2 with q1 | b**a, a the gcd steps below, and gcd(q2,
+        b) = 1: factor k <= lo - a is u/q2 mod 1, u a unit mod q2.  Where
+        cos(2*pi*u/q2) is rational q2 is 1, 2, 3, 4 or 6, whose units are
+        +-1, so factor lo - a's cosine is all of theirs; the prefix goes on
+        by index from there."""
+        num, j = 1, 0
+        p, q, lo, _ = self.regime
+        if self.fold[2] == self.base:
+            a, b, r = 0, self.base, q
+            while (g := gcd(r, b)) > 1:
+                r, a = r // g, a + 1
+            # factor lo - a is p * b**a / q mod 1
+            if (twice := niven_twice(p * b ** a, q)) is not None:
+                j = max(min(n, lo - a), 0)
+                num = twice ** j
+        more, i = _niven_prefix(self[k] for k in range(j + 1, n + 1))
+        return num * more, j + i
+
     def head(self, n: int, bits: int) -> tuple[int, int, int]:
-        """The factor loop above CHAIN_MAX_BASE, else the ``_niven_prefix``
-        (T_b maps the cosines 0, +-1/2 and +-1 to themselves) and one
+        """The factor loop above CHAIN_MAX_BASE, else the ``prefix`` (T_b
+        maps the cosines 0, +-1/2 and +-1 to themselves) and one
         ``_chain_product``, reducing only the prefix, the block tops and the
         first unexpanded factor: unexpanded values fall as k grows, so the
-        first refuses if any does, as ``_factor_product`` would."""
+        first refuses if any does, as ``_factor_product`` would.  A chain
+        that straddles 0 gives way to the factor loop."""
         if self.base > CHAIN_MAX_BASE:
             return super().head(n, bits)
-        num, j = _niven_prefix(self[k] for k in range(1, n + 1))
+        num, j = self.prefix(n)
         tops = [self[k] for k in range(n, j, -(CHAIN_BLOCK + 1))]
         *_, first = self.regime          # the first unexpanded index
         if j < first <= n and isinstance(self[first], ReducedSmall):
@@ -581,6 +609,8 @@ class _GeometricTerms(_Terms):
         if j == n or num == 0:
             return num, num, j
         mid, rad, w = _chain_product(tops, n - j, self.base, bits)
+        if mid - rad < 0 < mid + rad:
+            return super().head(n, bits)
         lo, hi = sorted((num * (mid - rad), num * (mid + rad)))
         return lo, hi, j + w
 

@@ -105,6 +105,11 @@ class TestArgReduce:
         r = arg_reduce(F(1, 3), ExactRational(F(-3, 4)))
         assert F(r.num, r.den) == F(1, 4)
 
+    def test_negative_coefficients_fold_alike_for_a_scaled_power(self):
+        # |c * t| for a rational t and for the same t as a scaled power
+        assert (arg_reduce(F(-1, 3), ScaledPower(F(1), 3, 0))
+                == arg_reduce(F(-1, 3), 1) == ReducedExact(1, 3, True))
+
 
 class TestHugeExponents:
     """(1/3) * 3**(n!) over the base-3 factorial measure: factor k = n is
@@ -316,6 +321,15 @@ class TestOneReductionPerFactor:
         terms = fourier._terms(seq, ExactRational(F(7, 5)))
         assert terms.head(5, 64) == terms.head(3, 64)
         assert terms.tail(5, 64) == (1, 1, 0)
+
+    def test_an_own_base_power_reads_its_prefix_in_one_step(self):
+        # c_k * t = 3**(40-k)/2: factors 1 .. 40 have the cosine -1 and
+        # the prefix reduces none of them, only 41 (1/6) and 42 (1/18),
+        # which ends it; the chain reduces its two block tops
+        m = MeasureExpr.bernoulli_geometric(3).plus(
+            MeasureExpr.symmetric_pair(F(1, 3), F(1, 2)))
+        terms = self.reduced_exponents(m, ScaledPower(F(1, 2), 3, 40), None)
+        assert len(set(terms)) == len(terms) <= 4
 
     def test_a_long_head_reads_its_block_tops(self):
         # 3,000 head factors: 178 reductions, the factor ending the (empty)

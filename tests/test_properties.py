@@ -1077,6 +1077,11 @@ def geometric_truth(seq, t, bits):
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(chain_sequences, chain_arguments, chain_cutoffs, st.integers(64, 1024))
+# the chain's product straddles 0 where the factor loop's lies at 0 or above
+@example(CoefficientSequence("geometric", 2), ScaledPower(F(1, 4), 3, 70), 111,
+         64)
+@example(CoefficientSequence("geometric", 2), ScaledPower(F(1, 3), 5, 48), 112,
+         64)
 def test_geometric_chain_encloses_the_truth(seq, t, tail_cutoff, bits):
     m = MeasureExpr(bernoulli=seq)
     new = outcome(ft_point, m, t, tail_cutoff, bits)
@@ -1164,6 +1169,52 @@ def test_chain_product_equals_the_horner_loop(case):
             == outcome(horner_chain_product, *case))
 
 
+def per_index_prefix(terms, n):
+    """The former geometric prefix: ``_niven_prefix`` of factors 1 .. n,
+    one reduction each."""
+    return fourier._niven_prefix(terms[k] for k in range(1, n + 1))
+
+
+@st.composite
+def own_base_heads(draw):
+    """(seq, t, n, bits): a head of n factors at t = s * b**e, b the base
+    of ``seq``.  The denominator q of the folded scale shares primes with
+    b or not, so its part q2 prime to b lies inside and outside {1, 2, 3, 4,
+    6}; n lies on both sides of e - a for e <= 60, and e reaches 10**6."""
+    b = draw(st.one_of(st.integers(2, CHAIN_MAX_BASE),
+                       st.sampled_from((3, 6))))
+    seq = CoefficientSequence("geometric", b,
+                              draw(st.sampled_from((F(1), F(1, 3), F(5, 2)))))
+    den = draw(st.one_of(st.sampled_from((1, 2, 3, 4, 6, 9, 12, 18, 72)),
+                         st.integers(1, 10 ** 4)))
+    s = F(draw(st.integers(1, 10 ** 6)), den)
+    e = draw(st.one_of(st.integers(0, 60), st.integers(10 ** 5, 10 ** 6)))
+    return (seq, ScaledPower(s, b, e), draw(st.integers(0, 90)),
+            draw(st.integers(64, 512)))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(own_base_heads())
+# q = 9 and 72 against bases 3 and 6: q1 = q after two and three gcd
+# steps, with n past e - a and within it; q = 18 against 3: q2 = 2, with n
+# one past e - a
+@example((CoefficientSequence("geometric", 3), ScaledPower(F(1, 9), 3, 40),
+          90, 64))
+@example((CoefficientSequence("geometric", 6),
+          ScaledPower(F(5, 72), 6, 10 ** 6), 80, 128))
+@example((CoefficientSequence("geometric", 3), ScaledPower(F(1, 18), 3, 30),
+          29, 64))
+def test_geometric_prefix_equals_the_per_index_prefix(case):
+    # its leading run in one step is the same integer over the same 2**j,
+    # and the head built on it the same enclosure or the same refusal
+    seq, t, n, bits = case
+    assert _terms(seq, t).prefix(n) == per_index_prefix(_terms(seq, t), n)
+    new = outcome(lambda: _terms(seq, t).head(n, bits))
+    with mock.patch.object(fourier._GeometricTerms, "prefix",
+                           per_index_prefix):
+        assert new == outcome(lambda: _terms(seq, t).head(n, bits))
+
+
 def walk_geometric_cutoff(terms):
     """The former ``_GeometricTerms.cutoff``: one multiplication per index
     from max(lo, 1), with no jump."""
@@ -1224,10 +1275,10 @@ def test_cutoff_jump_equals_the_per_index_walk(case):
 
 
 def fraction_fold(c, t):
-    """The former ``_fold``: |c * t| and c * scale as ``Fraction``s."""
+    """The former ``_fold``: |c * t| and |c * scale| as ``Fraction``s."""
     if isinstance(t, ExactRational):
         return (*abs(c * t.value).as_integer_ratio(), 1, 0)
-    return (*(c * t.scale).as_integer_ratio(), t.base, t.exponent)
+    return (*abs(c * t.scale).as_integer_ratio(), t.base, t.exponent)
 
 
 @settings(max_examples=200, deadline=None, database=None)
