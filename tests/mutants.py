@@ -169,6 +169,21 @@ MUTANTS = (
             "tests/test_properties.py::"
             "test_cutoff_jump_equals_the_per_index_walk"),
            "6871f47: the geometric cutoff's bit-length jump"),
+    Mutant("prefix-run-one-factor-too-long", "fourier.py",
+           "max(min(n, lo - a), 0)",
+           "max(min(n, lo - a + 1), 0)",
+           ("tests/test_corpus.py::test_every_case_has_its_recorded_outcome",
+            "tests/test_golden.py::test_golden",
+            "tests/test_properties.py::"
+            "test_geometric_prefix_equals_the_per_index_prefix"),
+           "9831ae3: the geometric prefix's run in one step"),
+    Mutant("prefix-run-one-gcd-step", "fourier.py",
+           "while (g := gcd(r, b)) > 1:",
+           "if (g := gcd(r, b)) > 1:",
+           ("tests/test_corpus.py::test_every_case_has_its_recorded_outcome",
+            "tests/test_properties.py::"
+            "test_geometric_prefix_equals_the_per_index_prefix"),
+           "9831ae3: the geometric prefix's run in one step"),
 )
 
 
