@@ -12,8 +12,8 @@ from .intervals import IntervalValue, cos2pi, precision_bits
 from .measures import (CoefficientSequence, MeasureExpr, bernoulli_partial,
                        load_measure_spec, normalize, parse_measure_spec,
                        scale_measure)
-from .fourier import (ArgumentSpec, ExactRational, ScaledPower, arg_reduce,
-                      ft_point, tail_bound)
+from .fourier import (ArgumentSpec, ScaledPower, arg_reduce, ft_point,
+                      tail_bound)
 from .topology import (CompletionClass, CompletionKind, Conclusion,
                        ConvergenceVerdict, SequenceSpec, classify_completion,
                        f_gap_scan, test_sequence)

@@ -36,7 +36,7 @@ from .errors import (SpecFormatError, Tau3Error, TailNotCertified,
                      UndeterminedError)
 from .class_algebra import AxiomTable, class_to_text, convolve, relation, \
     series_class, RelationKind
-from .fourier import ExactRational, ScaledPower, ft_point
+from .fourier import ScaledPower, ft_point
 from .intervals import precision_bits
 from .invariants import FactorSpec, Verdict, distinguish, replay_certificate
 from .measures import format_rational, load_measure_spec, parse_rational
@@ -74,7 +74,7 @@ def _parse_argument(args) -> object:
     if args.t is not None and args.t_power is not None:
         raise SpecFormatError("give either --t or --t-power, not both")
     if args.t is not None:
-        return ExactRational(parse_rational(args.t))
+        return parse_rational(args.t)
     if args.t_power is not None:
         parts = args.t_power.split(",")
         if len(parts) != 3:
@@ -106,6 +106,9 @@ def _cmd_eval(args, table):
 
 
 def _build_sequence(args) -> SequenceSpec:
+    if args.points and (args.family is not None or args.n is not None):
+        raise SpecFormatError("give either --points or --family and --n, "
+                              "not both")
     if args.points:
         values = tuple(parse_rational(p) for p in args.points.split(","))
         fields = {"family": "explicit", "values": values}

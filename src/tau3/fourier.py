@@ -6,9 +6,10 @@ For a symmetric probability measure the transform is real:
           * / +  prod_k cos(2*pi*c_k*t)        (infinite two-point part)
 
 The interesting arguments have the shape t = lam * base**e with e as large as
-720! worth of digits, so arguments are reduced without ever materializing the
-huge powers: fractional parts come from modular exponentiation, and magnitudes
-of tiny products are kept in mantissa/exponent form.  Every reduction is
+720! worth of digits, a ``ScaledPower``; any other argument is a rational, held
+as a ``Fraction``.  Arguments are reduced without ever materializing the huge
+powers: fractional parts come from modular exponentiation, and magnitudes of
+tiny products are kept in mantissa/exponent form.  Every reduction is
 integer-only: |scale * t| is folded into one integer pair per call by one gcd,
 each factor costs at most one ``pow(base, d, q)``, and a call builds no
 ``Fraction`` but its result.  ``_reduce`` alone decides whether a reduction is
@@ -20,10 +21,11 @@ Infinite products are split into an exactly evaluated head and a certified
 tail.  ``_terms`` gives one reader of the factors c_k * t per sequence kind,
 and ``ft_point`` takes the cutoff, the head and the tail from one reader.
 Every reader is a dict from k to the reduction of c_k * t that lives for the
-call, so no c_k * t is reduced twice in one call.  The geometric reader reads
-factor k by its index: for k >= e it is exactly p / (q * b**(k - e)), with t =
-p/q * b**e a rational (e = 0) or a power of the sequence's own base (a power of
-another base within the budget is folded into p).  Its cutoff is one integer
+call, so no c_k * t is reduced twice in one call; ``arg_reduce(seq, k, t)``
+is factor k of a reader of its own.  The geometric reader reads factor k by
+its index: for k >= e it is exactly p / (q * b**(k - e)), with t = p/q * b**e a
+rational (e = 0) or a power of the sequence's own base (a power of another base
+within the budget is folded into p).  Its cutoff is one integer
 loop over that value regime, one multiplication per index and no reduction past
 a jump by bit lengths, and its tail walk steps through the regime alike and
 reduces only outside it.  An explicit list's head is the whole list unless cut,
@@ -63,8 +65,8 @@ from .errors import (NotPointwiseEvaluable, ParameterError, TailNotCertified,
 from .intervals import (QUADRATIC_COS_COEFF, IntervalValue, Rational,
                         cos2pi_fixed, niven_twice, precision_bits,
                         product_fixed, quadratic_cos_threshold)
-from .measures import (FACTORIAL, GEOMETRIC, CoeffTerm,
-                       CoefficientSequence, MeasureExpr, atom_plan, plan_mass)
+from .measures import (FACTORIAL, GEOMETRIC, CoefficientSequence,
+                       MeasureExpr, atom_plan, plan_mass)
 
 #: beyond this many bits ``_reduce`` does not expand a power of the base;
 #: ``ReducedSmall.dyadic_upper`` expands one only to compare it exactly
@@ -73,16 +75,6 @@ MATERIALIZE_BITS = 1 << 15
 #: certified tail width target and head-length cap of ``choose_cutoff``
 TAIL_WIDTH_TARGET = Fraction(1, 10 ** 30)
 TAIL_CUTOFF_CAP = 80
-
-
-class ExactRational(Value):
-    """Argument t given as an exact rational."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Fraction):
-        object.__setattr__(self, "value", value if type(value) is Fraction
-                           else Fraction(value))
 
 
 class ScaledPower(Value):
@@ -101,12 +93,13 @@ class ScaledPower(Value):
         object.__setattr__(self, "exponent", exponent)
 
 
-ArgumentSpec = Union[ExactRational, ScaledPower]
+ArgumentSpec = Union[Fraction, ScaledPower]
 
 
 def as_argument(t) -> ArgumentSpec:
-    return (t if isinstance(t, (ExactRational, ScaledPower))
-            else ExactRational(t))
+    # ScaledPower first: an isinstance check against Fraction, an ABC,
+    # is slow for anything that is not a Fraction
+    return t if isinstance(t, (ScaledPower, Fraction)) else Fraction(t)
 
 
 class ReducedExact(Value):
@@ -177,11 +170,11 @@ def _materializable(base: int, exponent: int) -> bool:
 def _fold(c: Rational, t: ArgumentSpec) -> tuple[int, int, int, int]:
     """(p, q, b, e) with |c * t| = p/q * b**e, p/q in lowest terms by one
     gcd of the integer products; b = 1 and e = 0 for a rational t."""
-    (c_n, c_d), rational = c.as_integer_ratio(), isinstance(t, ExactRational)
-    t_n, t_d = (t.value if rational else t.scale).as_integer_ratio()
+    (c_n, c_d), power = c.as_integer_ratio(), isinstance(t, ScaledPower)
+    t_n, t_d = (t.scale if power else t).as_integer_ratio()
     p, q = abs(c_n * t_n), c_d * t_d
     g = gcd(p, q)
-    return p // g, q // g, *((1, 0) if rational else (t.base, t.exponent))
+    return p // g, q // g, *((t.base, t.exponent) if power else (1, 0))
 
 
 def _reduce(fold: tuple[int, int, int, int], c_base: Optional[int],
@@ -217,17 +210,15 @@ def _reduce(fold: tuple[int, int, int, int], c_base: Optional[int],
     return ReducedExact(p * pow(b, d, q) % q, q, d == 0 and p < q)
 
 
-def arg_reduce(c, t: ArgumentSpec) -> Reduced:
-    """Reduce |c * t| modulo 1 without expanding huge powers.
-
-    ``c`` is a CoeffTerm (mantissa * base**-e) or a plain rational.  Returns
-    the exact fractional part whenever the product has a representable
-    denominator, otherwise a mantissa/exponent magnitude bound.  Mixed bases
-    are supported only while one side stays representable.
-    """
-    if not isinstance(c, CoeffTerm):
-        c = CoeffTerm(Fraction(c))
-    return _reduce(_fold(c.mantissa, as_argument(t)), c.base, c.neg_exp)
+def arg_reduce(seq: CoefficientSequence, k: int, t) -> Reduced:
+    """The reduction of |c_k * t| modulo 1, k >= 1, as the call's reader
+    holds it: the exact fractional part whenever the product has a
+    representable denominator, otherwise a mantissa/exponent magnitude
+    bound.  Mixed bases are supported only while one side stays
+    representable."""
+    if k < 1:
+        raise ValueError("coefficient index starts at 1")
+    return _terms(seq, as_argument(t))[k]
 
 
 def _at_most(n: int, q: int, x: tuple[int, int]) -> bool:
@@ -655,7 +646,7 @@ def tail_bound(seq: CoefficientSequence, cutoff: int, t,
     if cutoff < 0:
         raise ParameterError(f"tail cutoff {cutoff} is negative")
     t = as_argument(t)
-    if isinstance(t, ExactRational) and t.value == 0:
+    if not isinstance(t, ScaledPower) and t == 0:
         return IntervalValue.point(1)
     lo, hi, s = _terms(seq, t).tail(cutoff, bits)
     return IntervalValue(Fraction(lo, 1 << s), Fraction(hi, 1 << s))
@@ -741,7 +732,7 @@ def ft_point(expr: MeasureExpr, t, tail_cutoff: Optional[int] = None,
         raise NotPointwiseEvaluable(
             "the Lebesgue component has no pointwise transform")
     mass = plan_mass(expr)
-    if isinstance(t, ExactRational) and t.value == 0:
+    if not isinstance(t, ScaledPower) and t == 0:
         return IntervalValue.point(mass)
     lo, hi, den = _atom_sum(expr, t, bits)
     if expr.bernoulli is not None:

@@ -47,11 +47,16 @@ NOTATION_NOTE = ("the state-intersection invariant is identified with the "
 
 class FactorSpec(Value):
     """A factor given by the symmetric spectral measure of its defining
-    orthogonal one-parameter group (additive log scale)."""
+    orthogonal one-parameter group (additive log scale).  The label is one
+    non-empty line that does not end in whitespace, as a certificate's
+    ``label:`` line reads it back."""
 
     __slots__ = ("label", "spectral_measure")
 
     def __init__(self, label: str, spectral_measure: MeasureExpr):
+        if len(label.splitlines()) != 1 or label != label.rstrip():
+            raise ValueError(f"label {label!r} must be one non-empty line "
+                             f"that does not end in whitespace")
         m = spectral_measure
         if m.is_zero:
             raise ValueError("spectral measure must be nontrivial")

@@ -14,7 +14,9 @@ w/total sorted by p, which only ``lattice_measure``, the one builder and the
 one symmetry check, sets.  The constructor merges its atoms onto that
 lattice and returns through it; ``scale_measure`` is the one scaling path.
 ``atoms``, the exact rational pairs, is built from the lattice when first
-read.  All values are immutable.
+read.  A ``CoefficientSequence`` gives its coefficient c_k as one
+``Fraction``, ``c(k)``; ``fourier`` reads its scale, base, exponents and
+values instead and builds none.  All values are immutable.
 """
 
 from __future__ import annotations
@@ -53,27 +55,6 @@ def parse_rational(text) -> Fraction:
 
 def format_rational(x: Fraction) -> str:
     return str(Fraction(x))
-
-
-class CoeffTerm(Value):
-    """One coefficient c_k in mantissa * base**(-neg_exp) form.
-
-    ``base`` is None for plain rationals (explicit lists, already-folded
-    terms); then neg_exp is 0 and the value is just the mantissa.
-    """
-
-    __slots__ = ("mantissa", "base", "neg_exp")
-
-    def __init__(self, mantissa: Fraction, base: Optional[int] = None,
-                 neg_exp: int = 0):
-        object.__setattr__(self, "mantissa", mantissa)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "neg_exp", neg_exp)
-
-    def value(self) -> Fraction:
-        if self.base is None or self.neg_exp == 0:
-            return self.mantissa
-        return self.mantissa / Fraction(self.base) ** self.neg_exp
 
 
 class CoefficientSequence(Value):
@@ -129,17 +110,14 @@ class CoefficientSequence(Value):
             return k
         raise ValueError("explicit sequences have no exponent form")
 
-    def term(self, k: int) -> CoeffTerm:
+    def c(self, k: int) -> Fraction:
         if k < 1:
             raise ValueError("coefficient index starts at 1")
         if self.kind == EXPLICIT:
             if k > len(self.values):
                 raise IndexError(f"coefficient index {k} beyond explicit list")
-            return CoeffTerm(self.scale * self.values[k - 1])
-        return CoeffTerm(self.scale, self.base, self.exponent(k))
-
-    def c(self, k: int) -> Fraction:
-        return self.term(k).value()
+            return self.scale * self.values[k - 1]
+        return self.scale / Fraction(self.base) ** self.exponent(k)
 
     def rescaled(self, factor: Fraction) -> "CoefficientSequence":
         return CoefficientSequence(self.kind, self.base, self.scale * factor,

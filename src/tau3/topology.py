@@ -35,8 +35,7 @@ from .errors import (BudgetExceeded, NotPointwiseEvaluable, ParameterError,
                      UnsupportedArgument, Value)
 from .intervals import (IntervalValue, cos2pi, cos2pi_fixed, precision_bits,
                         product_fixed, two_pi_bounds)
-from .fourier import (ArgumentSpec, ExactRational, ScaledPower, atom_part,
-                      ft_point)
+from .fourier import ArgumentSpec, ScaledPower, atom_part, ft_point
 from .measures import (EXPLICIT, FACTORIAL, GEOMETRIC, MeasureExpr,
                        plan_mass, support_lattice)
 
@@ -95,7 +94,7 @@ class SequenceSpec(Value):
 
     def argument(self, n: int) -> ArgumentSpec:
         if self.family == EXPLICIT:
-            return ExactRational(self.values[n - 1])
+            return self.values[n - 1]
         return ScaledPower(self.lam, self.base, self.exponent(n))
 
     def describe(self, n: int) -> str:

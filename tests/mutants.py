@@ -184,6 +184,34 @@ MUTANTS = (
             "tests/test_properties.py::"
             "test_geometric_prefix_equals_the_per_index_prefix"),
            "9831ae3: the geometric prefix's run in one step"),
+    Mutant("tail-closing-without-geom", "fourier.py",
+           "(-y_n * bb << bits) // (y_d * (bb - 1))",
+           "(-y_n << bits) // y_d",
+           ("tests/test_corpus.py::test_every_case_has_its_recorded_outcome",
+            "tests/test_fourier.py::TestTailBound::"
+            "test_agrees_with_direct_product_oracle"),
+           "781a9d5: the fixed-point tail's closing Weierstrass factor"),
+    Mutant("machin-floor-one-low", "intervals.py",
+           "    return lo, lo + 1\n",
+           "    return lo - 1, lo\n",
+           ("tests/test_intervals.py::TestTwoPi::"
+            "test_bounds_are_the_floor_pair",),
+           "93511fe: the floor pair of 2*pi"),
+    Mutant("window-second-derivative-90", "topology.py",
+           "91 * tp * tp",
+           "90 * tp * tp",
+           ("tests/test_topology.py::TestWindowBound::"
+            "test_scan_result_is_pinned",
+            "tests/test_golden.py::test_golden"),
+           "4c617c1: the window box bound to second order"),
+    Mutant("niven-prefix-skips-instead-of-stopping", "fourier.py",
+           "        if twice is None:\n            break\n",
+           "        if twice is None:\n            continue\n",
+           ("tests/test_fourier.py::TestOneReductionPerFactor::"
+            "test_an_own_base_power_reads_its_prefix_in_one_step",
+            "tests/test_properties.py::"
+            "test_ft_point_equals_the_fraction_composition"),
+           "9831ae3: the exact prefix ends at its first miss"),
 )
 
 

@@ -251,6 +251,16 @@ class TestDistinguish:
         assert text.startswith("CERTIFICATE-V1")
         assert "SingularPowers" in text and "R-CORE" in text
 
+    @pytest.mark.parametrize("label", ["", "M1 ", "M\n1"], ids=repr)
+    def test_a_label_the_certificate_cannot_carry_is_an_error(self, specs,
+                                                               label):
+        # each replayed as FAILED: the certificate strips its lines and
+        # splits its text at line breaks
+        code, out, err = run_cli("distinguish", "--a", specs["m1"],
+                                 "--b", specs["m2"], "--label-a", label)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: label {label!r} must be one")
+
     def test_determinism(self, specs, tmp_path):
         outs = []
         for i in (1, 2):
@@ -415,7 +425,8 @@ class TestFileErrors:
 
 
 class TestMalformedArguments:
-    """Bad numbers in flags are input errors: one line, exit 1."""
+    """Bad numbers in flags, and flags that exclude each other, are input
+    errors: one line, exit 1."""
 
     @pytest.mark.parametrize("argv", [
         ("eval", "--t-power", "1,x,3"),
@@ -427,6 +438,10 @@ class TestMalformedArguments:
         ("converge", "--family", "factorial", "--n", "6..3"),
         ("converge", "--family", "geometric", "--base", "1", "--n", "2..4"),
         ("converge", "--points", "1,1/2"),
+        ("eval", "--t", "1/3", "--t-power", "1,3,5"),
+        ("converge", "--points", "1,2,3,4", "--family", "factorial",
+         "--n", "3..6"),
+        ("converge", "--points", "1,2,3,4", "--n", "3..6"),
     ], ids=" ".join)
     def test_exits_with_one_error_line(self, specs, argv):
         command, *flags = argv

@@ -14,9 +14,8 @@ import pytest
 from tau3 import fourier
 from tau3.errors import (NotPointwiseEvaluable, ParameterError,
                          TailNotCertified, UnsupportedArgument)
-from tau3.fourier import (ExactRational, ReducedExact, ReducedSmall,
-                          ScaledPower, arg_reduce, choose_cutoff, ft_point,
-                          tail_bound)
+from tau3.fourier import (ReducedExact, ReducedSmall, ScaledPower,
+                          arg_reduce, choose_cutoff, ft_point, tail_bound)
 from tau3.intervals import KERNEL_MAX_BITS, MAX_BITS
 from tau3.measures import (CoefficientSequence, MeasureExpr,
                            bernoulli_partial, convolve_atoms, normalize,
@@ -27,6 +26,11 @@ mp.mp.dps = 60
 
 FACT = CoefficientSequence("factorial", 3)
 GEO = CoefficientSequence("geometric", 3)
+
+
+def single(c):
+    """The one-coefficient explicit sequence (c,)."""
+    return CoefficientSequence("explicit", values=(c,))
 
 
 def mp_of(fr: Fraction):
@@ -47,22 +51,27 @@ class TestArgReduce:
         for n in (3, 5):
             t = ScaledPower(F(1), 3, factorial(n))
             for k in range(1, n + 1):
-                r = arg_reduce(FACT.term(k), t)
+                r = arg_reduce(FACT, k, t)
                 assert isinstance(r, ReducedExact) and F(r.num, r.den) == 0
 
     def test_plain_rationals(self):
-        r = arg_reduce(F(1, 3), ExactRational(F(3, 4)))
+        r = arg_reduce(single(F(1, 3)), 1, F(3, 4))
         assert isinstance(r, ReducedExact)
         assert F(r.num, r.den) == F(1, 4) and r.is_value
+
+    def test_index_starts_at_one(self):
+        # an explicit reader's index 0 would read the list's last value
+        with pytest.raises(ValueError, match="starts at 1"):
+            arg_reduce(single(F(1, 3)), 0, F(3, 4))
 
     def test_beyond_exponent_is_unexpanded(self):
         t = ScaledPower(F(1), 3, factorial(5))
         # within the materialization budget the value itself, 3**-600
-        r = arg_reduce(FACT.term(6), t)
+        r = arg_reduce(FACT, 6, t)
         assert isinstance(r, ReducedExact) and r.is_value
         assert F(r.num, r.den) == F(1, 3 ** (factorial(6) - factorial(5)))
         # beyond it, 3**-40200 unexpanded
-        r = arg_reduce(FACT.term(8), t)
+        r = arg_reduce(FACT, 8, t)
         assert isinstance(r, ReducedSmall)
         assert (r.base, r.neg_exp) == (3, factorial(8) - factorial(5))
         # 1/q is the least power of two >= 3**-40200: q <= 3**40200 < 2q
@@ -71,7 +80,7 @@ class TestArgReduce:
 
     def test_huge_exponents_never_materialize(self):
         t = ScaledPower(F(1), 3, factorial(8))
-        r = arg_reduce(FACT.term(9), t)
+        r = arg_reduce(FACT, 9, t)
         assert isinstance(r, ReducedSmall)
         # 3**-322560 < 2**-100001, settled without expanding the power
         assert r.dyadic_upper(-100001) == (1, 1 << 100001)
@@ -86,29 +95,32 @@ class TestArgReduce:
 
     def test_fractional_via_modular_exponentiation(self):
         # (2/5) * 3^4 = 162/5: fractional part 2/5
-        r = arg_reduce(F(1), ScaledPower(F(2, 5), 3, 4))
+        r = arg_reduce(single(F(1)), 1, ScaledPower(F(2, 5), 3, 4))
         assert isinstance(r, ReducedExact) and F(r.num, r.den) == F(2, 5)
         # same through a coefficient with matching base
-        r = arg_reduce(GEO.term(2), ScaledPower(F(2, 5), 3, 6))
+        r = arg_reduce(GEO, 2, ScaledPower(F(2, 5), 3, 6))
         assert F(r.num, r.den) == (F(2, 5) * 81) % 1
 
     def test_mixed_bases(self):
         seq2 = CoefficientSequence("geometric", 2)
-        r = arg_reduce(seq2.term(3), ScaledPower(F(1), 3, 5))
+        r = arg_reduce(seq2, 3, ScaledPower(F(1), 3, 5))
         assert isinstance(r, ReducedExact)
         assert F(r.num, r.den) == (F(1, 8) * 243) % 1
         big2 = CoefficientSequence("factorial", 2)
         with pytest.raises(UnsupportedArgument):
-            arg_reduce(big2.term(9), ScaledPower(F(1), 3, factorial(9)))
+            arg_reduce(big2, 9, ScaledPower(F(1), 3, factorial(9)))
 
     def test_negative_arguments_fold(self):
-        r = arg_reduce(F(1, 3), ExactRational(F(-3, 4)))
+        r = arg_reduce(single(F(1, 3)), 1, F(-3, 4))
         assert F(r.num, r.den) == F(1, 4)
 
     def test_negative_coefficients_fold_alike_for_a_scaled_power(self):
-        # |c * t| for a rational t and for the same t as a scaled power
-        assert (arg_reduce(F(-1, 3), ScaledPower(F(1), 3, 0))
-                == arg_reduce(F(-1, 3), 1) == ReducedExact(1, 3, True))
+        # |c * t| for a rational t and for the same t as a scaled power; a
+        # sequence holds no negative coefficient, so the fold is read alone
+        def reduce(c, t):
+            return fourier._reduce(fourier._fold(c, t), None, 0)
+        assert (reduce(F(-1, 3), ScaledPower(F(1), 3, 0))
+                == reduce(F(-1, 3), F(1)) == ReducedExact(1, 3, True))
 
 
 class TestHugeExponents:
@@ -148,7 +160,7 @@ class TestHugeExponents:
 
 class TestTailBound:
     def test_zero_argument(self):
-        assert tail_bound(GEO, 4, ExactRational(F(0))).exact
+        assert tail_bound(GEO, 4, F(0)).exact
 
     def test_factorial_tail_certificate(self):
         # lower bound for the product over k > 5 at t = 3^(5!)
@@ -158,7 +170,7 @@ class TestTailBound:
 
     def test_agrees_with_direct_product_oracle(self):
         # choose the cutoff so the next reduced argument is below 1e-3
-        t = ExactRational(F(1))
+        t = F(1)
         cutoff = 7      # 3^-7 < 1e-3
         tb = tail_bound(GEO, cutoff, t)
         prod = F(1)
@@ -178,14 +190,14 @@ class TestTailBound:
     def test_not_certified_when_arguments_stay_large(self):
         # the first factor reduces to 1/3, above the certified threshold
         with pytest.raises(TailNotCertified):
-            tail_bound(GEO, 0, ExactRational(F(1)))
+            tail_bound(GEO, 0, F(1))
 
     def test_explicit_tail_is_direct_product(self):
         seq = CoefficientSequence("explicit", values=(F(1, 2), F(1, 4),
                                                       F(1, 8)))
-        tb = tail_bound(seq, 3, ExactRational(F(7, 3)))
+        tb = tail_bound(seq, 3, F(7, 3))
         assert tb.exact and tb.lo == 1
-        tb2 = tail_bound(seq, 2, ExactRational(F(1)))
+        tb2 = tail_bound(seq, 2, F(1))
         truth = mp.cos(2 * mp.pi / 8)
         assert contains(tb2, truth)
 
@@ -195,7 +207,7 @@ class TestTailBound:
         # than the 64 bits of the grid, and stays exact
         seq = CoefficientSequence("explicit", values=[
             F(3 * (200 - k) + 1, 3000) for k in range(90)])
-        tb = tail_bound(seq, 5, ExactRational(F(1000)), bits=64)
+        tb = tail_bound(seq, 5, F(1000), bits=64)
         assert tb.exact and tb.lo == -F(1, 2 ** 85)
         iv = ft_point(MeasureExpr(bernoulli=seq), 1000, tail_cutoff=5,
                       bits=64)
@@ -206,14 +218,14 @@ class TestTailBound:
 
 class TestChooseCutoff:
     def test_geometric_moderate(self):
-        k = choose_cutoff(GEO, ExactRational(F(10)))
+        k = choose_cutoff(GEO, F(10))
         assert 3 <= k <= 40
-        tb = tail_bound(GEO, k, ExactRational(F(10)))
+        tb = tail_bound(GEO, k, F(10))
         assert 1 - tb.lo < F(1, 10 ** 25)
 
     def test_explicit_is_full_length(self):
         seq = CoefficientSequence("explicit", values=(F(1, 2), F(1, 4)))
-        assert choose_cutoff(seq, ExactRational(F(3))) == 2
+        assert choose_cutoff(seq, F(3)) == 2
 
 
 @pytest.mark.parametrize("m", [
@@ -289,7 +301,7 @@ class TestOneReductionPerFactor:
                              for k in range(1, len(terms) + 1)]
             return
         assert len(set(terms)) == len(terms)
-        _, j = fourier._niven_prefix(arg_reduce(seq.term(k), t)
+        _, j = fourier._niven_prefix(arg_reduce(seq, k, t)
                                      for k in range(1, cutoff + 1))
         head = [k for k in terms if k <= cutoff]
         block = fourier.CHAIN_BLOCK + 1
@@ -318,7 +330,7 @@ class TestOneReductionPerFactor:
         # and the tail the empty product
         seq = CoefficientSequence("explicit", values=(F(1, 2), F(1, 5),
                                                       F(1, 7)))
-        terms = fourier._terms(seq, ExactRational(F(7, 5)))
+        terms = fourier._terms(seq, F(7, 5))
         assert terms.head(5, 64) == terms.head(3, 64)
         assert terms.tail(5, 64) == (1, 1, 0)
 
@@ -413,7 +425,7 @@ class TestGeometricChain:
     def test_exact_prefix_is_one_integer(self):
         # c_k * t = 2**(70-k)/3: the first 71 factors are exact
         seq, t = CoefficientSequence("geometric", 2), F(2 ** 70, 3)
-        terms = fourier._terms(seq, ExactRational(t))
+        terms = fourier._terms(seq, t)
         lo, hi, s = terms.head(71, 64)
         assert lo == hi and s == 71 and F(lo, 1 << s) == F(1, 1 << 71)
         lo, hi, s = terms.head(75, 64)
@@ -431,7 +443,7 @@ class TestGeometricChain:
         b = 8
         m = fourier.MATERIALIZE_BITS // b.bit_length() + 1
         terms = fourier._terms(CoefficientSequence("geometric", b),
-                               ExactRational(F(b) ** m))
+                               F(b) ** m)
         factors = terms.reduced(m + 1)
         assert all(isinstance(r, ReducedSmall) for r in factors[m - 1:])
         assert fourier._unexpanded_upper(factors[m], 64)

@@ -34,6 +34,17 @@ class TestFactorSpec:
         with pytest.raises(ValueError):
             FactorSpec("X", MeasureExpr(atoms=((F(0), F(1)),)))
 
+    @pytest.mark.parametrize("label", ["", " ", "M1 ", "M\n1", "M1\n",
+                                       "M\x0b1"], ids=repr)
+    def test_rejects_a_label_a_certificate_cannot_carry(self, label):
+        with pytest.raises(ValueError, match="one non-empty line"):
+            FactorSpec(label, MeasureExpr.symmetric_pair(1))
+
+    @pytest.mark.parametrize("label", ["A: x", " M1", "M 1"])
+    def test_a_label_of_one_line_replays(self, m1, m2, label):
+        cert = distinguish(m1.replace(label=label), m2)
+        assert replay_certificate(cert.to_text()).ok
+
     def test_normalizes_on_construction(self):
         spec = FactorSpec("X", scale_measure(MeasureExpr(
             atoms=((F(2), F(1)), (F(-2), F(1)))), 2))

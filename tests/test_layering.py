@@ -10,7 +10,8 @@ level or inside a function, so no tau3 code loads a third-party module.
 
 In ``fourier`` one constructor, ``_terms``, picks the term reader of a
 sequence kind, and no other code there reads the kind; an index is reduced
-only in a reader's ``__missing__``, the fill of its per-call memo.
+only in a reader's ``__missing__``, the fill of its per-call memo, and the
+public ``arg_reduce`` too reads one factor of a reader.
 
 ``measures.lattice_measure`` builds every measure, the constructor's
 included, is the only code that sets a measure's integer lattice and holds
@@ -131,12 +132,11 @@ def test_only_terms_reads_the_sequence_kind():
 
 
 def test_only_the_memo_reduces_an_index():
-    # arg_reduce is the public one-off reduction; every reader reduces in
-    # its __missing__ alone
+    # every reader reduces in its __missing__ alone, and arg_reduce reads
+    # a reader
     tree = ast.parse((PACKAGE / "fourier.py").read_text())
     inside = {id(node) for fn in ast.walk(tree)
-              if isinstance(fn, ast.FunctionDef)
-              and fn.name in ("arg_reduce", "__missing__")
+              if isinstance(fn, ast.FunctionDef) and fn.name == "__missing__"
               for node in ast.walk(fn)}
     calls = [node for node in ast.walk(tree)
              if isinstance(node, ast.Call)

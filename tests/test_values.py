@@ -21,7 +21,7 @@ import pytest
 import tau3
 from tau3 import (Axiom, Certificate, ClassExpr, CoefficientSequence,
                   CompletionClass, CompletionKind, Conclusion,
-                  ConvergenceVerdict, ExactRational, FactorSpec, GridMeasure,
+                  ConvergenceVerdict, FactorSpec, GridMeasure,
                   IntervalValue, LEBESGUE_CLASS, MeasureExpr, Relation,
                   RelationKind, SBounds, ScaledPower, SequenceSpec,
                   SingularTag, Support, TauDescriptor, distinguish)
@@ -51,7 +51,6 @@ CASES = {
     MeasureExpr: (lambda: MeasureExpr(((F(-1), F(1, 2)), (F(1), F(1, 2))),
                                       False, GEO),
                   ("atoms", "lebesgue", "bernoulli"), True),
-    ExactRational: (lambda: ExactRational(F(1, 3)), ("value",), True),
     ScaledPower: (lambda: ScaledPower(F(1, 2), 3, 5),
                   ("scale", "base", "exponent"), True),
     SequenceSpec: (lambda: SequenceSpec("geometric", F(1, 2), 3, 2, 5),
